@@ -8,6 +8,7 @@ fit-gmm, pore-map, export, demo-assets.  Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -198,7 +199,7 @@ def _cmd_sample(args) -> int:
     out = _require_out(args)
     library = AssetLibrary.load(args.library)
     if args.sigma_mode is not None:
-        library.sigma_mode = args.sigma_mode
+        library = dataclasses.replace(library, sigma_mode=args.sigma_mode)
 
     def one(i: int) -> None:
         seed_i = split_seed(args.seed, i)

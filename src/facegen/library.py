@@ -12,18 +12,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .container import load_container, save_container
 from .errors import DataError, InvalidParam
-from .eyes import EyeGeometryParams
+from .eyes import EyeGeometry, EyeGeometryParams, build_eye
 from .gmm import GaussianMixture
-from .hair import Groom, load_groom
+from .hair import HAIR_STYLES, Groom, flip_groom, load_groom
 from .hdr import HdrImage, read_hdr
 from .model import BlendshapeModel
 from .modelio import load_model
+from .objio import obj_topology
 from .sampling import ExpressionLibrary, HairColorTable, PoseDistribution
+from .subdivision import catmull_clark_stencil
 
-GROOM_STYLES = ("scalp", "eyebrow", "beard", "eyelash")
 DEFAULT_EYE_COLORS = ("brown", "dark_brown", "blue", "green", "hazel")
 
 
@@ -76,9 +78,51 @@ class RenderConfig:
     spp: int = 256
 
 
-@dataclass
+@dataclass(frozen=True)
+class SceneTopology:
+    """Everything scene realization and export need that depends only on the
+    library: the template's subdivision stencil and subdivided topology,
+    the eye meshes, the mirrored grooms and the OBJ `vt`/`f` text of the
+    face and of the merged eyes."""
+
+    stencil: sparse.csr_matrix                   # (V_L, V_0) Catmull-Clark
+    face_quads: np.ndarray
+    face_uvs: np.ndarray | None
+    face_obj: str
+    eye: EyeGeometry
+    eyes_quads: np.ndarray                       # sclera, cornea per eye, left first
+    eyes_obj: str
+    flipped_grooms: dict[str, dict[str, Groom]]  # style -> id -> flip_groom(groom)
+
+    @classmethod
+    def compile(cls, model: BlendshapeModel, eye_params: EyeGeometryParams,
+                grooms: dict[str, dict[str, Groom]], levels: int) -> "SceneTopology":
+        stencil, face_quads, face_uvs = catmull_clark_stencil(model.template, levels)
+        eye = build_eye(eye_params)
+        parts = (eye.sclera, eye.cornea) * 2
+        offsets = np.cumsum([0] + [p.n_vertices for p in parts[:-1]])
+        eyes_quads = np.concatenate([p.quads + off for p, off in zip(parts, offsets)])
+        return cls(
+            stencil=stencil,
+            face_quads=face_quads,
+            face_uvs=face_uvs,
+            face_obj=obj_topology(face_quads, face_uvs),
+            eye=eye,
+            eyes_quads=eyes_quads,
+            eyes_obj=obj_topology(eyes_quads),
+            flipped_grooms={style: {gid: flip_groom(g) for gid, g in pool.items()}
+                            for style, pool in grooms.items()},
+        )
+
+
+@dataclass(frozen=True)
 class AssetLibrary:
-    """Loaded assets plus sampler configuration."""
+    """Loaded assets plus sampler configuration.
+
+    `topology` is compiled from the model, eye parameters, grooms and
+    subdivision levels by `load`; `dataclasses.replace` of the sampler
+    settings keeps it.
+    """
 
     root: Path
     model: BlendshapeModel
@@ -94,6 +138,7 @@ class AssetLibrary:
     camera: CameraConfig
     render: RenderConfig
     eye_params: EyeGeometryParams
+    topology: SceneTopology
     sigma: float = 0.8
     sigma_mode: str = "std"
     subdivision_levels: int = 3
@@ -131,7 +176,7 @@ class AssetLibrary:
 
         grooms: dict[str, dict[str, Groom]] = {}
         for style, paths in cfg.get("grooms", {}).items():
-            if style not in GROOM_STYLES:
+            if style not in HAIR_STYLES:
                 raise InvalidParam(f"unknown groom style {style!r}")
             grooms[style] = {}
             for rel in paths:
@@ -174,6 +219,7 @@ class AssetLibrary:
             pupil_radius=float(eye_cfg.get("pupil_radius", 0.002)),
         )
         sampling_cfg = cfg.get("sampling", {})
+        levels = int(cfg.get("subdivision_levels", 3))
         return cls(
             root=root,
             model=model,
@@ -189,7 +235,8 @@ class AssetLibrary:
             camera=camera,
             render=render,
             eye_params=eye_params,
+            topology=SceneTopology.compile(model, eye_params, grooms, levels),
             sigma=float(sampling_cfg.get("sigma", 0.8)),
             sigma_mode=str(sampling_cfg.get("sigma_mode", "std")),
-            subdivision_levels=int(cfg.get("subdivision_levels", 3)),
+            subdivision_levels=levels,
         )

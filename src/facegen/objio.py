@@ -15,25 +15,30 @@ from .errors import DataError
 from .mesh import QuadMesh
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def obj_topology(quads: np.ndarray, uvs: np.ndarray | None = None) -> str:
+    """The `vt` and `f` lines that `dump_obj` writes after the vertices.
+
+    They depend only on the topology (and the UVs), so callers that
+    write many meshes of one topology format them once and pass them to
+    `dump_obj`.
+    """
+    F = len(quads)
+    if uvs is None:
+        return ("f %d %d %d %d\n" * F) % tuple((quads + 1).ravel().tolist())
+    vt = ("vt %r %r\n" * (4 * F)) % tuple(uvs.ravel().tolist())
+    corner = np.arange(1, 4 * F + 1).reshape(F, 4)
+    tokens = np.stack([quads + 1, corner], axis=2).ravel().tolist()
+    return vt + ("f %d/%d %d/%d %d/%d %d/%d\n" * F) % tuple(tokens)
 
 
-def dump_obj(mesh: QuadMesh) -> str:
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    if mesh.uvs is None:
-        for q in mesh.quads:
-            lines.append(f"f {q[0] + 1} {q[1] + 1} {q[2] + 1} {q[3] + 1}")
-    else:
-        flat_uv = mesh.uvs.reshape(-1, 2)
-        for uv in flat_uv:
-            lines.append(f"vt {_fmt(uv[0])} {_fmt(uv[1])}")
-        for fi, q in enumerate(mesh.quads):
-            toks = " ".join(f"{q[c] + 1}/{fi * 4 + c + 1}" for c in range(4))
-            lines.append(f"f {toks}")
-    return "\n".join(lines) + "\n"
+def dump_obj(mesh: QuadMesh, topology: str | None = None) -> str:
+    """OBJ text of `mesh`; `topology` is `obj_topology` of its quads and UVs,
+    formatted here when not given."""
+    if topology is None:
+        topology = obj_topology(mesh.quads, mesh.uvs)
+    # %r of a Python float is its shortest round-trip repr
+    verts = "".join(["v %r %r %r\n" % (x, y, z) for x, y, z in mesh.vertices.tolist()])
+    return verts + topology or "\n"      # an empty mesh is one newline
 
 
 def save_obj(path, mesh: QuadMesh) -> None:

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import DataError, InvalidParam
 from .eyes import build_eye, shrinkwrap_eyelids
 from .gmm import sample_identity
-from .hair import Groom, flip_groom, save_groom
-from .library import GROOM_STYLES, AssetLibrary
+from .hair import HAIR_STYLES, Groom, flip_groom, save_groom
+from .library import AssetLibrary, SceneTopology
 from .mesh import QuadMesh
 from .model import ModelParams, Pose, euler_xyz, evaluate, world_transforms
 from .objio import dump_obj
@@ -32,6 +32,10 @@ from .sampling import (
     sample_pose,
 )
 from .subdivision import subdivide_catmull_clark
+
+# build_eye, flip_groom and subdivide_catmull_clark run once per library, in
+# AssetLibrary.load, not per scene.  They stay importable from this module
+# with the per-scene stages, where per-layer tracing looks every stage up.
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,7 @@ def sample_scene(library: AssetLibrary, seed: int) -> SceneDescription:
     eye_color_id = library.eye_colors[int(rng.integers(len(library.eye_colors)))]
 
     grooms: dict[str, GroomChoice] = {}
-    for style in GROOM_STYLES:
+    for style in HAIR_STYLES:
         pool = library.grooms.get(style)
         if not pool:
             continue
@@ -274,26 +278,17 @@ class RealizedScene:
     eyes: QuadMesh
     grooms: dict[str, Groom]
     eye_metadata: dict
-
-
-def _merge_meshes(meshes: list[QuadMesh]) -> QuadMesh:
-    verts = []
-    quads = []
-    offset = 0
-    for m in meshes:
-        verts.append(m.vertices)
-        quads.append(m.quads + offset)
-        offset += m.n_vertices
-    return QuadMesh(np.concatenate(verts), np.concatenate(quads))
+    topology: SceneTopology          # the library topology the meshes share
 
 
 def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedScene:
     """Geometry for one scene: posed subdivided face, placed eyes with
     shrinkwrapped lids, and grooms transported by the head transform."""
     model = library.model
+    topo = library.topology
     params = scene.params
     posed = evaluate(model, params)
-    face = subdivide_catmull_clark(posed, library.subdivision_levels)
+    face_verts = topo.stencil @ posed.vertices
 
     R_w, b_w, _ = world_transforms(model.skeleton, params.alpha,
                                    params.gamma.joint_angles)
@@ -305,58 +300,67 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
         return local @ R_g.T + t_g
 
     piv = model.skeleton.pivots(params.alpha)
-    eye_geo = build_eye(library.eye_params)
-    eye_meshes = []
-    face_verts = face.vertices
+    eye_verts = []
     for joint, lid_ids in ((2, model.eyelid_left), (3, model.eyelid_right)):
         center_world = to_world(joint, piv[joint][None])[0]
         rot = R_g @ R_w[joint]
-        for part in (eye_geo.sclera, eye_geo.cornea):
-            eye_meshes.append(part.with_vertices(part.vertices @ rot.T + center_world))
+        for part in (topo.eye.sclera, topo.eye.cornea):
+            eye_verts.append(part.vertices @ rot.T + center_world)
         if lid_ids is not None and len(lid_ids):
             face_verts = shrinkwrap_eyelids(face_verts, lid_ids, center_world,
                                             library.eye_params.sclera_radius)
-    face = face.with_vertices(face_verts)
-    eyes = _merge_meshes(eye_meshes)
+    face = QuadMesh(face_verts, topo.face_quads, topo.face_uvs)
+    eyes = QuadMesh(np.concatenate(eye_verts), topo.eyes_quads)
 
     grooms: dict[str, Groom] = {}
     neck_R = R_g @ R_w[0]
     neck_t = b_w[0] @ R_g.T + t_g
     for style, choice in scene.grooms.items():
-        g = library.grooms[style][choice.groom_id]
-        if choice.flip:
-            g = flip_groom(g)
+        pool = topo.flipped_grooms if choice.flip else library.grooms
+        g = pool[style][choice.groom_id]
         strands = tuple(s @ neck_R.T + neck_t for s in g.strands)
         grooms[style] = Groom(strands, g.root_uv, style=g.style)
 
     return RealizedScene(face=face, eyes=eyes, grooms=grooms,
-                         eye_metadata=eye_geo.metadata)
+                         eye_metadata=topo.eye.metadata, topology=topo)
 
 
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
+# every name export_scene can write; a re-export removes these first so a
+# used directory never keeps files of an earlier scene, and nothing else
+_EXPORT_NAMES = frozenset(
+    {"face.obj", "eyes.obj", "scene.json", "manifest.json"}
+    | {f"groom_{style}{ext}" for style in HAIR_STYLES for ext in (".json", ".bin")})
+
+
 def export_scene(scene: SceneDescription, geometry: RealizedScene,
                  out_dir) -> dict[str, str]:
     """Write face.obj, eyes.obj, groom files and scene.json plus a
-    manifest of sha256 content hashes.  Returns {filename: hash}."""
+    manifest of their sha256 content hashes.  Returns {filename: hash}.
+
+    Export-owned names left by an earlier export into `out_dir` are
+    removed; other files there are kept and not listed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "face.obj").write_text(dump_obj(geometry.face))
-    (out / "eyes.obj").write_text(dump_obj(geometry.eyes))
+    for name in _EXPORT_NAMES:
+        (out / name).unlink(missing_ok=True)
+    topo = geometry.topology
+    (out / "face.obj").write_text(dump_obj(geometry.face, topo.face_obj))
+    (out / "eyes.obj").write_text(dump_obj(geometry.eyes, topo.eyes_obj))
+    written = ["face.obj", "eyes.obj", "scene.json"]
     for style, groom in sorted(geometry.grooms.items()):
         save_groom(out / f"groom_{style}.json", groom)
+        written += [f"groom_{style}.json", f"groom_{style}.bin"]
     scene_dict = scene.to_dict()
     scene_dict["eye_metadata"] = geometry.eye_metadata
     (out / "scene.json").write_text(
         json.dumps(scene_dict, sort_keys=True, indent=1) + "\n")
 
-    hashes = {}
-    for p in sorted(out.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        hashes[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in sorted(written)}
     (out / "manifest.json").write_text(
         json.dumps({"files": hashes}, sort_keys=True, indent=1) + "\n")
     return hashes

@@ -7,106 +7,112 @@ rules; boundary vertices with other than two boundary edges are pinned.
 
 New vertex layout: [original vertices (repositioned) | face points |
 edge points], so original vertex indices stay stable across levels.
+
+Every rule is a fixed linear combination of the previous level's
+vertices, so `levels` rounds are one sparse matrix S (V_L x V_0) that
+depends only on the topology (Stam 1998; OpenSubdiv's Far::StencilTable).
+S is built once per topology and each new set of control points costs a
+single sparse product.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .mesh import MeshConnectivity, QuadMesh, build_connectivity
 
 
 def subdivide_catmull_clark(mesh: QuadMesh, levels: int) -> QuadMesh:
     """Apply `levels` rounds of Catmull-Clark subdivision (levels >= 0)."""
+    if levels == 0:
+        return mesh
+    stencil, quads, uvs = catmull_clark_stencil(mesh, levels)
+    return QuadMesh(stencil @ mesh.vertices, quads, uvs)
+
+
+def catmull_clark_stencil(mesh: QuadMesh, levels: int
+                          ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray | None]:
+    """Stencil of `levels` rounds of subdivision on the topology of `mesh`.
+
+    Returns (S, quads, uvs): S is the (V_L, V_0) CSR matrix with
+    `S @ mesh.vertices` the subdivided vertices, quads the (4^L F, 4)
+    subdivided quads, and uvs the refined per-corner UVs (None when the
+    mesh has none).  The vertex positions of `mesh` are not used.
+    """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    out = mesh
+    stencil = sparse.identity(mesh.n_vertices, format="csr")
+    quads, uvs = mesh.quads, mesh.uvs
+    level_mesh = mesh
     for _ in range(levels):
-        out = _subdivide_once(out)
-    return out
+        level_op, quads = _level_operator(build_connectivity(level_mesh), quads)
+        stencil = level_op @ stencil
+        level_mesh = QuadMesh(np.zeros((level_op.shape[0], 3)), quads)
+        if uvs is not None:
+            uvs = _subdivide_uvs(uvs)
+    return stencil, quads, uvs
 
 
-def _subdivide_once(mesh: QuadMesh) -> QuadMesh:
-    conn = build_connectivity(mesh)
+def _level_operator(conn: MeshConnectivity, quads: np.ndarray
+                    ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """One level as a ((V + F + E) x V) sparse matrix, plus the new quads."""
     V, E, F = conn.n_vertices, conn.n_edges, conn.n_faces
-    verts = mesh.vertices
-    quads = mesh.quads
+    edges = conn.edges
+    boundary_edge = conn.boundary_edge
+    face_vert = _incidence(quads, V)
+    edge_vert = _incidence(edges, V)
+    bnd_vert = _incidence(edges[boundary_edge], V)
 
-    face_pts = verts[quads].mean(axis=1)  # centroids
+    face_pts = 0.25 * face_vert                       # centroids
 
     # edge points: interior = (v0 + v1 + f0 + f1)/4, boundary = midpoint
-    emid = 0.5 * (verts[conn.edges[:, 0]] + verts[conn.edges[:, 1]])
-    edge_pts = np.empty((E, 3))
-    interior = ~conn.boundary_edge
-    f0 = conn.edge_faces[interior, 0]
-    f1 = conn.edge_faces[interior, 1]
-    edge_pts[interior] = 0.25 * (
-        verts[conn.edges[interior, 0]] + verts[conn.edges[interior, 1]]
-        + face_pts[f0] + face_pts[f1]
-    )
-    edge_pts[conn.boundary_edge] = emid[conn.boundary_edge]
+    edge_face = _incidence(conn.face_edges, E).T
+    edge_pts = (_diag(np.where(boundary_edge, 0.5, 0.25)) @ edge_vert
+                + _diag(np.where(boundary_edge, 0.0, 0.25)) @ (edge_face @ face_pts))
 
-    vertex_pts = _vertex_points(conn, verts, face_pts, emid)
-
-    new_verts = np.concatenate([vertex_pts, face_pts, edge_pts], axis=0)
+    # interior vertices: Q/n + 2R/n + S(n-3)/n with n the valence, Q the mean
+    # incident face point and R the mean incident edge midpoint; row v of
+    # edge_vert.T @ edge_vert is the sum of both ends of v's edges, 2n R.
+    # Crease vertices (two boundary edges): (6S + b0 + b1)/8, where row v of
+    # bnd_vert.T @ bnd_vert is 2S + b0 + b1.  Other boundary vertices and
+    # isolated ones stay pinned.
+    interior = ~conn.boundary_vertex & (conn.valence > 0)
+    crease = np.bincount(bnd_vert.indices, minlength=V) == 2
+    w_face = np.zeros(V)
+    w_edge = np.zeros(V)
+    w_self = np.ones(V)
+    ni = conn.valence[interior].astype(np.float64)
+    w_face[interior] = 1.0 / (np.diff(conn.vf_indptr)[interior] * ni)
+    w_edge[interior] = 1.0 / (ni * ni)
+    w_self[interior] = (ni - 3.0) / ni
+    w_self[crease] = 0.5
+    vert_pts = (_diag(w_face) @ (face_vert.T @ face_pts)
+                + _diag(w_edge) @ (edge_vert.T @ edge_vert)
+                + _diag(np.where(crease, 0.125, 0.0)) @ (bnd_vert.T @ bnd_vert)
+                + _diag(w_self))
+    level_op = sparse.vstack([vert_pts, face_pts, edge_pts], format="csr")
 
     # per face corner i: (v_i, e(v_i, v_{i+1}), f, e(v_{i-1}, v_i))
-    fp = V + np.arange(F, dtype=np.int64)
+    face_row = V + np.arange(F)
     e_next = V + F + conn.face_edges              # edge of side (v_i, v_{i+1})
     e_prev = np.roll(e_next, 1, axis=1)           # edge of side (v_{i-1}, v_i)
     new_quads = np.stack(
-        [quads, e_next, np.broadcast_to(fp[:, None], quads.shape), e_prev],
+        [quads, e_next, np.broadcast_to(face_row[:, None], quads.shape), e_prev],
         axis=2,
     ).reshape(-1, 4)
-
-    new_uvs = None
-    if mesh.uvs is not None:
-        new_uvs = _subdivide_uvs(mesh.uvs)
-
-    return QuadMesh(new_verts, new_quads, new_uvs)
+    return level_op, new_quads
 
 
-def _vertex_points(conn: MeshConnectivity, verts: np.ndarray,
-                   face_pts: np.ndarray, emid: np.ndarray) -> np.ndarray:
-    V = conn.n_vertices
-    out = verts.copy()
+def _incidence(cells: np.ndarray, n_cols: int) -> sparse.csr_matrix:
+    """(len(cells) x n_cols) matrix with a 1 at every index each row lists."""
+    rows, k = cells.shape
+    return sparse.csr_matrix((np.ones(cells.size), cells.ravel(),
+                              np.arange(0, rows * k + 1, k)), shape=(rows, n_cols))
 
-    boundary = conn.boundary_vertex
-    interior = ~boundary
 
-    if np.any(interior):
-        # Q/n + 2R/n + S(n-3)/n with n the valence, Q the mean incident
-        # face point, R the mean incident edge midpoint
-        q_acc = np.zeros((V, 3))
-        row_vertex = np.repeat(np.arange(V), np.diff(conn.vf_indptr))
-        np.add.at(q_acc, row_vertex, face_pts[conn.vf_indices])
-        r_acc = np.zeros((V, 3))
-        np.add.at(r_acc, conn.edges[:, 0], emid)
-        np.add.at(r_acc, conn.edges[:, 1], emid)
-
-        n_faces_per_v = np.diff(conn.vf_indptr)
-        n = conn.valence.astype(np.float64)
-        idx = interior & (n > 0)
-        # interior manifold vertices have n incident faces == n incident edges
-        q = q_acc[idx] / n_faces_per_v[idx, None]
-        r = r_acc[idx] / n[idx, None]
-        s = verts[idx]
-        out[idx] = (q + 2.0 * r + (n[idx, None] - 3.0) * s) / n[idx, None]
-
-    if np.any(boundary):
-        # crease rule (6S + b0 + b1)/8 using the two boundary neighbors
-        bedges = conn.edges[conn.boundary_edge]
-        bv = np.nonzero(boundary)[0]
-        acc = np.zeros((V, 3))
-        cnt = np.zeros(V, dtype=np.int64)
-        for a, b in ((0, 1), (1, 0)):
-            np.add.at(acc, bedges[:, a], verts[bedges[:, b]])
-            np.add.at(cnt, bedges[:, a], 1)
-        two = cnt[bv] == 2
-        sel = bv[two]
-        out[sel] = (6.0 * verts[sel] + acc[sel]) / 8.0
-        # vertices on more than two boundary edges stay pinned
-    return out
+def _diag(weights: np.ndarray) -> sparse.csr_matrix:
+    return sparse.diags(weights, format="csr")
 
 
 def _subdivide_uvs(uvs: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from facegen.learning import LossWeights, ScanSet, ThetaBlocks, total_loss
-from facegen.mesh import QuadMesh
+from facegen.mesh import QuadMesh, build_connectivity
 from facegen.model import BlendshapeModel, Skeleton
 from facegen.procedural import (
     cube_mesh,
@@ -160,6 +160,114 @@ def clustered_groom(rng: np.random.Generator, n_strands=200, R=16,
                 pts.append(p.copy())
             strands.append(np.asarray(pts))
     return Groom(tuple(strands), np.asarray(uvs))
+
+
+def subdivide_reference(mesh: QuadMesh, levels: int) -> QuadMesh:
+    """Catmull-Clark by direct per-level float evaluation of each rule: the
+    reference the sparse subdivision stencil is checked against."""
+    for _ in range(levels):
+        mesh = _subdivide_once_reference(mesh)
+    return mesh
+
+
+def _subdivide_once_reference(mesh: QuadMesh) -> QuadMesh:
+    conn = build_connectivity(mesh)
+    V, E, F = conn.n_vertices, conn.n_edges, conn.n_faces
+    verts = mesh.vertices
+    quads = mesh.quads
+
+    face_pts = verts[quads].mean(axis=1)  # centroids
+
+    # edge points: interior = (v0 + v1 + f0 + f1)/4, boundary = midpoint
+    emid = 0.5 * (verts[conn.edges[:, 0]] + verts[conn.edges[:, 1]])
+    edge_pts = np.empty((E, 3))
+    interior = ~conn.boundary_edge
+    f0 = conn.edge_faces[interior, 0]
+    f1 = conn.edge_faces[interior, 1]
+    edge_pts[interior] = 0.25 * (
+        verts[conn.edges[interior, 0]] + verts[conn.edges[interior, 1]]
+        + face_pts[f0] + face_pts[f1]
+    )
+    edge_pts[conn.boundary_edge] = emid[conn.boundary_edge]
+
+    vertex_pts = _vertex_points_reference(conn, verts, face_pts, emid)
+    new_verts = np.concatenate([vertex_pts, face_pts, edge_pts], axis=0)
+
+    # per face corner i: (v_i, e(v_i, v_{i+1}), f, e(v_{i-1}, v_i))
+    fp = V + np.arange(F, dtype=np.int64)
+    e_next = V + F + conn.face_edges
+    e_prev = np.roll(e_next, 1, axis=1)
+    new_quads = np.stack(
+        [quads, e_next, np.broadcast_to(fp[:, None], quads.shape), e_prev],
+        axis=2,
+    ).reshape(-1, 4)
+
+    new_uvs = None
+    if mesh.uvs is not None:
+        uvs = mesh.uvs
+        mid_next = 0.5 * (uvs + np.roll(uvs, -1, axis=1))
+        mid_prev = 0.5 * (uvs + np.roll(uvs, 1, axis=1))
+        center = np.broadcast_to(uvs.mean(axis=1, keepdims=True), (F, 4, 2))
+        new_uvs = np.stack([uvs, mid_next, center, mid_prev], axis=2).reshape(-1, 4, 2)
+    return QuadMesh(new_verts, new_quads, new_uvs)
+
+
+def _vertex_points_reference(conn, verts, face_pts, emid):
+    V = conn.n_vertices
+    out = verts.copy()
+    boundary = conn.boundary_vertex
+    interior = ~boundary
+
+    if np.any(interior):
+        # Q/n + 2R/n + S(n-3)/n with n the valence, Q the mean incident
+        # face point, R the mean incident edge midpoint
+        q_acc = np.zeros((V, 3))
+        row_vertex = np.repeat(np.arange(V), np.diff(conn.vf_indptr))
+        np.add.at(q_acc, row_vertex, face_pts[conn.vf_indices])
+        r_acc = np.zeros((V, 3))
+        np.add.at(r_acc, conn.edges[:, 0], emid)
+        np.add.at(r_acc, conn.edges[:, 1], emid)
+
+        n_faces_per_v = np.diff(conn.vf_indptr)
+        n = conn.valence.astype(np.float64)
+        idx = interior & (n > 0)
+        q = q_acc[idx] / n_faces_per_v[idx, None]
+        r = r_acc[idx] / n[idx, None]
+        s = verts[idx]
+        out[idx] = (q + 2.0 * r + (n[idx, None] - 3.0) * s) / n[idx, None]
+
+    if np.any(boundary):
+        # crease rule (6S + b0 + b1)/8 using the two boundary neighbors
+        bedges = conn.edges[conn.boundary_edge]
+        bv = np.nonzero(boundary)[0]
+        acc = np.zeros((V, 3))
+        cnt = np.zeros(V, dtype=np.int64)
+        for a, b in ((0, 1), (1, 0)):
+            np.add.at(acc, bedges[:, a], verts[bedges[:, b]])
+            np.add.at(cnt, bedges[:, a], 1)
+        sel = bv[cnt[bv] == 2]
+        out[sel] = (6.0 * verts[sel] + acc[sel]) / 8.0
+        # vertices on more than two boundary edges stay pinned
+    return out
+
+
+def dump_obj_reference(mesh: QuadMesh) -> str:
+    """OBJ text formatted one scalar at a time: the reference for the bulk
+    formatter in facegen.objio."""
+    def fmt(x) -> str:
+        return repr(float(x))
+
+    lines = [f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}" for v in mesh.vertices]
+    if mesh.uvs is None:
+        for q in mesh.quads:
+            lines.append(f"f {q[0] + 1} {q[1] + 1} {q[2] + 1} {q[3] + 1}")
+    else:
+        for uv in mesh.uvs.reshape(-1, 2):
+            lines.append(f"vt {fmt(uv[0])} {fmt(uv[1])}")
+        for fi, q in enumerate(mesh.quads):
+            toks = " ".join(f"{q[c] + 1}/{fi * 4 + c + 1}" for c in range(4))
+            lines.append(f"f {toks}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

@@ -3,10 +3,37 @@ import pytest
 
 from facegen.errors import DataError
 from facegen.mesh import QuadMesh
-from facegen.objio import dump_obj, load_obj, parse_obj, save_obj
+from facegen.objio import dump_obj, load_obj, obj_topology, parse_obj, save_obj
 from facegen.procedural import cube_mesh, quad_grid
 
-from conftest import random_closed_mesh
+from conftest import dump_obj_reference, random_closed_mesh
+
+
+@pytest.mark.parametrize("with_uvs", [False, True])
+def test_bulk_formatting_matches_scalar_reference(rng, with_uvs):
+    grid = quad_grid(3, 2)
+    special = [-0.0, 1e-300, 1e17, 0.1, 2.0, -3.0, 5e-324, 1.7976931348623157e308]
+    verts = rng.standard_normal(grid.vertices.shape)
+    verts.ravel()[:len(special)] = special
+    uvs = None
+    if with_uvs:
+        uvs = rng.uniform(0.0, 1.0, (grid.n_quads, 4, 2))
+        uvs.ravel()[:len(special)] = special
+    mesh = QuadMesh(verts, grid.quads, uvs)
+    text = dump_obj(mesh)
+    assert text == dump_obj_reference(mesh)
+    assert text == dump_obj(mesh, obj_topology(mesh.quads, mesh.uvs))
+
+
+def test_bulk_formatting_matches_scalar_reference_on_closed_meshes(rng):
+    for _ in range(5):
+        mesh = random_closed_mesh(rng)
+        assert dump_obj(mesh) == dump_obj_reference(mesh)
+
+
+def test_empty_mesh_matches_scalar_reference():
+    mesh = QuadMesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=np.int64))
+    assert dump_obj(mesh) == dump_obj_reference(mesh) == "\n"
 
 
 def test_roundtrip_bit_exact(rng, tmp_path):

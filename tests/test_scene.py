@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -38,6 +39,38 @@ class TestLibrary:
         assert len(library.expressions) > 0
         assert library.grooms["scalp"]
         assert library.hdrs
+
+    def test_frozen_and_replace_keeps_topology(self, library):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            library.sigma_mode = "var"
+        changed = dataclasses.replace(library, sigma_mode="var")
+        assert changed.sigma_mode == "var"
+        assert changed.topology is library.topology
+
+    def test_scenes_rebuild_no_library_topology(self, library, tmp_path, monkeypatch):
+        import facegen.scene
+        import facegen.subdivision
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            calls[name] = 0
+            monkeypatch.setattr(module, name, counted)
+
+        count(facegen.subdivision, "build_connectivity")
+        for name in ("build_eye", "flip_groom", "subdivide_catmull_clark"):
+            count(facegen.scene, name)
+        flips = 0
+        for i in range(4):
+            scene = sample_scene(library, split_seed(40, i))
+            flips += sum(c.flip for c in scene.grooms.values())
+            export_scene(scene, realize_scene(library, scene), tmp_path / str(i))
+        assert flips > 0
+        assert calls == dict.fromkeys(calls, 0)
 
 
 class TestSampleScene:
@@ -176,6 +209,22 @@ class TestExport:
         p.write_bytes(bytes(raw))
         import hashlib
         assert hashlib.sha256(p.read_bytes()).hexdigest() != h2["face.obj"]
+
+    def test_reexport_lists_only_files_it_wrote(self, library, tmp_path):
+        scene = sample_scene(library, 35)
+        assert "beard" in scene.grooms
+        out = tmp_path / "s"
+        export_scene(scene, realize_scene(library, scene), out)
+        (out / "notes.txt").write_text("kept\n")
+        shaved = dataclasses.replace(
+            scene, grooms={k: v for k, v in scene.grooms.items() if k != "beard"})
+        hashes = export_scene(shaved, realize_scene(library, shaved), out)
+        names = {p.name for p in out.iterdir()}
+        assert not any(n.startswith("groom_beard") for n in names)
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert set(hashes) == names - {"manifest.json", "notes.txt"}
+        mf = json.loads((out / "manifest.json").read_text())
+        assert mf["files"] == hashes
 
     def test_face_obj_reimports(self, library, tmp_path):
         from facegen.objio import load_obj

@@ -2,10 +2,63 @@ import numpy as np
 import pytest
 
 from facegen.mesh import QuadMesh, build_connectivity
-from facegen.procedural import cube_mesh, quad_grid
-from facegen.subdivision import subdivide_catmull_clark
+from facegen.procedural import cube_mesh, desk_head, quad_grid
+from facegen.subdivision import catmull_clark_stencil, subdivide_catmull_clark
 
-from conftest import random_closed_mesh
+from conftest import random_closed_mesh, subdivide_reference
+
+# the stencil sums each rule's terms in another order than the reference
+STENCIL_TOL = 1e-12
+
+
+def _assert_matches_reference(mesh, levels):
+    expect = subdivide_reference(mesh, levels)
+    stencil, quads, uvs = catmull_clark_stencil(mesh, levels)
+    assert stencil.shape == (expect.n_vertices, mesh.n_vertices)
+    assert np.abs(stencil @ mesh.vertices - expect.vertices).max() <= STENCIL_TOL
+    assert np.array_equal(quads, expect.quads)
+    if mesh.uvs is None:
+        assert uvs is None
+    else:
+        assert np.array_equal(uvs, expect.uvs)
+
+
+def test_stencil_matches_reference_on_demo_head():
+    _assert_matches_reference(desk_head(seed=0).template, 3)
+
+
+def test_stencil_matches_reference_on_closed_meshes():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        _assert_matches_reference(random_closed_mesh(rng), 2)
+
+
+def test_stencil_matches_reference_on_open_grid_with_uvs(rng):
+    # boundary vertices, corners included, have two boundary edges: crease rule
+    grid = quad_grid(4, 3)
+    mesh = QuadMesh(grid.vertices + 0.05 * rng.standard_normal(grid.vertices.shape),
+                    grid.quads, rng.uniform(0.0, 1.0, (grid.n_quads, 4, 2)))
+    _assert_matches_reference(mesh, 3)
+
+
+def test_stencil_pins_vertex_on_four_boundary_edges(rng):
+    # two grids touching at one corner: that vertex is on four boundary edges
+    a, b = quad_grid(2, 2), quad_grid(2, 2)
+    shared = 8                                    # far corner of a, first of b
+    verts = np.vstack([a.vertices, b.vertices[1:] + a.vertices[shared]])
+    quads_b = np.where(b.quads == 0, shared, b.quads - 1 + a.n_vertices)
+    mesh = QuadMesh(verts + 0.05 * rng.standard_normal(verts.shape),
+                    np.vstack([a.quads, quads_b]))
+    _assert_matches_reference(mesh, 3)
+    sub = subdivide_catmull_clark(mesh, 3)
+    assert np.array_equal(sub.vertices[shared], mesh.vertices[shared])
+
+
+def test_stencil_keeps_isolated_vertex():
+    cube = cube_mesh()
+    mesh = QuadMesh(np.vstack([cube.vertices, [[5.0, 6.0, 7.0]]]), cube.quads)
+    _assert_matches_reference(mesh, 2)
+    assert np.array_equal(subdivide_catmull_clark(mesh, 2).vertices[8], [5.0, 6.0, 7.0])
 
 
 def test_level_zero_is_input():
