@@ -9,6 +9,7 @@ separators) so write -> read -> write is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import DataError
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _TAGS = {np.dtype("float32"): "f32", np.dtype("float64"): "f64"}
+_ENTRY_KEYS = {"name", "shape", "dtype", "byte_offset"}
 
 
 def save_container(manifest_path, tensors: dict[str, np.ndarray],
@@ -60,17 +62,31 @@ def load_container(manifest_path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"invalid container manifest {manifest_path}: {e}") from e
-    if "tensors" not in manifest or "blob" not in manifest:
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("tensors"), list)
+            and "blob" in manifest):
         raise DataError(f"container manifest {manifest_path} missing tensors/blob")
-    blob = (manifest_path.parent / manifest["blob"]).read_bytes()
+    blob_name = manifest["blob"]
+    # the blob must sit next to its manifest
+    if (not isinstance(blob_name, str) or blob_name in ("", ".", "..")
+            or Path(blob_name).name != blob_name):
+        raise DataError(f"blob {blob_name!r} in {manifest_path} is not a bare file name")
+    blob = (manifest_path.parent / blob_name).read_bytes()
     tensors = {}
     for ent in manifest["tensors"]:
+        if not (isinstance(ent, dict) and _ENTRY_KEYS <= ent.keys()
+                and isinstance(ent["name"], str) and isinstance(ent["dtype"], str)):
+            raise DataError(f"malformed tensor entry {ent!r} in {manifest_path}")
         dtype = _DTYPES.get(ent["dtype"])
         if dtype is None:
             raise DataError(f"unsupported dtype {ent['dtype']!r} in {manifest_path}")
-        shape = tuple(ent["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        shape = ent["shape"]
         start = ent["byte_offset"]
+        if not (isinstance(shape, list) and all(map(_is_count, shape))
+                and _is_count(start)):
+            raise DataError(f"tensor {ent['name']!r} in {manifest_path} needs "
+                            "non-negative integer shape dims and byte_offset")
+        shape = tuple(shape)
+        count = math.prod(shape)
         end = start + count * dtype.itemsize
         if end > len(blob):
             raise DataError(f"tensor {ent['name']!r} overruns blob in {manifest_path}")
@@ -78,3 +94,8 @@ def load_container(manifest_path) -> tuple[dict[str, np.ndarray], dict]:
         tensors[ent["name"]] = arr.astype(np.float64) if ent["dtype"] == "f64" \
             else arr.astype(np.float32)
     return tensors, manifest.get("metadata", {})
+
+
+def _is_count(x) -> bool:
+    """A JSON integer >= 0 (booleans are not integers here)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0

@@ -22,12 +22,27 @@ import numpy as np
 from scipy import sparse
 
 from .adam import AdamState, adam_step
-from .errors import DimensionMismatch, Diverged, InvalidParam, TopologyMismatch
-from .mesh import QuadMesh, build_connectivity, uniform_laplacian_matrix, vertex_normals
+from .errors import (
+    DimensionMismatch,
+    Diverged,
+    InvalidParam,
+    NonFiniteInput,
+    TopologyMismatch,
+)
+from .mesh import (
+    FaceOperators,
+    QuadMesh,
+    build_connectivity,
+    edge_length_energy,
+    normals_forward,
+    signed_incidence,
+    sparse_apply,
+    uniform_laplacian_matrix,
+    vertex_normals,
+)
 from .model import (
     BlendshapeModel,
     ModelParams,
-    Pose,
     evaluate_unposed,
     euler_xyz,
     euler_xyz_grad,
@@ -57,6 +72,10 @@ class ScanSet:
             raise InvalidParam("scan ids must be unique")
         if v.shape[0] < 1:
             raise InvalidParam("need at least one scan")
+        finite = np.all(np.isfinite(v), axis=(1, 2))
+        if not np.all(finite):
+            bad = self.ids[int(np.argmin(finite))]
+            raise NonFiniteInput(f"scan {bad!r} has non-finite vertices")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "quads", q)
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -102,13 +121,13 @@ class LossWeights:
                 raise InvalidParam(f"{name} must be nonnegative")
 
 
-def barrier4(x, lo: float, hi: float):
+def barrier4(x, lo, hi):
     """4th-order polynomial barrier: 0 on [lo, hi], quartic growth outside.
 
     Returns (value, derivative); C^3 at the boundaries.  Accepts scalars
-    or arrays elementwise.
+    or arrays elementwise; the bounds may be arrays broadcasting against x.
     """
-    if lo >= hi:
+    if np.any(np.asarray(lo) >= np.asarray(hi)):
         raise InvalidParam("barrier needs lo < hi")
     x = np.asarray(x, dtype=np.float64)
     above = np.maximum(x - hi, 0.0)
@@ -120,96 +139,71 @@ def barrier4(x, lo: float, hi: float):
     return val, der
 
 
-# ---------------------------------------------------------------------------
-# topology caches: sparse operators reused across loss evaluations
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class LossContext:
+    """Everything the loss needs that depends only on the scans and the
+    base template; `build` makes it once per fit."""
 
-class _MeshOps:
-    """Sparse scatter/gather operators derived from the shared topology."""
+    faces: FaceOperators              # normal forward/adjoint operators
+    incidence: sparse.csr_matrix      # (E, V) vertices to edge vectors
+    incidence_t: sparse.csc_matrix    # its transpose
+    laplacian: sparse.csr_matrix      # (V, V) uniform Laplacian L
+    lap_gram: sparse.csr_matrix       # L^T L
+    order: np.ndarray                 # canonical (sorted-id) scan order
+    inv_order: np.ndarray             # its inverse permutation
+    target_normals: np.ndarray        # (N, V, 3) scan normals, canonical order
+    ref_edge_lengths: np.ndarray      # (E,) template edge lengths
 
-    def __init__(self, quads: np.ndarray, n_vertices: int):
-        self.quads = np.asarray(quads, dtype=np.int64)
-        self.n_vertices = n_vertices
-        F = len(self.quads)
-        ones = np.ones(F)
-        cols = np.arange(F)
-        self.corner = [
-            sparse.csr_matrix((ones, (self.quads[:, c], cols)), shape=(n_vertices, F))
-            for c in range(4)
-        ]
-        self.accum = (self.corner[0] + self.corner[1]
-                      + self.corner[2] + self.corner[3]).tocsr()
-        conn = build_connectivity(QuadMesh(np.zeros((n_vertices, 3)), self.quads))
-        self.edges = conn.edges
-        E = len(self.edges)
-        data = np.concatenate([np.ones(E), -np.ones(E)])
-        rows = np.concatenate([np.arange(E), np.arange(E)])
-        vcols = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        self.incidence = sparse.csr_matrix((data, (rows, vcols)), shape=(E, n_vertices))
-        self.laplacian = uniform_laplacian_matrix(conn)
-        self.lap_gram = (self.laplacian.T @ self.laplacian).tocsr()
+    @classmethod
+    def build(cls, scans: ScanSet, base: BlendshapeModel) -> "LossContext":
+        V = scans.n_vertices
+        if base.template.n_vertices != V:
+            raise DimensionMismatch("base template does not match scan vertex count")
+        conn = build_connectivity(QuadMesh(base.template.vertices, scans.quads))
+        incidence_t = signed_incidence(conn.edges, (1, -1), V)
+        laplacian = uniform_laplacian_matrix(conn)
+        order = np.argsort(np.asarray(scans.ids))
+        return cls(
+            faces=FaceOperators.build(scans.quads, V),
+            incidence=incidence_t.T,
+            incidence_t=incidence_t,
+            laplacian=laplacian,
+            lap_gram=(laplacian.T @ laplacian).tocsr(),
+            order=order,
+            inv_order=np.argsort(order),
+            target_normals=np.stack([vertex_normals(QuadMesh(v, scans.quads))
+                                     for v in scans.vertices[order]]),
+            ref_edge_lengths=np.linalg.norm(incidence_t.T @ base.template.vertices, axis=1),
+        )
 
 
-def _batched_spmm(A: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """A @ x over the middle axis of x (N, K, 3) -> (N, A.shape[0], 3)."""
-    N, K, C = x.shape
-    flat = x.transpose(1, 0, 2).reshape(K, N * C)
-    out = A @ flat
-    return out.reshape(A.shape[0], N, C).transpose(1, 0, 2)
+def _data_term(y: np.ndarray, targets: np.ndarray, target_normals: np.ndarray,
+               faces: FaceOperators, w_vertex: float, w_normal: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex and normal data terms of (N, V, 3) positions y.
 
-
-def _normal_term(y: np.ndarray, target_normals: np.ndarray,
-                 ops: _MeshOps) -> tuple[np.ndarray, np.ndarray]:
-    """Mean (1 - cos angle) between generated and target vertex normals.
-
-    Returns (per-scan values (N,), gradient d/dy of the per-scan sums
-    divided by V, shape (N, V, 3)).  Degenerate faces and zero-normal
-    vertices contribute value 1 with zero gradient, matching
-    mesh.vertex_normals.
+    Returns (per-scan mean ||y - t||^2 (N,), per-scan mean (1 - cos angle)
+    between generated and target normals (N,), gradient of the weighted
+    sum of both w.r.t. y).  Degenerate faces and zero-normal vertices
+    contribute value 1 with zero gradient.
     """
-    q = ops.quads
-    V = ops.n_vertices
-    p = y[:, q[:, 2]] - y[:, q[:, 0]]
-    r = y[:, q[:, 3]] - y[:, q[:, 1]]
-    u = np.cross(p, r)
-    umag = np.linalg.norm(u, axis=2)
-    uvalid = umag >= 1e-15
-    uinv = np.where(uvalid, 1.0 / np.where(uvalid, umag, 1.0), 0.0)
-    nhat = u * uinv[..., None]
+    V = y.shape[-2]
+    diff = y - targets
+    vert_vals = np.einsum("nva,nva->n", diff, diff) / V
+    fwd = normals_forward(y, faces.quads, faces.accum)
+    n, nhat = fwd.vertex, fwd.face
+    norm_vals = 1.0 - np.einsum("nva,nva->nv", n, target_normals).mean(axis=1)
 
-    mvec = _batched_spmm(ops.accum, nhat)
-    mmag = np.linalg.norm(mvec, axis=2)
-    mvalid = mmag >= 1e-15
-    minv = np.where(mvalid, 1.0 / np.where(mvalid, mmag, 1.0), 0.0)
-    n = mvec * minv[..., None]
-
-    cos = np.einsum("nva,nva->nv", n, target_normals)
-    values = 1.0 - cos.mean(axis=1)
-
-    # adjoint: d/dn of sum_v (1 - n.c)/V is -c/V
+    # adjoint of the normals: d/dn of sum_v (1 - n.c)/V is -c/V
     g_n = -target_normals / V
-    g_m = (g_n - n * np.einsum("nva,nva->nv", n, g_n)[..., None]) * minv[..., None]
-    g_nhat = _batched_spmm(ops.accum.T.tocsr(), g_m)
+    g_m = (g_n - n * np.einsum("nva,nva->nv", n, g_n)[..., None]) \
+        * fwd.vertex_inv[..., None]
+    g_nhat = sparse_apply(faces.accum_t, g_m)
     g_u = (g_nhat - nhat * np.einsum("nfa,nfa->nf", nhat, g_nhat)[..., None]) \
-        * uinv[..., None]
-    g_p = np.cross(r, g_u)
-    g_r = np.cross(g_u, p)
-    grad = (_batched_spmm(ops.corner[2], g_p) - _batched_spmm(ops.corner[0], g_p)
-            + _batched_spmm(ops.corner[3], g_r) - _batched_spmm(ops.corner[1], g_r))
-    return values, grad
-
-
-def _edge_term(y: np.ndarray, ref_lengths: np.ndarray,
-               ops: _MeshOps) -> tuple[np.ndarray, np.ndarray]:
-    """Per-scan edge-length energy against reference lengths, with gradient."""
-    d = _batched_spmm(ops.incidence, y)
-    ln = np.linalg.norm(d, axis=2)
-    diff = ln - ref_lengths
-    values = np.einsum("ne,ne->n", diff, diff)
-    safe = np.where(ln > 0, ln, 1.0)
-    coeff = (2.0 * diff / safe)[..., None] * d
-    grad = _batched_spmm(ops.incidence.T.tocsr(), coeff)
-    return values, grad
+        * fwd.face_inv[..., None]
+    g_normal = (sparse_apply(faces.diag_p, np.cross(fwd.r, g_u))
+                + sparse_apply(faces.diag_r, np.cross(g_u, fwd.p)))
+    return vert_vals, norm_vals, w_vertex * (2.0 / V) * diff + w_normal * g_normal
 
 
 def data_term(generated: np.ndarray, target: QuadMesh,
@@ -224,16 +218,10 @@ def data_term(generated: np.ndarray, target: QuadMesh,
     if generated.shape != target.vertices.shape:
         raise TopologyMismatch(
             f"generated {generated.shape} vs target {target.vertices.shape}")
-    ops = _MeshOps(target.quads, target.n_vertices)
-    tn = vertex_normals(target)
-    y = generated[None]
-    V = target.n_vertices
-    diff = generated - target.vertices
-    v_val = float(np.einsum("va,va->", diff, diff)) / V
-    n_vals, n_grad = _normal_term(y, tn[None], ops)
-    value = w_vertex * v_val + w_normal * float(n_vals[0])
-    grad = w_vertex * (2.0 / V) * diff + w_normal * n_grad[0]
-    return value, grad
+    vert_vals, norm_vals, grad = _data_term(
+        generated[None], target.vertices[None], vertex_normals(target)[None],
+        FaceOperators.build(target.quads, target.n_vertices), w_vertex, w_normal)
+    return w_vertex * float(vert_vals[0]) + w_normal * float(norm_vals[0]), grad[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +251,6 @@ class ThetaBlocks:
                    np.stack([t.gamma.global_rot for t in thetas]),
                    np.stack([t.gamma.global_trans for t in thetas]))
 
-    def to_params(self) -> list[ModelParams]:
-        return [ModelParams(self.alpha[k], self.beta[k],
-                            Pose(self.joint_angles[k], self.global_rot[k],
-                                 self.global_trans[k]))
-                for k in range(len(self.alpha))]
-
     def as_dict(self) -> dict[str, np.ndarray]:
         return {"alpha": self.alpha, "beta": self.beta,
                 "joint_angles": self.joint_angles,
@@ -280,17 +262,17 @@ class LossResult:
     total: float
     breakdown: dict[str, float]
     grads: dict[str, np.ndarray]   # phi + the ThetaBlocks keys
+    scan_vertex_ms: np.ndarray     # (N,) mean squared vertex distance per scan
 
 
 def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
                scans: ScanSet, weights: LossWeights,
-               base: BlendshapeModel, ops: _MeshOps | None = None,
-               target_normals: np.ndarray | None = None,
-               ref_edge_lengths: np.ndarray | None = None) -> LossResult:
+               base: BlendshapeModel, ctx: LossContext | None = None) -> LossResult:
     """Full learning loss and analytic gradients for every parameter block.
 
     `base` supplies template, expression basis, skeleton and skinning
     weights (all held fixed); `phi` is the identity basis being learned.
+    `ctx` is `LossContext.build(scans, base)`, built here when not given.
     """
     if isinstance(thetas, list):
         thetas = ThetaBlocks.from_params(thetas)
@@ -303,30 +285,19 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     if thetas.alpha.shape != (N, m):
         raise DimensionMismatch(
             f"alpha blocks {thetas.alpha.shape} inconsistent with (N={N}, m={m})")
-    if base.template.n_vertices != V:
-        raise DimensionMismatch("base template does not match scan vertex count")
+    if ctx is None:
+        ctx = LossContext.build(scans, base)
+    elif ctx.target_normals.shape != scans.vertices.shape:
+        raise DimensionMismatch("loss context was built for a different scan set")
 
     # canonical scan order: every reduction below runs in sorted-id order
-    order = np.argsort(np.asarray(scans.ids))
-    inv_order = np.argsort(order)
-
-    if ops is None:
-        ops = _MeshOps(scans.quads, V)
-    if target_normals is None:
-        target_normals = np.stack([
-            vertex_normals(QuadMesh(scans.vertices[k], scans.quads))
-            for k in range(N)])
-    if ref_edge_lengths is None:
-        d = base.template.vertices[ops.edges[:, 0]] - base.template.vertices[ops.edges[:, 1]]
-        ref_edge_lengths = np.linalg.norm(d, axis=1)
-
+    order, inv_order = ctx.order, ctx.inv_order
     alpha = thetas.alpha[order]
     beta = thetas.beta[order]
     joint_angles = thetas.joint_angles[order]
     global_rot = thetas.global_rot[order]
     global_trans = thetas.global_trans[order]
     targets = scans.vertices[order]
-    tnormals = target_normals[order]
 
     model = replace(base, identity_basis=phi)
     w = base.skinning_weights
@@ -341,25 +312,20 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     y = np.einsum("nab,nvb->nva", R_g, v_out) + global_trans[:, None, :]
 
     # data terms
-    diff = y - targets
-    vert_vals = np.einsum("nva,nva->n", diff, diff) / V
-    norm_vals, norm_grad_y = _normal_term(y, tnormals, ops)
+    vert_vals, norm_vals, data_grad_y = _data_term(
+        y, targets, ctx.target_normals, ctx.faces, weights.w_vertex, weights.w_normal)
     term_vertex = weights.w_vertex * float(vert_vals.sum())
     term_normal = weights.w_normal * float(norm_vals.sum())
 
     # edge-degeneracy term against template edge lengths
-    edge_vals, edge_grad_y = _edge_term(y, ref_edge_lengths, ops)
+    edge_vals, edge_grad_y = edge_length_energy(y, ctx.ref_edge_lengths,
+                                                ctx.incidence, ctx.incidence_t)
     term_edge = weights.w_edge * float(edge_vals.sum())
 
     # barriers
     bexpr_val, bexpr_der = barrier4(beta, 0.0, 1.0)
     term_bexpr = weights.w_barrier_expr * float(bexpr_val.sum())
-    lo = skel.limits[..., 0]
-    hi = skel.limits[..., 1]
-    above = np.maximum(joint_angles - hi, 0.0)
-    below = np.maximum(lo - joint_angles, 0.0)
-    bpose_val = above ** 4 + below ** 4
-    bpose_der = 4.0 * above ** 3 - 4.0 * below ** 3
+    bpose_val, bpose_der = barrier4(joint_angles, skel.limits[..., 0], skel.limits[..., 1])
     bglob_val, bglob_der = barrier4(global_rot, *GLOBAL_ROT_LIMITS)
     term_bpose = weights.w_barrier_pose * float(bpose_val.sum() + bglob_val.sum())
 
@@ -367,16 +333,14 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     term_id_coeff = weights.w_id_coeff * float(np.einsum("nq,nq->", alpha, alpha))
     term_id_basis = weights.w_id_basis * float(np.einsum("qva,qva->", phi, phi))
     phi_flat = phi.transpose(1, 0, 2).reshape(V, m * 3)
-    lap_phi = ops.laplacian @ phi_flat
+    lap_phi = ctx.laplacian @ phi_flat
     term_lap = weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
 
     total = (term_vertex + term_normal + term_bexpr + term_bpose
              + term_id_coeff + term_id_basis + term_lap + term_edge)
 
     # ---- backward ----------------------------------------------------
-    dLdy = (weights.w_vertex * (2.0 / V) * diff
-            + weights.w_normal * norm_grad_y
-            + weights.w_edge * edge_grad_y)
+    dLdy = data_grad_y + weights.w_edge * edge_grad_y
 
     g_gtrans = dLdy.sum(axis=1)
     M_g = np.einsum("nva,nvb->nab", dLdy, v_out)
@@ -402,7 +366,7 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     g_phi = (np.einsum("nq,nvb->qvb", alpha, dLdvbar)
              + weights.w_id_basis * 2.0 * phi
              + weights.w_laplacian * 2.0
-             * (ops.lap_gram @ phi_flat).reshape(V, m, 3).transpose(1, 0, 2))
+             * (ctx.lap_gram @ phi_flat).reshape(V, m, 3).transpose(1, 0, 2))
 
     breakdown = {
         "data_vertex": term_vertex,
@@ -422,7 +386,8 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
         "global_rot": g_grot[inv_order],
         "global_trans": g_gtrans[inv_order],
     }
-    return LossResult(total=float(total), breakdown=breakdown, grads=grads)
+    return LossResult(total=float(total), breakdown=breakdown, grads=grads,
+                      scan_vertex_ms=vert_vals[inv_order])
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +481,9 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
         raise DimensionMismatch(
             f"base model expects m={base.n_identity}, fit called with m={m}")
 
-    V = scans.n_vertices
-    N = scans.n_scans
-    ops = _MeshOps(scans.quads, V)
-    target_normals = np.stack([
-        vertex_normals(QuadMesh(scans.vertices[k], scans.quads)) for k in range(N)])
-    d = base.template.vertices[ops.edges[:, 0]] - base.template.vertices[ops.edges[:, 1]]
-    ref_edge_lengths = np.linalg.norm(d, axis=1)
-
+    ctx = LossContext.build(scans, base)
     phi = _init_phi(scans, base.template.vertices, m, schedule, rng)
-    theta = ThetaBlocks.zeros(N, m, base.n_expression)
+    theta = ThetaBlocks.zeros(scans.n_scans, m, base.n_expression)
 
     params = {"phi": phi, **theta.as_dict()}
     frozen = set()
@@ -539,13 +497,10 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     term_trajectory: list[dict[str, float]] = []
     stopped_early = False
     t0 = time.perf_counter()
-    res = None
     for it in range(schedule.iterations):
         theta = ThetaBlocks(params["alpha"], params["beta"], params["joint_angles"],
                             params["global_rot"], params["global_trans"])
-        res = total_loss(theta, params["phi"], scans, weights, base,
-                         ops=ops, target_normals=target_normals,
-                         ref_edge_lengths=ref_edge_lengths)
+        res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx)
         if not np.isfinite(res.total):
             raise Diverged(it)
         trajectory.append(res.total)
@@ -563,32 +518,19 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
 
     theta = ThetaBlocks(params["alpha"], params["beta"], params["joint_angles"],
                         params["global_rot"], params["global_trans"])
-    final = total_loss(theta, params["phi"], scans, weights, base,
-                       ops=ops, target_normals=target_normals,
-                       ref_edge_lengths=ref_edge_lengths)
+    final = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx)
     model = replace(base, identity_basis=params["phi"])
-
-    posed = _forward_vertices(model, theta)
-    rms = np.sqrt(np.mean(np.sum((posed - scans.vertices) ** 2, axis=2), axis=1))
     report = FitReport(
         trajectory=trajectory,
         term_trajectory=term_trajectory,
         breakdown=final.breakdown,
-        per_scan_rms=rms,
+        per_scan_rms=np.sqrt(final.scan_vertex_ms),
         iterations=len(trajectory),
         wall_time_s=wall,
         final_alphas=params["alpha"].copy(),
         stopped_early=stopped_early,
     )
     return model, report
-
-
-def _forward_vertices(model: BlendshapeModel, theta: ThetaBlocks) -> np.ndarray:
-    vbar = evaluate_unposed(model, theta.alpha, theta.beta)
-    der = pose_derivatives(model.skeleton, theta.alpha, theta.joint_angles)
-    v_out = lbs_apply(model.skinning_weights, der.R_w, der.b_w, vbar)
-    R_g = euler_xyz(theta.global_rot)
-    return np.einsum("nab,nvb->nva", R_g, v_out) + theta.global_trans[:, None, :]
 
 
 def project_identity(model: BlendshapeModel, scan_vertices: np.ndarray,

@@ -8,8 +8,10 @@ so concurrent evaluation is safe.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -17,6 +19,7 @@ from scipy import sparse
 from .errors import (
     DegenerateQuad,
     IsolatedVertex,
+    NonFiniteInput,
     NonManifoldEdge,
     TopologyMismatch,
     ZeroAreaFace,
@@ -46,12 +49,13 @@ class QuadMesh:
         if q.size and (q.min() < 0 or q.max() >= len(v)):
             raise DegenerateQuad("quad index out of range")
         # each quad must reference 4 distinct vertices
-        if q.size:
-            s = np.sort(q, axis=1)
-            if np.any(s[:, :-1] == s[:, 1:]):
-                bad = int(np.nonzero(np.any(np.sort(q, axis=1)[:, :-1]
-                                            == np.sort(q, axis=1)[:, 1:], axis=1))[0][0])
-                raise DegenerateQuad(f"quad {bad} repeats a vertex")
+        s = np.sort(q, axis=1)
+        if np.any(s[:, :-1] == s[:, 1:]):
+            bad = int(np.argmax(np.any(s[:, :-1] == s[:, 1:], axis=1)))
+            raise DegenerateQuad(f"quad {bad} repeats a vertex")
+        if not np.isfinite(v).all():
+            bad = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise NonFiniteInput(f"vertex {bad} is not finite")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "quads", q)
         if self.uvs is not None:
@@ -185,39 +189,94 @@ def build_connectivity(mesh: QuadMesh) -> MeshConnectivity:
     )
 
 
-def face_normals(vertices: np.ndarray, quads: np.ndarray,
-                 warn_zero_area: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Unit face normals from the cross product of the quad diagonals.
+def sparse_apply(A: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
+    """A @ x along axis -2 of x: (..., K, C) -> (..., A.shape[0], C), returned
+    C-contiguous (arithmetic with a transposed layout would propagate it to
+    the learner's einsums, which run several times slower on it)."""
+    *lead, K, C = x.shape
+    B = math.prod(lead)
+    out = A @ x.reshape(B, K, C).transpose(1, 0, 2).reshape(K, B * C)
+    out = np.ascontiguousarray(out.reshape(A.shape[0], B, C).transpose(1, 0, 2))
+    return out.reshape(*lead, A.shape[0], C)
 
-    Returns (normals (F,3), valid (F,) bool); faces with cross-product
-    magnitude < 1e-15 are reported and flagged invalid.
+
+def signed_incidence(index: np.ndarray, signs, n_vertices: int) -> sparse.csc_matrix:
+    """(V, K) matrix whose column k holds signs[c] in row index[k, c]: it
+    scatters per-element values onto vertices, and its transpose gathers
+    (edge vectors, for an edge list and signs (1, -1)).  The rows of a
+    column must be distinct."""
+    K, c = index.shape
+    data = np.tile(np.asarray(signs, dtype=np.float64), K)
+    return sparse.csc_matrix((data, index.ravel(), np.arange(0, K * c + 1, c)),
+                             shape=(n_vertices, K))
+
+
+@dataclass(frozen=True)
+class FaceOperators:
+    """Sparse maps between the faces of a quad list and its vertices."""
+
+    quads: np.ndarray             # (F, 4) int64, as QuadMesh stores them
+    accum: sparse.csc_matrix      # (V, F) sums face values onto their corners
+    accum_t: sparse.csr_matrix    # its CSR transpose
+    diag_p: sparse.csc_matrix     # (V, F) scatter a gradient w.r.t. the diagonal
+    diag_r: sparse.csc_matrix     # p = v2 - v0 (r = v3 - v1) onto its end vertices
+
+    @classmethod
+    def build(cls, quads: np.ndarray, n_vertices: int) -> "FaceOperators":
+        accum = signed_incidence(quads, (1, 1, 1, 1), n_vertices)
+        return cls(quads, accum, accum.T,
+                   signed_incidence(quads[:, [2, 0]], (1, -1), n_vertices),
+                   signed_incidence(quads[:, [3, 1]], (1, -1), n_vertices))
+
+
+class Normals(NamedTuple):
+    """Vertex normals with the intermediates their adjoint needs."""
+
+    vertex: np.ndarray       # (..., V, 3) unit vertex normals, zero if degenerate
+    face: np.ndarray         # (..., F, 3) unit face normals, zero if degenerate
+    p: np.ndarray            # (..., F, 3) diagonal v2 - v0
+    r: np.ndarray            # (..., F, 3) diagonal v3 - v1
+    face_inv: np.ndarray     # (..., F) 1 / |p x r|, zero below 1e-15
+    vertex_inv: np.ndarray   # (..., V) 1 / |sum of face normals|, zero below 1e-15
+
+
+def _inverse_norm(x: np.ndarray) -> np.ndarray:
+    mag = np.linalg.norm(x, axis=-1)
+    ok = mag >= 1e-15     # smaller faces and vertex sums count as zero
+    return np.where(ok, 1.0 / np.where(ok, mag, 1.0), 0.0)
+
+
+def normals_forward(vertices: np.ndarray, quads: np.ndarray,
+                    accum: sparse.spmatrix) -> Normals:
+    """Vertex normals of (..., V, 3) vertex sets sharing `quads`.
+
+    Face normals come from the cross product of the quad diagonals; each
+    vertex normal is the normalized sum of its incident unit face normals,
+    summed by `accum`, the (V, F) vertex-face incidence.
     """
-    p = vertices[quads[:, 2]] - vertices[quads[:, 0]]
-    r = vertices[quads[:, 3]] - vertices[quads[:, 1]]
-    cross = np.cross(p, r)
-    mag = np.linalg.norm(cross, axis=1)
-    valid = mag >= 1e-15
-    if warn_zero_area and not np.all(valid):
-        warnings.warn(
-            f"{int((~valid).sum())} zero-area face(s) skipped in normal computation",
-            ZeroAreaFace,
-        )
-    normals = np.zeros_like(cross)
-    normals[valid] = cross[valid] / mag[valid, None]
-    return normals, valid
+    p = vertices[..., quads[:, 2], :] - vertices[..., quads[:, 0], :]
+    r = vertices[..., quads[:, 3], :] - vertices[..., quads[:, 1], :]
+    u = np.cross(p, r)
+    face_inv = _inverse_norm(u)
+    nhat = u * face_inv[..., None]
+    m = sparse_apply(accum, nhat)
+    vertex_inv = _inverse_norm(m)
+    return Normals(m * vertex_inv[..., None], nhat, p, r, face_inv, vertex_inv)
 
 
 def vertex_normals(mesh: QuadMesh) -> np.ndarray:
-    """Per-vertex unit normals: normalized sum of incident unit face normals."""
-    fn, valid = face_normals(mesh.vertices, mesh.quads)
-    acc = np.zeros((mesh.n_vertices, 3))
-    fsel = mesh.quads[valid]
-    np.add.at(acc, fsel.ravel(), np.repeat(fn[valid], 4, axis=0))
-    mag = np.linalg.norm(acc, axis=1)
-    nz = mag > 0
-    out = np.zeros_like(acc)
-    out[nz] = acc[nz] / mag[nz, None]
-    return out
+    """Per-vertex unit normals: normalized sum of incident unit face normals.
+
+    Faces and vertices whose magnitude is below 1e-15 get zero normals;
+    zero-area faces are reported with a ZeroAreaFace warning.
+    """
+    accum = signed_incidence(mesh.quads, (1, 1, 1, 1), mesh.n_vertices)
+    fwd = normals_forward(mesh.vertices, mesh.quads, accum)
+    n_bad = int(np.count_nonzero(fwd.face_inv == 0.0))
+    if n_bad:
+        warnings.warn(f"{n_bad} zero-area face(s) skipped in normal computation",
+                      ZeroAreaFace)
+    return fwd.vertex
 
 
 def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
@@ -242,35 +301,32 @@ def uniform_laplacian_apply(conn: MeshConnectivity, field: np.ndarray) -> np.nda
     return uniform_laplacian_matrix(conn) @ field
 
 
-def edge_length_energy(vertices: np.ndarray, reference: np.ndarray,
-                       edges: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum over edges of (|e| - |e_ref|)^2 with its exact gradient.
+def edge_length_energy(vertices: np.ndarray, ref_lengths: np.ndarray,
+                       incidence: sparse.spmatrix, incidence_t: sparse.spmatrix
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum over edges of (|e| - ref_length_e)^2 with its exact gradient.
 
-    `edges` is a connectivity edge list shared by both vertex sets.
+    vertices (..., V, 3) share an edge list; `incidence_t` is its
+    `signed_incidence` with signs (1, -1) and `incidence` the (E, V)
+    transpose.  Returns (values (...), gradient (..., V, 3)).
     """
-    vertices = np.asarray(vertices, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if vertices.shape != reference.shape:
-        raise TopologyMismatch(
-            f"vertex arrays differ in shape: {vertices.shape} vs {reference.shape}")
-    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
-    dref = reference[edges[:, 0]] - reference[edges[:, 1]]
-    ln = np.linalg.norm(d, axis=1)
-    lr = np.linalg.norm(dref, axis=1)
-    diff = ln - lr
-    energy = float(np.dot(diff, diff))
+    d = sparse_apply(incidence, np.asarray(vertices, dtype=np.float64))
+    ln = np.linalg.norm(d, axis=-1)
+    diff = ln - ref_lengths
+    values = np.einsum("...e,...e->...", diff, diff)
     # d|e|/dv_a = (v_a - v_b)/|e|
     safe = np.where(ln > 0, ln, 1.0)
-    coeff = (2.0 * diff / safe)[:, None] * d
-    grad = np.zeros_like(vertices)
-    np.add.at(grad, edges[:, 0], coeff)
-    np.add.at(grad, edges[:, 1], -coeff)
-    return energy, grad
+    coeff = (2.0 * diff / safe)[..., None] * d
+    return values, sparse_apply(incidence_t, coeff)
 
 
 def edge_length_energy_mesh(mesh: QuadMesh, reference: QuadMesh) -> tuple[float, np.ndarray]:
-    """edge_length_energy on two meshes that must share topology."""
+    """edge_length_energy against the edge lengths of a reference mesh that
+    must share the topology."""
     if mesh.quads.shape != reference.quads.shape or np.any(mesh.quads != reference.quads):
         raise TopologyMismatch("meshes do not share quad topology")
-    conn = build_connectivity(mesh)
-    return edge_length_energy(mesh.vertices, reference.vertices, conn.edges)
+    D_t = signed_incidence(build_connectivity(mesh).edges, (1, -1), mesh.n_vertices)
+    value, grad = edge_length_energy(mesh.vertices,
+                                     np.linalg.norm(D_t.T @ reference.vertices, axis=1),
+                                     D_t.T, D_t)
+    return float(value), grad

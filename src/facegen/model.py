@@ -174,10 +174,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.zeros((4, 3)), np.zeros(3), np.zeros(3))
 
-    @property
-    def vector15(self) -> np.ndarray:
-        return np.concatenate([self.joint_angles.ravel(), self.global_rot])
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -290,8 +286,17 @@ def world_transforms(skeleton: Skeleton, alpha: np.ndarray,
         raise DimensionMismatch(f"joint angles must be (..., 4, 3), got {joint_angles.shape}")
     if check_limits:
         skeleton.check_limits(joint_angles)
+    return _compose(skeleton, alpha, skeleton.joint_rotations(joint_angles))[:3]
+
+
+def _compose(skeleton: Skeleton, alpha: np.ndarray, R: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Compose local joint rotations R (..., 4, 3, 3) along the tree.
+
+    Returns (R_w, b_w, pivots, b_loc) with b_loc the local offsets
+    t - R t of the rotations about their pivots t.
+    """
     piv = skeleton.pivots(alpha)                       # (..., 4, 3)
-    R = skeleton.joint_rotations(joint_angles)         # (..., 4, 3, 3)
     # local affine: x -> R (x - t) + t
     b_loc = piv - np.einsum("...jab,...jb->...ja", R, piv)
     R_w = R.copy()
@@ -302,7 +307,7 @@ def world_transforms(skeleton: Skeleton, alpha: np.ndarray,
         R_w[..., j, :, :] = R[..., p, :, :] @ R[..., j, :, :]
         b_w[..., j, :] = (np.einsum("...ab,...b->...a", R[..., p, :, :], b_loc[..., j, :])
                           + b_loc[..., p, :])
-    return R_w, b_w, piv
+    return R_w, b_w, piv, b_loc
 
 
 @dataclass(frozen=True)
@@ -387,20 +392,18 @@ class PoseDerivatives:
 
 def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
                      joint_angles: np.ndarray) -> PoseDerivatives:
-    """Analytic derivatives of the world transforms for the fixed 4-joint tree."""
+    """World transforms (composed as in world_transforms, without the limit
+    check) and their analytic derivatives for the fixed 4-joint tree."""
     joint_angles = np.asarray(joint_angles, dtype=np.float64)
     batch = joint_angles.shape[:-2]
-    piv = skeleton.pivots(alpha)
     R = skeleton.joint_rotations(joint_angles)           # (..., 4, 3, 3)
     dR = skeleton.joint_rotation_grads(joint_angles)     # (..., 4, 3, 3, 3)
-    b_loc = piv - np.einsum("...jab,...jb->...ja", R, piv)
+    R_w, b_w, piv, b_loc = _compose(skeleton, alpha, R)
 
     Rn = R[..., 0, :, :]
     dRn = dR[..., 0, :, :, :]                      # (..., 3, 3, 3)
     tn = piv[..., 0, :]
 
-    R_w = R.copy()
-    b_w = b_loc.copy()
     dR_w = np.zeros(batch + (4, 4, 3, 3, 3))
     db_w = np.zeros(batch + (4, 4, 3, 3))
     db_dpiv = np.zeros(batch + (4, 4, 3, 3))
@@ -415,9 +418,6 @@ def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
         Rj = R[..., j, :, :]
         dRj = dR[..., j, :, :, :]
         tj = piv[..., j, :]
-        R_w[..., j, :, :] = Rn @ Rj
-        b_w[..., j, :] = (np.einsum("...ab,...b->...a", Rn, b_loc[..., j, :] - tn)
-                          + tn)
         # neck angles
         dR_w[..., j, 0, :, :, :] = np.einsum("...kab,...bc->...kac", dRn, Rj)
         db_w[..., j, 0, :, :] = np.einsum(

@@ -56,27 +56,32 @@ def parse_obj(text: str) -> QuadMesh:
             continue
         parts = line.split()
         tag = parts[0]
-        if tag == "v":
-            if len(parts) < 4:
-                raise DataError(f"line {ln}: malformed vertex")
-            verts.append([float(p) for p in parts[1:4]])
-        elif tag == "vt":
-            if len(parts) < 3:
-                raise DataError(f"line {ln}: malformed texture coord")
-            uvs.append([float(p) for p in parts[1:3]])
-        elif tag == "f":
-            if len(parts) != 5:
-                raise DataError(f"line {ln}: only quad faces are supported")
-            vids, tids = [], []
-            for tok in parts[1:]:
-                fields = tok.split("/")
-                vids.append(int(fields[0]) - 1)
-                if len(fields) > 1 and fields[1]:
-                    tids.append(int(fields[1]) - 1)
-            faces.append(vids)
-            if len(tids) == 4:
-                face_uvs.append(tids)
-        # other tags (vn, o, g, s, usemtl, ...) are ignored
+        try:
+            if tag == "v":
+                if len(parts) < 4:
+                    raise DataError(f"line {ln}: malformed vertex")
+                verts.append([float(p) for p in parts[1:4]])
+            elif tag == "vt":
+                if len(parts) < 3:
+                    raise DataError(f"line {ln}: malformed texture coord")
+                uvs.append([float(p) for p in parts[1:3]])
+            elif tag == "f":
+                if len(parts) != 5:
+                    raise DataError(f"line {ln}: only quad faces are supported")
+                vids, tids = [], []
+                for tok in parts[1:]:
+                    fields = tok.split("/")
+                    vids.append(int(fields[0]) - 1)
+                    if len(fields) > 1 and fields[1]:
+                        tids.append(int(fields[1]) - 1)
+                if not all(0 <= t < len(uvs) for t in tids):
+                    raise DataError(f"line {ln}: texture coord index out of range")
+                faces.append(vids)
+                if len(tids) == 4:
+                    face_uvs.append(tids)
+            # other tags (vn, o, g, s, usemtl, ...) are ignored
+        except ValueError as e:
+            raise DataError(f"line {ln}: {e}") from e
     if not verts:
         raise DataError("OBJ contains no vertices")
     uv_arr = None
@@ -89,4 +94,11 @@ def parse_obj(text: str) -> QuadMesh:
 
 
 def load_obj(path) -> QuadMesh:
-    return parse_obj(Path(path).read_text())
+    """parse_obj of a file; every DataError it raises names the file."""
+    try:
+        return parse_obj(Path(path).read_text())
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text") from e
+    except DataError as e:
+        e.args = (f"{path}: {e}",)
+        raise

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from facegen.learning import LossWeights, ScanSet, ThetaBlocks, total_loss
+from facegen.learning import LossContext, LossWeights, ScanSet, ThetaBlocks, total_loss
 from facegen.mesh import QuadMesh, build_connectivity
 from facegen.model import BlendshapeModel, Skeleton
 from facegen.procedural import (
@@ -38,22 +38,29 @@ def random_closed_mesh(rng: np.random.Generator) -> QuadMesh:
     return QuadMesh(v, mesh.quads)
 
 
-def brute_force_vertex_normals(mesh: QuadMesh) -> np.ndarray:
-    """Per-vertex normals by direct loops, independent of mesh.vertex_normals."""
-    fn = []
-    for q in mesh.quads:
+def brute_force_face_normals(mesh: QuadMesh) -> np.ndarray:
+    """Unit face normals by a direct loop; zero below magnitude 1e-15."""
+    fn = np.zeros((mesh.n_quads, 3))
+    for fi, q in enumerate(mesh.quads):
         d1 = mesh.vertices[q[2]] - mesh.vertices[q[0]]
         d2 = mesh.vertices[q[3]] - mesh.vertices[q[1]]
         c = np.cross(d1, d2)
         n = np.linalg.norm(c)
-        fn.append(c / n if n >= 1e-15 else np.zeros(3))
+        if n >= 1e-15:
+            fn[fi] = c / n
+    return fn
+
+
+def brute_force_vertex_normals(mesh: QuadMesh) -> np.ndarray:
+    """Per-vertex normals by direct loops, independent of mesh.vertex_normals."""
+    fn = brute_force_face_normals(mesh)
     out = np.zeros((mesh.n_vertices, 3))
     for fi, q in enumerate(mesh.quads):
         for v in q:
             out[v] += fn[fi]
     for v in range(mesh.n_vertices):
         n = np.linalg.norm(out[v])
-        if n > 0:
+        if n >= 1e-15:
             out[v] /= n
     return out
 
@@ -97,13 +104,11 @@ def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6):
     """Max relative error between analytic gradients and central finite
     differences, over every parameter block."""
     weights = weights or LossWeights()
-    from facegen.learning import _MeshOps
-    ops = _MeshOps(scans.quads, scans.n_vertices)
-    kw = dict(ops=ops)
-    res = total_loss(theta, phi, scans, weights, base, **kw)
+    ctx = LossContext.build(scans, base)
+    res = total_loss(theta, phi, scans, weights, base, ctx=ctx)
 
     def loss(th, ph):
-        return total_loss(th, ph, scans, weights, base, **kw).total
+        return total_loss(th, ph, scans, weights, base, ctx=ctx).total
 
     worst = 0.0
     for name in ("phi", "alpha", "beta", "joint_angles", "global_rot",

@@ -59,6 +59,35 @@ class TestDataErrors:
         assert "nope.obj" in capsys.readouterr().err
 
 
+    def test_texture_index_past_vt_list(self, tmp_path, capsys):
+        bad = tmp_path / "bad_uv.obj"
+        bad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0 0\n"
+                       "f 1/1 2/1 3/1 4/5\n")
+        rc = cli_main(["--out", str(tmp_path / "o.obj"), "subdivide",
+                       "--mesh", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "bad_uv.obj" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_scan_vertex(self, tmp_path, capsys, recwarn):
+        grid = quad_grid(3, 4, spacing=0.05)
+        scans_dir = tmp_path / "scans"
+        scans_dir.mkdir()
+        for i in range(3):
+            save_obj(scans_dir / f"s{i}.obj", grid)
+        text = (scans_dir / "s1.obj").read_text().splitlines()
+        text[5] = "v 0.1 nan 0.0"
+        (scans_dir / "s1.obj").write_text("\n".join(text) + "\n")
+        rc = cli_main(["--out", str(tmp_path / "o"), "fit",
+                       "--scans", str(scans_dir), "--basis-size", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "s1.obj" in err
+        assert "Traceback" not in err
+        assert not recwarn.list
+
+
 class TestSubdivide:
     def test_roundtrip(self, tmp_path):
         from facegen.procedural import cube_mesh

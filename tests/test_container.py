@@ -75,3 +75,63 @@ def test_unsupported_dtype_rejected(rng, tmp_path):
     (tmp_path / "c.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError):
         load_container(tmp_path / "c.json")
+
+
+def _edit_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def test_negative_byte_offset_rejected(tmp_path):
+    save_container(tmp_path / "c.json", {"a": np.arange(1.0, 5.0), "b": np.array([7.0, 8.0])})
+    _edit_manifest(tmp_path / "c.json",
+                   lambda m: m["tensors"][1].update(byte_offset=-40))
+    with pytest.raises(DataError, match="c.json"):
+        load_container(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("offset", [1.5, "8", True, None])
+def test_non_integer_byte_offset_rejected(tmp_path, offset):
+    save_container(tmp_path / "c.json", {"m": np.zeros(4)})
+    _edit_manifest(tmp_path / "c.json",
+                   lambda m: m["tensors"][0].update(byte_offset=offset))
+    with pytest.raises(DataError, match="c.json"):
+        load_container(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("shape", [[-2, -2], [2.0, 2], "4", [True, 4]])
+def test_bad_shape_dims_rejected(tmp_path, shape):
+    save_container(tmp_path / "c.json", {"m": np.zeros(4)})
+    _edit_manifest(tmp_path / "c.json", lambda m: m["tensors"][0].update(shape=shape))
+    with pytest.raises(DataError, match="c.json"):
+        load_container(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("blob", ["../c/a.bin", "/abs/a.bin", "sub/a.bin", "..", "", 3])
+def test_blob_outside_manifest_directory_rejected(tmp_path, blob):
+    (tmp_path / "c").mkdir()
+    (tmp_path / "a").mkdir()
+    save_container(tmp_path / "c" / "a.json", {"m": np.ones(2)})
+    (tmp_path / "a" / "a.json").write_text((tmp_path / "c" / "a.json").read_text())
+    _edit_manifest(tmp_path / "a" / "a.json", lambda m: m.update(blob=blob))
+    with pytest.raises(DataError, match="a.json"):
+        load_container(tmp_path / "a" / "a.json")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["tensors"][0].pop("name"),
+    lambda m: m["tensors"][0].pop("shape"),
+    lambda m: m["tensors"][0].pop("dtype"),
+    lambda m: m["tensors"][0].pop("byte_offset"),
+    lambda m: m["tensors"][0].update(dtype=["f64"]),
+    lambda m: m["tensors"][0].update(name=3),
+    lambda m: m["tensors"].append("m"),
+    lambda m: m.update(tensors={"m": 1}),
+], ids=["no_name", "no_shape", "no_dtype", "no_offset", "list_dtype", "int_name",
+        "string_entry", "tensors_not_list"])
+def test_malformed_tensor_entries_rejected(tmp_path, edit):
+    save_container(tmp_path / "c.json", {"m": np.zeros(4)})
+    _edit_manifest(tmp_path / "c.json", edit)
+    with pytest.raises(DataError, match="c.json"):
+        load_container(tmp_path / "c.json")

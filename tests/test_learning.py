@@ -3,9 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from facegen.errors import Diverged, InvalidParam, TopologyMismatch
+from facegen.errors import (
+    DimensionMismatch,
+    Diverged,
+    InvalidParam,
+    NonFiniteInput,
+    TopologyMismatch,
+)
+import facegen.learning as learning
 from facegen.learning import (
     FitSchedule,
+    LossContext,
     LossWeights,
     ScanSet,
     ThetaBlocks,
@@ -49,6 +57,33 @@ class TestBarrier4:
     def test_invalid_interval(self):
         with pytest.raises(InvalidParam):
             barrier4(0.0, 1.0, 0.0)
+
+    def test_array_bounds_match_scalar_calls(self, rng):
+        x = rng.uniform(-2.0, 2.0, (5, 4, 3))
+        lo = rng.uniform(-1.0, -0.1, (4, 3))
+        hi = rng.uniform(0.1, 1.0, (4, 3))
+        v, d = barrier4(x, lo, hi)
+        assert v.shape == d.shape == x.shape
+        for jk in np.ndindex(lo.shape):
+            vs, ds = barrier4(x[(slice(None),) + jk], float(lo[jk]), float(hi[jk]))
+            assert np.array_equal(v[(slice(None),) + jk], vs)
+            assert np.array_equal(d[(slice(None),) + jk], ds)
+
+    def test_array_bounds_derivative_matches_fd(self, rng):
+        x = rng.uniform(-2.0, 2.0, 12)
+        lo = rng.uniform(-1.0, -0.1, 12)
+        hi = rng.uniform(0.1, 1.0, 12)
+        h = 1e-6
+        _, d = barrier4(x, lo, hi)
+        fd = (barrier4(x + h, lo, hi)[0] - barrier4(x - h, lo, hi)[0]) / (2 * h)
+        assert np.allclose(d, fd, rtol=1e-6, atol=1e-9)
+
+    def test_array_bounds_invalid_if_any_lo_not_below_hi(self):
+        lo = np.array([0.0, 0.5, 0.0])
+        with pytest.raises(InvalidParam):
+            barrier4(np.zeros(3), lo, np.array([1.0, 0.5, 1.0]))
+        with pytest.raises(InvalidParam):
+            barrier4(np.zeros(3), lo, np.array([1.0, 0.4, 1.0]))
 
 
 class TestDataTerm:
@@ -137,6 +172,78 @@ class TestTotalLoss:
         res = total_loss(theta, phi, scans, LossWeights(), base)
         assert res.breakdown["barrier_expr"] == 0.0
         assert res.breakdown["barrier_pose"] == 0.0
+
+
+class TestScanSet:
+    def test_rejects_non_finite_vertices(self):
+        v = np.zeros((2, 4, 3))
+        v[1, 2, 0] = np.nan
+        with pytest.raises(NonFiniteInput, match="'b'"):
+            ScanSet(v, quad_grid(1, 1).quads, ("a", "b"))
+
+
+class TestLossContext:
+    def test_given_context_matches_built_one(self, rng):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        ctx = LossContext.build(scans, base)
+        r1 = total_loss(theta, phi, scans, LossWeights(), base)
+        r2 = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        assert r1.total == r2.total
+        for k in r1.grads:
+            assert np.array_equal(r1.grads[k], r2.grads[k])
+
+    def test_context_of_other_scans_rejected(self, rng):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        _, other, _, _ = tiny_problem(rng, n_scans=2)
+        with pytest.raises(DimensionMismatch):
+            total_loss(theta, phi, scans, LossWeights(), base,
+                       ctx=LossContext.build(other, base))
+
+    def test_fit_builds_per_scan_constants_once(self, rng, monkeypatch):
+        calls = {"build_connectivity": 0, "uniform_laplacian_matrix": 0,
+                 "vertex_normals": 0}
+
+        def counted(name):
+            fn = getattr(learning, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(learning, name, counted(name))
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        sched = FitSchedule(iterations=7, early_stop_window=100)
+        _, report = fit(scans, m=2, schedule=sched, base=base)
+        assert report.iterations == 7
+        assert calls == {"build_connectivity": 1, "uniform_laplacian_matrix": 1,
+                         "vertex_normals": 3}
+
+        ctx = LossContext.build(scans, base)
+        for name in calls:
+            calls[name] = 0
+        total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        assert calls == dict.fromkeys(calls, 0)
+
+        # the standalone data term needs the target normals, not the topology
+        target = QuadMesh(scans.vertices[0], scans.quads)
+        data_term(target.vertices, target)
+        assert calls == {"build_connectivity": 0, "uniform_laplacian_matrix": 0,
+                         "vertex_normals": 1}
+
+    def test_per_scan_rms_in_input_order(self, rng):
+        grid = quad_grid(3, 4, spacing=0.05)
+        V = grid.vertices.shape[0]
+        scans = ScanSet(grid.vertices + 0.005 * rng.standard_normal((3, V, 3)),
+                        grid.quads, ("c", "a", "b"))
+        sched = FitSchedule(iterations=20, freeze_pose=True, freeze_beta=True)
+        model, report = fit(scans, m=2, schedule=sched, seed=1)
+        # with pose and expression frozen at zero the fit is template + alpha . phi
+        posed = model.template.vertices + np.einsum(
+            "nq,qvk->nvk", report.final_alphas, model.identity_basis)
+        rms = np.sqrt(np.mean(np.sum((posed - scans.vertices) ** 2, axis=2), axis=1))
+        assert np.allclose(report.per_scan_rms, rms, rtol=1e-12, atol=0)
 
 
 class TestFit:

@@ -4,6 +4,7 @@ import pytest
 from facegen.errors import (
     DegenerateQuad,
     IsolatedVertex,
+    NonFiniteInput,
     NonManifoldEdge,
     TopologyMismatch,
     ZeroAreaFace,
@@ -13,12 +14,17 @@ from facegen.mesh import (
     build_connectivity,
     edge_length_energy,
     edge_length_energy_mesh,
+    signed_incidence,
     uniform_laplacian_apply,
     vertex_normals,
 )
 from facegen.procedural import cube_mesh, quad_grid, torus_mesh
 
-from conftest import brute_force_vertex_normals, random_closed_mesh
+from conftest import (
+    brute_force_face_normals,
+    brute_force_vertex_normals,
+    random_closed_mesh,
+)
 
 
 class TestConnectivity:
@@ -68,6 +74,13 @@ class TestConnectivity:
         with pytest.raises(DegenerateQuad):
             QuadMesh(np.eye(4, 3), [[0, 1, 2, 2]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_raises(self, bad):
+        verts = quad_grid(1, 1).vertices.copy()
+        verts[2, 1] = bad
+        with pytest.raises(NonFiniteInput, match="vertex 2"):
+            QuadMesh(verts, [[0, 1, 3, 2]])
+
     def test_index_out_of_range_raises(self):
         with pytest.raises(DegenerateQuad):
             QuadMesh(np.eye(3, 3), [[0, 1, 2, 3]])
@@ -108,6 +121,22 @@ class TestVertexNormals:
         assert np.allclose(n_rot, n0 @ R.T, atol=1e-9)
         n_scaled = vertex_normals(mesh.with_vertices(3.7 * mesh.vertices))
         assert np.allclose(n_scaled, n0, atol=1e-12)
+
+    def test_vertex_below_threshold_gets_zero_normal(self):
+        # two coplanar quads of opposite orientation share vertex 0; their
+        # unit normals cancel there up to rounding (|sum| ~ 1.6e-16)
+        verts = np.array([
+            [0.08600995580892012, -1.6012494855458184, 0.16118573436322525],
+            [-0.2695761663742717, 1.3517154400034483, 0.44354125093379254],
+            [0.10503885549118688, 0.44604124221832436, -0.42449139131161406],
+            [0.2814950055674409, 1.9049547943536844, -1.3211910113732723],
+            [-0.03110825165138159, 1.418339481252454, -0.2754177914535204],
+            [-0.01252986673848791, 0.6172675289463809, -0.12283089793683732],
+            [0.2471273411540949, -0.986072732634375, -0.4720831146646367]])
+        mesh = QuadMesh(verts, [[0, 1, 2, 3], [0, 6, 5, 4]])
+        face = brute_force_face_normals(mesh)
+        assert 0.0 < np.linalg.norm(face.sum(axis=0)) < 1e-15
+        assert np.array_equal(vertex_normals(mesh)[0], np.zeros(3))
 
     def test_zero_area_face_warns(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
@@ -185,8 +214,9 @@ class TestEdgeLengthEnergy:
         grid = quad_grid(3, 3)
         ref = grid.vertices.copy()
         v = ref + 0.1 * rng.standard_normal(ref.shape)
-        conn = build_connectivity(grid)
-        _, g = edge_length_energy(v, ref, conn.edges)
+        D_t = signed_incidence(build_connectivity(grid).edges, (1, -1), grid.n_vertices)
+        lengths = np.linalg.norm(D_t.T @ ref, axis=1)
+        _, g = edge_length_energy(v, lengths, D_t.T, D_t)
         h = 1e-6
         fd = np.zeros_like(g)
         for i in range(v.shape[0]):
@@ -194,9 +224,21 @@ class TestEdgeLengthEnergy:
                 vp, vm = v.copy(), v.copy()
                 vp[i, k] += h
                 vm[i, k] -= h
-                fd[i, k] = (edge_length_energy(vp, ref, conn.edges)[0]
-                            - edge_length_energy(vm, ref, conn.edges)[0]) / (2 * h)
+                fd[i, k] = (edge_length_energy(vp, lengths, D_t.T, D_t)[0]
+                            - edge_length_energy(vm, lengths, D_t.T, D_t)[0]) / (2 * h)
         assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-6
+
+    def test_batched_matches_single_meshes(self, rng):
+        cube = cube_mesh()
+        D_t = signed_incidence(build_connectivity(cube).edges, (1, -1), cube.n_vertices)
+        batch = cube.vertices + 0.1 * rng.standard_normal((3, 2) + cube.vertices.shape)
+        values, grads = edge_length_energy(batch, np.ones(D_t.shape[1]), D_t.T, D_t)
+        assert values.shape == (3, 2) and grads.shape == batch.shape
+        for i in range(3):
+            for j in range(2):
+                e, g = edge_length_energy_mesh(cube.with_vertices(batch[i, j]), cube)
+                assert values[i, j] == pytest.approx(e, rel=1e-12)
+                assert np.allclose(grads[i, j], g, rtol=0, atol=1e-12)
 
     def test_topology_mismatch(self):
         with pytest.raises(TopologyMismatch):

@@ -15,6 +15,8 @@ from facegen.model import (
     euler_xyz,
     joint_transforms,
     param_layout,
+    pose_derivatives,
+    world_transforms,
 )
 from facegen.procedural import desk_head
 
@@ -201,6 +203,16 @@ class TestEvaluate:
         mix = f(lam * a1 + (1 - lam) * a2, lam * b1 + (1 - lam) * b2)
         lin = lam * f(a1, b1) + (1 - lam) * f(a2, b2)
         assert np.allclose(mix, lin, atol=1e-12)
+
+    def test_pose_derivatives_transforms_equal_world_transforms(self, model, rng):
+        alpha = 0.4 * rng.standard_normal((3, model.n_identity))
+        angles = 0.3 * rng.standard_normal((3, 4, 3))
+        der = pose_derivatives(model.skeleton, alpha, angles)
+        R_w, b_w, piv = world_transforms(model.skeleton, alpha, angles,
+                                         check_limits=False)
+        assert np.array_equal(der.R_w, R_w)
+        assert np.array_equal(der.b_w, b_w)
+        assert np.array_equal(der.pivots, piv)
 
     def test_jacobian_matches_finite_differences(self, model, rng):
         params = random_params(model, rng)

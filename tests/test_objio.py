@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from facegen.errors import DataError
+from facegen.errors import DataError, NonFiniteInput
 from facegen.mesh import QuadMesh
 from facegen.objio import dump_obj, load_obj, obj_topology, parse_obj, save_obj
 from facegen.procedural import cube_mesh, quad_grid
@@ -82,3 +82,34 @@ def test_triangles_rejected():
 def test_empty_rejected():
     with pytest.raises(DataError):
         parse_obj("# nothing\n")
+
+
+def test_texture_index_past_vt_list_rejected():
+    text = ("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nvt 0 0\nvt 1 0\n"
+            "f 1/1 2/2 3/3 4/1\n")
+    with pytest.raises(DataError, match="line 7"):
+        parse_obj(text)
+
+
+def test_non_finite_vertex_rejected():
+    with pytest.raises(NonFiniteInput):
+        parse_obj("v 0 0 0\nv 1 0 0\nv 1 nan 0\nv 0 1 0\nf 1 2 3 4\n")
+
+
+def test_malformed_number_is_data_error():
+    with pytest.raises(DataError, match="line 2"):
+        parse_obj("v 0 0 0\nv 1 x 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
+
+
+def test_load_obj_errors_name_the_file(tmp_path):
+    path = tmp_path / "broken.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 9\n")
+    with pytest.raises(DataError, match="broken.obj"):
+        load_obj(path)
+
+
+def test_load_obj_non_utf8_names_the_file(tmp_path):
+    path = tmp_path / "binary.obj"
+    path.write_bytes(b"v 0 0 0\n\xff\xfe\n")
+    with pytest.raises(DataError, match="binary.obj"):
+        load_obj(path)

@@ -1,0 +1,20 @@
+"""Checks on the repository's own tooling that the package tests would
+otherwise not exercise."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_traced_span_resolves():
+    """The per-layer tracer patches module attributes by name; a refactor
+    that drops or renames one must fail here, not in a benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANS
+    missing = [f"{module}.{attr}" for module, attr, _ in tracing.SPANS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
