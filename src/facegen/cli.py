@@ -250,8 +250,8 @@ def _cmd_decode_hair(args) -> int:
         ref = load_groom(args.reference)
         re_code = encode_groom(groom, R=code.uv_resolution,
                                G=code.volume_resolution, bbox=code.bbox)
-        ref_ends = np.stack([s[-1] for s in ref.strands])
-        ends = np.stack([s[-1] for s in groom.strands])
+        ref_ends = ref.points[ref.offsets[1:] - 1]
+        ends = groom.points[groom.offsets[1:] - 1]
         d = np.linalg.norm(ends[:, None, :] - ref_ends[None], axis=2).min(axis=1)
         payload["roundtrip"] = {
             "endpoint_error_mean": float(d.mean()),

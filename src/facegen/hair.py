@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import load_container, save_container
+from .container import _is_count, load_container, save_container
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -29,43 +29,108 @@ from .errors import (
 HAIR_STYLES = ("scalp", "eyebrow", "beard", "eyelash")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Groom:
-    """Hair groom: strand polylines (meters) with scalp-UV roots."""
+    """Hair groom: strand polylines (meters) with scalp-UV roots, stored
+    ragged: strand i is points[offsets[i]:offsets[i + 1]], root first.
 
-    strands: tuple[np.ndarray, ...]    # each (L_i >= 2, 3)
+    `Groom(strands, root_uv, style)` converts a sequence of (L_i, 3)
+    strand arrays; `Groom.from_ragged` takes the arrays as stored.  Both
+    run the same checks, and a failure names the offending strand.
+    """
+
+    points: np.ndarray                 # (P, 3) every strand, root to tip
+    offsets: np.ndarray                # (S + 1,) int64, 0 first and P last
     root_uv: np.ndarray                # (S, 2) in [0, 1]^2
     style: str = "scalp"
 
-    def __post_init__(self):
-        strands = tuple(np.asarray(s, dtype=np.float64) for s in self.strands)
-        for i, s in enumerate(strands):
-            if s.ndim != 2 or s.shape[1] != 3 or s.shape[0] < 2:
-                raise InvalidParam(f"strand {i} must be (L >= 2, 3), got {s.shape}")
-            if not np.all(np.isfinite(s)):
-                raise InvalidParam(f"strand {i} contains non-finite points")
-        uv = np.asarray(self.root_uv, dtype=np.float64)
-        if uv.shape != (len(strands), 2):
-            raise InvalidParam(f"root_uv must be ({len(strands)}, 2), got {uv.shape}")
-        if uv.size and (uv.min() < 0.0 or uv.max() > 1.0):
-            raise InvalidParam("root_uv must lie in the unit square")
-        if self.style not in HAIR_STYLES:
-            raise InvalidParam(f"unknown style {self.style!r}, expected one of {HAIR_STYLES}")
-        object.__setattr__(self, "strands", strands)
+    def __init__(self, strands, root_uv, style: str = "scalp"):
+        arrays = [np.asarray(s, dtype=np.float64) for s in strands]
+        bad = [i for i, a in enumerate(arrays) if a.ndim != 2 or a.shape[1] != 3]
+        if bad:
+            raise InvalidParam(
+                f"strand {bad[0]} must be (L >= 2, 3), got {arrays[bad[0]].shape}")
+        points = np.concatenate(arrays) if arrays else np.empty((0, 3))
+        self._store(points, _offsets([len(a) for a in arrays]), root_uv, style)
+
+    @classmethod
+    def from_ragged(cls, points, offsets, root_uv, style: str = "scalp") -> "Groom":
+        """Groom from (P, 3) points and the (S + 1,) strand offsets into them."""
+        groom = cls.__new__(cls)
+        groom._store(points, offsets, root_uv, style)
+        return groom
+
+    def _store(self, points, offsets, root_uv, style: str) -> None:
+        points = np.asarray(points, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise InvalidParam(f"points must be (P, 3), got {points.shape}")
+        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 \
+                or offsets[-1] != len(points):
+            raise InvalidParam(f"offsets must be 1-D, from 0 to the {len(points)} points")
+        counts = np.diff(offsets)
+        short = np.flatnonzero(counts < 2)
+        if short.size:
+            i = short[0]
+            raise InvalidParam(f"strand {i} must be (L >= 2, 3), got ({counts[i]}, 3)")
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if bad.size:
+            i = np.searchsorted(offsets, bad[0], side="right") - 1
+            raise InvalidParam(f"strand {i} contains non-finite points")
+        uv = np.asarray(root_uv, dtype=np.float64)
+        if uv.shape != (len(counts), 2):
+            raise InvalidParam(f"root_uv must be ({len(counts)}, 2), got {uv.shape}")
+        outside = np.flatnonzero(~((uv >= 0.0) & (uv <= 1.0)).all(axis=1))
+        if outside.size:
+            raise InvalidParam(
+                f"root_uv of strand {outside[0]} must lie in the unit square")
+        if style not in HAIR_STYLES:
+            raise InvalidParam(f"unknown style {style!r}, expected one of {HAIR_STYLES}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "root_uv", uv)
+        object.__setattr__(self, "style", style)
+
+    @property
+    def strands(self) -> tuple[np.ndarray, ...]:
+        """Read-only (L_i, 3) views of `points`, one per strand."""
+        view = self.points.view()
+        view.flags.writeable = False
+        o = self.offsets.tolist()
+        return tuple(view[a:b] for a, b in zip(o[:-1], o[1:]))
 
     @property
     def n_strands(self) -> int:
-        return len(self.strands)
+        return len(self.offsets) - 1
 
     def arc_lengths(self) -> np.ndarray:
-        return np.array([
-            float(np.linalg.norm(np.diff(s, axis=0), axis=1).sum())
-            for s in self.strands])
+        seg_len = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
+        out = np.empty(self.n_strands)
+        for ids, segs in _segment_groups(self.offsets):
+            out[ids] = seg_len[segs].sum(axis=1)
+        return out
 
     def points_bbox(self, pad: float = 0.0) -> np.ndarray:
-        pts = np.concatenate(self.strands, axis=0)
-        return np.array([pts.min(axis=0) - pad, pts.max(axis=0) + pad])
+        if self.n_strands == 0:
+            raise EmptyGroom("groom has no strands")
+        return np.array([self.points.min(axis=0) - pad, self.points.max(axis=0) + pad])
+
+
+def _offsets(counts) -> np.ndarray:
+    """Strand offsets (S + 1,) of strands with the given point counts."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _segment_groups(offsets: np.ndarray):
+    """Strands of equal length in groups: yields (strand ids (k,), (k, n)
+    indices of their segments in np.diff(points)); segment j of strand i
+    is at offsets[i] + j.  Row-wise numpy reductions over a group add in
+    the same order as over each strand alone, so per-strand sums and
+    cumulative sums come out bit for bit."""
+    n_seg = np.diff(offsets) - 1
+    for n in np.unique(n_seg):
+        ids = np.flatnonzero(n_seg == n)
+        yield ids, offsets[ids, None] + np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -127,25 +192,28 @@ def _uv_texel(uv: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, 0], idx[:, 1]
 
 
-def _resample_strand(points: np.ndarray, spacing: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and unit tangents at uniform arc-length midpoints."""
-    seg = np.diff(points, axis=0)
+def _resample(points: np.ndarray, offsets: np.ndarray, spacing: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and unit tangents at uniform arc-length midpoints of every
+    strand, in strand order: a strand of arc length L > 0 gets
+    max(1, floor(L / spacing)) samples, a strand of zero length none."""
+    seg = np.diff(points, axis=0)              # segment j of strand i at offsets[i] + j
     seg_len = np.linalg.norm(seg, axis=1)
-    keep = seg_len > 0
-    if not np.any(keep):
-        return np.empty((0, 3)), np.empty((0, 3))
-    seg = seg[keep]
-    seg_len = seg_len[keep]
-    starts = points[:-1][keep]
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = cum[-1]
-    n = max(1, int(np.floor(total / spacing)))
-    s = (np.arange(n) + 0.5) * (total / n)
-    seg_idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
-    t = (s - cum[seg_idx]) / seg_len[seg_idx]
-    pos = starts[seg_idx] + t[:, None] * seg[seg_idx]
-    tang = seg[seg_idx] / seg_len[seg_idx, None]
+    cum = np.zeros(len(points))                # arc length from the root to each point
+    for _, segs in _segment_groups(offsets):
+        cum[segs + 1] = np.cumsum(seg_len[segs], axis=1)
+    total = cum[offsets[1:] - 1]
+    n = np.where(total > 0, np.maximum(1, np.floor(total / spacing).astype(np.int64)), 0)
+    strand = np.repeat(np.arange(len(n)), n)
+    k = np.arange(len(strand)) - np.repeat(np.cumsum(n) - n, n)
+    s = (k + 0.5) * (total / np.maximum(n, 1))[strand]
+    # complex numbers sort by real part, then imaginary part: one sorted
+    # key (strand id, arc length) finds each sample's segment in its strand
+    point_strand = np.repeat(np.arange(len(n)), np.diff(offsets))
+    start = np.searchsorted(point_strand + 1j * cum, strand + 1j * s, side="right") - 1
+    t = (s - cum[start]) / seg_len[start]
+    pos = points[start] + t[:, None] * seg[start]
+    tang = seg[start] / seg_len[start, None]
     return pos, tang
 
 
@@ -164,8 +232,8 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
     if bbox is None:
         bbox = groom.points_bbox(pad=1e-9)
     bbox = np.asarray(bbox, dtype=np.float64).reshape(2, 3)
-    all_pts = np.concatenate(groom.strands, axis=0)
-    if np.any(all_pts < bbox[0] - 1e-12) or np.any(all_pts > bbox[1] + 1e-12):
+    points, offsets = groom.points, groom.offsets
+    if np.any(points < bbox[0] - 1e-12) or np.any(points > bbox[1] + 1e-12):
         raise PointOutsideBbox("strand points fall outside the given bbox")
 
     iu, iv = _uv_texel(groom.root_uv, R)
@@ -178,9 +246,8 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
     np.add.at(lsum, (iu, iv), lengths)
     length_map = np.divide(lsum, counts, out=np.zeros_like(lsum), where=counts > 0)
 
-    roots = np.stack([s[0] for s in groom.strands])
     rsum = np.zeros((R, R, 3))
-    np.add.at(rsum, (iu, iv), roots)
+    np.add.at(rsum, (iu, iv), points[offsets[:-1]])
     root_points = np.divide(rsum, counts[..., None],
                             out=np.zeros_like(rsum), where=counts[..., None] > 0)
 
@@ -188,13 +255,10 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
     spacing = 0.5 * float(cell.min())
     if spacing <= 0:
         raise InvalidParam("bbox is degenerate")
+    pos, tang = _resample(points, offsets, spacing)
+    ijk = np.clip(((pos - bbox[0]) / cell).astype(np.int64), 0, G - 1)
     acc = np.zeros((G, G, G, 3))
-    for strand in groom.strands:
-        pos, tang = _resample_strand(strand, spacing)
-        if len(pos) == 0:
-            continue
-        ijk = np.clip(((pos - bbox[0]) / cell).astype(np.int64), 0, G - 1)
-        np.add.at(acc, (ijk[:, 0], ijk[:, 1], ijk[:, 2]), tang)
+    np.add.at(acc, (ijk[:, 0], ijk[:, 1], ijk[:, 2]), tang)
     norms = np.linalg.norm(acc, axis=3)
     nz = norms > 1e-8
     flow = np.zeros_like(acc)
@@ -285,7 +349,9 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
     remaining = targets.copy()
     alive = remaining > 0
     early = np.zeros(n_strands, dtype=bool)
-    paths = [[p.copy()] for p in pos]
+    # every position a strand takes, root first, as (strand ids, points)
+    # records in growth order
+    moved_ids, moved_pos = [np.arange(n_strands)], [starts]
     max_steps = int(np.ceil(targets.max() / step)) + 2 if n_strands else 0
     for _ in range(max_steps):
         if not np.any(alive):
@@ -306,8 +372,8 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
         hit_wall = np.any(clipped != cand, axis=1)
         pos[ok] = clipped
         remaining[ok] -= lens
-        for k in ok:
-            paths[k].append(pos[k].copy())
+        moved_ids.append(ok)
+        moved_pos.append(clipped)
         done = ok[remaining[ok] <= 1e-12]
         alive[done] = False
         # strands pressed against the volume boundary stop growing
@@ -315,14 +381,16 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
         early[wall] = True
         alive[wall] = False
 
-    strands = []
-    for k, path in enumerate(paths):
-        if len(path) < 2:
-            # never moved: synthesize a degenerate-but-valid stub along +z
-            path = [path[0], path[0] + np.array([0.0, 0.0, max(step * 0.5, 1e-9)])]
-            early[k] = True
-        strands.append(np.asarray(path))
-    groom = Groom(tuple(strands), root_uv, style=style)
+    # never moved: synthesize a degenerate-but-valid stub along +z
+    stub = np.flatnonzero(np.bincount(np.concatenate(moved_ids), minlength=n_strands) < 2)
+    early[stub] = True
+    moved_ids.append(stub)
+    moved_pos.append(starts[stub] + np.array([0.0, 0.0, max(step * 0.5, 1e-9)]))
+    ids = np.concatenate(moved_ids)
+    order = np.argsort(ids, kind="stable")
+    groom = Groom.from_ragged(np.concatenate(moved_pos)[order],
+                              _offsets(np.bincount(ids, minlength=n_strands)),
+                              root_uv, style=style)
     grown = groom.arc_lengths()
     return groom, DecodeReport(target_lengths=targets, grown_lengths=grown,
                                early_terminated=early)
@@ -330,10 +398,10 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
 
 def flip_groom(groom: Groom) -> Groom:
     """Mirror across the x = 0 plane: x -> -x on points, u -> 1 - u on roots."""
-    strands = tuple(s * np.array([-1.0, 1.0, 1.0]) for s in groom.strands)
     uv = groom.root_uv.copy()
     uv[:, 0] = 1.0 - uv[:, 0]
-    return Groom(strands, uv, style=groom.style)
+    return Groom.from_ragged(groom.points * np.array([-1.0, 1.0, 1.0]),
+                             groom.offsets, uv, style=groom.style)
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +452,42 @@ def vector_to_code(v: np.ndarray, R: int, G: int, bbox: np.ndarray,
 
 def save_groom(path, groom: Groom) -> None:
     """Groom file: container manifest with style/counts/bbox header fields."""
-    counts = [len(s) for s in groom.strands]
-    points = np.concatenate(groom.strands, axis=0)
     bbox = groom.points_bbox()
-    save_container(path, {"points": points, "root_uv": groom.root_uv},
+    save_container(path, {"points": groom.points, "root_uv": groom.root_uv},
                    metadata={
                        "kind": "groom",
                        "style": groom.style,
-                       "counts": counts,
+                       "counts": np.diff(groom.offsets).tolist(),
                        "bbox": [[float(x) for x in bbox[0]],
                                 [float(x) for x in bbox[1]]],
                    })
 
 
 def load_groom(path) -> Groom:
+    """Read a groom file.  Its `counts` must be integers >= 2, one per
+    `root_uv` row, that split the (P, 3) `points` exactly; any other file
+    raises a DataError naming it."""
     tensors, meta = load_container(path)
-    if meta.get("kind") != "groom":
+    if not isinstance(meta, dict) or meta.get("kind") != "groom":
         raise DataError(f"{path} is not a groom file")
-    counts = meta["counts"]
-    points = tensors["points"]
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
-    strands = tuple(points[offsets[i]:offsets[i + 1]] for i in range(len(counts)))
-    return Groom(strands, tensors["root_uv"], style=meta.get("style", "scalp"))
+    points, root_uv = tensors.get("points"), tensors.get("root_uv")
+    counts = meta.get("counts")
+    if points is None or root_uv is None:
+        raise DataError(f"groom file {path} lacks a points or root_uv tensor")
+    if not (isinstance(counts, list) and all(map(_is_count, counts))
+            and min(counts, default=2) >= 2):
+        raise DataError(f"groom file {path}: counts must be a list of integers >= 2")
+    if points.shape != (sum(counts), 3):
+        raise DataError(f"groom file {path}: counts sum to {sum(counts)} but "
+                        f"points have shape {points.shape}")
+    if root_uv.shape[:1] != (len(counts),):
+        raise DataError(f"groom file {path}: {len(counts)} counts but root_uv "
+                        f"has shape {root_uv.shape}")
+    try:
+        return Groom.from_ragged(points, _offsets(counts), root_uv,
+                                 style=meta.get("style", "scalp"))
+    except InvalidParam as e:
+        raise InvalidParam(f"groom file {path}: {e}") from e
 
 
 def save_hair_code(path, code: HairCode) -> None:

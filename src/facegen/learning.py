@@ -163,16 +163,16 @@ class LossContext:
         incidence_t = signed_incidence(conn.edges, (1, -1), V)
         laplacian = uniform_laplacian_matrix(conn)
         order = np.argsort(np.asarray(scans.ids))
+        faces = FaceOperators.build(scans.quads, V)
         return cls(
-            faces=FaceOperators.build(scans.quads, V),
+            faces=faces,
             incidence=incidence_t.T,
             incidence_t=incidence_t,
             laplacian=laplacian,
             lap_gram=(laplacian.T @ laplacian).tocsr(),
             order=order,
             inv_order=np.argsort(order),
-            target_normals=np.stack([vertex_normals(QuadMesh(v, scans.quads))
-                                     for v in scans.vertices[order]]),
+            target_normals=vertex_normals(scans.vertices[order], faces),
             ref_edge_lengths=np.linalg.norm(incidence_t.T @ base.template.vertices, axis=1),
         )
 

@@ -264,14 +264,21 @@ def normals_forward(vertices: np.ndarray, quads: np.ndarray,
     return Normals(m * vertex_inv[..., None], nhat, p, r, face_inv, vertex_inv)
 
 
-def vertex_normals(mesh: QuadMesh) -> np.ndarray:
+def vertex_normals(mesh: QuadMesh | np.ndarray,
+                   faces: FaceOperators | None = None) -> np.ndarray:
     """Per-vertex unit normals: normalized sum of incident unit face normals.
 
+    With `faces`, `mesh` may instead be (..., V, 3) vertex sets sharing
+    faces.quads, and the operators are reused rather than rebuilt.
     Faces and vertices whose magnitude is below 1e-15 get zero normals;
     zero-area faces are reported with a ZeroAreaFace warning.
     """
-    accum = signed_incidence(mesh.quads, (1, 1, 1, 1), mesh.n_vertices)
-    fwd = normals_forward(mesh.vertices, mesh.quads, accum)
+    if faces is None:
+        vertices, quads = mesh.vertices, mesh.quads
+        accum = signed_incidence(quads, (1, 1, 1, 1), mesh.n_vertices)
+    else:
+        vertices, quads, accum = np.asarray(mesh, dtype=np.float64), faces.quads, faces.accum
+    fwd = normals_forward(vertices, quads, accum)
     n_bad = int(np.count_nonzero(fwd.face_inv == 0.0))
     if n_bad:
         warnings.warn(f"{n_bad} zero-area face(s) skipped in normal computation",

@@ -318,8 +318,8 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
     for style, choice in scene.grooms.items():
         pool = topo.flipped_grooms if choice.flip else library.grooms
         g = pool[style][choice.groom_id]
-        strands = tuple(s @ neck_R.T + neck_t for s in g.strands)
-        grooms[style] = Groom(strands, g.root_uv, style=g.style)
+        grooms[style] = Groom.from_ragged(g.points @ neck_R.T + neck_t, g.offsets,
+                                          g.root_uv, style=g.style)
 
     return RealizedScene(face=face, eyes=eyes, grooms=grooms,
                          eye_metadata=topo.eye.metadata, topology=topo)

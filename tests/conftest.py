@@ -167,6 +167,52 @@ def clustered_groom(rng: np.random.Generator, n_strands=200, R=16,
     return Groom(tuple(strands), np.asarray(uvs))
 
 
+def resample_strand_reference(points: np.ndarray, spacing: float
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and unit tangents at uniform arc-length midpoints of one
+    strand, computed strand by strand: the reference for encode_groom's
+    ragged resampling."""
+    seg = np.diff(points, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    keep = seg_len > 0
+    if not np.any(keep):
+        return np.empty((0, 3)), np.empty((0, 3))
+    seg = seg[keep]
+    seg_len = seg_len[keep]
+    starts = points[:-1][keep]
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    total = cum[-1]
+    n = max(1, int(np.floor(total / spacing)))
+    s = (np.arange(n) + 0.5) * (total / n)
+    seg_idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
+    t = (s - cum[seg_idx]) / seg_len[seg_idx]
+    pos = starts[seg_idx] + t[:, None] * seg[seg_idx]
+    tang = seg[seg_idx] / seg_len[seg_idx, None]
+    return pos, tang
+
+
+def encode_reference(groom, R: int, G: int, bbox: np.ndarray):
+    """(length_map, flow_volume) of encode_groom, strand by strand."""
+    idx = np.clip(np.floor(groom.root_uv * R).astype(np.int64), 0, R - 1)
+    counts = np.zeros((R, R))
+    lsum = np.zeros((R, R))
+    for (iu, iv), strand in zip(idx, groom.strands):
+        counts[iu, iv] += 1.0
+        lsum[iu, iv] += float(np.linalg.norm(np.diff(strand, axis=0), axis=1).sum())
+    length_map = np.divide(lsum, counts, out=np.zeros_like(lsum), where=counts > 0)
+    cell = (bbox[1] - bbox[0]) / G
+    acc = np.zeros((G, G, G, 3))
+    for strand in groom.strands:
+        pos, tang = resample_strand_reference(strand, 0.5 * float(cell.min()))
+        ijk = np.clip(((pos - bbox[0]) / cell).astype(np.int64), 0, G - 1)
+        np.add.at(acc, (ijk[:, 0], ijk[:, 1], ijk[:, 2]), tang)
+    norms = np.linalg.norm(acc, axis=3)
+    nz = norms > 1e-8
+    flow = np.zeros_like(acc)
+    flow[nz] = acc[nz] / norms[nz][:, None]
+    return length_map, flow
+
+
 def subdivide_reference(mesh: QuadMesh, levels: int) -> QuadMesh:
     """Catmull-Clark by direct per-level float evaluation of each rule: the
     reference the sparse subdivision stencil is checked against."""

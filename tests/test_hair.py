@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from facegen.cli import cli_main
+from facegen.demo import make_demo_groom
 from facegen.errors import (
+    DataError,
     DimensionMismatch,
     EmptyDensity,
     EmptyGroom,
@@ -24,7 +29,7 @@ from facegen.hair import (
     vector_to_code,
 )
 
-from conftest import clustered_groom
+from conftest import clustered_groom, encode_reference
 
 
 def single_vertical_strand(length=0.1, root=(0.05, 0.05, 0.0), uv=(0.5, 0.5)):
@@ -84,11 +89,23 @@ class TestEncode:
             encode_groom(groom, R=8, G=8, bbox=tight)
 
     def test_empty_groom(self):
-        g = single_vertical_strand()
-        object.__setattr__(g, "strands", ())
-        object.__setattr__(g, "root_uv", np.zeros((0, 2)))
+        g = Groom((), np.zeros((0, 2)))
         with pytest.raises(EmptyGroom):
             encode_groom(g, R=8, G=8, bbox=BBOX)
+
+    def test_matches_per_strand_oracle(self):
+        # uneven strand lengths, a repeated point (zero-length segment) and
+        # a strand of zero arc length exercise the ragged resampling
+        groom = make_demo_groom("scalp", 300, seed=4)
+        strands = list(groom.strands)
+        strands[3] = np.insert(strands[3], 5, strands[3][5], axis=0)
+        strands[7] = strands[7][:4]
+        strands[9] = np.repeat(strands[9][:1], 3, axis=0)
+        groom = Groom(strands, groom.root_uv)
+        code = encode_groom(groom, R=16, G=12)
+        ref_len, ref_flow = encode_reference(groom, 16, 12, code.bbox)
+        assert np.array_equal(code.length_map, ref_len)
+        assert np.array_equal(code.flow_volume, ref_flow)
 
 
 class TestFlip:
@@ -254,3 +271,50 @@ class TestGroomFile:
         assert np.array_equal(back.density_map, code.density_map)
         assert np.array_equal(back.flow_volume, code.flow_volume)
         assert np.array_equal(back.root_points, code.root_points)
+
+
+def five_strand_file(tmp_path, **meta):
+    """A saved 5 x 15-point groom whose manifest metadata is then patched."""
+    groom = make_demo_groom("beard", 5, seed=2)
+    path = tmp_path / "g.json"
+    save_groom(path, groom)
+    manifest = json.loads(path.read_text())
+    manifest["metadata"].update(meta)
+    for key in [k for k, v in meta.items() if v is None]:
+        del manifest["metadata"][key]
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+class TestGroomFileChecks:
+    @pytest.mark.parametrize("counts", [
+        [15, 15, 15, 15, 10],            # drops 5 of the 75 points
+        [15, 15, 15, 15, 20],            # runs past them
+        [15.0, 15, 15, 15, 15],
+        ["15", 15, 15, 15, 15],
+        [True, 15, 15, 15, 15],
+        [1, 15, 15, 15, 29],             # a one-point strand
+        [30, 15, 15, 15],                # one count short of the root_uv rows
+        "15,15,15,15,15",
+        None,                            # missing
+    ])
+    def test_bad_counts_name_the_file(self, tmp_path, counts):
+        path = five_strand_file(tmp_path, counts=counts)
+        with pytest.raises(DataError, match="g.json"):
+            load_groom(path)
+
+    def test_non_finite_point_names_file_and_strand(self, tmp_path):
+        path = five_strand_file(tmp_path)
+        blob = path.with_suffix(".bin")
+        points = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        points[3 * 40] = np.nan            # point 40 lies in strand 2
+        blob.write_bytes(points.tobytes())
+        with pytest.raises(InvalidParam, match="g.json.*strand 2 contains non-finite"):
+            load_groom(path)
+
+    def test_cli_encode_hair_exits_2(self, tmp_path, capsys):
+        path = five_strand_file(tmp_path, counts=[15, 15, 15, 15, 10])
+        rc = cli_main(["--out", str(tmp_path / "code.json"), "encode-hair",
+                       "--groom", str(path)])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err

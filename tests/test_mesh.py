@@ -10,6 +10,7 @@ from facegen.errors import (
     ZeroAreaFace,
 )
 from facegen.mesh import (
+    FaceOperators,
     QuadMesh,
     build_connectivity,
     edge_length_energy,
@@ -143,6 +144,9 @@ class TestVertexNormals:
         mesh = QuadMesh(verts, [[0, 1, 2, 3]])   # collinear: zero-area quad
         with pytest.warns(ZeroAreaFace):
             vertex_normals(mesh)
+        batch = np.stack([verts, verts + 1.0])
+        with pytest.warns(ZeroAreaFace, match="2 zero-area"):
+            vertex_normals(batch, FaceOperators.build(mesh.quads, 4))
 
 
 class TestUniformLaplacian:

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -18,3 +20,13 @@ def test_every_traced_span_resolves():
     missing = [f"{module}.{attr}" for module, attr, _ in tracing.SPANS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_benchmark_groom_builds_ragged(monkeypatch):
+    """The benchmark harness builds grooms through the public Groom
+    constructor; an API break must fail here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    harness = importlib.import_module("harness")
+    g = harness.clustered_groom(np.random.default_rng(0), 40, 4, 8)
+    assert g.n_strands == 40
+    assert np.array_equal(np.concatenate(g.strands), g.points)
