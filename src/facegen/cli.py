@@ -250,9 +250,8 @@ def _cmd_decode_hair(args) -> int:
         ref = load_groom(args.reference)
         re_code = encode_groom(groom, R=code.uv_resolution,
                                G=code.volume_resolution, bbox=code.bbox)
-        ref_ends = ref.points[ref.offsets[1:] - 1]
-        ends = groom.points[groom.offsets[1:] - 1]
-        d = np.linalg.norm(ends[:, None, :] - ref_ends[None], axis=2).min(axis=1)
+        d = _nearest_distances(groom.points[groom.offsets[1:] - 1],
+                               ref.points[ref.offsets[1:] - 1])
         payload["roundtrip"] = {
             "endpoint_error_mean": float(d.mean()),
             "endpoint_error_per_strand": [float(x) for x in d],
@@ -264,6 +263,20 @@ def _cmd_decode_hair(args) -> int:
     log.info(f"decoded {groom.n_strands} strands "
              f"({int(report.early_terminated.sum())} early-terminated)")
     return EXIT_OK
+
+
+_NEAREST_BLOCK = 128   # rows of points per all-pairs block in _nearest_distances
+
+
+def _nearest_distances(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest reference point, over row
+    blocks of `points` so memory stays O(_NEAREST_BLOCK * len(refs))."""
+    d = np.empty(len(points))
+    for start in range(0, len(points), _NEAREST_BLOCK):
+        rows = points[start:start + _NEAREST_BLOCK]
+        d[start:start + _NEAREST_BLOCK] = np.linalg.norm(
+            rows[:, None, :] - refs[None], axis=2).min(axis=1)
+    return d
 
 
 def _rms(x: np.ndarray) -> float:

@@ -93,7 +93,10 @@ def load_container(manifest_path) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape)
         tensors[ent["name"]] = arr.astype(np.float64) if ent["dtype"] == "f64" \
             else arr.astype(np.float32)
-    return tensors, manifest.get("metadata", {})
+    metadata = manifest.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError(f"metadata in {manifest_path} must be an object")
+    return tensors, metadata
 
 
 def _is_count(x) -> bool:

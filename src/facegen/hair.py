@@ -468,7 +468,7 @@ def load_groom(path) -> Groom:
     `root_uv` row, that split the (P, 3) `points` exactly; any other file
     raises a DataError naming it."""
     tensors, meta = load_container(path)
-    if not isinstance(meta, dict) or meta.get("kind") != "groom":
+    if meta.get("kind") != "groom":
         raise DataError(f"{path} is not a groom file")
     points, root_uv = tensors.get("points"), tensors.get("root_uv")
     counts = meta.get("counts")

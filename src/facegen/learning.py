@@ -46,6 +46,7 @@ from .model import (
     evaluate_unposed,
     euler_xyz,
     euler_xyz_grad,
+    lbs_adjoint,
     lbs_apply,
     pose_derivatives,
 )
@@ -309,7 +310,7 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     v_out = lbs_apply(w, der.R_w, der.b_w, vbar)
     R_g = euler_xyz(global_rot)
     dR_g = euler_xyz_grad(global_rot)
-    y = np.einsum("nab,nvb->nva", R_g, v_out) + global_trans[:, None, :]
+    y = v_out @ np.swapaxes(R_g, 1, 2) + global_trans[:, None, :]
 
     # data terms
     vert_vals, norm_vals, data_grad_y = _data_term(
@@ -343,27 +344,30 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     dLdy = data_grad_y + weights.w_edge * edge_grad_y
 
     g_gtrans = dLdy.sum(axis=1)
-    M_g = np.einsum("nva,nvb->nab", dLdy, v_out)
+    M_g = np.swapaxes(dLdy, 1, 2) @ v_out
     g_grot = np.einsum("nkab,nab->nk", dR_g, M_g) \
         + weights.w_barrier_pose * bglob_der
-    dLdv_out = np.einsum("nva,nab->nvb", dLdy, R_g)
+    dLdv_out = dLdy @ R_g
 
-    s = np.einsum("vi,nva->nia", w, dLdv_out)
-    M = np.einsum("vi,nva,nvb->niab", w, dLdv_out, vbar)
+    # pose moments M_i = sum_v w_vi g_v vbar_v^T and joint sums
+    # s_i = sum_v w_vi g_v: per joint, one batched GEMM of the weighted
+    # gradient rows against [vbar | 1]
+    g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
+    vbar1 = np.concatenate([vbar, np.ones((N, V, 1))], axis=2)
+    moments = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
+    M, s = moments[..., :3], moments[..., 3]
     g_angles = (np.einsum("nijkab,niab->njk", der.dR_w, M)
                 + np.einsum("nijka,nia->njk", der.db_w, s)
                 + weights.w_barrier_pose * bpose_der)
     g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
 
-    # adjoint of the delta-form LBS: g + sum_i w_vi (R_i - I)^T g
-    dLdvbar = dLdv_out + np.einsum(
-        "vi,niab,nva->nvb", w, der.R_w - np.eye(3), dLdv_out)
-    g_alpha = (np.einsum("nvb,qvb->nq", dLdvbar, phi)
+    dLdvbar = lbs_adjoint(w, der.R_w, dLdv_out).reshape(N, V * 3)
+    g_alpha = (dLdvbar @ phi.reshape(m, V * 3).T
                + np.einsum("njb,jbq->nq", g_pivot, skel.a)
                + weights.w_id_coeff * 2.0 * alpha)
-    g_beta = (np.einsum("nvb,qvb->nq", dLdvbar, base.expression_basis)
+    g_beta = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
               + weights.w_barrier_expr * bexpr_der)
-    g_phi = (np.einsum("nq,nvb->qvb", alpha, dLdvbar)
+    g_phi = ((alpha.T @ dLdvbar).reshape(m, V, 3)
              + weights.w_id_basis * 2.0 * phi
              + weights.w_laplacian * 2.0
              * (ctx.lap_gram @ phi_flat).reshape(V, m, 3).transpose(1, 0, 2))

@@ -268,8 +268,14 @@ def evaluate_unposed(model: BlendshapeModel, alpha: np.ndarray,
         raise DimensionMismatch(
             f"beta has {beta.shape[-1]} coeffs, model expects {model.n_expression}")
     return (model.template.vertices
-            + np.einsum("...q,qvk->...vk", alpha, model.identity_basis)
-            + np.einsum("...q,qvk->...vk", beta, model.expression_basis))
+            + _blend_fields(alpha, model.identity_basis)
+            + _blend_fields(beta, model.expression_basis))
+
+
+def _blend_fields(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """coeffs (..., q) . basis (q, V, 3) as one GEMM against the (q, 3V) basis."""
+    flat = coeffs @ basis.reshape(basis.shape[0], -1)
+    return flat.reshape(coeffs.shape[:-1] + basis.shape[1:])
 
 
 def world_transforms(skeleton: Skeleton, alpha: np.ndarray,
@@ -345,10 +351,25 @@ def lbs_apply(weights: np.ndarray, R_w: np.ndarray, b_w: np.ndarray,
               unposed: np.ndarray) -> np.ndarray:
     """v = sum_i w_vi (R_i v + b_i), evaluated in delta form
     v + sum_i w_vi ((R_i - I) v + b_i) so the rest pose reproduces the
-    input bit-exactly despite float rounding in the weight rows."""
-    delta = np.einsum("vi,...iab->...vab", weights, R_w - np.eye(3))
-    blend_b = np.einsum("vi,...ia->...va", weights, b_w)
-    return unposed + np.einsum("...vab,...vb->...va", delta, unposed) + blend_b
+    input bit-exactly despite float rounding in the weight rows.  Both
+    blends are GEMMs over the joints; applying the per-vertex 3x3 blend
+    is elementwise."""
+    blend = _rotation_blend(weights, R_w)
+    return unposed + np.einsum("...vab,...vb->...va", blend, unposed) + weights @ b_w
+
+
+def lbs_adjoint(weights: np.ndarray, R_w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Adjoint of lbs_apply w.r.t. the unposed vertices:
+    g + sum_i w_vi (R_i - I)^T g for a gradient g (..., V, 3)."""
+    return grad + np.einsum("...vab,...va->...vb", _rotation_blend(weights, R_w), grad)
+
+
+def _rotation_blend(weights: np.ndarray, R_w: np.ndarray) -> np.ndarray:
+    """Per-vertex blend sum_i w_vi (R_i - I) of joint rotations
+    (..., 4, 3, 3) as one GEMM, shape (..., V, 3, 3); exactly zero at the
+    rest pose."""
+    D = (R_w - np.eye(3)).reshape(R_w.shape[:-2] + (9,))
+    return (weights @ D).reshape(D.shape[:-2] + (weights.shape[0], 3, 3))
 
 
 def evaluate(model: BlendshapeModel, params: ModelParams,
@@ -472,7 +493,7 @@ def evaluate_with_jacobian(model: BlendshapeModel, params: ModelParams,
     layout = param_layout(model)
 
     # d v_out / d vbar in delta form: I + sum_i w_vi (R_i - I)
-    blend_R = np.eye(3) + np.einsum("vi,iab->vab", w, der.R_w - np.eye(3))
+    blend_R = np.eye(3) + _rotation_blend(w, der.R_w)
 
     # identity: blendshape path plus pivot path
     dvbar = np.einsum("vab,qvb->qva", blend_R, model.identity_basis)

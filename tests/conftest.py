@@ -302,6 +302,20 @@ def _vertex_points_reference(conn, verts, face_pts, emid):
     return out
 
 
+def lbs_apply_reference(weights, R_w, b_w, unposed):
+    """Delta-form linear-blend skinning by per-vertex einsum contractions:
+    the reference for the GEMM blends of model.lbs_apply."""
+    delta = np.einsum("vi,...iab->...vab", weights, R_w - np.eye(3))
+    blend_b = np.einsum("vi,...ia->...va", weights, b_w)
+    return unposed + np.einsum("...vab,...vb->...va", delta, unposed) + blend_b
+
+
+def lbs_adjoint_reference(weights, R_w, grad):
+    """g + sum_i w_vi (R_i - I)^T g by one einsum contraction: the
+    reference for model.lbs_adjoint."""
+    return grad + np.einsum("vi,...iab,...va->...vb", weights, R_w - np.eye(3), grad)
+
+
 def dump_obj_reference(mesh: QuadMesh) -> str:
     """OBJ text formatted one scalar at a time: the reference for the bulk
     formatter in facegen.objio."""

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facegen.cli import cli_main
+from facegen.cli import _NEAREST_BLOCK, _nearest_distances, cli_main
 from facegen.container import save_container
 from facegen.objio import load_obj, save_obj
 from facegen.poremap import read_pgm
@@ -183,6 +183,25 @@ class TestHairCommands:
         rt = report["roundtrip"]
         assert rt["density_rms_delta"] < 0.2
         assert rt["endpoint_error_mean"] < 3 * rt["cell_diagonal"]
+
+
+    def test_hair_code_with_list_metadata_is_data_error(self, tmp_path, capsys):
+        cpath = tmp_path / "code.json"
+        save_container(cpath, {"bbox": np.zeros((2, 3))}, metadata=[1])
+        rc = cli_main(["--out", str(tmp_path / "d.json"), "decode-hair",
+                       "--code", str(cpath), "--count", "4"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "code.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n_points,n_refs", [
+        (1, 5), (_NEAREST_BLOCK + 1, 40), (2 * _NEAREST_BLOCK + 44, 2 * _NEAREST_BLOCK + 1)])
+    def test_nearest_distances_match_all_pairs(self, rng, n_points, n_refs):
+        points = rng.standard_normal((n_points, 3))
+        refs = rng.standard_normal((n_refs, 3))
+        all_pairs = np.linalg.norm(points[:, None, :] - refs[None], axis=2).min(axis=1)
+        assert np.array_equal(_nearest_distances(points, refs), all_pairs)
 
 
 class TestPcaGmmPoremap:

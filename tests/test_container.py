@@ -135,3 +135,11 @@ def test_malformed_tensor_entries_rejected(tmp_path, edit):
     _edit_manifest(tmp_path / "c.json", edit)
     with pytest.raises(DataError, match="c.json"):
         load_container(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("metadata", [[1], "groom", 3, None])
+def test_non_object_metadata_rejected(tmp_path, metadata):
+    save_container(tmp_path / "c.json", {"m": np.zeros(4)}, metadata={"kind": "x"})
+    _edit_manifest(tmp_path / "c.json", lambda m: m.update(metadata=metadata))
+    with pytest.raises(DataError, match="c.json"):
+        load_container(tmp_path / "c.json")

@@ -239,6 +239,27 @@ class TestLossContext:
         assert calls == {"build_connectivity": 0, "uniform_laplacian_matrix": 0,
                          "vertex_normals": 1}
 
+    def test_total_loss_calls_traced_forward_once(self, rng, monkeypatch):
+        # the learner must go through the module attributes the per-layer
+        # tracer wraps, not a private copy of the forward
+        calls = dict.fromkeys(("evaluate_unposed", "pose_derivatives",
+                               "lbs_apply", "euler_xyz_grad"), 0)
+
+        def counted(name):
+            fn = getattr(learning, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(learning, name, counted(name))
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        ctx = LossContext.build(scans, base)
+        total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        assert calls == dict.fromkeys(calls, 1)
+
     def test_per_scan_rms_in_input_order(self, rng):
         grid = quad_grid(3, 4, spacing=0.05)
         V = grid.vertices.shape[0]

@@ -14,11 +14,15 @@ from facegen.model import (
     evaluate_with_jacobian,
     euler_xyz,
     joint_transforms,
+    lbs_adjoint,
+    lbs_apply,
     param_layout,
     pose_derivatives,
     world_transforms,
 )
 from facegen.procedural import desk_head
+
+from conftest import lbs_adjoint_reference, lbs_apply_reference
 
 
 @pytest.fixture
@@ -79,6 +83,15 @@ class TestEvaluateUnposed:
     def test_dimension_mismatch(self, model):
         with pytest.raises(DimensionMismatch):
             evaluate_unposed(model, np.zeros(5), np.zeros(4))
+
+    def test_batched_matches_per_item(self, model, rng):
+        alpha = rng.standard_normal((5, 3))
+        beta = rng.uniform(0, 1, 4)          # broadcast against the batch
+        batched = evaluate_unposed(model, alpha, beta)
+        assert batched.shape == (5, model.n_vertices, 3)
+        for k in range(5):
+            assert np.allclose(batched[k], evaluate_unposed(model, alpha[k], beta),
+                               rtol=0, atol=1e-15)
 
 
 class TestJointTransforms:
@@ -167,6 +180,33 @@ class TestApplyPose:
         lo = images.min(axis=1) - 1e-9
         hi = images.max(axis=1) + 1e-9
         assert np.all(posed >= lo) and np.all(posed <= hi)
+
+
+class TestLbsGemm:
+    """The GEMM-shaped skinning forward and adjoint against the einsum
+    references, on identity-coupled pivots."""
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_forward_and_adjoint_match_reference(self, model, rng, batch):
+        alpha = 0.4 * rng.standard_normal(batch + (model.n_identity,))
+        angles = 0.3 * rng.standard_normal(batch + (4, 3))
+        R_w, b_w, _ = world_transforms(model.skeleton, alpha, angles, check_limits=False)
+        unposed = evaluate_unposed(model, alpha,
+                                   rng.uniform(0, 1, batch + (model.n_expression,)))
+        grad = rng.standard_normal(unposed.shape)
+        w = model.skinning_weights
+        for got, ref in ((lbs_apply(w, R_w, b_w, unposed),
+                          lbs_apply_reference(w, R_w, b_w, unposed)),
+                         (lbs_adjoint(w, R_w, grad), lbs_adjoint_reference(w, R_w, grad))):
+            assert got.shape == ref.shape == unposed.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_rest_pose_is_exact(self, model, rng):
+        unposed = rng.standard_normal((model.n_vertices, 3))
+        rest = np.broadcast_to(np.eye(3), (4, 3, 3))
+        w = model.skinning_weights
+        assert np.array_equal(lbs_apply(w, rest, np.zeros((4, 3)), unposed), unposed)
+        assert np.array_equal(lbs_adjoint(w, rest, unposed), unposed)
 
 
 class TestEvaluate:
