@@ -283,15 +283,20 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
+def _data_tensor(path) -> np.ndarray:
+    """The one tensor of a --data container, as float64."""
+    tensors, _ = load_container(path)
+    if len(tensors) != 1:
+        raise DataError(f"{path}: --data container must hold exactly one tensor")
+    return next(iter(tensors.values())).astype(np.float64)
+
+
 def _cmd_fit_pca(args) -> int:
     out = _require_out(args)
     if (args.data is None) == (args.hdr_dir is None):
         raise DataError("fit-pca needs exactly one of --data or --hdr-dir")
     if args.data is not None:
-        tensors, _ = load_container(args.data)
-        if len(tensors) != 1:
-            raise DataError("--data container must hold exactly one tensor")
-        rows = next(iter(tensors.values())).astype(np.float64)
+        rows = _data_tensor(args.data)
         tag = ""
     else:
         paths = sorted(args.hdr_dir.glob("*.hdr"))
@@ -306,7 +311,10 @@ def _cmd_fit_pca(args) -> int:
             rows.extend(preprocess_hdr(v) for v in variants)
         rows = np.stack(rows)
         tag = "log1p+resize64x128"
-    model = fit_pca(rows, k=args.components, preprocessing=tag)
+    try:
+        model = fit_pca(rows, k=args.components, preprocessing=tag)
+    except DataError as e:
+        raise DataError(f"{args.data or args.hdr_dir}: {e}") from e
     save_pca(out, model)
     explained = float(model.explained_variance_ratio.sum())
     log.info(f"PCA on {rows.shape[0]}x{rows.shape[1]} data: k={model.n_components}, "
@@ -316,11 +324,11 @@ def _cmd_fit_pca(args) -> int:
 
 def _cmd_fit_gmm(args) -> int:
     out = _require_out(args)
-    tensors, _ = load_container(args.data)
-    if len(tensors) != 1:
-        raise DataError("--data container must hold exactly one tensor")
-    data = next(iter(tensors.values())).astype(np.float64)
-    gmm = fit_gmm(data, K=args.components, seed=args.seed)
+    data = _data_tensor(args.data)
+    try:
+        gmm = fit_gmm(data, K=args.components, seed=args.seed)
+    except DataError as e:
+        raise DataError(f"{args.data}: {e}") from e
     from .library import save_gmm
     save_gmm(out, gmm)
     log.info(f"fitted GMM with K={args.components} on {data.shape[0]} samples, "

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import logsumexp
+from scipy.linalg import cholesky
 
-from .errors import EmptyComponent, InvalidParam, SingularComponent
+from .errors import (DimensionMismatch, EmptyComponent, InvalidParam, NonFiniteInput,
+                     SingularComponent)
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,30 @@ class GaussianMixture:
         return self.means.shape[1]
 
     def log_prob(self, data: np.ndarray) -> np.ndarray:
-        return logsumexp(self._log_joint(data), axis=1)
+        return _logsumexp(_log_joint(data, self.weights, self.means, self._chols))
 
     def _log_joint(self, data: np.ndarray) -> np.ndarray:
         """log w_k + log N(x | mu_k, Sigma_k), shape (n, K)."""
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        n, d = data.shape
-        K = self.n_components
-        out = np.empty((n, K))
-        const = -0.5 * d * np.log(2.0 * np.pi)
-        for k in range(K):
-            L = self._chols[k]
-            sol = solve_triangular(L, (data - self.means[k]).T, lower=True)
-            logdet = np.sum(np.log(np.diag(L)))
-            out[:, k] = (np.log(self.weights[k]) + const - logdet
-                         - 0.5 * np.sum(sol ** 2, axis=0))
-        return out
+        return _log_joint(data, self.weights, self.means, self._chols).T
+
+
+def _log_joint(data, weights, means, chols) -> np.ndarray:
+    """log w_k + log N(x | mu_k, L_k L_k^T) for all K components at once,
+    component-major, shape (K, n), so that reductions over k run along
+    contiguous rows.  The residuals are whitened by the inverse Cholesky
+    factors, the precision-Cholesky form of scikit-learn (Pedregosa et al.,
+    JMLR 2011)."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    white = (data - means[:, None, :]) @ np.linalg.inv(np.swapaxes(chols, 1, 2))
+    logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    const = np.log(weights) - 0.5 * means.shape[1] * np.log(2.0 * np.pi) - logdet
+    return const[:, None] - 0.5 * np.einsum("knd,knd->kn", white, white)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a[k]) of a finite (K, n) array."""
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
 
 
 def _kmeanspp_centers(data: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +105,12 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
     A component that collapses to zero responsibility is reseeded once
     from a random data point; a second collapse raises EmptyComponent.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise DimensionMismatch(f"data must be (n, d), got shape {data.shape}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"data row {int(np.argmin(finite))} is not finite")
     n, d = data.shape
     if n <= K:
         raise InvalidParam(f"need more samples ({n}) than components ({K})")
@@ -127,9 +140,13 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
     trajectory: list[float] = []
     prev_ll = -np.inf
     for _ in range(max_iter):
-        gmm = GaussianMixture(weights, means, covs)
-        log_joint = gmm._log_joint(data)
-        log_norm = logsumexp(log_joint, axis=1)
+        try:
+            chols = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            GaussianMixture(weights, means, covs)   # names the first non-SPD component
+            raise
+        log_joint = _log_joint(data, weights, means, chols)
+        log_norm = _logsumexp(log_joint)
         ll = float(log_norm.sum())
         if (trajectory and not just_reseeded
                 and ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll))):
@@ -137,9 +154,9 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
                 f"EM log-likelihood decreased: {prev_ll} -> {ll}")
         just_reseeded = False
         trajectory.append(ll)
-        resp = np.exp(log_joint - log_norm[:, None])
+        resp = np.exp(log_joint - log_norm)                           # (K, n)
 
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         empty = nk < 1e-10
         if np.any(empty):
             if reseeded:
@@ -156,14 +173,12 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
             continue
 
         weights = nk / n
-        means = (resp.T @ data) / nk[:, None]
-        for k in range(K):
-            delta = data - means[k]
-            covs[k] = (resp[:, k, None] * delta).T @ delta / nk[k]
-            covs[k] = 0.5 * (covs[k] + covs[k].T) + ridge * np.eye(d)
+        means = (resp @ data) / nk[:, None]
+        delta = data - means[:, None, :]                              # (K, n, d)
+        covs = np.swapaxes(resp[:, :, None] * delta, 1, 2) @ delta / nk[:, None, None]
+        covs = 0.5 * (covs + np.swapaxes(covs, 1, 2)) + ridge * np.eye(d)
 
-        if trajectory and abs(ll - prev_ll) <= tol * max(1.0, abs(ll)) and len(trajectory) > 1:
-            prev_ll = ll
+        if len(trajectory) > 1 and abs(ll - prev_ll) <= tol * max(1.0, abs(ll)):
             break
         prev_ll = ll
 

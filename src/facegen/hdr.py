@@ -55,30 +55,23 @@ def augment_rotations(img: HdrImage, count: int = 5, rng=None) -> list[HdrImage]
 
 
 def _area_weights(n_in: int, n_out: int) -> np.ndarray:
-    """(n_out, n_in) row-stochastic interval-overlap box filter weights."""
-    w = np.zeros((n_out, n_in))
+    """(n_out, n_in) row-stochastic box filter weights: the overlap of each
+    output interval [o s, (o + 1) s), s = n_in / n_out, with each input
+    cell [i, i + 1)."""
     scale = n_in / n_out
-    for o in range(n_out):
-        lo = o * scale
-        hi = (o + 1) * scale
-        i0 = int(np.floor(lo))
-        i1 = min(int(np.ceil(hi)), n_in)
-        for i in range(i0, i1):
-            overlap = min(hi, i + 1) - max(lo, i)
-            if overlap > 0:
-                w[o, i] = overlap
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+    o = np.arange(n_out)[:, None]
+    i = np.arange(n_in)
+    w = np.maximum(np.minimum((o + 1) * scale, i + 1) - np.maximum(o * scale, i), 0.0)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def resize_area(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Exact area-averaged (box filter) resize of an (H, W, C) array."""
+    """Exact area-averaged (box filter) resize of an (H, W, C) array: two
+    matrix products, rows then columns."""
     data = np.asarray(data, dtype=np.float64)
-    H, W = data.shape[:2]
-    wh = _area_weights(H, out_h)
-    ww = _area_weights(W, out_w)
-    tmp = np.einsum("oh,hwc->owc", wh, data)
-    return np.einsum("pw,owc->opc", ww, tmp)
+    H, W, C = data.shape
+    rows = (_area_weights(H, out_h) @ data.reshape(H, W * C)).reshape(out_h, W, C)
+    return _area_weights(W, out_w) @ rows
 
 
 def preprocess_hdr(img: HdrImage, out_h: int = PCA_HEIGHT,
@@ -131,9 +124,14 @@ def read_hdr(path) -> HdrImage:
         raise DataError(f"{path}: unsupported FORMAT (expected 32-bit_rle_rgbe)")
     body = raw[pos + 2:]
     nl = body.find(b"\n")
-    dims = body[:nl].decode("ascii").split()
-    if len(dims) != 4 or dims[0] != "-Y" or dims[2] != "+X":
-        raise DataError(f"{path}: unsupported resolution line {dims}")
+    if nl < 0:
+        raise DataError(f"{path}: resolution line is not terminated by a newline")
+    dims = body[:nl].split()
+    if (len(dims) != 4 or dims[0] != b"-Y" or dims[2] != b"+X"
+            or not (dims[1].isdigit() and dims[3].isdigit())
+            or int(dims[1]) < 1 or int(dims[3]) < 1):
+        raise DataError(f"{path}: unsupported resolution line {body[:nl]!r} "
+                        "(expected '-Y <height> +X <width>', both positive)")
     H, W = int(dims[1]), int(dims[3])
     data = np.frombuffer(body[nl + 1:], dtype=np.uint8)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import load_container, save_container
-from .errors import DimensionMismatch, InvalidParam, RankDeficient
+from .errors import DimensionMismatch, InvalidParam, NonFiniteInput, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,9 @@ def fit_pca(samples: np.ndarray, k: int = 50, preprocessing: str = "") -> PcaMod
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise DimensionMismatch(f"samples must be (n, d), got {samples.shape}")
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"sample row {int(np.argmin(finite))} is not finite")
     n, d = samples.shape
     if n < 2:
         raise InvalidParam("need at least 2 samples")

@@ -335,6 +335,117 @@ def dump_obj_reference(mesh: QuadMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+def area_weights_reference(n_in: int, n_out: int) -> np.ndarray:
+    """Box filter weights by a double loop over output intervals and the
+    input cells they overlap: the reference for hdr._area_weights."""
+    w = np.zeros((n_out, n_in))
+    scale = n_in / n_out
+    for o in range(n_out):
+        lo = o * scale
+        hi = (o + 1) * scale
+        for i in range(int(np.floor(lo)), min(int(np.ceil(hi)), n_in)):
+            overlap = min(hi, i + 1) - max(lo, i)
+            if overlap > 0:
+                w[o, i] = overlap
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+def resize_area_reference(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Area resize by two einsum contractions: the reference for the matrix
+    products of hdr.resize_area."""
+    data = np.asarray(data, dtype=np.float64)
+    wh = area_weights_reference(data.shape[0], out_h)
+    ww = area_weights_reference(data.shape[1], out_w)
+    return np.einsum("pw,owc->opc", ww, np.einsum("oh,hwc->owc", wh, data))
+
+
+def log_joint_reference(gmm, data: np.ndarray) -> np.ndarray:
+    """log w_k + log N(x | mu_k, Sigma_k) by one triangular solve per
+    component: the reference for the batched gmm._log_joint."""
+    from scipy.linalg import solve_triangular
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    n, d = data.shape
+    out = np.empty((n, gmm.n_components))
+    const = -0.5 * d * np.log(2.0 * np.pi)
+    for k in range(gmm.n_components):
+        L = gmm._chols[k]
+        sol = solve_triangular(L, (data - gmm.means[k]).T, lower=True)
+        logdet = np.sum(np.log(np.diag(L)))
+        out[:, k] = (np.log(gmm.weights[k]) + const - logdet
+                     - 0.5 * np.sum(sol ** 2, axis=0))
+    return out
+
+
+def fit_gmm_reference(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
+                      max_iter: int = 200, tol: float = 1e-9):
+    """EM with a validated GaussianMixture, per-component log-densities and
+    per-component covariance updates on every iteration: the reference for
+    the batched gmm.fit_gmm (same initialisation, RNG stream and checks)."""
+    from scipy.special import logsumexp
+
+    from facegen.errors import EmptyComponent, SingularComponent
+    from facegen.gmm import GaussianMixture, _kmeanspp_centers
+    data = np.asarray(data, dtype=np.float64)
+    n, d = data.shape
+    rng = np.random.default_rng(seed)
+    centers = _kmeanspp_centers(data, K, rng)
+    assign = np.argmin(
+        np.sum((data[:, None, :] - centers[None]) ** 2, axis=2), axis=1)
+    weights = np.empty(K)
+    means = np.empty((K, d))
+    covs = np.empty((K, d, d))
+    global_cov = np.cov(data, rowvar=False, bias=True).reshape(d, d) + ridge * np.eye(d)
+    for k in range(K):
+        sel = data[assign == k]
+        weights[k] = max(len(sel), 1) / n
+        means[k] = sel.mean(axis=0) if len(sel) else centers[k]
+        if len(sel) > 1:
+            covs[k] = np.cov(sel, rowvar=False, bias=True).reshape(d, d) + ridge * np.eye(d)
+        else:
+            covs[k] = global_cov
+    weights /= weights.sum()
+
+    reseeded = False
+    just_reseeded = False
+    trajectory: list[float] = []
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        log_joint = log_joint_reference(GaussianMixture(weights, means, covs), data)
+        log_norm = logsumexp(log_joint, axis=1)
+        ll = float(log_norm.sum())
+        if (trajectory and not just_reseeded
+                and ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll))):
+            raise SingularComponent(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
+        just_reseeded = False
+        trajectory.append(ll)
+        resp = np.exp(log_joint - log_norm[:, None])
+        nk = resp.sum(axis=0)
+        empty = nk < 1e-10
+        if np.any(empty):
+            if reseeded:
+                raise EmptyComponent("component collapsed twice during EM")
+            reseeded = True
+            just_reseeded = True
+            for k in np.nonzero(empty)[0]:
+                means[k] = data[rng.integers(n)]
+                covs[k] = global_cov
+                weights[k] = 1.0 / n
+            weights /= weights.sum()
+            prev_ll = ll
+            continue
+        weights = nk / n
+        means = (resp.T @ data) / nk[:, None]
+        for k in range(K):
+            delta = data - means[k]
+            covs[k] = (resp[:, k, None] * delta).T @ delta / nk[k]
+            covs[k] = 0.5 * (covs[k] + covs[k].T) + ridge * np.eye(d)
+        if len(trajectory) > 1 and abs(ll - prev_ll) <= tol * max(1.0, abs(ll)):
+            break
+        prev_ll = ll
+    return GaussianMixture(weights, means, covs, ll_trajectory=tuple(trajectory))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

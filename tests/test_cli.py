@@ -245,6 +245,19 @@ class TestPcaGmmPoremap:
         gmm = load_gmm(out)
         assert gmm.n_components == 2
 
+    @pytest.mark.parametrize("command", ["fit-gmm", "fit-pca"])
+    def test_non_finite_data_names_container(self, tmp_path, rng, capsys, command):
+        data = rng.standard_normal((30, 4))
+        data[11, 2] = np.nan
+        save_container(tmp_path / "nan_data.json", {"data": data})
+        rc = cli_main(["--out", str(tmp_path / "model.json"), command, "--data",
+                       str(tmp_path / "nan_data.json"), "--components", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "nan_data.json" in err and "row 11" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_pore_map_cli(self, tmp_path):
         from facegen.poremap import write_pgm16
         from test_poremap import planted_blob_texture

@@ -1,7 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
-from facegen.errors import InvalidParam, SingularComponent
+from conftest import fit_gmm_reference, log_joint_reference
+from facegen import gmm as fgmm
+from facegen.errors import (DimensionMismatch, EmptyComponent, InvalidParam, NonFiniteInput,
+                            SingularComponent)
 from facegen.gmm import GaussianMixture, fit_gmm, sample_identity
 
 
@@ -48,6 +54,25 @@ class TestFitGmm:
         with pytest.raises(InvalidParam):
             fit_gmm(rng.standard_normal((3, 2)), K=3, seed=0)
 
+    def test_non_2d_rejected(self, rng):
+        with pytest.raises(DimensionMismatch):
+            fit_gmm(rng.standard_normal((10, 4, 2)), K=2, seed=0)
+        with pytest.raises(DimensionMismatch):
+            fit_gmm(rng.standard_normal(10), K=2, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_row(self, rng, bad):
+        data = rng.standard_normal((20, 3))
+        data[7, 1] = bad
+        data[12, 0] = bad
+        with pytest.raises(NonFiniteInput, match="row 7 "):
+            fit_gmm(data, K=2, seed=0)
+
+    def test_non_spd_covariance_in_em_names_component(self, rng):
+        # a negative ridge makes every covariance indefinite at the first E-step
+        with pytest.raises(SingularComponent, match="component 0 covariance not SPD"):
+            fit_gmm(two_cluster_data(rng, n=40), K=2, seed=0, ridge=-100.0)
+
     def test_deterministic(self, rng):
         data = two_cluster_data(rng, n=100)
         g1 = fit_gmm(data, K=2, seed=7)
@@ -56,7 +81,133 @@ class TestFitGmm:
         assert np.array_equal(g1.covariances, g2.covariances)
 
 
+def _assert_close(a, b, rtol):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+class TestBatchedEmMatchesReference:
+    """The batched E- and M-steps against one triangular solve and one
+    covariance update per component, from the same initialisation."""
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_fit_matches_reference(self, K, seed, tol):
+        rng = np.random.default_rng(seed)
+        centers = 8.0 * rng.standard_normal((K, 4))
+        data = centers[np.arange(200) % K] + rng.standard_normal((200, 4))
+        got = fit_gmm(data, K, seed=seed, tol=tol)
+        ref = fit_gmm_reference(data, K, seed=seed, tol=tol)
+        a, b = np.asarray(got.ll_trajectory), np.asarray(ref.ll_trajectory)
+        if tol == 0.0 and len(a) != len(b):
+            # With tol=0, EM stops only when the log-likelihood repeats bit
+            # for bit, which reordered sums need not reproduce.  Both runs
+            # must have reached the same plateau; then compare them after
+            # the same number of EM steps.
+            m = min(len(a), len(b))
+            _assert_close(a[:m], b[:m], 1e-12)
+            longer = a if len(a) > len(b) else b
+            assert np.ptp(longer[m - 1:]) <= 1e-12 * np.abs(longer).max()
+            got = fit_gmm(data, K, seed=seed, tol=tol, max_iter=m)
+            ref = fit_gmm_reference(data, K, seed=seed, tol=tol, max_iter=m)
+        for name in ("means", "covariances", "weights", "ll_trajectory"):
+            _assert_close(getattr(got, name), getattr(ref, name), 1e-12)
+
+    def test_asset_codecs_shape(self):
+        # K=5, n=1000, d=8 with overlapping clusters, as in the benchmark
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((5, 8))
+        data = centers[np.arange(1000) % 5] + rng.standard_normal((1000, 8))
+        got, ref = fit_gmm(data, 5, seed=0), fit_gmm_reference(data, 5, seed=0)
+        assert len(got.ll_trajectory) == len(ref.ll_trajectory)
+        for name in ("means", "covariances", "weights", "ll_trajectory"):
+            _assert_close(getattr(got, name), getattr(ref, name), 1e-12)
+
+    def test_log_joint_matches_reference(self, rng):
+        data = two_cluster_data(rng, n=100, d=4)
+        gmm = fit_gmm(data, K=3, seed=4)
+        _assert_close(gmm._log_joint(data), log_joint_reference(gmm, data), 1e-13)
+        _assert_close(gmm._log_joint(data[0]), log_joint_reference(gmm, data[0]), 1e-13)
+
+
+class TestEmReseed:
+    """One k-means++ center is put far from every point, so its component
+    gets no responsibility at the first E-step and EM reseeds it."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Records the means each E-step sees; edit[i] alters the (K, n) log
+        joint of step i."""
+        def far_centers(data, K, rng):
+            return np.stack([data[0], data[-1], np.full(data.shape[1], 1e6)])
+
+        real = fgmm._log_joint
+        rec = SimpleNamespace(means=[], edit={})
+
+        def log_joint(data, weights, means, chols):
+            rec.means.append(means.copy())
+            out = real(data, weights, means, chols)
+            return rec.edit.get(len(rec.means) - 1, lambda lj: lj)(out)
+
+        monkeypatch.setattr(fgmm, "_kmeanspp_centers", far_centers)
+        monkeypatch.setattr(fgmm, "_log_joint", log_joint)
+        return rec
+
+    def test_reseeded_once_then_completes(self, steps, rng):
+        data = two_cluster_data(rng, n=200)
+        gmm = fit_gmm(data, K=3, seed=0)
+        assert np.all(steps.means[0][2] == 1e6)
+        on_data_point = [i for i, m in enumerate(steps.means)
+                         if any(np.array_equal(m[2], row) for row in data)]
+        assert on_data_point == [1]
+        assert len(gmm.ll_trajectory) == len(steps.means) >= 3
+        assert np.all(np.isfinite(gmm.means)) and np.all(gmm.weights > 0)
+
+    def test_ll_check_skipped_only_on_reseed_step(self, steps, rng):
+        data = two_cluster_data(rng, n=200)
+        plain = fit_gmm(data, K=3, seed=0)
+        # a constant shift of one step's log joint lowers that step's
+        # log-likelihood and leaves its responsibilities unchanged
+        steps.means.clear()
+        steps.edit[1] = lambda lj: lj - 1e3
+        shifted = fit_gmm(data, K=3, seed=0)
+        assert shifted.ll_trajectory[1] < shifted.ll_trajectory[0]
+        assert len(shifted.ll_trajectory) == len(plain.ll_trajectory)
+        _assert_close(shifted.means, plain.means, 1e-12)
+        steps.means.clear()
+        steps.edit = {2: lambda lj: lj - 1e3}
+        with pytest.raises(SingularComponent, match="log-likelihood decreased"):
+            fit_gmm(data, K=3, seed=0)
+
+    def test_second_collapse_raises(self, steps, rng):
+        def starve_component_0(lj):
+            lj = lj.copy()
+            lj[0] = -1e300
+            return lj
+
+        steps.edit[1] = starve_component_0
+        with pytest.raises(EmptyComponent, match="collapsed twice"):
+            fit_gmm(two_cluster_data(rng, n=200), K=3, seed=0)
+
+
 class TestGaussianMixtureValidation:
+    def test_chols_are_per_component_scipy_factors(self, rng):
+        # sample_identity draws through _chols, so a library's samples stay
+        # byte-identical only if these factors do
+        data = two_cluster_data(rng, n=300, d=5)
+        gmm = fit_gmm(data, K=4, seed=2)
+        for k in range(gmm.n_components):
+            factor = cholesky(gmm.covariances[k], lower=True)
+            assert np.array_equal(gmm._chols[k], factor)
+        a = rng.standard_normal((6, 6, 6))
+        covs = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(6)
+        gmm = GaussianMixture(np.full(6, 1 / 6), np.zeros((6, 6)), covs)
+        assert all(np.array_equal(gmm._chols[k], cholesky(covs[k], lower=True))
+                   for k in range(6))
+
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParam):
             GaussianMixture(np.array([0.6, 0.6]), np.zeros((2, 2)),

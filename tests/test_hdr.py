@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import area_weights_reference, resize_area_reference
 from facegen.errors import DataError, InvalidParam, NonFiniteInput
 from facegen.hdr import (
     HdrImage,
+    _area_weights,
     _decode_rgbe,
     augment_rotations,
     preprocess_hdr,
@@ -62,6 +64,25 @@ class TestPreprocess:
         img = np.ones((100, 300, 3)) * 2.5
         small = resize_area(img, 64, 128)
         assert np.allclose(small, 2.5, atol=1e-12)
+
+
+class TestResizeMatchesReference:
+    @pytest.mark.parametrize("n_in,n_out", [
+        (128, 64), (256, 128), (100, 64), (300, 128), (7, 3), (1, 1), (5, 5),
+        (3, 7), (64, 128), (10, 3), (11, 4), (257, 128), (1, 9), (9, 1), (33, 32)])
+    def test_weights_bit_identical(self, n_in, n_out):
+        assert np.array_equal(_area_weights(n_in, n_out),
+                              area_weights_reference(n_in, n_out))
+
+    @pytest.mark.parametrize("shape,out", [
+        ((128, 256, 3), (64, 128)), ((100, 300, 3), (64, 128)),
+        ((7, 9, 3), (3, 20)), ((32, 64, 3), (64, 128)), ((5, 6, 1), (2, 4))])
+    def test_resize_matches_einsum_reference(self, rng, shape, out):
+        img = rng.uniform(0.0, 5.0, shape)
+        ref = resize_area_reference(img, *out)
+        got = resize_area(img, *out)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestAugment:
@@ -155,3 +176,18 @@ class TestRgbeIo:
         (tmp_path / "old.hdr").write_bytes(header + bytes([1, 1, 1, 4]) * 8)
         with pytest.raises(DataError):
             read_hdr(tmp_path / "old.hdr")
+
+    @pytest.mark.parametrize("resolution", [
+        b"-Y 0 +X 8\n",            # zero height
+        b"-Y 2 +X -8\n",           # negative width
+        b"-Y 2.5 +X 8\n",          # non-integer height
+        b"-Y 2 +X 8e1\n",          # non-integer width
+        b"-Y \xff\xfe +X 8\n",     # non-ASCII bytes
+        b"-Y 1 +X 16",              # no newline after the resolution line
+    ], ids=["zero", "negative", "fraction", "exponent", "non-ascii", "no-newline"])
+    def test_bad_resolution_line_names_file(self, tmp_path, resolution):
+        header = b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"
+        path = tmp_path / "res.hdr"
+        path.write_bytes(header + resolution)
+        with pytest.raises(DataError, match="res.hdr"):
+            read_hdr(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from facegen.errors import DimensionMismatch, InvalidParam, RankDeficient
+from facegen.errors import DimensionMismatch, InvalidParam, NonFiniteInput, RankDeficient
 from facegen.pca import PcaModel, fit_pca, load_pca, pca_project, pca_reconstruct, save_pca
 
 
@@ -60,6 +60,18 @@ class TestFitPca:
             fit_pca(data, k=0)
         with pytest.raises(InvalidParam):
             fit_pca(data[:1], k=1)  # n < 2
+
+
+    def test_non_2d_rejected(self, rng):
+        with pytest.raises(DimensionMismatch):
+            fit_pca(rng.standard_normal((10, 4, 2)), k=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_naming_row(self, rng, bad):
+        data = rng.standard_normal((20, 6))
+        data[4, 5] = bad
+        with pytest.raises(NonFiniteInput, match="row 4 "):
+            fit_pca(data, k=2)
 
 
 class TestProjectReconstruct:
