@@ -55,9 +55,7 @@ def augment_rotations(img: HdrImage, count: int = 5, rng=None) -> list[HdrImage]
 
 
 def _area_weights(n_in: int, n_out: int) -> np.ndarray:
-    """(n_out, n_in) row-stochastic box filter weights: the overlap of each
-    output interval [o s, (o + 1) s), s = n_in / n_out, with each input
-    cell [i, i + 1)."""
+    """(n_out, n_in) row-stochastic interval-overlap box filter weights."""
     scale = n_in / n_out
     o = np.arange(n_out)[:, None]
     i = np.arange(n_in)
@@ -66,8 +64,7 @@ def _area_weights(n_in: int, n_out: int) -> np.ndarray:
 
 
 def resize_area(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Exact area-averaged (box filter) resize of an (H, W, C) array: two
-    matrix products, rows then columns."""
+    """Exact area-averaged (box filter) resize of an (H, W, C) array."""
     data = np.asarray(data, dtype=np.float64)
     H, W, C = data.shape
     rows = (_area_weights(H, out_h) @ data.reshape(H, W * C)).reshape(out_h, W, C)
@@ -134,6 +131,9 @@ def read_hdr(path) -> HdrImage:
                         "(expected '-Y <height> +X <width>', both positive)")
     H, W = int(dims[1]), int(dims[3])
     data = np.frombuffer(body[nl + 1:], dtype=np.uint8)
+    # shortest scanline: flat 4W bytes, or RLE with 127-pixel runs
+    if len(data) < H * min(4 * W, 4 + 8 * -(-W // 127)):
+        raise DataError(f"{path}: {len(data)} bytes cannot hold {H} scanlines of width {W}")
 
     rows = np.empty((H, W, 4), dtype=np.uint8)
     ofs = 0

@@ -207,7 +207,6 @@ class TestGaussianMixtureValidation:
         assert all(np.array_equal(gmm._chols[k], cholesky(covs[k], lower=True))
                    for k in range(6))
 
-
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParam):
             GaussianMixture(np.array([0.6, 0.6]), np.zeros((2, 2)),

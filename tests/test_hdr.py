@@ -184,7 +184,9 @@ class TestRgbeIo:
         b"-Y 2 +X 8e1\n",          # non-integer width
         b"-Y \xff\xfe +X 8\n",     # non-ASCII bytes
         b"-Y 1 +X 16",              # no newline after the resolution line
-    ], ids=["zero", "negative", "fraction", "exponent", "non-ascii", "no-newline"])
+        b"-Y 100000000 +X 100000000\n" + bytes([2, 2, 0, 8]),   # larger than the data
+    ], ids=["zero", "negative", "fraction", "exponent", "non-ascii", "no-newline",
+            "larger-than-data"])
     def test_bad_resolution_line_names_file(self, tmp_path, resolution):
         header = b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"
         path = tmp_path / "res.hdr"
