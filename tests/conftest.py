@@ -6,7 +6,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
+from facegen.errors import EmptyComponent, SingularComponent
+from facegen.gmm import GaussianMixture, _kmeanspp_centers
 from facegen.learning import LossContext, LossWeights, ScanSet, ThetaBlocks, total_loss
 from facegen.mesh import QuadMesh, build_connectivity
 from facegen.model import BlendshapeModel, Skeleton
@@ -363,7 +367,6 @@ def resize_area_reference(data: np.ndarray, out_h: int, out_w: int) -> np.ndarra
 def log_joint_reference(gmm, data: np.ndarray) -> np.ndarray:
     """log w_k + log N(x | mu_k, Sigma_k) by one triangular solve per
     component: the reference for the batched gmm._log_joint."""
-    from scipy.linalg import solve_triangular
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n, d = data.shape
     out = np.empty((n, gmm.n_components))
@@ -382,10 +385,6 @@ def fit_gmm_reference(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e
     """EM with a validated GaussianMixture, per-component log-densities and
     per-component covariance updates on every iteration: the reference for
     the batched gmm.fit_gmm (same initialisation, RNG stream and checks)."""
-    from scipy.special import logsumexp
-
-    from facegen.errors import EmptyComponent, SingularComponent
-    from facegen.gmm import GaussianMixture, _kmeanspp_centers
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
     rng = np.random.default_rng(seed)
