@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import load_container, save_container
-from .errors import DataError, FacegenError, NumericError
+from .container import decode_json, load_container, read_json_object, save_container
+from .errors import DataError, FacegenError, NumericError, naming
 from .gmm import fit_gmm
 from .hair import (
     decode_groom,
@@ -140,6 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# fit --config: loss weights, optimizer schedule and seed, each optional
+_FIT_CONFIG_SPEC = {
+    "weights": {f.name: float for f in dataclasses.fields(LossWeights)},
+    "schedule": {"iterations": int, "lr": float, "beta1": float, "beta2": float,
+                 "eps": float, "early_stop_window": int, "early_stop_rel": float,
+                 "init": {"pca", "random"}, "init_sigma": float,
+                 "freeze_beta": bool, "freeze_pose": bool},
+    "seed": int,
+}
+
+
 def _require_out(args) -> Path:
     if args.out is None:
         raise DataError("--out is required for this command")
@@ -150,14 +161,10 @@ def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("FACEGEN_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _load_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"invalid JSON in {path}: {e}") from e
+        return max(1, int(env)) if env else 1
+    except ValueError:
+        raise DataError(f"FACEGEN_THREADS={env!r} is not a whole number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +177,17 @@ def _cmd_fit(args) -> int:
     if not scan_files:
         raise DataError(f"no .obj scans found in {args.scans}")
     meshes = [load_obj(p) for p in scan_files]
-    scans = ScanSet.from_meshes(meshes, [p.stem for p in scan_files])
+    with naming(args.scans):
+        scans = ScanSet.from_meshes(meshes, [p.stem for p in scan_files])
 
-    weights = LossWeights()
-    schedule = FitSchedule()
-    seed = args.seed
-    if args.config is not None:
-        cfg = _load_json(args.config)
+    with naming(args.config):
+        cfg = (decode_json(read_json_object(args.config), _FIT_CONFIG_SPEC)
+               if args.config is not None else {})
         weights = LossWeights(**cfg.get("weights", {}))
         schedule = FitSchedule(**cfg.get("schedule", {}))
-        seed = cfg.get("seed", seed)
+        seed = cfg.get("seed", args.seed)
+        if seed < 0:
+            raise DataError(f"$.seed must be >= 0, got {seed}")
 
     log.info(f"fitting m={args.basis_size} basis to {scans.n_scans} scans")
     model, report = fit(scans, args.basis_size, weights, schedule, seed)
@@ -311,10 +319,8 @@ def _cmd_fit_pca(args) -> int:
             rows.extend(preprocess_hdr(v) for v in variants)
         rows = np.stack(rows)
         tag = "log1p+resize64x128"
-    try:
+    with naming(args.data or args.hdr_dir):
         model = fit_pca(rows, k=args.components, preprocessing=tag)
-    except DataError as e:
-        raise DataError(f"{args.data or args.hdr_dir}: {e}") from e
     save_pca(out, model)
     explained = float(model.explained_variance_ratio.sum())
     log.info(f"PCA on {rows.shape[0]}x{rows.shape[1]} data: k={model.n_components}, "
@@ -325,10 +331,8 @@ def _cmd_fit_pca(args) -> int:
 def _cmd_fit_gmm(args) -> int:
     out = _require_out(args)
     data = _data_tensor(args.data)
-    try:
+    with naming(args.data):
         gmm = fit_gmm(data, K=args.components, seed=args.seed)
-    except DataError as e:
-        raise DataError(f"{args.data}: {e}") from e
     from .library import save_gmm
     save_gmm(out, gmm)
     log.info(f"fitted GMM with K={args.components} on {data.shape[0]} samples, "
@@ -348,8 +352,9 @@ def _cmd_pore_map(args) -> int:
 def _cmd_export(args) -> int:
     out = _require_out(args)
     library = AssetLibrary.load(args.library)
-    scene = SceneDescription.from_json(args.scene.read_text())
-    geometry = realize_scene(library, scene)
+    with naming(args.scene):
+        scene = SceneDescription.from_dict(read_json_object(args.scene))
+        geometry = realize_scene(library, scene)
     export_scene(scene, geometry, out)
     log.info(f"exported scene to {out}")
     return EXIT_OK
@@ -381,20 +386,20 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     _setup_logging(args.json_logs)
+    # bad input is converted to a FacegenError where it is read; any other
+    # exception is a bug and propagates with its traceback
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, FileNotFoundError, OSError, KeyError, ValueError,
-            TypeError) as e:
-        log.error(f"data error: {e}")
-        return EXIT_DATA
     except NumericError as e:
         log.error(f"numeric failure: {e}")
         return EXIT_NUMERIC
-    except FacegenError as e:
-        log.error(f"error: {e}")
+    except (FacegenError, OSError) as e:
+        log.error(f"data error: {e}")
         return EXIT_DATA
 
 

@@ -1,4 +1,6 @@
-"""Matrix container: a JSON manifest naming tensors plus one raw blob.
+"""Matrix container: a JSON manifest naming tensors plus one raw blob,
+and the strict JSON-object reading that the manifests and the JSON
+config files share.
 
 The manifest lists {name, shape, dtype in {f32, f64}, byte_offset} per
 tensor; the blob is little-endian, row-major, tensors concatenated in
@@ -10,15 +12,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, naming
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _TAGS = {np.dtype("float32"): "f32", np.dtype("float64"): "f64"}
-_ENTRY_KEYS = {"name", "shape", "dtype", "byte_offset"}
+_ENTRY_SPEC = {"name": str, "shape": [int], "dtype": set(_DTYPES), "byte_offset": int}
+_MANIFEST_SPEC = {"version": int, "blob": str, "tensors": [_ENTRY_SPEC], "metadata": dict}
 
 
 def save_container(manifest_path, tensors: dict[str, np.ndarray],
@@ -55,50 +59,107 @@ def save_container(manifest_path, tensors: dict[str, np.ndarray],
     blob_path.write_bytes(b"".join(chunks))
 
 
-def load_container(manifest_path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container; returns (tensors, metadata)."""
+class StrictDict(dict):
+    """A dict read from a file: a missing key is a DataError naming `where`
+    (the file, or the key's path in it) and the key."""
+
+    def __init__(self, items, where):
+        super().__init__(items)
+        self.where = where
+
+    def __missing__(self, key):
+        raise DataError(f"{self.where} lacks {key!r}")
+
+
+def load_container(manifest_path, kind: str | None = None) -> tuple[StrictDict, dict]:
+    """Read a container; returns (tensors, metadata).  With `kind`, the
+    metadata must carry that kind.  Any DataError names the manifest."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"invalid container manifest {manifest_path}: {e}") from e
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("tensors"), list)
-            and "blob" in manifest):
-        raise DataError(f"container manifest {manifest_path} missing tensors/blob")
-    blob_name = manifest["blob"]
-    # the blob must sit next to its manifest
-    if (not isinstance(blob_name, str) or blob_name in ("", ".", "..")
-            or Path(blob_name).name != blob_name):
-        raise DataError(f"blob {blob_name!r} in {manifest_path} is not a bare file name")
-    blob = (manifest_path.parent / blob_name).read_bytes()
-    tensors = {}
-    for ent in manifest["tensors"]:
-        if not (isinstance(ent, dict) and _ENTRY_KEYS <= ent.keys()
-                and isinstance(ent["name"], str) and isinstance(ent["dtype"], str)):
-            raise DataError(f"malformed tensor entry {ent!r} in {manifest_path}")
-        dtype = _DTYPES.get(ent["dtype"])
-        if dtype is None:
-            raise DataError(f"unsupported dtype {ent['dtype']!r} in {manifest_path}")
-        shape = ent["shape"]
-        start = ent["byte_offset"]
-        if not (isinstance(shape, list) and all(map(_is_count, shape))
-                and _is_count(start)):
-            raise DataError(f"tensor {ent['name']!r} in {manifest_path} needs "
-                            "non-negative integer shape dims and byte_offset")
-        shape = tuple(shape)
-        count = math.prod(shape)
-        end = start + count * dtype.itemsize
-        if end > len(blob):
-            raise DataError(f"tensor {ent['name']!r} overruns blob in {manifest_path}")
-        arr = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape)
-        tensors[ent["name"]] = arr.astype(np.float64) if ent["dtype"] == "f64" \
-            else arr.astype(np.float32)
-    metadata = manifest.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise DataError(f"metadata in {manifest_path} must be an object")
+    with naming(manifest_path):
+        manifest = decode_json(read_json_object(manifest_path), _MANIFEST_SPEC)
+        blob_name = manifest["blob"]
+        # the blob must sit next to its manifest
+        if blob_name in ("", ".", "..") or Path(blob_name).name != blob_name:
+            raise DataError(f"blob {blob_name!r} is not a bare file name")
+        blob = (manifest_path.parent / blob_name).read_bytes()
+        tensors = StrictDict({}, manifest_path)
+        for ent in manifest["tensors"]:
+            dtype, start, name = _DTYPES[ent["dtype"]], ent["byte_offset"], ent["name"]
+            if min((start, *ent["shape"])) < 0:
+                raise DataError(f"tensor {name!r} needs non-negative shape dims "
+                                "and byte_offset")
+            end = start + math.prod(ent["shape"]) * dtype.itemsize
+            if end > len(blob):
+                raise DataError(f"tensor {name!r} overruns the blob")
+            arr = np.frombuffer(blob[start:end], dtype=dtype).reshape(ent["shape"])
+            tensors[name] = arr.astype(np.float64 if ent["dtype"] == "f64" else np.float32)
+        metadata = manifest.get("metadata", {})
+        if kind is not None and metadata.get("kind") != kind:
+            raise DataError(f"container kind {metadata.get('kind')!r} is not {kind!r}")
     return tensors, metadata
 
 
-def _is_count(x) -> bool:
-    """A JSON integer >= 0 (booleans are not integers here)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+def read_json_object(path) -> dict:
+    """The JSON object in the UTF-8 file `path`; anything else is a
+    DataError naming the file."""
+    path = Path(path)
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"invalid JSON in {path}: {e}") from e
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+_JSON_TYPES = {float: "a finite number", int: "an integer", str: "a string",
+               bool: "a boolean", dict: "an object"}
+
+
+def decode_json(value, spec, key: str = "$"):
+    """`value` checked against `spec` and decoded; any mismatch is a
+    DataError naming `key`, the value's path from the document root `$`.
+
+    `spec` is float (any finite JSON number, returned as a float), int,
+    str, bool or dict (any object); a dict {name: spec} (an object with
+    only those keys, returned as a StrictDict); a one-item list [spec] (an
+    array, returned as a tuple); a set of allowed strings; or a shape
+    tuple (a finite number or nested arrays of them that broadcast to that
+    shape, returned as an array).
+    """
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise DataError(f"{key} must be an object, got {type(value).__name__}")
+        unknown = sorted(value.keys() - spec.keys())
+        if unknown:
+            raise DataError(f"{key} has unknown key(s) {unknown}; "
+                            f"accepted keys are {sorted(spec)}")
+        return StrictDict({k: decode_json(v, spec[k], f"{key}.{k}")
+                           for k, v in value.items()}, key)
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise DataError(f"{key} must be an array, got {type(value).__name__}")
+        return tuple(decode_json(v, spec[0], f"{key}[{i}]") for i, v in enumerate(value))
+    if isinstance(spec, set):
+        if not (isinstance(value, str) and value in spec):
+            raise DataError(f"{key} must be one of {sorted(spec)}, got {value!r}")
+        return value
+    if isinstance(spec, tuple):
+        try:
+            arr = np.asarray(value)
+            ok = (arr.dtype.kind in "if" and np.isfinite(arr).all()
+                  and np.broadcast_shapes(arr.shape, spec) == spec)
+        except ValueError:          # ragged nesting, or shapes that do not broadcast
+            ok = False
+        if not ok:
+            raise DataError(f"{key} must be a finite number or an array broadcastable "
+                            f"to shape {spec}, got {value!r}")
+        return arr
+    if (isinstance(value, bool) != (spec is bool)
+            or not isinstance(value, (int, float) if spec is float else spec)
+            or spec is float and not abs(value) <= sys.float_info.max):
+        raise DataError(f"{key} must be {_JSON_TYPES[spec]}, got {value!r}")
+    return float(value) if spec is float else value
+

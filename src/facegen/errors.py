@@ -1,5 +1,7 @@
 """Exception and warning types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class FacegenError(Exception):
     """Base class for all toolkit errors."""
@@ -11,6 +13,19 @@ class DataError(FacegenError):
 
 class NumericError(FacegenError):
     """Numerical failure during optimization or sampling (CLI exit code 3)."""
+
+
+@contextmanager
+def naming(source):
+    """Prefix `source` (an input file, or None for none) to the message of a
+    DataError raised inside, unless the message names it already; the
+    error keeps its type."""
+    try:
+        yield
+    except DataError as e:
+        if source is not None and str(source) not in str(e):
+            e.args = (f"{source}: {e}",)
+        raise
 
 
 # -- mesh ------------------------------------------------------------------

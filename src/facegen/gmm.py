@@ -30,8 +30,8 @@ class GaussianMixture:
         mu = np.asarray(self.means, dtype=np.float64)
         cov = np.asarray(self.covariances, dtype=np.float64)
         K = len(w)
-        if mu.shape[0] != K or cov.shape[0] != K:
-            raise InvalidParam("component count mismatch across weights/means/covariances")
+        if mu.ndim != 2 or len(mu) != K or cov.shape != (K, mu.shape[1], mu.shape[1]):
+            raise InvalidParam("need weights (K,), means (K, m), covariances (K, m, m)")
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
             raise InvalidParam("weights must be positive and sum to 1 within 1e-9")
         if np.any(np.abs(cov - np.swapaxes(cov, 1, 2)) > 1e-9):
@@ -54,13 +54,6 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def log_prob(self, data: np.ndarray) -> np.ndarray:
-        return _logsumexp(_log_joint(data, self.weights, self.means, self._chols))
-
-    def _log_joint(self, data: np.ndarray) -> np.ndarray:
-        """log w_k + log N(x | mu_k, Sigma_k), shape (n, K)."""
-        return _log_joint(data, self.weights, self.means, self._chols).T
 
 
 def _log_joint(data, weights, means, chols) -> np.ndarray:
@@ -198,8 +191,7 @@ def sample_identity(gmm: GaussianMixture, sigma: float = 0.8,
     if sigma_mode not in ("std", "var"):
         raise InvalidParam(f"unknown sigma_mode {sigma_mode!r}")
     scale = sigma if sigma_mode == "std" else float(np.sqrt(sigma))
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     n = 1 if size is None else size
     comps = rng.choice(gmm.n_components, size=n, p=gmm.weights)
     z = rng.standard_normal((n, gmm.dim))

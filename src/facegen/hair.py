@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import _is_count, load_container, save_container
+from .container import decode_json, load_container, save_container
 from .errors import (
-    DataError,
     DimensionMismatch,
     EmptyDensity,
     EmptyGroom,
     InvalidParam,
     MissingRootMap,
     PointOutsideBbox,
+    naming,
 )
 
 HAIR_STYLES = ("scalp", "eyebrow", "beard", "eyelash")
@@ -147,7 +147,10 @@ class HairCode:
         den = np.asarray(self.density_map, dtype=np.float64)
         ln = np.asarray(self.length_map, dtype=np.float64)
         flow = np.asarray(self.flow_volume, dtype=np.float64)
-        bbox = np.asarray(self.bbox, dtype=np.float64).reshape(2, 3)
+        bbox = np.asarray(self.bbox, dtype=np.float64)
+        if bbox.size != 6:
+            raise DimensionMismatch(f"bbox must hold 2 x 3 numbers, got {bbox.shape}")
+        bbox = bbox.reshape(2, 3)
         R = den.shape[0]
         G = flow.shape[0]
         if den.shape != (R, R) or ln.shape != (R, R):
@@ -330,8 +333,7 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
     if code.root_points is None:
         raise MissingRootMap(
             "code lacks the root position grid needed for reconstruction")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     R = code.uv_resolution
     weights = code.density_map.ravel()
     if weights.sum() <= 0:
@@ -467,27 +469,11 @@ def load_groom(path) -> Groom:
     """Read a groom file.  Its `counts` must be integers >= 2, one per
     `root_uv` row, that split the (P, 3) `points` exactly; any other file
     raises a DataError naming it."""
-    tensors, meta = load_container(path)
-    if meta.get("kind") != "groom":
-        raise DataError(f"{path} is not a groom file")
-    points, root_uv = tensors.get("points"), tensors.get("root_uv")
-    counts = meta.get("counts")
-    if points is None or root_uv is None:
-        raise DataError(f"groom file {path} lacks a points or root_uv tensor")
-    if not (isinstance(counts, list) and all(map(_is_count, counts))
-            and min(counts, default=2) >= 2):
-        raise DataError(f"groom file {path}: counts must be a list of integers >= 2")
-    if points.shape != (sum(counts), 3):
-        raise DataError(f"groom file {path}: counts sum to {sum(counts)} but "
-                        f"points have shape {points.shape}")
-    if root_uv.shape[:1] != (len(counts),):
-        raise DataError(f"groom file {path}: {len(counts)} counts but root_uv "
-                        f"has shape {root_uv.shape}")
-    try:
-        return Groom.from_ragged(points, _offsets(counts), root_uv,
+    tensors, meta = load_container(path, "groom")
+    with naming(path):
+        counts = decode_json(meta.get("counts"), [int], "$.metadata.counts")
+        return Groom.from_ragged(tensors["points"], _offsets(counts), tensors["root_uv"],
                                  style=meta.get("style", "scalp"))
-    except InvalidParam as e:
-        raise InvalidParam(f"groom file {path}: {e}") from e
 
 
 def save_hair_code(path, code: HairCode) -> None:
@@ -507,13 +493,12 @@ def save_hair_code(path, code: HairCode) -> None:
 
 
 def load_hair_code(path) -> HairCode:
-    tensors, meta = load_container(path)
-    if meta.get("kind") != "hair_code":
-        raise DataError(f"{path} is not a hair code file")
-    return HairCode(
-        density_map=tensors["density_map"],
-        length_map=tensors["length_map"],
-        flow_volume=tensors["flow_volume"],
-        bbox=tensors["bbox"],
-        root_points=tensors.get("root_points"),
-    )
+    tensors, _ = load_container(path, "hair_code")
+    with naming(path):
+        return HairCode(
+            density_map=tensors["density_map"],
+            length_map=tensors["length_map"],
+            flow_volume=tensors["flow_volume"],
+            bbox=tensors["bbox"],
+            root_points=tensors.get("root_points"),
+        )

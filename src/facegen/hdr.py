@@ -48,8 +48,7 @@ def yaw_shift(img: HdrImage, columns: int) -> HdrImage:
 
 def augment_rotations(img: HdrImage, count: int = 5, rng=None) -> list[HdrImage]:
     """`count` random yaw rotations (uniform random column offsets)."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     shifts = rng.integers(0, img.width, size=count)
     return [yaw_shift(img, int(s)) for s in shifts]
 

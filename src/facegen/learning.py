@@ -87,7 +87,8 @@ class ScanSet:
             raise InvalidParam("need at least one scan")
         quads = meshes[0].quads
         for m in meshes[1:]:
-            if m.quads.shape != quads.shape or np.any(m.quads != quads):
+            if (m.quads.shape != quads.shape or np.any(m.quads != quads)
+                    or m.n_vertices != meshes[0].n_vertices):
                 raise TopologyMismatch("scans do not share topology")
         if ids is None:
             ids = [f"scan_{i:04d}" for i in range(len(meshes))]
@@ -412,6 +413,10 @@ class FitSchedule:
     freeze_beta: bool = False
     freeze_pose: bool = False
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise InvalidParam(f"iterations must be >= 1, got {self.iterations}")
+
 
 @dataclass
 class FitReport:
@@ -474,8 +479,8 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     schedule = schedule or FitSchedule()
     if scans.n_scans < 2:
         raise InvalidParam("fit needs at least 2 scans")
-    if m > scans.n_scans:
-        raise InvalidParam("identity basis size m must not exceed the scan count")
+    if not 1 <= m <= scans.n_scans:
+        raise InvalidParam(f"basis size m={m} must be in [1, {scans.n_scans} scans]")
     rng = np.random.default_rng(seed)
 
     if base is None:

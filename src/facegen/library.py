@@ -1,21 +1,21 @@
 """Asset library: the on-disk bundle of model, samplers and asset files
 that scene generation draws from.
 
-The library config is one JSON file of paths and sampler settings; every
-referenced file must exist and parse at load time (fail fast).
+The library config is one JSON file of paths and sampler settings
+(`_CONFIG_SPEC`; unknown keys are rejected); every referenced file must
+exist and parse at load time (fail fast).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .container import load_container, save_container
-from .errors import DataError, InvalidParam
+from .container import decode_json, load_container, read_json_object, save_container
+from .errors import DataError, naming
 from .eyes import EyeGeometry, EyeGeometryParams, build_eye
 from .gmm import GaussianMixture
 from .hair import HAIR_STYLES, Groom, flip_groom, load_groom
@@ -38,9 +38,7 @@ def save_gmm(path, gmm: GaussianMixture) -> None:
 
 
 def load_gmm(path) -> GaussianMixture:
-    tensors, meta = load_container(path)
-    if meta.get("kind") != "gmm":
-        raise DataError(f"{path} is not a GMM container")
+    tensors, _ = load_container(path, "gmm")
     return GaussianMixture(tensors["weights"], tensors["means"],
                            tensors["covariances"])
 
@@ -52,9 +50,7 @@ def save_expression_library(path, library: ExpressionLibrary) -> None:
 
 
 def load_expression_library(path) -> ExpressionLibrary:
-    tensors, meta = load_container(path)
-    if meta.get("kind") != "expression_library":
-        raise DataError(f"{path} is not an expression library container")
+    tensors, meta = load_container(path, "expression_library")
     betas = np.clip(tensors["betas"].astype(np.float64), 0.0, 1.0)
     return ExpressionLibrary(betas, source=meta.get("source", ""))
 
@@ -145,98 +141,80 @@ class AssetLibrary:
 
     @classmethod
     def load(cls, config_path) -> "AssetLibrary":
+        """Read a library config (`_CONFIG_SPEC`) and every file it names;
+        any DataError names the config file, and the asset file when the
+        error lies there."""
         config_path = Path(config_path)
-        try:
-            cfg = json.loads(config_path.read_text())
-        except FileNotFoundError:
-            raise
-        except json.JSONDecodeError as e:
-            raise DataError(f"invalid library config {config_path}: {e}") from e
         root = config_path.parent
 
-        def resolve(rel: str) -> Path:
-            p = root / rel
-            if not p.exists():
-                raise FileNotFoundError(f"library references missing file: {p}")
-            return p
+        def read_asset(loader, rel: str):
+            path = root / rel
+            if not path.exists():
+                raise FileNotFoundError(f"library references missing file: {path}")
+            with naming(path):
+                return loader(path)
 
-        model = load_model(resolve(cfg["model"]))
-        gmm = load_gmm(resolve(cfg["gmm"]))
-        if gmm.dim != model.n_identity:
-            raise DataError(
-                f"GMM dimension {gmm.dim} != model identity size {model.n_identity}")
-        expressions = load_expression_library(resolve(cfg["expression_library"]))
-        if expressions.betas.shape[1] != model.n_expression:
-            raise DataError("expression library width != model expression basis size")
+        def read_assets(loader, rels) -> dict:
+            return {Path(rel).stem: read_asset(loader, rel) for rel in rels}
 
-        textures = tuple(cfg.get("textures", ()))
-        if not textures:
-            raise InvalidParam("library must list at least one texture id")
-        eye_colors = tuple(cfg.get("eye_colors", DEFAULT_EYE_COLORS))
-
-        grooms: dict[str, dict[str, Groom]] = {}
-        for style, paths in cfg.get("grooms", {}).items():
-            if style not in HAIR_STYLES:
-                raise InvalidParam(f"unknown groom style {style!r}")
-            grooms[style] = {}
-            for rel in paths:
-                g = load_groom(resolve(rel))
-                grooms[style][Path(rel).stem] = g
-
-        hdrs = {Path(rel).stem: read_hdr(resolve(rel))
-                for rel in cfg.get("hdrs", ())}
-        if not hdrs:
-            raise InvalidParam("library must list at least one HDR environment")
-
-        if "hair_color_table" in cfg:
-            table_cfg = json.loads(resolve(cfg["hair_color_table"]).read_text())
-            hair_colors = HairColorTable.from_dict(table_cfg)
-        else:
+        with naming(config_path):
+            cfg = decode_json(read_json_object(config_path), _CONFIG_SPEC)
+            textures, hdrs = cfg["textures"], cfg["hdrs"]
+            eye_colors = cfg.get("eye_colors", DEFAULT_EYE_COLORS)
+            if not (textures and hdrs and eye_colors):
+                raise DataError("library textures, hdrs and eye_colors must not be empty")
+            model = read_asset(load_model, cfg["model"])
+            gmm = read_asset(load_gmm, cfg["gmm"])
+            if gmm.dim != model.n_identity:
+                raise DataError(
+                    f"GMM dimension {gmm.dim} != model identity size {model.n_identity}")
+            expressions = read_asset(load_expression_library, cfg["expression_library"])
+            if expressions.betas.shape[1] != model.n_expression:
+                raise DataError("expression library width != model expression basis size")
+            grooms = {style: read_assets(load_groom, rels)
+                      for style, rels in cfg.get("grooms", {}).items()}
             hair_colors = HairColorTable.uniform_placeholder()
+            if "hair_color_table" in cfg:
+                hair_colors = read_asset(
+                    lambda p: HairColorTable.from_dict(read_json_object(p)),
+                    cfg["hair_color_table"])
+            eye_params = EyeGeometryParams(**cfg.get("eye_geometry", {}))
+            levels = cfg.get("subdivision_levels", 3)
+            return cls(
+                root=root,
+                model=model,
+                gmm=gmm,
+                expressions=expressions,
+                textures=textures,
+                eye_colors=eye_colors,
+                grooms=grooms,
+                hdrs=read_assets(read_hdr, hdrs),
+                hair_colors=hair_colors,
+                pose=PoseDistribution(**cfg.get("pose", {})),
+                eyelid=EyelidCorrectionConfig(**cfg.get("eyelid", {})),
+                camera=CameraConfig(**cfg.get("camera", {})),
+                render=RenderConfig(**cfg.get("render", {})),
+                eye_params=eye_params,
+                topology=SceneTopology.compile(model, eye_params, grooms, levels),
+                subdivision_levels=levels,
+                **cfg.get("sampling", {}),
+            )
 
-        pose_cfg = cfg.get("pose", {})
-        pose = PoseDistribution(
-            joint_std=np.asarray(pose_cfg.get("joint_std", 0.1)),
-            global_rot_std=np.asarray(pose_cfg.get("global_rot_std", 0.1)),
-        )
-        lid_cfg = cfg.get("eyelid", {})
-        eyelid = EyelidCorrectionConfig(
-            raise_ids=tuple(lid_cfg.get("raise_ids", ())),
-            lower_ids=tuple(lid_cfg.get("lower_ids", ())),
-            gain=float(lid_cfg.get("gain", 1.0)),
-        )
-        cam_cfg = cfg.get("camera", {})
-        camera = CameraConfig(fov_deg=float(cam_cfg.get("fov_deg", 20.0)),
-                              framing_scale=float(cam_cfg.get("framing_scale", 1.4)))
-        rend_cfg = cfg.get("render", {})
-        render = RenderConfig(resolution=int(rend_cfg.get("resolution", 1024)),
-                              spp=int(rend_cfg.get("spp", 256)))
-        eye_cfg = cfg.get("eye_geometry", {})
-        eye_params = EyeGeometryParams(
-            sclera_radius=float(eye_cfg.get("sclera_radius", 0.012)),
-            cornea_radius=float(eye_cfg.get("cornea_radius", 0.0065)),
-            iris_flatten_depth=float(eye_cfg.get("iris_flatten_depth", 0.0035)),
-            pupil_radius=float(eye_cfg.get("pupil_radius", 0.002)),
-        )
-        sampling_cfg = cfg.get("sampling", {})
-        levels = int(cfg.get("subdivision_levels", 3))
-        return cls(
-            root=root,
-            model=model,
-            gmm=gmm,
-            expressions=expressions,
-            textures=textures,
-            eye_colors=eye_colors,
-            grooms=grooms,
-            hdrs=hdrs,
-            hair_colors=hair_colors,
-            pose=pose,
-            eyelid=eyelid,
-            camera=camera,
-            render=render,
-            eye_params=eye_params,
-            topology=SceneTopology.compile(model, eye_params, grooms, levels),
-            sigma=float(sampling_cfg.get("sigma", 0.8)),
-            sigma_mode=str(sampling_cfg.get("sigma_mode", "std")),
-            subdivision_levels=levels,
-        )
+
+# The library config: file paths relative to the config's directory, asset
+# ids and sampler settings.  model, gmm, expression_library, textures and
+# hdrs are required; any other key left out takes the default of the field
+# it sets.
+_CONFIG_SPEC = {
+    "model": str, "gmm": str, "expression_library": str, "hair_color_table": str,
+    "grooms": {style: [str] for style in HAIR_STYLES}, "hdrs": [str],
+    "textures": [str], "eye_colors": [str],
+    "pose": {"joint_std": (4, 3), "global_rot_std": (3,)},
+    "eyelid": {"raise_ids": [int], "lower_ids": [int], "gain": float},
+    "camera": {"fov_deg": float, "framing_scale": float},
+    "render": {"resolution": int, "spp": int},
+    "eye_geometry": dict.fromkeys(
+        ("sclera_radius", "cornea_radius", "iris_flatten_depth", "pupil_radius"), float),
+    "sampling": {"sigma": float, "sigma_mode": {"std", "var"}},
+    "subdivision_levels": int,
+}

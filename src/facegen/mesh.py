@@ -21,7 +21,6 @@ from .errors import (
     IsolatedVertex,
     NonFiniteInput,
     NonManifoldEdge,
-    TopologyMismatch,
     ZeroAreaFace,
 )
 
@@ -299,15 +298,6 @@ def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
     return off - sparse.identity(V, format="csr")
 
 
-def uniform_laplacian_apply(conn: MeshConnectivity, field: np.ndarray) -> np.ndarray:
-    """Apply the uniform Laplacian to a per-vertex field."""
-    field = np.asarray(field, dtype=np.float64)
-    if len(field) != conn.n_vertices:
-        raise TopologyMismatch(
-            f"field length {len(field)} != vertex count {conn.n_vertices}")
-    return uniform_laplacian_matrix(conn) @ field
-
-
 def edge_length_energy(vertices: np.ndarray, ref_lengths: np.ndarray,
                        incidence: sparse.spmatrix, incidence_t: sparse.spmatrix
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -325,15 +315,3 @@ def edge_length_energy(vertices: np.ndarray, ref_lengths: np.ndarray,
     safe = np.where(ln > 0, ln, 1.0)
     coeff = (2.0 * diff / safe)[..., None] * d
     return values, sparse_apply(incidence_t, coeff)
-
-
-def edge_length_energy_mesh(mesh: QuadMesh, reference: QuadMesh) -> tuple[float, np.ndarray]:
-    """edge_length_energy against the edge lengths of a reference mesh that
-    must share the topology."""
-    if mesh.quads.shape != reference.quads.shape or np.any(mesh.quads != reference.quads):
-        raise TopologyMismatch("meshes do not share quad topology")
-    D_t = signed_incidence(build_connectivity(mesh).edges, (1, -1), mesh.n_vertices)
-    value, grad = edge_length_energy(mesh.vertices,
-                                     np.linalg.norm(D_t.T @ reference.vertices, axis=1),
-                                     D_t.T, D_t)
-    return float(value), grad

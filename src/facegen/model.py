@@ -316,24 +316,6 @@ def _compose(skeleton: Skeleton, alpha: np.ndarray, R: np.ndarray
     return R_w, b_w, piv, b_loc
 
 
-@dataclass(frozen=True)
-class JointTransform:
-    name: str
-    rotation: np.ndarray     # (3, 3)
-    translation: np.ndarray  # (3,), transform acts as x -> R x + t
-    pivot: np.ndarray        # (3,), identity-adjusted pivot
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
-
-
-def joint_transforms(skeleton: Skeleton, alpha: np.ndarray, joint_angles: np.ndarray,
-                     check_limits: bool = True) -> list[JointTransform]:
-    """World transforms [R|t] for the 4 joints (parent chains composed)."""
-    R_w, b_w, piv = world_transforms(skeleton, alpha, joint_angles, check_limits)
-    return [JointTransform(JOINT_NAMES[j], R_w[j], b_w[j], piv[j]) for j in range(4)]
-
-
 def apply_pose(model: BlendshapeModel, alpha: np.ndarray, pose: Pose,
                unposed: np.ndarray, check_limits: bool = True) -> np.ndarray:
     """Linear-blend skinning followed by the global rigid transform."""

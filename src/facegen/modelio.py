@@ -44,13 +44,10 @@ def save_model(path, model: BlendshapeModel) -> None:
 
 
 def load_model(path) -> BlendshapeModel:
-    tensors, meta = load_container(path)
-    if meta.get("kind") != "blendshape_model":
-        raise DataError(f"{path} is not a blendshape model container")
-    if "version" not in meta:
-        raise DataError(f"{path}: model container missing mandatory version field")
-    if meta["version"] != MODEL_SCHEMA_VERSION:
-        raise DataError(f"{path}: unsupported model version {meta['version']}")
+    tensors, meta = load_container(path, "blendshape_model")
+    if meta.get("version") != MODEL_SCHEMA_VERSION:
+        raise DataError(f"{path}: model version {meta.get('version')!r} is not the "
+                        f"supported {MODEL_SCHEMA_VERSION}")
     template = QuadMesh(
         tensors["template_vertices"],
         tensors["template_quads"].astype(np.int64),

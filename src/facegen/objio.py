@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, naming
 from .mesh import QuadMesh
 
 
@@ -95,10 +95,9 @@ def parse_obj(text: str) -> QuadMesh:
 
 def load_obj(path) -> QuadMesh:
     """parse_obj of a file; every DataError it raises names the file."""
-    try:
-        return parse_obj(Path(path).read_text())
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text") from e
-    except DataError as e:
-        e.args = (f"{path}: {e}",)
-        raise
+    with naming(path):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError("not UTF-8 text") from e
+        return parse_obj(text)

@@ -121,7 +121,7 @@ def save_pca(path, model: PcaModel) -> None:
 
 
 def load_pca(path) -> PcaModel:
-    tensors, meta = load_container(path)
+    tensors, meta = load_container(path, "pca")
     return PcaModel(
         mean=tensors["mean"],
         components=tensors["components"],

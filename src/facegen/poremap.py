@@ -82,15 +82,20 @@ def read_pgm(path) -> np.ndarray:
             raise DataError(f"{path}: truncated PGM header")
         tokens.append(raw[start:pos])
     magic = tokens[0]
+    if magic not in (b"P5", b"P2"):
+        raise DataError(f"{path}: unsupported PGM magic {magic!r}")
+    if not all(t.isdigit() for t in tokens[1:]) or int(tokens[3]) < 1:
+        raise DataError(f"{path}: PGM header needs integer width, height and maxval >= 1")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if magic == b"P5":
         pos += 1   # single whitespace after maxval
-        if maxval > 255:
-            arr = np.frombuffer(raw, dtype=">u2", count=w * h, offset=pos)
-        else:
-            arr = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
-    elif magic == b"P2":
-        arr = np.array(raw[pos:].split(), dtype=np.float64)[:w * h]
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        if len(raw) - pos < w * h * dtype.itemsize:
+            raise DataError(f"{path}: PGM body holds fewer than {w}x{h} samples")
+        arr = np.frombuffer(raw, dtype=dtype, count=w * h, offset=pos)
     else:
-        raise DataError(f"{path}: unsupported PGM magic {magic!r}")
+        samples = raw[pos:].split()[:w * h]
+        if len(samples) < w * h or not all(t.isdigit() for t in samples):
+            raise DataError(f"{path}: PGM body holds fewer than {w}x{h} integer samples")
+        arr = np.array(samples, dtype=np.float64)
     return arr.astype(np.float64).reshape(h, w) / maxval

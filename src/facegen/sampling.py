@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import decode_json
 from .errors import (
     EmptyLibrary,
     EmptyTable,
@@ -38,12 +39,6 @@ def split_seed(seed: int, stream: int) -> int:
     return (int(seed) ^ _splitmix64(int(stream))) & _MASK64
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 # ---------------------------------------------------------------------------
 # expression library
 # ---------------------------------------------------------------------------
@@ -53,7 +48,6 @@ class ExpressionLibrary:
     """Captured expression coefficients, one row per entry, all in [0, 1]."""
 
     betas: np.ndarray                # (n, 51)
-    tags: tuple[str, ...] = ()
     source: str = ""
 
     def __post_init__(self):
@@ -63,8 +57,6 @@ class ExpressionLibrary:
         if b.size and (b.min() < 0.0 or b.max() > 1.0):
             raise InvalidParam("expression coefficients must lie in [0, 1]")
         object.__setattr__(self, "betas", b)
-        if self.tags and len(self.tags) != len(b):
-            raise InvalidParam("one tag per entry required")
 
     def __len__(self) -> int:
         return len(self.betas)
@@ -74,7 +66,7 @@ def sample_expression(library: ExpressionLibrary, rng=None) -> np.ndarray:
     """Uniform draw from the library; returns a copy of the row."""
     if len(library) == 0:
         raise EmptyLibrary("expression library is empty")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     idx = int(rng.integers(len(library)))
     return library.betas[idx].copy()
 
@@ -118,7 +110,7 @@ def sample_pose(skeleton: Skeleton, config: PoseDistribution | None = None,
                 rng=None) -> Pose:
     """Truncated-normal joint and global rotations within physical limits."""
     config = config or PoseDistribution()
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     lo = skeleton.limits[..., 0]
     hi = skeleton.limits[..., 1]
     joint = _truncated_normal(rng, config.joint_std, lo, hi)
@@ -171,8 +163,8 @@ class HairColor:
             if not 0.0 <= v <= 1.0:
                 raise InvalidParam(f"{name}={v} outside [0, 1]")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.melanin, self.pheomelanin, self.grayness)
+
+_TABLE_FIELDS = ("weight", "melanin", "pheomelanin", "grayness")
 
 
 @dataclass(frozen=True)
@@ -221,13 +213,14 @@ class HairColorTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HairColorTable":
-        entries = d.get("entries")
+        """The table of a `to_dict` object; a malformed one is a DataError
+        naming the offending key."""
+        spec = {"entries": [dict.fromkeys(_TABLE_FIELDS, float)]}
+        entries = decode_json(d, spec)["entries"]
         if not entries:
             raise EmptyTable("hair color table config has no entries")
-        w = np.array([e["weight"] for e in entries], dtype=np.float64)
-        t = np.array([[e["melanin"], e["pheomelanin"], e["grayness"]]
-                      for e in entries], dtype=np.float64)
-        return cls(w, t)
+        rows = np.array([[e[k] for k in _TABLE_FIELDS] for e in entries])
+        return cls(rows[:, 0], rows[:, 1:])
 
     def to_dict(self) -> dict:
         return {"entries": [
@@ -240,7 +233,7 @@ class HairColorTable:
 def sample_hair_color(table: HairColorTable, rng=None,
                       jitter: float = 0.02) -> HairColor:
     """Categorical draw plus small uniform jitter, clamped to [0, 1]^3."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     idx = int(rng.choice(len(table.weights), p=table.weights))
     trip = table.triples[idx].copy()
     if jitter > 0:

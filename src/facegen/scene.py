@@ -317,7 +317,9 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
     neck_t = b_w[0] @ R_g.T + t_g
     for style, choice in scene.grooms.items():
         pool = topo.flipped_grooms if choice.flip else library.grooms
-        g = pool[style][choice.groom_id]
+        g = pool.get(style, {}).get(choice.groom_id)
+        if g is None:
+            raise DataError(f"{style} groom {choice.groom_id!r} is not in the library")
         grooms[style] = Groom.from_ragged(g.points @ neck_R.T + neck_t, g.offsets,
                                           g.root_uv, style=g.style)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from .errors import InvalidParam
 from .mesh import MeshConnectivity, QuadMesh, build_connectivity
 
 
@@ -41,7 +42,7 @@ def catmull_clark_stencil(mesh: QuadMesh, levels: int
     mesh has none).  The vertex positions of `mesh` are not used.
     """
     if levels < 0:
-        raise ValueError("levels must be >= 0")
+        raise InvalidParam(f"subdivision levels must be >= 0, got {levels}")
     stencil = sparse.identity(mesh.n_vertices, format="csr")
     quads, uvs = mesh.quads, mesh.uvs
     level_mesh = mesh

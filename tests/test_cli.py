@@ -1,12 +1,17 @@
+import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facegen.cli import _NEAREST_BLOCK, _nearest_distances, cli_main
+from facegen import cli
+from facegen.cli import _FIT_CONFIG_SPEC, _NEAREST_BLOCK, _nearest_distances, cli_main
 from facegen.container import save_container
+from facegen.hair import encode_groom, load_groom, save_hair_code
+from facegen.learning import FitSchedule
 from facegen.objio import load_obj, save_obj
 from facegen.poremap import read_pgm
 from facegen.procedural import quad_grid, smooth_vertex_fields
@@ -37,6 +42,10 @@ class TestBasics:
 
     def test_no_command_is_usage_error(self):
         assert cli_main([]) == 1
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert cli_main(["--seed", "-1", "--out", str(tmp_path), "demo-assets"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["subdivide", "--bogus"]) == 1
@@ -303,7 +312,7 @@ class TestFitCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["trajectory"][-1] < report["trajectory"][0]
 
-    def test_unknown_config_key_is_data_error(self, tmp_path, rng):
+    def test_unknown_config_key_is_data_error(self, tmp_path, rng, capsys):
         grid = quad_grid(2, 2)
         scans_dir = tmp_path / "scans"
         scans_dir.mkdir()
@@ -313,7 +322,14 @@ class TestFitCommand:
         cfg.write_text(json.dumps({"weights": {"w_bogus": 1.0}}))
         rc = cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                        "fit", "--scans", str(scans_dir), "--basis-size", "2"])
+        err = capsys.readouterr().err
         assert rc == 2
+        assert str(cfg) in err
+        assert "Traceback" not in err
+
+    def test_config_schedule_keys_are_the_schedule_fields(self):
+        fields = {f.name for f in dataclasses.fields(FitSchedule)}
+        assert _FIT_CONFIG_SPEC["schedule"].keys() == fields
 
     def test_diverged_fit_exits_numeric(self, tmp_path, rng):
         grid = quad_grid(3, 4, spacing=0.05)
@@ -338,3 +354,200 @@ class TestFitCommand:
         assert err
         record = json.loads(err[-1])
         assert record["level"] == "info"
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2, the offending input named, no traceback
+# ---------------------------------------------------------------------------
+
+def _edit_json(path: Path, edit) -> None:
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _sample(lib: Path, config: str = "library.json") -> list[str]:
+    return ["--out", str(lib.parent / "out"), "sample", "--library", str(lib / config)]
+
+
+def _config_case(edit):
+    """`sample` on the demo library after `edit` of its library.json."""
+    def case(lib, monkeypatch):
+        _edit_json(lib / "library.json", edit)
+        return _sample(lib), lib / "library.json"
+    return case
+
+
+def _section_key(section, key, value):
+    return _config_case(lambda c: c.setdefault(section, {}).update({key: value}))
+
+
+def _without_tensor(container, tensor, argv=_sample):
+    """`argv(lib)` after the tensor entry `tensor` is cut from `container`."""
+    def case(lib, monkeypatch):
+        def cut(manifest):
+            manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != tensor]
+        _edit_json(lib / container, cut)
+        return argv(lib), lib / container
+    return case
+
+
+def _decode_hair(lib: Path) -> list[str]:
+    return ["--out", str(lib.parent / "d.json"), "decode-hair",
+            "--code", str(lib / "code.json"), "--count", "4"]
+
+
+def _hair_code(lib, monkeypatch):
+    save_hair_code(lib / "code.json",
+                   encode_groom(load_groom(lib / "groom_scalp_0.json"), R=8, G=8))
+    return _without_tensor("code.json", "flow_volume", _decode_hair)(lib, monkeypatch)
+
+
+def _hair_code_bbox(lib, monkeypatch):
+    code = encode_groom(load_groom(lib / "groom_scalp_0.json"), R=8, G=8)
+    save_container(lib / "code.json", {
+        "density_map": code.density_map, "length_map": code.length_map,
+        "flow_volume": code.flow_volume, "bbox": np.zeros(5),
+        "root_points": code.root_points}, metadata={"kind": "hair_code"})
+    return _decode_hair(lib), lib / "code.json"
+
+
+def _scans_of_two_sizes(lib, monkeypatch):
+    scans = lib.parent / "scans"
+    scans.mkdir()
+    grid = quad_grid(2, 2)
+    save_obj(scans / "s0.obj", grid)
+    save_obj(scans / "s1.obj", QuadMesh(np.vstack([grid.vertices, [[9.0, 9.0, 9.0]]]),
+                                        grid.quads))
+    return ["--out", str(lib.parent / "fitted"), "fit", "--scans", str(scans),
+            "--basis-size", "1"], scans
+
+
+def _pgm(body: bytes):
+    """`pore-map` on a PGM file holding `body`."""
+    def case(lib, monkeypatch):
+        path = lib.parent / "tex.pgm"
+        path.write_bytes(body)
+        return ["--out", str(lib.parent / "pore.pgm"), "pore-map",
+                "--texture", str(path), "--sigma", "1.0"], path
+    return case
+
+
+def _fit(config=None, basis_size="2"):
+    """`fit` on two flat grids, with `config` as --config when given."""
+    def case(lib, monkeypatch):
+        scans = lib.parent / "scans"
+        scans.mkdir()
+        for i in range(2):
+            save_obj(scans / f"s{i}.obj", quad_grid(2, 2))
+        argv = ["--out", str(lib.parent / "fitted"), "fit", "--scans", str(scans),
+                "--basis-size", basis_size]
+        if config is None:
+            return argv, f"m={basis_size}"
+        path = lib.parent / "fit.json"
+        path.write_text(json.dumps(config))
+        return ["--config", str(path)] + argv, path
+    return case
+
+
+def _export(edit):
+    """`export` of a sampled scene after `edit` of its scene.json."""
+    def case(lib, monkeypatch):
+        assert cli_main(["--out", str(lib.parent / "s"), "sample", "--library",
+                         str(lib / "library.json")]) == 0
+        scene = lib.parent / "s" / "scene_0000" / "scene.json"
+        _edit_json(scene, edit)
+        return ["--out", str(lib.parent / "e"), "export", "--library",
+                str(lib / "library.json"), "--scene", str(scene)], scene
+    return case
+
+
+def _threads(lib, monkeypatch):
+    monkeypatch.setenv("FACEGEN_THREADS", "two")
+    return _sample(lib), "FACEGEN_THREADS"
+
+
+def _not_utf8(lib, monkeypatch):
+    (lib / "gmm.json").write_bytes(b"\xff\xfe" + (lib / "gmm.json").read_bytes())
+    return _sample(lib), lib / "gmm.json"
+
+
+def _not_object(lib, monkeypatch):
+    (lib / "library.json").write_text("[1, 2]\n")
+    return _sample(lib), lib / "library.json"
+
+
+def _hair_color_entry(lib, monkeypatch):
+    _edit_json(lib / "haircolor.json", lambda t: t["entries"][0].pop("melanin"))
+    return _sample(lib), lib / "haircolor.json"
+
+
+def _manifest_as_library(lib, monkeypatch):
+    return _sample(lib, "model.json"), lib / "model.json"
+
+
+def _negative_levels(lib, monkeypatch):
+    from facegen.procedural import cube_mesh
+    save_obj(lib.parent / "cube.obj", cube_mesh())
+    return ["--out", str(lib.parent / "sub.obj"), "subdivide",
+            "--mesh", str(lib.parent / "cube.obj"), "--levels", "-1"], "got -1"
+
+
+MALFORMED = {
+    "config_not_object": _not_object,
+    "config_without_model": _config_case(lambda c: c.pop("model")),
+    "config_without_gmm": _config_case(lambda c: c.pop("gmm")),
+    "config_without_expressions": _config_case(lambda c: c.pop("expression_library")),
+    "groom_entry_not_string": _config_case(lambda c: c["grooms"].update(scalp=[3])),
+    "camera_typo": _config_case(lambda c: c.update(camera={"fovdeg": 5})),
+    **{f"unknown_{s}_key": _section_key(s, "bogus", 1) for s in
+       ("pose", "eyelid", "camera", "render", "eye_geometry", "sampling")},
+    "fov_not_number": _section_key("camera", "fov_deg", "wide"),
+    "fov_beyond_float": _section_key("camera", "fov_deg", 10 ** 400),
+    "joint_std_bad_shape": _section_key("pose", "joint_std", [1, 2]),
+    "levels_not_integer": _config_case(lambda c: c.update(subdivision_levels="x")),
+    "hair_color_entry_lacks_field": _hair_color_entry,
+    "manifest_as_library": _manifest_as_library,
+    "model_without_skinning_weights": _without_tensor("model.json", "skinning_weights"),
+    "gmm_without_weights": _without_tensor("gmm.json", "weights"),
+    "hair_code_without_flow": _hair_code,
+    "hair_code_bbox_of_5": _hair_code_bbox,
+    "scans_of_two_vertex_counts": _scans_of_two_sizes,
+    "expressions_of_wrong_kind": _config_case(
+        lambda c: c.update(expression_library="gmm.json")),
+    "manifest_not_utf8": _not_utf8,
+    "negative_subdivision_levels": _negative_levels,
+    "basis_size_zero": _fit(basis_size="0"),
+    "pgm_width_not_integer": _pgm(b"P5\nx 2\n255\n" + bytes(4)),
+    "pgm_maxval_not_integer": _pgm(b"P5\n2 2\n2.5\n" + bytes(4)),
+    "pgm_body_short": _pgm(b"P5\n2 2\n255\n" + bytes(3)),
+    "pgm_ascii_body_short": _pgm(b"P2\n2 2\n255\n1 2 3\n"),
+    "threads_env_not_integer": _threads,
+    "fit_config_unknown_schedule_key": _fit({"schedule": {"iters": 3}}),
+    "fit_config_unknown_init": _fit({"schedule": {"init": "zeros"}}),
+    "fit_config_zero_iterations": _fit({"schedule": {"iterations": 0}}),
+    "fit_config_negative_seed": _fit({"seed": -1}),
+    "scene_schema_failure": _export(lambda d: d.pop("hdr_id")),
+    "scene_unknown_groom": _export(lambda d: d["grooms"]["scalp"].update(id="nope")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_naming_it(demo_lib, tmp_path, capsys, monkeypatch, case):
+    lib = tmp_path / "lib"
+    shutil.copytree(demo_lib.parent, lib)
+    argv, offending = case(lib, monkeypatch)
+    capsys.readouterr()
+    rc = cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert str(offending) in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def test_builtin_exception_from_a_bug_propagates(monkeypatch, tmp_path):
+    def buggy(args):
+        raise KeyError("a bug, not bad input")
+    monkeypatch.setitem(cli._COMMANDS, "demo-assets", buggy)
+    with pytest.raises(KeyError, match="a bug"):
+        cli_main(["--out", str(tmp_path), "demo-assets"])

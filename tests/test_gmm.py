@@ -46,7 +46,7 @@ class TestFitGmm:
         from scipy.special import logsumexp
         data = two_cluster_data(rng, n=100)
         gmm = fit_gmm(data, K=2, seed=3)
-        log_joint = gmm._log_joint(data)
+        log_joint = fgmm._log_joint(data, gmm.weights, gmm.means, gmm._chols).T
         resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
         assert np.abs(resp.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -128,8 +128,9 @@ class TestBatchedEmMatchesReference:
     def test_log_joint_matches_reference(self, rng):
         data = two_cluster_data(rng, n=100, d=4)
         gmm = fit_gmm(data, K=3, seed=4)
-        _assert_close(gmm._log_joint(data), log_joint_reference(gmm, data), 1e-13)
-        _assert_close(gmm._log_joint(data[0]), log_joint_reference(gmm, data[0]), 1e-13)
+        for x in (data, data[0]):
+            log_joint = fgmm._log_joint(x, gmm.weights, gmm.means, gmm._chols).T
+            _assert_close(log_joint, log_joint_reference(gmm, x), 1e-13)
 
 
 class TestEmReseed:

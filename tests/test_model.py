@@ -13,7 +13,6 @@ from facegen.model import (
     evaluate_vertices,
     evaluate_with_jacobian,
     euler_xyz,
-    joint_transforms,
     lbs_adjoint,
     lbs_apply,
     param_layout,
@@ -96,34 +95,33 @@ class TestEvaluateUnposed:
 
 class TestJointTransforms:
     def test_rest_pose_identity_at_template_pivots(self, model):
-        ts = joint_transforms(model.skeleton, np.zeros(3), np.zeros((4, 3)))
-        for i, t in enumerate(ts):
-            assert np.array_equal(t.rotation, np.eye(3))
-            assert np.allclose(t.translation, 0.0, atol=1e-15)
-            assert np.array_equal(t.pivot, model.skeleton.t0[i])
+        R_w, b_w, piv = world_transforms(model.skeleton, np.zeros(3), np.zeros((4, 3)))
+        assert np.array_equal(R_w, np.broadcast_to(np.eye(3), (4, 3, 3)))
+        assert np.allclose(b_w, 0.0, atol=1e-15)
+        assert np.array_equal(piv, model.skeleton.t0)
 
     def test_neck_rotation_moves_children_rigidly(self, model):
         ang = np.zeros((4, 3))
         ang[0, 1] = 0.3   # neck yaw
-        ts = joint_transforms(model.skeleton, np.zeros(3), ang)
+        R_w, b_w, _ = world_transforms(model.skeleton, np.zeros(3), ang)
         R = euler_xyz(ang[0])
         neck_piv = model.skeleton.t0[0]
         for child in (1, 2, 3):
             piv = model.skeleton.t0[child]
             expect = (piv - neck_piv) @ R.T + neck_piv
-            assert np.allclose(ts[child].apply(piv[None])[0], expect, atol=1e-12)
+            assert np.allclose(R_w[child] @ piv + b_w[child], expect, atol=1e-12)
 
     def test_identity_dependent_pivot(self, model, rng):
         alpha = rng.standard_normal(3)
-        ts = joint_transforms(model.skeleton, alpha, np.zeros((4, 3)))
+        _, _, piv = world_transforms(model.skeleton, alpha, np.zeros((4, 3)))
         expect = model.skeleton.t0 + np.einsum("jkm,m->jk", model.skeleton.a, alpha)
-        assert np.allclose([t.pivot for t in ts], expect, atol=1e-15)
+        assert np.allclose(piv, expect, atol=1e-15)
 
     def test_limit_violation_reports_joint_axis(self, model):
         ang = np.zeros((4, 3))
         ang[1, 0] = 3.0
         with pytest.raises(PoseLimitViolation) as exc:
-            joint_transforms(model.skeleton, np.zeros(3), ang)
+            world_transforms(model.skeleton, np.zeros(3), ang)
         assert exc.value.joint == "jaw"
         assert exc.value.axis == 0
 

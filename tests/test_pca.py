@@ -113,3 +113,15 @@ class TestValidationAndIo:
         assert np.array_equal(model.mean, again.mean)
         assert np.array_equal(model.components, again.components)
         assert again.preprocessing == "log1p"
+
+    def test_container_of_another_kind_rejected(self, rng, tmp_path):
+        from facegen.container import save_container
+        from facegen.errors import DataError
+        model = fit_pca(rng.standard_normal((10, 6)), k=3)
+        save_container(tmp_path / "gmm.json", {
+            "mean": model.mean, "components": model.components,
+            "variances": model.variances,
+            "explained_variance_ratio": model.explained_variance_ratio,
+        }, metadata={"kind": "gmm"})
+        with pytest.raises(DataError, match="gmm.json.*'gmm' is not 'pca'"):
+            load_pca(tmp_path / "gmm.json")

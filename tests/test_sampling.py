@@ -131,7 +131,7 @@ class TestHairColor:
     def test_single_entry_zero_jitter(self):
         table = HairColorTable(np.array([1.0]), np.array([[0.2, 0.3, 0.4]]))
         c = sample_hair_color(table, rng=0, jitter=0.0)
-        assert c.as_tuple() == (0.2, 0.3, 0.4)
+        assert (c.melanin, c.pheomelanin, c.grayness) == (0.2, 0.3, 0.4)
 
     def test_outputs_in_unit_cube(self):
         table = HairColorTable(np.array([1.0]), np.array([[0.0, 1.0, 0.01]]))

@@ -178,3 +178,9 @@ def test_three_levels_cube_runtime():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     assert sub.n_quads == 6 * 4 ** 3
+
+
+def test_negative_levels_are_invalid_param():
+    from facegen.errors import InvalidParam
+    with pytest.raises(InvalidParam, match="got -1"):
+        catmull_clark_stencil(cube_mesh(), -1)
