@@ -151,12 +151,11 @@ class HairCode:
         if bbox.size != 6:
             raise DimensionMismatch(f"bbox must hold 2 x 3 numbers, got {bbox.shape}")
         bbox = bbox.reshape(2, 3)
-        R = den.shape[0]
-        G = flow.shape[0]
-        if den.shape != (R, R) or ln.shape != (R, R):
+        if den.ndim != 2 or den.shape != (len(den),) * 2 or ln.shape != den.shape:
             raise DimensionMismatch("density/length maps must be square and equal size")
-        if flow.shape != (G, G, G, 3):
+        if flow.ndim != 4 or flow.shape != (len(flow),) * 3 + (3,):
             raise DimensionMismatch(f"flow volume must be (G, G, G, 3), got {flow.shape}")
+        R = len(den)
         if np.any(den < 0) or np.any(ln < 0):
             raise InvalidParam("density and length maps must be nonnegative")
         norms = np.linalg.norm(flow, axis=3)

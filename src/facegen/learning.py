@@ -33,16 +33,16 @@ from .mesh import (
     FaceOperators,
     QuadMesh,
     build_connectivity,
+    cross3,
+    dot3,
     edge_length_energy,
     normals_forward,
     signed_incidence,
-    sparse_apply,
     uniform_laplacian_matrix,
     vertex_normals,
 )
 from .model import (
     BlendshapeModel,
-    ModelParams,
     evaluate_unposed,
     euler_xyz,
     euler_xyz_grad,
@@ -144,16 +144,17 @@ def barrier4(x, lo, hi):
 @dataclass(frozen=True)
 class LossContext:
     """Everything the loss needs that depends only on the scans and the
-    base template; `build` makes it once per fit."""
+    base template; `build` makes it once per fit.  Per-scan arrays are
+    vertex-major, (V, 3, N), in canonical scan order."""
 
     faces: FaceOperators              # normal forward/adjoint operators
     incidence: sparse.csr_matrix      # (E, V) vertices to edge vectors
-    incidence_t: sparse.csc_matrix    # its transpose
     laplacian: sparse.csr_matrix      # (V, V) uniform Laplacian L
     lap_gram: sparse.csr_matrix       # L^T L
     order: np.ndarray                 # canonical (sorted-id) scan order
     inv_order: np.ndarray             # its inverse permutation
-    target_normals: np.ndarray        # (N, V, 3) scan normals, canonical order
+    targets: np.ndarray               # (V, 3, N) scan vertices
+    target_normals: np.ndarray        # (V, 3, N) scan normals
     ref_edge_lengths: np.ndarray      # (E,) template edge lengths
 
     @classmethod
@@ -162,50 +163,50 @@ class LossContext:
         if base.template.n_vertices != V:
             raise DimensionMismatch("base template does not match scan vertex count")
         conn = build_connectivity(QuadMesh(base.template.vertices, scans.quads))
-        incidence_t = signed_incidence(conn.edges, (1, -1), V)
+        incidence = signed_incidence(conn.edges, (1, -1), V).T
         laplacian = uniform_laplacian_matrix(conn)
         order = np.argsort(np.asarray(scans.ids))
         faces = FaceOperators.build(scans.quads, V)
+        targets = np.ascontiguousarray(scans.vertices[order].transpose(1, 2, 0))
         return cls(
             faces=faces,
-            incidence=incidence_t.T,
-            incidence_t=incidence_t,
+            incidence=incidence,
             laplacian=laplacian,
             lap_gram=(laplacian.T @ laplacian).tocsr(),
             order=order,
             inv_order=np.argsort(order),
-            target_normals=vertex_normals(scans.vertices[order], faces),
-            ref_edge_lengths=np.linalg.norm(incidence_t.T @ base.template.vertices, axis=1),
+            targets=targets,
+            target_normals=vertex_normals(targets, faces),
+            ref_edge_lengths=np.linalg.norm(incidence @ base.template.vertices, axis=1),
         )
 
 
 def _data_term(y: np.ndarray, targets: np.ndarray, target_normals: np.ndarray,
                faces: FaceOperators, w_vertex: float, w_normal: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex and normal data terms of (N, V, 3) positions y.
+    """Vertex and normal data terms of vertex-major (V, 3, *batch) positions y.
 
-    Returns (per-scan mean ||y - t||^2 (N,), per-scan mean (1 - cos angle)
-    between generated and target normals (N,), gradient of the weighted
-    sum of both w.r.t. y).  Degenerate faces and zero-normal vertices
-    contribute value 1 with zero gradient.
+    Returns (per-mesh mean ||y - t||^2 (*batch), per-mesh mean (1 - cos
+    angle) between generated and target normals (*batch), gradient of the
+    weighted sum of both w.r.t. y).  Degenerate faces and zero-normal
+    vertices contribute value 1 with zero gradient.
     """
-    V = y.shape[-2]
+    V = len(y)
     diff = y - targets
-    vert_vals = np.einsum("nva,nva->n", diff, diff) / V
-    fwd = normals_forward(y, faces.quads, faces.accum)
+    vert_vals = np.einsum("va...,va...->...", diff, diff) / V
+    fwd = normals_forward(y, faces)
     n, nhat = fwd.vertex, fwd.face
-    norm_vals = 1.0 - np.einsum("nva,nva->nv", n, target_normals).mean(axis=1)
+    norm_vals = 1.0 - dot3(n, target_normals).mean(axis=0)
 
     # adjoint of the normals: d/dn of sum_v (1 - n.c)/V is -c/V
     g_n = -target_normals / V
-    g_m = (g_n - n * np.einsum("nva,nva->nv", n, g_n)[..., None]) \
-        * fwd.vertex_inv[..., None]
-    g_nhat = sparse_apply(faces.accum_t, g_m)
-    g_u = (g_nhat - nhat * np.einsum("nfa,nfa->nf", nhat, g_nhat)[..., None]) \
-        * fwd.face_inv[..., None]
-    g_normal = (sparse_apply(faces.diag_p, np.cross(fwd.r, g_u))
-                + sparse_apply(faces.diag_r, np.cross(g_u, fwd.p)))
-    return vert_vals, norm_vals, w_vertex * (2.0 / V) * diff + w_normal * g_normal
+    g_m = (g_n - n * dot3(n, g_n)[:, None]) * fwd.vertex_inv[:, None]
+    g_nhat = (faces.accum.T @ g_m.reshape(V, -1)).reshape(nhat.shape)
+    g_u = (g_nhat - nhat * dot3(nhat, g_nhat)[:, None]) * fwd.face_inv[:, None]
+    g_normal = (faces.diag_p.T @ cross3(fwd.r, g_u).reshape(len(g_u), -1)
+                + faces.diag_r.T @ cross3(g_u, fwd.p).reshape(len(g_u), -1))
+    return (vert_vals, norm_vals,
+            w_vertex * (2.0 / V) * diff + w_normal * g_normal.reshape(y.shape))
 
 
 def data_term(generated: np.ndarray, target: QuadMesh,
@@ -220,10 +221,11 @@ def data_term(generated: np.ndarray, target: QuadMesh,
     if generated.shape != target.vertices.shape:
         raise TopologyMismatch(
             f"generated {generated.shape} vs target {target.vertices.shape}")
+    faces = FaceOperators.build(target.quads, target.n_vertices)
     vert_vals, norm_vals, grad = _data_term(
-        generated[None], target.vertices[None], vertex_normals(target)[None],
-        FaceOperators.build(target.quads, target.n_vertices), w_vertex, w_normal)
-    return w_vertex * float(vert_vals[0]) + w_normal * float(norm_vals[0]), grad[0]
+        generated, target.vertices, vertex_normals(target.vertices, faces), faces,
+        w_vertex, w_normal)
+    return w_vertex * float(vert_vals) + w_normal * float(norm_vals), grad
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +247,6 @@ class ThetaBlocks:
         return cls(np.zeros((n, m)), np.zeros((n, n_expr)),
                    np.zeros((n, 4, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
 
-    @classmethod
-    def from_params(cls, thetas: list[ModelParams]) -> "ThetaBlocks":
-        return cls(np.stack([t.alpha for t in thetas]),
-                   np.stack([t.beta for t in thetas]),
-                   np.stack([t.gamma.joint_angles for t in thetas]),
-                   np.stack([t.gamma.global_rot for t in thetas]),
-                   np.stack([t.gamma.global_trans for t in thetas]))
-
     def as_dict(self) -> dict[str, np.ndarray]:
         return {"alpha": self.alpha, "beta": self.beta,
                 "joint_angles": self.joint_angles,
@@ -267,7 +261,7 @@ class LossResult:
     scan_vertex_ms: np.ndarray     # (N,) mean squared vertex distance per scan
 
 
-def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
+def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
                scans: ScanSet, weights: LossWeights,
                base: BlendshapeModel, ctx: LossContext | None = None) -> LossResult:
     """Full learning loss and analytic gradients for every parameter block.
@@ -276,8 +270,6 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     weights (all held fixed); `phi` is the identity basis being learned.
     `ctx` is `LossContext.build(scans, base)`, built here when not given.
     """
-    if isinstance(thetas, list):
-        thetas = ThetaBlocks.from_params(thetas)
     phi = np.asarray(phi, dtype=np.float64)
     N = scans.n_scans
     V = scans.n_vertices
@@ -289,7 +281,7 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
             f"alpha blocks {thetas.alpha.shape} inconsistent with (N={N}, m={m})")
     if ctx is None:
         ctx = LossContext.build(scans, base)
-    elif ctx.target_normals.shape != scans.vertices.shape:
+    elif ctx.targets.shape != (V, 3, N):
         raise DimensionMismatch("loss context was built for a different scan set")
 
     # canonical scan order: every reduction below runs in sorted-id order
@@ -299,7 +291,6 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     joint_angles = thetas.joint_angles[order]
     global_rot = thetas.global_rot[order]
     global_trans = thetas.global_trans[order]
-    targets = scans.vertices[order]
 
     model = replace(base, identity_basis=phi)
     w = base.skinning_weights
@@ -312,16 +303,19 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
     R_g = euler_xyz(global_rot)
     dR_g = euler_xyz_grad(global_rot)
     y = v_out @ np.swapaxes(R_g, 1, 2) + global_trans[:, None, :]
+    # the mesh terms run on one vertex-major (V, 3, N) copy
+    y_vm = np.ascontiguousarray(y.transpose(1, 2, 0))
 
     # data terms
     vert_vals, norm_vals, data_grad_y = _data_term(
-        y, targets, ctx.target_normals, ctx.faces, weights.w_vertex, weights.w_normal)
+        y_vm, ctx.targets, ctx.target_normals, ctx.faces,
+        weights.w_vertex, weights.w_normal)
     term_vertex = weights.w_vertex * float(vert_vals.sum())
     term_normal = weights.w_normal * float(norm_vals.sum())
 
     # edge-degeneracy term against template edge lengths
-    edge_vals, edge_grad_y = edge_length_energy(y, ctx.ref_edge_lengths,
-                                                ctx.incidence, ctx.incidence_t)
+    edge_vals, edge_grad_y = edge_length_energy(y_vm, ctx.ref_edge_lengths,
+                                                ctx.incidence)
     term_edge = weights.w_edge * float(edge_vals.sum())
 
     # barriers
@@ -342,7 +336,8 @@ def total_loss(thetas: ThetaBlocks | list[ModelParams], phi: np.ndarray,
              + term_id_coeff + term_id_basis + term_lap + term_edge)
 
     # ---- backward ----------------------------------------------------
-    dLdy = data_grad_y + weights.w_edge * edge_grad_y
+    dLdy = np.ascontiguousarray(
+        (data_grad_y + weights.w_edge * edge_grad_y).transpose(2, 0, 1))
 
     g_gtrans = dLdy.sum(axis=1)
     M_g = np.swapaxes(dLdy, 1, 2) @ v_out

@@ -178,6 +178,12 @@ class AssetLibrary:
                 hair_colors = read_asset(
                     lambda p: HairColorTable.from_dict(read_json_object(p)),
                     cfg["hair_color_table"])
+            eyelid = EyelidCorrectionConfig(**cfg.get("eyelid", {}))
+            for key in ("raise_ids", "lower_ids"):
+                bad = [i for i in getattr(eyelid, key) if not 0 <= i < model.n_expression]
+                if bad:
+                    raise DataError(f"$.eyelid.{key} holds {bad}, outside the model's "
+                                    f"expression range [0, {model.n_expression})")
             eye_params = EyeGeometryParams(**cfg.get("eye_geometry", {}))
             levels = cfg.get("subdivision_levels", 3)
             return cls(
@@ -191,7 +197,7 @@ class AssetLibrary:
                 hdrs=read_assets(read_hdr, hdrs),
                 hair_colors=hair_colors,
                 pose=PoseDistribution(**cfg.get("pose", {})),
-                eyelid=EyelidCorrectionConfig(**cfg.get("eyelid", {})),
+                eyelid=eyelid,
                 camera=CameraConfig(**cfg.get("camera", {})),
                 render=RenderConfig(**cfg.get("render", {})),
                 eye_params=eye_params,

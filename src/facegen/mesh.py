@@ -8,7 +8,6 @@ so concurrent evaluation is safe.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -188,17 +187,6 @@ def build_connectivity(mesh: QuadMesh) -> MeshConnectivity:
     )
 
 
-def sparse_apply(A: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
-    """A @ x along axis -2 of x: (..., K, C) -> (..., A.shape[0], C), returned
-    C-contiguous (arithmetic with a transposed layout would propagate it to
-    the learner's einsums, which run several times slower on it)."""
-    *lead, K, C = x.shape
-    B = math.prod(lead)
-    out = A @ x.reshape(B, K, C).transpose(1, 0, 2).reshape(K, B * C)
-    out = np.ascontiguousarray(out.reshape(A.shape[0], B, C).transpose(1, 0, 2))
-    return out.reshape(*lead, A.shape[0], C)
-
-
 def signed_incidence(index: np.ndarray, signs, n_vertices: int) -> sparse.csc_matrix:
     """(V, K) matrix whose column k holds signs[c] in row index[k, c]: it
     scatters per-element values onto vertices, and its transpose gathers
@@ -212,72 +200,81 @@ def signed_incidence(index: np.ndarray, signs, n_vertices: int) -> sparse.csc_ma
 
 @dataclass(frozen=True)
 class FaceOperators:
-    """Sparse maps between the faces of a quad list and its vertices."""
+    """Sparse maps between the faces of a quad list and its vertices; each
+    acts on the leading axis of vertex-major (K, 3, *batch) arrays, and
+    its `.T` is the adjoint map."""
 
-    quads: np.ndarray             # (F, 4) int64, as QuadMesh stores them
     accum: sparse.csc_matrix      # (V, F) sums face values onto their corners
-    accum_t: sparse.csr_matrix    # its CSR transpose
-    diag_p: sparse.csc_matrix     # (V, F) scatter a gradient w.r.t. the diagonal
-    diag_r: sparse.csc_matrix     # p = v2 - v0 (r = v3 - v1) onto its end vertices
+    diag_p: sparse.csr_matrix     # (F, V) gathers the diagonal p = v2 - v0
+    diag_r: sparse.csr_matrix     # (F, V) gathers the diagonal r = v3 - v1
 
     @classmethod
     def build(cls, quads: np.ndarray, n_vertices: int) -> "FaceOperators":
-        accum = signed_incidence(quads, (1, 1, 1, 1), n_vertices)
-        return cls(quads, accum, accum.T,
-                   signed_incidence(quads[:, [2, 0]], (1, -1), n_vertices),
-                   signed_incidence(quads[:, [3, 1]], (1, -1), n_vertices))
+        return cls(signed_incidence(quads, (1, 1, 1, 1), n_vertices),
+                   signed_incidence(quads[:, [2, 0]], (1, -1), n_vertices).T,
+                   signed_incidence(quads[:, [3, 1]], (1, -1), n_vertices).T)
 
 
 class Normals(NamedTuple):
     """Vertex normals with the intermediates their adjoint needs."""
 
-    vertex: np.ndarray       # (..., V, 3) unit vertex normals, zero if degenerate
-    face: np.ndarray         # (..., F, 3) unit face normals, zero if degenerate
-    p: np.ndarray            # (..., F, 3) diagonal v2 - v0
-    r: np.ndarray            # (..., F, 3) diagonal v3 - v1
-    face_inv: np.ndarray     # (..., F) 1 / |p x r|, zero below 1e-15
-    vertex_inv: np.ndarray   # (..., V) 1 / |sum of face normals|, zero below 1e-15
+    vertex: np.ndarray       # (V, 3, *batch) unit vertex normals, zero if degenerate
+    face: np.ndarray         # (F, 3, *batch) unit face normals, zero if degenerate
+    p: np.ndarray            # (F, 3, *batch) diagonal v2 - v0
+    r: np.ndarray            # (F, 3, *batch) diagonal v3 - v1
+    face_inv: np.ndarray     # (F, *batch) 1 / |p x r|, zero below 1e-15
+    vertex_inv: np.ndarray   # (V, *batch) 1 / |sum of face normals|, zero below 1e-15
+
+
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product along axis 1 of (K, 3, *batch) arrays, summed component
+    by component, so a mesh rounds alike alone and in a batch."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product along axis 1 of (K, 3, *batch) arrays."""
+    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(a, 1, 0), np.moveaxis(b, 1, 0)
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
 
 
 def _inverse_norm(x: np.ndarray) -> np.ndarray:
-    mag = np.linalg.norm(x, axis=-1)
+    mag = np.sqrt(dot3(x, x))
     ok = mag >= 1e-15     # smaller faces and vertex sums count as zero
     return np.where(ok, 1.0 / np.where(ok, mag, 1.0), 0.0)
 
 
-def normals_forward(vertices: np.ndarray, quads: np.ndarray,
-                    accum: sparse.spmatrix) -> Normals:
-    """Vertex normals of (..., V, 3) vertex sets sharing `quads`.
+def normals_forward(vertices: np.ndarray, faces: FaceOperators) -> Normals:
+    """Vertex normals of vertex-major (V, 3, *batch) vertex sets sharing `faces`.
 
     Face normals come from the cross product of the quad diagonals; each
-    vertex normal is the normalized sum of its incident unit face normals,
-    summed by `accum`, the (V, F) vertex-face incidence.
+    vertex normal is the normalized sum of its incident unit face normals.
     """
-    p = vertices[..., quads[:, 2], :] - vertices[..., quads[:, 0], :]
-    r = vertices[..., quads[:, 3], :] - vertices[..., quads[:, 1], :]
-    u = np.cross(p, r)
+    x = vertices.reshape(len(vertices), -1)
+    p = (faces.diag_p @ x).reshape(-1, *vertices.shape[1:])
+    r = (faces.diag_r @ x).reshape(p.shape)
+    u = cross3(p, r)
     face_inv = _inverse_norm(u)
-    nhat = u * face_inv[..., None]
-    m = sparse_apply(accum, nhat)
+    nhat = u * face_inv[:, None]
+    m = (faces.accum @ nhat.reshape(len(nhat), -1)).reshape(vertices.shape)
     vertex_inv = _inverse_norm(m)
-    return Normals(m * vertex_inv[..., None], nhat, p, r, face_inv, vertex_inv)
+    return Normals(m * vertex_inv[:, None], nhat, p, r, face_inv, vertex_inv)
 
 
 def vertex_normals(mesh: QuadMesh | np.ndarray,
                    faces: FaceOperators | None = None) -> np.ndarray:
     """Per-vertex unit normals: normalized sum of incident unit face normals.
 
-    With `faces`, `mesh` may instead be (..., V, 3) vertex sets sharing
-    faces.quads, and the operators are reused rather than rebuilt.
-    Faces and vertices whose magnitude is below 1e-15 get zero normals;
-    zero-area faces are reported with a ZeroAreaFace warning.
+    With `faces`, `mesh` may instead be vertex-major (V, 3, *batch) vertex
+    sets sharing their quads, and the operators are reused rather than
+    rebuilt.  Faces and vertices whose magnitude is below 1e-15 get zero
+    normals; zero-area faces are reported with a ZeroAreaFace warning.
     """
     if faces is None:
-        vertices, quads = mesh.vertices, mesh.quads
-        accum = signed_incidence(quads, (1, 1, 1, 1), mesh.n_vertices)
+        vertices, faces = mesh.vertices, FaceOperators.build(mesh.quads, mesh.n_vertices)
     else:
-        vertices, quads, accum = np.asarray(mesh, dtype=np.float64), faces.quads, faces.accum
-    fwd = normals_forward(vertices, quads, accum)
+        vertices = np.asarray(mesh, dtype=np.float64)
+    fwd = normals_forward(vertices, faces)
     n_bad = int(np.count_nonzero(fwd.face_inv == 0.0))
     if n_bad:
         warnings.warn(f"{n_bad} zero-area face(s) skipped in normal computation",
@@ -299,19 +296,19 @@ def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
 
 
 def edge_length_energy(vertices: np.ndarray, ref_lengths: np.ndarray,
-                       incidence: sparse.spmatrix, incidence_t: sparse.spmatrix
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       incidence: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     """Sum over edges of (|e| - ref_length_e)^2 with its exact gradient.
 
-    vertices (..., V, 3) share an edge list; `incidence_t` is its
-    `signed_incidence` with signs (1, -1) and `incidence` the (E, V)
-    transpose.  Returns (values (...), gradient (..., V, 3)).
+    vertices (V, 3, *batch) share an edge list; `incidence` is the (E, V)
+    transpose of its `signed_incidence` with signs (1, -1).  Returns
+    (values (*batch), gradient (V, 3, *batch)).
     """
-    d = sparse_apply(incidence, np.asarray(vertices, dtype=np.float64))
-    ln = np.linalg.norm(d, axis=-1)
-    diff = ln - ref_lengths
-    values = np.einsum("...e,...e->...", diff, diff)
+    vertices = np.asarray(vertices, dtype=np.float64)
+    d = (incidence @ vertices.reshape(len(vertices), -1)).reshape(-1, *vertices.shape[1:])
+    ln = np.sqrt(dot3(d, d))
+    diff = (ln.T - ref_lengths).T        # (E,) lengths against (E, *batch)
+    values = np.einsum("e...,e...->...", diff, diff)
     # d|e|/dv_a = (v_a - v_b)/|e|
     safe = np.where(ln > 0, ln, 1.0)
-    coeff = (2.0 * diff / safe)[..., None] * d
-    return values, sparse_apply(incidence_t, coeff)
+    coeff = (2.0 * diff / safe)[:, None] * d
+    return values, (incidence.T @ coeff.reshape(len(coeff), -1)).reshape(vertices.shape)

@@ -8,6 +8,7 @@ writes renderer-consumable files with a content-hash manifest.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -140,6 +141,7 @@ class SceneDescription:
 # schema validation (minimal JSON-schema subset interpreter)
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _schema() -> dict:
     with resources.files("facegen").joinpath("schemas/scene.schema.json").open() as f:
         return json.load(f)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidParam
-from .mesh import MeshConnectivity, QuadMesh, build_connectivity
+from .mesh import MeshConnectivity, QuadMesh, build_connectivity, signed_incidence
 
 
 def subdivide_catmull_clark(mesh: QuadMesh, levels: int) -> QuadMesh:
@@ -61,14 +61,14 @@ def _level_operator(conn: MeshConnectivity, quads: np.ndarray
     V, E, F = conn.n_vertices, conn.n_edges, conn.n_faces
     edges = conn.edges
     boundary_edge = conn.boundary_edge
-    face_vert = _incidence(quads, V)
-    edge_vert = _incidence(edges, V)
-    bnd_vert = _incidence(edges[boundary_edge], V)
+    face_vert = signed_incidence(quads, (1, 1, 1, 1), V).T
+    edge_vert = signed_incidence(edges, (1, 1), V).T
+    bnd_vert = signed_incidence(edges[boundary_edge], (1, 1), V).T
 
     face_pts = 0.25 * face_vert                       # centroids
 
     # edge points: interior = (v0 + v1 + f0 + f1)/4, boundary = midpoint
-    edge_face = _incidence(conn.face_edges, E).T
+    edge_face = signed_incidence(conn.face_edges, (1, 1, 1, 1), E)
     edge_pts = (_diag(np.where(boundary_edge, 0.5, 0.25)) @ edge_vert
                 + _diag(np.where(boundary_edge, 0.0, 0.25)) @ (edge_face @ face_pts))
 
@@ -103,13 +103,6 @@ def _level_operator(conn: MeshConnectivity, quads: np.ndarray
         axis=2,
     ).reshape(-1, 4)
     return level_op, new_quads
-
-
-def _incidence(cells: np.ndarray, n_cols: int) -> sparse.csr_matrix:
-    """(len(cells) x n_cols) matrix with a 1 at every index each row lists."""
-    rows, k = cells.shape
-    return sparse.csr_matrix((np.ones(cells.size), cells.ravel(),
-                              np.arange(0, rows * k + 1, k)), shape=(rows, n_cols))
 
 
 def _diag(weights: np.ndarray) -> sparse.csr_matrix:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.special import logsumexp
 from facegen.errors import EmptyComponent, SingularComponent
 from facegen.gmm import GaussianMixture, _kmeanspp_centers
 from facegen.learning import LossContext, LossWeights, ScanSet, ThetaBlocks, total_loss
-from facegen.mesh import QuadMesh, build_connectivity
+from facegen.mesh import Normals, QuadMesh, build_connectivity, signed_incidence
 from facegen.model import BlendshapeModel, Skeleton
 from facegen.procedural import (
     cube_mesh,
@@ -318,6 +319,74 @@ def lbs_adjoint_reference(weights, R_w, grad):
     """g + sum_i w_vi (R_i - I)^T g by one einsum contraction: the
     reference for model.lbs_adjoint."""
     return grad + np.einsum("vi,...iab,...va->...vb", weights, R_w - np.eye(3), grad)
+
+
+def sparse_apply_reference(A, x: np.ndarray) -> np.ndarray:
+    """A @ x along axis -2 of a batch-major (..., K, C) array, by transposing
+    it to (K, C * batch) and back."""
+    *lead, K, C = x.shape
+    B = math.prod(lead)
+    out = A @ x.reshape(B, K, C).transpose(1, 0, 2).reshape(K, B * C)
+    out = np.ascontiguousarray(out.reshape(A.shape[0], B, C).transpose(1, 0, 2))
+    return out.reshape(*lead, A.shape[0], C)
+
+
+def _inverse_norm_reference(x: np.ndarray) -> np.ndarray:
+    mag = np.linalg.norm(x, axis=-1)
+    ok = mag >= 1e-15
+    return np.where(ok, 1.0 / np.where(ok, mag, 1.0), 0.0)
+
+
+def normals_forward_reference(vertices: np.ndarray, quads: np.ndarray) -> Normals:
+    """Normals of batch-major (..., V, 3) vertex sets by fancy-indexed
+    diagonals and np.cross: the reference for mesh.normals_forward, its
+    fields batch-major too."""
+    accum = signed_incidence(quads, (1, 1, 1, 1), vertices.shape[-2])
+    p = vertices[..., quads[:, 2], :] - vertices[..., quads[:, 0], :]
+    r = vertices[..., quads[:, 3], :] - vertices[..., quads[:, 1], :]
+    u = np.cross(p, r)
+    face_inv = _inverse_norm_reference(u)
+    nhat = u * face_inv[..., None]
+    m = sparse_apply_reference(accum, nhat)
+    vertex_inv = _inverse_norm_reference(m)
+    return Normals(m * vertex_inv[..., None], nhat, p, r, face_inv, vertex_inv)
+
+
+def data_term_reference(y, targets, target_normals, quads, w_vertex, w_normal):
+    """learning._data_term on batch-major (N, V, 3) arrays, its sparse
+    products applied through transposing copies: the reference for the
+    vertex-major data term."""
+    V = y.shape[-2]
+    accum = signed_incidence(quads, (1, 1, 1, 1), V)
+    diag_p = signed_incidence(quads[:, [2, 0]], (1, -1), V)
+    diag_r = signed_incidence(quads[:, [3, 1]], (1, -1), V)
+    diff = y - targets
+    vert_vals = np.einsum("nva,nva->n", diff, diff) / V
+    fwd = normals_forward_reference(y, quads)
+    n, nhat = fwd.vertex, fwd.face
+    norm_vals = 1.0 - np.einsum("nva,nva->nv", n, target_normals).mean(axis=1)
+    g_n = -target_normals / V
+    g_m = (g_n - n * np.einsum("nva,nva->nv", n, g_n)[..., None]) \
+        * fwd.vertex_inv[..., None]
+    g_nhat = sparse_apply_reference(accum.T, g_m)
+    g_u = (g_nhat - nhat * np.einsum("nfa,nfa->nf", nhat, g_nhat)[..., None]) \
+        * fwd.face_inv[..., None]
+    g_normal = (sparse_apply_reference(diag_p, np.cross(fwd.r, g_u))
+                + sparse_apply_reference(diag_r, np.cross(g_u, fwd.p)))
+    return vert_vals, norm_vals, w_vertex * (2.0 / V) * diff + w_normal * g_normal
+
+
+def edge_length_energy_reference(vertices, ref_lengths, incidence, incidence_t):
+    """mesh.edge_length_energy on batch-major (..., V, 3) vertices, with the
+    (E, V) `incidence` and its stored transpose applied through transposing
+    copies."""
+    d = sparse_apply_reference(incidence, np.asarray(vertices, dtype=np.float64))
+    ln = np.linalg.norm(d, axis=-1)
+    diff = ln - ref_lengths
+    values = np.einsum("...e,...e->...", diff, diff)
+    safe = np.where(ln > 0, ln, 1.0)
+    coeff = (2.0 * diff / safe)[..., None] * d
+    return values, sparse_apply_reference(incidence_t, coeff)
 
 
 def dump_obj_reference(mesh: QuadMesh) -> str:

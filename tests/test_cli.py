@@ -10,8 +10,10 @@ import pytest
 from facegen import cli
 from facegen.cli import _FIT_CONFIG_SPEC, _NEAREST_BLOCK, _nearest_distances, cli_main
 from facegen.container import save_container
+from facegen.errors import DataError
 from facegen.hair import encode_groom, load_groom, save_hair_code
 from facegen.learning import FitSchedule
+from facegen.library import AssetLibrary
 from facegen.objio import load_obj, save_obj
 from facegen.poremap import read_pgm
 from facegen.procedural import quad_grid, smooth_vertex_fields
@@ -403,13 +405,16 @@ def _hair_code(lib, monkeypatch):
     return _without_tensor("code.json", "flow_volume", _decode_hair)(lib, monkeypatch)
 
 
-def _hair_code_bbox(lib, monkeypatch):
-    code = encode_groom(load_groom(lib / "groom_scalp_0.json"), R=8, G=8)
-    save_container(lib / "code.json", {
-        "density_map": code.density_map, "length_map": code.length_map,
-        "flow_volume": code.flow_volume, "bbox": np.zeros(5),
-        "root_points": code.root_points}, metadata={"kind": "hair_code"})
-    return _decode_hair(lib), lib / "code.json"
+def _hair_code_with(**tensors):
+    """`decode-hair` on a code of a demo groom whose `tensors` are replaced."""
+    def case(lib, monkeypatch):
+        code = encode_groom(load_groom(lib / "groom_scalp_0.json"), R=8, G=8)
+        save_container(lib / "code.json", {
+            "density_map": code.density_map, "length_map": code.length_map,
+            "flow_volume": code.flow_volume, "bbox": code.bbox,
+            "root_points": code.root_points, **tensors}, metadata={"kind": "hair_code"})
+        return _decode_hair(lib), lib / "code.json"
+    return case
 
 
 def _scans_of_two_sizes(lib, monkeypatch):
@@ -506,12 +511,14 @@ MALFORMED = {
     "fov_beyond_float": _section_key("camera", "fov_deg", 10 ** 400),
     "joint_std_bad_shape": _section_key("pose", "joint_std", [1, 2]),
     "levels_not_integer": _config_case(lambda c: c.update(subdivision_levels="x")),
+    "eyelid_id_out_of_range": _section_key("eyelid", "raise_ids", [0, 99]),
     "hair_color_entry_lacks_field": _hair_color_entry,
     "manifest_as_library": _manifest_as_library,
     "model_without_skinning_weights": _without_tensor("model.json", "skinning_weights"),
     "gmm_without_weights": _without_tensor("gmm.json", "weights"),
     "hair_code_without_flow": _hair_code,
-    "hair_code_bbox_of_5": _hair_code_bbox,
+    "hair_code_bbox_of_5": _hair_code_with(bbox=np.zeros(5)),
+    "hair_code_density_0d": _hair_code_with(density_map=np.array(1.0)),
     "scans_of_two_vertex_counts": _scans_of_two_sizes,
     "expressions_of_wrong_kind": _config_case(
         lambda c: c.update(expression_library="gmm.json")),
@@ -543,6 +550,15 @@ def test_malformed_input_exits_2_naming_it(demo_lib, tmp_path, capsys, monkeypat
     assert rc == 2, err
     assert str(offending) in err.splitlines()[-1]
     assert "Traceback" not in err
+
+
+def test_eyelid_id_out_of_range_names_config_and_key(demo_lib, tmp_path):
+    lib = tmp_path / "lib"
+    shutil.copytree(demo_lib.parent, lib)
+    _edit_json(lib / "library.json",
+               lambda c: c.setdefault("eyelid", {}).update(lower_ids=[-1]))
+    with pytest.raises(DataError, match=r"library\.json: \$\.eyelid\.lower_ids holds \[-1\]"):
+        AssetLibrary.load(lib / "library.json")
 
 
 def test_builtin_exception_from_a_bug_propagates(monkeypatch, tmp_path):

@@ -24,9 +24,14 @@ from facegen.learning import (
     total_loss,
 )
 from facegen.mesh import QuadMesh, vertex_normals
-from facegen.procedural import quad_grid, smooth_vertex_fields
+from facegen.procedural import desk_head, quad_grid, smooth_vertex_fields
 
-from conftest import fd_gradient_check, tiny_problem
+from conftest import (
+    data_term_reference,
+    edge_length_energy_reference,
+    fd_gradient_check,
+    tiny_problem,
+)
 
 
 class TestBarrier4:
@@ -174,6 +179,80 @@ class TestTotalLoss:
         assert res.breakdown["barrier_pose"] == 0.0
 
 
+def _rel_err(a, b) -> float:
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def _batch_major_terms(monkeypatch, quads):
+    """Make total_loss evaluate its data and edge terms with the batch-major
+    references, moving the batch axis to the front and back around them."""
+    def to_batch_major(x):
+        return np.moveaxis(x, -1, 0)
+
+    def data(y, targets, target_normals, faces, w_vertex, w_normal):
+        vert_vals, norm_vals, g = data_term_reference(
+            to_batch_major(y), to_batch_major(targets), to_batch_major(target_normals),
+            quads, w_vertex, w_normal)
+        return vert_vals, norm_vals, np.moveaxis(g, 0, -1)
+
+    def edge(y, ref_lengths, incidence):
+        values, g = edge_length_energy_reference(to_batch_major(y), ref_lengths,
+                                                 incidence, incidence.T)
+        return values, np.moveaxis(g, 0, -1)
+
+    monkeypatch.setattr(learning, "_data_term", data)
+    monkeypatch.setattr(learning, "edge_length_energy", edge)
+
+
+def _fit_large_problem(rng):
+    """A posed, expressive problem at the size of the fit-large benchmark:
+    V=1922, N=30, m=8, scan ids out of canonical order."""
+    base = desk_head(m=8, lat=40, lon=48)
+    N, V = 30, base.n_vertices
+    alpha = rng.standard_normal((N, 8))
+    verts = (base.template.vertices
+             + np.einsum("nq,qva->nva", alpha, base.identity_basis)
+             + 1e-3 * rng.standard_normal((N, V, 3)))
+    scans = ScanSet(verts, base.template.quads,
+                    tuple(f"scan_{k:02d}" for k in rng.permutation(N)))
+    theta = ThetaBlocks(
+        alpha=alpha + 0.1 * rng.standard_normal((N, 8)),
+        beta=rng.uniform(-0.05, 1.05, (N, base.n_expression)),
+        joint_angles=0.08 * rng.standard_normal((N, 4, 3)),
+        global_rot=0.08 * rng.standard_normal((N, 3)),
+        global_trans=0.01 * rng.standard_normal((N, 3)))
+    phi = base.identity_basis + 1e-3 * rng.standard_normal(base.identity_basis.shape)
+    return base, scans, theta, phi
+
+
+class TestVertexMajorParity:
+    """The vertex-major loss against the batch-major data term and edge
+    energy it replaced: loss, every term and every gradient block within
+    1e-12 relative."""
+
+    @staticmethod
+    def check(monkeypatch, base, scans, theta, phi):
+        ctx = LossContext.build(scans, base)
+        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        with monkeypatch.context() as mp:
+            _batch_major_terms(mp, scans.quads)
+            ref = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        assert abs(res.total - ref.total) <= 1e-12 * abs(ref.total)
+        for name, value in ref.breakdown.items():
+            assert abs(res.breakdown[name] - value) <= 1e-12 * abs(value), name
+        assert res.grads.keys() == ref.grads.keys()
+        for name, g in ref.grads.items():
+            assert _rel_err(res.grads[name], g) <= 1e-12, name
+        assert _rel_err(res.scan_vertex_ms, ref.scan_vertex_ms) <= 1e-12
+
+    @pytest.mark.parametrize("n_scans,with_pose", [(2, True), (3, False), (5, True)])
+    def test_tiny_problems(self, rng, monkeypatch, n_scans, with_pose):
+        self.check(monkeypatch, *tiny_problem(rng, n_scans=n_scans, with_pose=with_pose))
+
+    def test_fit_large_size(self, rng, monkeypatch):
+        self.check(monkeypatch, *_fit_large_problem(rng))
+
+
 class TestScanSet:
     def test_rejects_non_finite_vertices(self):
         v = np.zeros((2, 4, 3))
@@ -203,7 +282,7 @@ class TestLossContext:
         base, scans, _, _ = tiny_problem(rng, n_scans=4)
         ctx = LossContext.build(scans, base)
         per_scan = np.stack([vertex_normals(QuadMesh(v, scans.quads))
-                             for v in scans.vertices[ctx.order]])
+                             for v in scans.vertices[ctx.order]], axis=-1)
         assert np.array_equal(ctx.target_normals, per_scan)
 
     def test_fit_builds_per_scan_constants_once(self, rng, monkeypatch):

@@ -10,9 +10,11 @@ from facegen.errors import (
 )
 from facegen.mesh import (
     FaceOperators,
+    Normals,
     QuadMesh,
     build_connectivity,
     edge_length_energy,
+    normals_forward,
     signed_incidence,
     uniform_laplacian_matrix,
     vertex_normals,
@@ -22,6 +24,8 @@ from facegen.procedural import cube_mesh, quad_grid
 from conftest import (
     brute_force_face_normals,
     brute_force_vertex_normals,
+    edge_length_energy_reference,
+    normals_forward_reference,
     random_closed_mesh,
 )
 
@@ -142,9 +146,19 @@ class TestVertexNormals:
         mesh = QuadMesh(verts, [[0, 1, 2, 3]])   # collinear: zero-area quad
         with pytest.warns(ZeroAreaFace):
             vertex_normals(mesh)
-        batch = np.stack([verts, verts + 1.0])
+        batch = np.stack([verts, verts + 1.0], axis=-1)
         with pytest.warns(ZeroAreaFace, match="2 zero-area"):
             vertex_normals(batch, FaceOperators.build(mesh.quads, 4))
+
+
+    def test_forward_matches_batch_major_reference(self, rng):
+        mesh = random_closed_mesh(rng)
+        batch = mesh.vertices + 0.02 * rng.standard_normal((4,) + mesh.vertices.shape)
+        fwd = normals_forward(np.ascontiguousarray(batch.transpose(1, 2, 0)),
+                              FaceOperators.build(mesh.quads, mesh.n_vertices))
+        ref = normals_forward_reference(batch, mesh.quads)
+        for name, a, b in zip(Normals._fields, fwd, ref):
+            assert np.allclose(a, np.moveaxis(b, 0, -1), rtol=1e-12, atol=1e-15), name
 
 
 class TestUniformLaplacian:
@@ -197,9 +211,9 @@ class TestUniformLaplacian:
 def edge_energy_against(mesh: QuadMesh, reference: QuadMesh):
     """edge_length_energy of `mesh` against the edge lengths of `reference`,
     which shares its topology."""
-    D_t = signed_incidence(build_connectivity(mesh).edges, (1, -1), mesh.n_vertices)
-    lengths = np.linalg.norm(D_t.T @ reference.vertices, axis=1)
-    return edge_length_energy(mesh.vertices, lengths, D_t.T, D_t)
+    D = signed_incidence(build_connectivity(mesh).edges, (1, -1), mesh.n_vertices).T
+    lengths = np.linalg.norm(D @ reference.vertices, axis=1)
+    return edge_length_energy(mesh.vertices, lengths, D)
 
 
 class TestEdgeLengthEnergy:
@@ -218,9 +232,9 @@ class TestEdgeLengthEnergy:
         grid = quad_grid(3, 3)
         ref = grid.vertices.copy()
         v = ref + 0.1 * rng.standard_normal(ref.shape)
-        D_t = signed_incidence(build_connectivity(grid).edges, (1, -1), grid.n_vertices)
-        lengths = np.linalg.norm(D_t.T @ ref, axis=1)
-        _, g = edge_length_energy(v, lengths, D_t.T, D_t)
+        D = signed_incidence(build_connectivity(grid).edges, (1, -1), grid.n_vertices).T
+        lengths = np.linalg.norm(D @ ref, axis=1)
+        _, g = edge_length_energy(v, lengths, D)
         h = 1e-6
         fd = np.zeros_like(g)
         for i in range(v.shape[0]):
@@ -228,18 +242,31 @@ class TestEdgeLengthEnergy:
                 vp, vm = v.copy(), v.copy()
                 vp[i, k] += h
                 vm[i, k] -= h
-                fd[i, k] = (edge_length_energy(vp, lengths, D_t.T, D_t)[0]
-                            - edge_length_energy(vm, lengths, D_t.T, D_t)[0]) / (2 * h)
+                fd[i, k] = (edge_length_energy(vp, lengths, D)[0]
+                            - edge_length_energy(vm, lengths, D)[0]) / (2 * h)
         assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-6
 
     def test_batched_matches_single_meshes(self, rng):
         cube = cube_mesh()
-        D_t = signed_incidence(build_connectivity(cube).edges, (1, -1), cube.n_vertices)
-        batch = cube.vertices + 0.1 * rng.standard_normal((3, 2) + cube.vertices.shape)
-        values, grads = edge_length_energy(batch, np.ones(D_t.shape[1]), D_t.T, D_t)
+        D = signed_incidence(build_connectivity(cube).edges, (1, -1), cube.n_vertices).T
+        batch = cube.vertices[..., None, None] + 0.1 * rng.standard_normal(
+            cube.vertices.shape + (3, 2))
+        values, grads = edge_length_energy(batch, np.ones(D.shape[0]), D)
         assert values.shape == (3, 2) and grads.shape == batch.shape
         for i in range(3):
             for j in range(2):
-                e, g = edge_energy_against(cube.with_vertices(batch[i, j]), cube)
+                e, g = edge_energy_against(cube.with_vertices(batch[..., i, j]), cube)
                 assert values[i, j] == pytest.approx(e, rel=1e-12)
-                assert np.allclose(grads[i, j], g, rtol=0, atol=1e-12)
+                assert np.allclose(grads[..., i, j], g, rtol=0, atol=1e-12)
+
+    def test_matches_batch_major_reference(self, rng):
+        mesh = random_closed_mesh(rng)
+        D = signed_incidence(build_connectivity(mesh).edges, (1, -1), mesh.n_vertices).T
+        lengths = np.linalg.norm(D @ mesh.vertices, axis=1)
+        batch = mesh.vertices + 0.05 * rng.standard_normal((3,) + mesh.vertices.shape)
+        values, grads = edge_length_energy(
+            np.ascontiguousarray(batch.transpose(1, 2, 0)), lengths, D)
+        ref_values, ref_grads = edge_length_energy_reference(batch, lengths, D, D.T)
+        assert np.allclose(values, ref_values, rtol=1e-12, atol=0)
+        assert np.abs(grads - np.moveaxis(ref_grads, 0, -1)).max() \
+            <= 1e-12 * np.abs(ref_grads).max()

@@ -30,3 +30,17 @@ def test_benchmark_groom_builds_ragged(monkeypatch):
     g = harness.clustered_groom(np.random.default_rng(0), 40, 4, 8)
     assert g.n_strands == 40
     assert np.array_equal(np.concatenate(g.strands), g.points)
+
+
+def test_benchmark_fit_desk_runs(monkeypatch, tmp_path):
+    """The benchmark harness drives the learner through its public API; an
+    API break must fail here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    harness = importlib.import_module("harness")
+    # 8 iterations: the fewest at which this seed's loss has dropped, which
+    # the workload's own check requires
+    workload = harness.FitDesk(0, harness.Sizes(desk_scans=5, desk_iterations=8), tmp_path)
+    assert len(workload.setup()) == 1
+    out = workload.op(0)
+    assert workload.check(0, out)
+    assert workload.units(out, 0.0)[0] == 8
