@@ -199,7 +199,7 @@ def _cmd_fit(args) -> int:
     save_container(out / "alphas.json", {"alphas": report.final_alphas},
                    metadata={"kind": "identity_coefficients"})
     log.info(f"fit finished: {report.iterations} iterations, "
-             f"final loss {report.trajectory[-1]:.6g}")
+             f"final loss {report.final_loss:.6g}")
     return EXIT_OK
 
 

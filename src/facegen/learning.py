@@ -49,9 +49,11 @@ from .model import (
     lbs_adjoint,
     lbs_apply,
     pose_derivatives,
+    pose_transforms,
 )
 
 GLOBAL_ROT_LIMITS = (-np.pi, np.pi)
+FREEZABLE = frozenset({"beta", "joint_angles", "global_rot", "global_trans"})
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,7 @@ class LossContext:
     base template; `build` makes it once per fit.  Per-scan arrays are
     vertex-major, (V, 3, N), in canonical scan order."""
 
+    scans: ScanSet                    # the scans it was built from
     faces: FaceOperators              # normal forward/adjoint operators
     incidence: sparse.csr_matrix      # (E, V) vertices to edge vectors
     laplacian: sparse.csr_matrix      # (V, V) uniform Laplacian L
@@ -169,6 +172,7 @@ class LossContext:
         faces = FaceOperators.build(scans.quads, V)
         targets = np.ascontiguousarray(scans.vertices[order].transpose(1, 2, 0))
         return cls(
+            scans=scans,
             faces=faces,
             incidence=incidence,
             laplacian=laplacian,
@@ -257,14 +261,16 @@ class ThetaBlocks:
 class LossResult:
     total: float
     breakdown: dict[str, float]
-    grads: dict[str, np.ndarray]   # phi + the ThetaBlocks keys
+    grads: dict[str, np.ndarray]   # phi + the ThetaBlocks keys not frozen
     scan_vertex_ms: np.ndarray     # (N,) mean squared vertex distance per scan
 
 
 def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
                scans: ScanSet, weights: LossWeights,
-               base: BlendshapeModel, ctx: LossContext | None = None) -> LossResult:
-    """Full learning loss and analytic gradients for every parameter block.
+               base: BlendshapeModel, ctx: LossContext | None = None,
+               frozen: frozenset[str] = frozenset()) -> LossResult:
+    """Full learning loss and analytic gradients for every parameter block
+    but those in `frozen` (a subset of FREEZABLE; alpha and phi always live).
 
     `base` supplies template, expression basis, skeleton and skinning
     weights (all held fixed); `phi` is the identity basis being learned.
@@ -279,10 +285,15 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     if thetas.alpha.shape != (N, m):
         raise DimensionMismatch(
             f"alpha blocks {thetas.alpha.shape} inconsistent with (N={N}, m={m})")
+    if not FREEZABLE.issuperset(frozen):
+        raise InvalidParam(f"frozen blocks {sorted(frozen)} not all in {sorted(FREEZABLE)}")
     if ctx is None:
         ctx = LossContext.build(scans, base)
-    elif ctx.targets.shape != (V, 3, N):
-        raise DimensionMismatch("loss context was built for a different scan set")
+    elif ctx.scans is not scans and (
+            ctx.scans.ids != scans.ids
+            or not np.array_equal(ctx.scans.vertices, scans.vertices)
+            or not np.array_equal(ctx.scans.quads, scans.quads)):
+        raise DimensionMismatch("loss context was built from a different scan set")
 
     # canonical scan order: every reduction below runs in sorted-id order
     order, inv_order = ctx.order, ctx.inv_order
@@ -298,10 +309,10 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
 
     # forward
     vbar = evaluate_unposed(model, alpha, beta)                    # (N, V, 3)
-    der = pose_derivatives(skel, alpha, joint_angles)
+    pose = pose_transforms if "joint_angles" in frozen else pose_derivatives
+    der = pose(skel, alpha, joint_angles)
     v_out = lbs_apply(w, der.R_w, der.b_w, vbar)
     R_g = euler_xyz(global_rot)
-    dR_g = euler_xyz_grad(global_rot)
     y = v_out @ np.swapaxes(R_g, 1, 2) + global_trans[:, None, :]
     # the mesh terms run on one vertex-major (V, 3, N) copy
     y_vm = np.ascontiguousarray(y.transpose(1, 2, 0))
@@ -335,34 +346,41 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     total = (term_vertex + term_normal + term_bexpr + term_bpose
              + term_id_coeff + term_id_basis + term_lap + term_edge)
 
-    # ---- backward ----------------------------------------------------
+    # ---- backward: every block not frozen, in canonical order ----------
+    g = {}
     dLdy = np.ascontiguousarray(
         (data_grad_y + weights.w_edge * edge_grad_y).transpose(2, 0, 1))
 
-    g_gtrans = dLdy.sum(axis=1)
-    M_g = np.swapaxes(dLdy, 1, 2) @ v_out
-    g_grot = np.einsum("nkab,nab->nk", dR_g, M_g) \
-        + weights.w_barrier_pose * bglob_der
+    if "global_trans" not in frozen:
+        g["global_trans"] = dLdy.sum(axis=1)
+    if "global_rot" not in frozen:
+        M_g = np.swapaxes(dLdy, 1, 2) @ v_out
+        g["global_rot"] = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), M_g)
+                           + weights.w_barrier_pose * bglob_der)
     dLdv_out = dLdy @ R_g
 
-    # pose moments M_i = sum_v w_vi g_v vbar_v^T and joint sums
-    # s_i = sum_v w_vi g_v: per joint, one batched GEMM of the weighted
-    # gradient rows against [vbar | 1]
+    # joint sums s_i = sum_v w_vi g_v feed the pivots; with live angles
+    # they come with the pose moments M_i = sum_v w_vi g_v vbar_v^T, per
+    # joint one batched GEMM of the weighted gradient rows against [vbar | 1]
     g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
-    vbar1 = np.concatenate([vbar, np.ones((N, V, 1))], axis=2)
-    moments = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
-    M, s = moments[..., :3], moments[..., 3]
-    g_angles = (np.einsum("nijkab,niab->njk", der.dR_w, M)
-                + np.einsum("nijka,nia->njk", der.db_w, s)
-                + weights.w_barrier_pose * bpose_der)
+    if "joint_angles" in frozen:
+        s = np.swapaxes(g_t @ w, 1, 2)
+    else:
+        vbar1 = np.concatenate([vbar, np.ones((N, V, 1))], axis=2)
+        moments = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
+        M, s = moments[..., :3], moments[..., 3]
+        g["joint_angles"] = (np.einsum("nijkab,niab->njk", der.dR_w, M)
+                             + np.einsum("nijka,nia->njk", der.db_w, s)
+                             + weights.w_barrier_pose * bpose_der)
     g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
 
     dLdvbar = lbs_adjoint(w, der.R_w, dLdv_out).reshape(N, V * 3)
-    g_alpha = (dLdvbar @ phi.reshape(m, V * 3).T
-               + np.einsum("njb,jbq->nq", g_pivot, skel.a)
-               + weights.w_id_coeff * 2.0 * alpha)
-    g_beta = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
-              + weights.w_barrier_expr * bexpr_der)
+    g["alpha"] = (dLdvbar @ phi.reshape(m, V * 3).T
+                  + np.einsum("njb,jbq->nq", g_pivot, skel.a)
+                  + weights.w_id_coeff * 2.0 * alpha)
+    if "beta" not in frozen:
+        g["beta"] = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
+                     + weights.w_barrier_expr * bexpr_der)
     g_phi = ((alpha.T @ dLdvbar).reshape(m, V, 3)
              + weights.w_id_basis * 2.0 * phi
              + weights.w_laplacian * 2.0
@@ -378,14 +396,7 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
         "laplacian": term_lap,
         "edge": term_edge,
     }
-    grads = {
-        "phi": g_phi,
-        "alpha": g_alpha[inv_order],
-        "beta": g_beta[inv_order],
-        "joint_angles": g_angles[inv_order],
-        "global_rot": g_grot[inv_order],
-        "global_trans": g_gtrans[inv_order],
-    }
+    grads = {"phi": g_phi} | {k: g[k][inv_order] for k in thetas.as_dict() if k in g}
     return LossResult(total=float(total), breakdown=breakdown, grads=grads,
                       scan_vertex_ms=vert_vals[inv_order])
 
@@ -412,6 +423,12 @@ class FitSchedule:
         if self.iterations < 1:
             raise InvalidParam(f"iterations must be >= 1, got {self.iterations}")
 
+    @property
+    def frozen(self) -> frozenset[str]:
+        """The blocks fit holds at their initial values."""
+        return (frozenset({"beta"} if self.freeze_beta else ())
+                | (FREEZABLE - {"beta"} if self.freeze_pose else frozenset()))
+
 
 @dataclass
 class FitReport:
@@ -423,6 +440,7 @@ class FitReport:
     wall_time_s: float
     final_alphas: np.ndarray
     stopped_early: bool
+    final_loss: float              # loss at the returned parameters
 
     def to_dict(self) -> dict:
         return {
@@ -431,7 +449,7 @@ class FitReport:
             "stopped_early": self.stopped_early,
             "breakdown": self.breakdown,
             "per_scan_rms": [float(x) for x in self.per_scan_rms],
-            "final_loss": self.trajectory[-1] if self.trajectory else None,
+            "final_loss": self.final_loss,
             "trajectory": self.trajectory,
         }
 
@@ -490,27 +508,20 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     theta = ThetaBlocks.zeros(scans.n_scans, m, base.n_expression)
 
     params = {"phi": phi, **theta.as_dict()}
-    frozen = set()
-    if schedule.freeze_beta:
-        frozen.add("beta")
-    if schedule.freeze_pose:
-        frozen.update({"joint_angles", "global_rot", "global_trans"})
-
     state = AdamState()
     trajectory: list[float] = []
     term_trajectory: list[dict[str, float]] = []
     stopped_early = False
     t0 = time.perf_counter()
     for it in range(schedule.iterations):
-        theta = ThetaBlocks(params["alpha"], params["beta"], params["joint_angles"],
-                            params["global_rot"], params["global_trans"])
-        res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx)
+        theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
+        res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
+                         frozen=schedule.frozen)
         if not np.isfinite(res.total):
             raise Diverged(it)
         trajectory.append(res.total)
         term_trajectory.append(res.breakdown)
-        grads = {k: g for k, g in res.grads.items() if k not in frozen}
-        params = adam_step(state, params, grads, schedule.lr,
+        params = adam_step(state, params, res.grads, schedule.lr,
                            schedule.beta1, schedule.beta2, schedule.eps)
         win = schedule.early_stop_window
         if it >= win:
@@ -520,9 +531,11 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
                 break
     wall = time.perf_counter() - t0
 
-    theta = ThetaBlocks(params["alpha"], params["beta"], params["joint_angles"],
-                        params["global_rot"], params["global_trans"])
-    final = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx)
+    theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
+    final = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
+                       frozen=schedule.frozen)
+    if not np.isfinite(final.total):
+        raise Diverged(len(trajectory))
     model = replace(base, identity_basis=params["phi"])
     report = FitReport(
         trajectory=trajectory,
@@ -533,6 +546,7 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
         wall_time_s=wall,
         final_alphas=params["alpha"].copy(),
         stopped_early=stopped_early,
+        final_loss=final.total,
     )
     return model, report
 

@@ -375,28 +375,47 @@ def evaluate_vertices(model: BlendshapeModel, params: ModelParams,
 
 @dataclass(frozen=True)
 class PoseDerivatives:
-    """Forward transforms plus their derivatives w.r.t. pose and pivots.
+    """Forward transforms plus their derivatives w.r.t. pivots and pose.
 
     Leading batch dims match the inputs.  Layout:
       R_w, b_w : (..., 4, 3, 3), (..., 4, 3)
+      db_dpiv  : (..., 4, 4, 3, 3)     [i, j]    = d b_w[i] / d pivot[j]
       dR_w     : (..., 4, 4, 3, 3, 3)  [i, j, k] = d R_w[i] / d angle[j, k]
       db_w     : (..., 4, 4, 3, 3)     [i, j, k] = d b_w[i] / d angle[j, k]
-      db_dpiv  : (..., 4, 4, 3, 3)     [i, j]    = d b_w[i] / d pivot[j]
-    Only the neck column (j=0) and the diagonal (j=i) are nonzero.
+    Only the neck column (j=0) and the diagonal (j=i) are nonzero.  The
+    angle tables dR_w and db_w are None from `pose_transforms`.
     """
 
     R_w: np.ndarray
     b_w: np.ndarray
     pivots: np.ndarray
-    dR_w: np.ndarray
-    db_w: np.ndarray
     db_dpiv: np.ndarray
+    dR_w: np.ndarray | None = None
+    db_w: np.ndarray | None = None
+
+
+def _pivot_jacobian(R: np.ndarray) -> np.ndarray:
+    """db_dpiv of the tree composed from local rotations R (..., 4, 3, 3):
+    I - R_neck in the neck column, R_neck (I - R_j) on the diagonal."""
+    Rn, eye = R[..., 0, :, :], np.eye(3)
+    db_dpiv = np.zeros(R.shape[:-3] + (4, 4, 3, 3))
+    db_dpiv[..., :, 0, :, :] = (eye - Rn)[..., None, :, :]
+    for j in (1, 2, 3):
+        db_dpiv[..., j, j, :, :] = Rn @ (eye - R[..., j, :, :])
+    return db_dpiv
+
+
+def pose_transforms(skeleton: Skeleton, alpha: np.ndarray,
+                    joint_angles: np.ndarray) -> PoseDerivatives:
+    """World transforms (composed as in world_transforms, without the limit
+    check) and their pivot Jacobian, for joint angles held fixed."""
+    R = skeleton.joint_rotations(np.asarray(joint_angles, dtype=np.float64))
+    return PoseDerivatives(*_compose(skeleton, alpha, R)[:3], _pivot_jacobian(R))
 
 
 def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
                      joint_angles: np.ndarray) -> PoseDerivatives:
-    """World transforms (composed as in world_transforms, without the limit
-    check) and their analytic derivatives for the fixed 4-joint tree."""
+    """`pose_transforms` plus the analytic angle tables of the 4-joint tree."""
     joint_angles = np.asarray(joint_angles, dtype=np.float64)
     batch = joint_angles.shape[:-2]
     R = skeleton.joint_rotations(joint_angles)           # (..., 4, 3, 3)
@@ -409,13 +428,10 @@ def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
 
     dR_w = np.zeros(batch + (4, 4, 3, 3, 3))
     db_w = np.zeros(batch + (4, 4, 3, 3))
-    db_dpiv = np.zeros(batch + (4, 4, 3, 3))
-    eye = np.broadcast_to(np.eye(3), batch + (3, 3))
 
     # neck is its own world transform
     dR_w[..., 0, 0, :, :, :] = dRn
     db_w[..., 0, 0, :, :] = -np.einsum("...kab,...b->...ka", dRn, tn)
-    db_dpiv[..., 0, 0, :, :] = eye - Rn
 
     for j in (1, 2, 3):
         Rj = R[..., j, :, :]
@@ -429,12 +445,8 @@ def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
         dR_w[..., j, j, :, :, :] = np.einsum("...ab,...kbc->...kac", Rn, dRj)
         db_w[..., j, j, :, :] = -np.einsum(
             "...ab,...kbc,...c->...ka", Rn, dRj, tj)
-        # pivots
-        db_dpiv[..., j, 0, :, :] = eye - Rn
-        db_dpiv[..., j, j, :, :] = Rn @ (eye - Rj)
 
-    return PoseDerivatives(R_w=R_w, b_w=b_w, pivots=piv,
-                           dR_w=dR_w, db_w=db_w, db_dpiv=db_dpiv)
+    return PoseDerivatives(R_w, b_w, piv, _pivot_jacobian(R), dR_w, db_w)
 
 
 def param_layout(model: BlendshapeModel) -> dict[str, slice]:

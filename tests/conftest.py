@@ -12,7 +12,15 @@ from scipy.special import logsumexp
 
 from facegen.errors import EmptyComponent, SingularComponent
 from facegen.gmm import GaussianMixture, _kmeanspp_centers
-from facegen.learning import LossContext, LossWeights, ScanSet, ThetaBlocks, total_loss
+from facegen.adam import AdamState, adam_step
+from facegen.learning import (
+    LossContext,
+    LossWeights,
+    ScanSet,
+    ThetaBlocks,
+    _init_phi,
+    total_loss,
+)
 from facegen.mesh import Normals, QuadMesh, build_connectivity, signed_incidence
 from facegen.model import BlendshapeModel, Skeleton
 from facegen.procedural import (
@@ -105,19 +113,19 @@ def tiny_problem(rng: np.random.Generator, V_grid=(3, 4), n_scans=2, m=2,
     return base, scans, theta, phi
 
 
-def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6):
+def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6,
+                      frozen=frozenset()):
     """Max relative error between analytic gradients and central finite
-    differences, over every parameter block."""
+    differences, over every parameter block not in `frozen`."""
     weights = weights or LossWeights()
     ctx = LossContext.build(scans, base)
-    res = total_loss(theta, phi, scans, weights, base, ctx=ctx)
+    res = total_loss(theta, phi, scans, weights, base, ctx=ctx, frozen=frozen)
 
     def loss(th, ph):
-        return total_loss(th, ph, scans, weights, base, ctx=ctx).total
+        return total_loss(th, ph, scans, weights, base, ctx=ctx, frozen=frozen).total
 
     worst = 0.0
-    for name in ("phi", "alpha", "beta", "joint_angles", "global_rot",
-                 "global_trans"):
+    for name in res.grads:
         arr = phi if name == "phi" else getattr(theta, name)
         fd = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
@@ -134,6 +142,32 @@ def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6):
         denom = max(np.abs(fd).max(), 1e-10)
         worst = max(worst, float(np.abs(res.grads[name] - fd).max() / denom))
     return worst
+
+
+def fit_reference(scans, m, schedule, base, weights=None, seed=0):
+    """learning.fit's loop with a loss that differentiates every block and
+    drops the frozen blocks' gradients before each Adam step: the reference
+    for a fit that skips their derivative work.  Early stop is not
+    modelled.  Returns (trajectory, final phi, final alphas)."""
+    weights = weights or LossWeights()
+    frozen = ({"beta"} if schedule.freeze_beta else set()) | (
+        {"joint_angles", "global_rot", "global_trans"} if schedule.freeze_pose else set())
+    ctx = LossContext.build(scans, base)
+    phi = _init_phi(scans, base.template.vertices, m, schedule,
+                    np.random.default_rng(seed))
+    params = {"phi": phi,
+              **ThetaBlocks.zeros(scans.n_scans, m, base.n_expression).as_dict()}
+    state = AdamState()
+    trajectory = []
+    for _ in range(schedule.iterations):
+        theta = ThetaBlocks(params["alpha"], params["beta"], params["joint_angles"],
+                            params["global_rot"], params["global_trans"])
+        res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx)
+        trajectory.append(res.total)
+        grads = {k: g for k, g in res.grads.items() if k not in frozen}
+        params = adam_step(state, params, grads, schedule.lr,
+                           schedule.beta1, schedule.beta2, schedule.eps)
+    return trajectory, params["phi"], params["alpha"]
 
 
 def clustered_groom(rng: np.random.Generator, n_strands=200, R=16,

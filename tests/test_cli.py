@@ -313,6 +313,9 @@ class TestFitCommand:
         assert model.n_identity == 2
         report = json.loads((out / "report.json").read_text())
         assert report["trajectory"][-1] < report["trajectory"][0]
+        # the final loss is that of the saved model, which its breakdown describes
+        assert report["final_loss"] == pytest.approx(sum(report["breakdown"].values()),
+                                                     rel=1e-12)
 
     def test_unknown_config_key_is_data_error(self, tmp_path, rng, capsys):
         grid = quad_grid(2, 2)
@@ -340,12 +343,18 @@ class TestFitCommand:
         for i in range(3):
             v = grid.vertices + 0.01 * rng.standard_normal(grid.vertices.shape)
             save_obj(scans_dir / f"s{i}.obj", QuadMesh(v, grid.quads))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schedule": {"iterations": 50, "lr": 1e200}}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                           "fit", "--scans", str(scans_dir), "--basis-size", "2"])
-        assert rc == 3
+        # with one iteration only the loss after the last step, the final
+        # one, overflows
+        for iterations in (50, 1):
+            cfg = tmp_path / f"cfg{iterations}.json"
+            cfg.write_text(json.dumps({"schedule": {"iterations": iterations,
+                                                    "lr": 1e200}}))
+            out = tmp_path / f"o{iterations}"
+            with np.errstate(over="ignore", invalid="ignore"):
+                rc = cli_main(["--config", str(cfg), "--out", str(out),
+                               "fit", "--scans", str(scans_dir), "--basis-size", "2"])
+            assert rc == 3, iterations
+            assert not (out / "report.json").exists()
 
     def test_json_logs(self, demo_lib, tmp_path, capsys):
         out = tmp_path / "o"

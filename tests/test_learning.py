@@ -30,8 +30,27 @@ from conftest import (
     data_term_reference,
     edge_length_energy_reference,
     fd_gradient_check,
+    fit_reference,
     tiny_problem,
 )
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of the learner's module attributes `names`, which the
+    per-layer tracer wraps; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(learning, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(learning, name, counted(name))
+    return calls
 
 
 class TestBarrier4:
@@ -271,6 +290,22 @@ class TestLossContext:
         for k in r1.grads:
             assert np.array_equal(r1.grads[k], r2.grads[k])
 
+    def test_context_of_other_scans_of_the_same_shape_rejected(self, rng):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        ctx = LossContext.build(scans, base)
+        moved = ScanSet(scans.vertices + 0.05, scans.quads, scans.ids)
+        renamed = ScanSet(scans.vertices, scans.quads, ("x", "y", "z"))
+        for other in (moved, renamed):
+            with pytest.raises(DimensionMismatch):
+                total_loss(theta, phi, other, LossWeights(), base, ctx=ctx)
+
+    def test_context_of_an_equal_scan_set_accepted(self, rng):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        ctx = LossContext.build(scans, base)
+        equal = ScanSet(scans.vertices.copy(), scans.quads.copy(), scans.ids)
+        res = total_loss(theta, phi, equal, LossWeights(), base, ctx=ctx)
+        assert res.total == total_loss(theta, phi, scans, LossWeights(), base).total
+
     def test_context_of_other_scans_rejected(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         _, other, _, _ = tiny_problem(rng, n_scans=2)
@@ -286,19 +321,8 @@ class TestLossContext:
         assert np.array_equal(ctx.target_normals, per_scan)
 
     def test_fit_builds_per_scan_constants_once(self, rng, monkeypatch):
-        calls = {"build_connectivity": 0, "uniform_laplacian_matrix": 0,
-                 "vertex_normals": 0}
-
-        def counted(name):
-            fn = getattr(learning, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(learning, name, counted(name))
+        calls = _count_calls(monkeypatch, ("build_connectivity",
+                                           "uniform_laplacian_matrix", "vertex_normals"))
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         sched = FitSchedule(iterations=7, early_stop_window=100)
         _, report = fit(scans, m=2, schedule=sched, base=base)
@@ -321,23 +345,23 @@ class TestLossContext:
     def test_total_loss_calls_traced_forward_once(self, rng, monkeypatch):
         # the learner must go through the module attributes the per-layer
         # tracer wraps, not a private copy of the forward
-        calls = dict.fromkeys(("evaluate_unposed", "pose_derivatives",
-                               "lbs_apply", "euler_xyz_grad"), 0)
-
-        def counted(name):
-            fn = getattr(learning, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(learning, name, counted(name))
+        calls = _count_calls(monkeypatch, ("evaluate_unposed", "pose_derivatives",
+                                           "lbs_apply", "euler_xyz_grad"))
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
         total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
         assert calls == dict.fromkeys(calls, 1)
+
+    def test_frozen_fit_skips_pose_derivative_tables(self, rng, monkeypatch):
+        calls = _count_calls(monkeypatch, ("evaluate_unposed", "pose_derivatives",
+                                           "lbs_apply", "euler_xyz_grad"))
+        base, scans, _, _ = tiny_problem(rng, n_scans=3)
+        sched = FitSchedule(iterations=6, early_stop_window=100,
+                            freeze_pose=True, freeze_beta=True)
+        fit(scans, m=2, schedule=sched, base=base)
+        # one loss per iteration plus the final evaluation
+        assert calls == {"evaluate_unposed": 7, "pose_derivatives": 0,
+                         "lbs_apply": 7, "euler_xyz_grad": 0}
 
     def test_per_scan_rms_in_input_order(self, rng):
         grid = quad_grid(3, 4, spacing=0.05)
@@ -445,6 +469,12 @@ class TestFit:
         with pytest.raises(Diverged):
             with np.errstate(over="ignore", invalid="ignore"):
                 fit(scans, m=2, schedule=sched, seed=0)
+        # with one iteration only the loss after its step, the final one,
+        # overflows
+        with pytest.raises(Diverged) as info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit(scans, m=2, schedule=dataclasses.replace(sched, iterations=1), seed=0)
+        assert info.value.iteration == 1
 
     def test_report_shape(self, rng):
         grid = quad_grid(3, 4, spacing=0.05)
@@ -465,3 +495,70 @@ class TestFit:
         # per-row totals re-parse to the recorded trajectory
         first = csv[1].split(",")
         assert float(first[1]) == report.trajectory[0]
+
+
+FROZEN_SETS = [frozenset(), frozenset({"beta"}), frozenset({"joint_angles"}),
+               frozenset({"global_rot", "global_trans"}), learning.FREEZABLE]
+
+
+class TestFrozenBlocks:
+    """total_loss with frozen blocks: the loss of the unfrozen call, bit for
+    bit, its gradients for the live blocks, and no gradient for a frozen one."""
+
+    @pytest.mark.parametrize("frozen", FROZEN_SETS,
+                             ids=lambda f: "+".join(sorted(f)) or "none")
+    def test_parity_with_unfrozen_call(self, rng, frozen):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=4)
+        # posed away from rest, pivots coupled to identity
+        assert np.all(theta.joint_angles != 0) and np.all(base.skeleton.a != 0)
+        ctx = LossContext.build(scans, base)
+        full = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx, frozen=frozen)
+        assert res.total == full.total
+        assert res.breakdown == full.breakdown
+        assert np.array_equal(res.scan_vertex_ms, full.scan_vertex_ms)
+        assert res.grads.keys() == full.grads.keys() - frozen
+        for name, g in res.grads.items():
+            assert _rel_err(g, full.grads[name]) <= 1e-12, name
+            if not frozen:
+                assert np.array_equal(g, full.grads[name]), name
+
+    def test_live_blocks_match_fd_with_all_frozen(self, rng):
+        base, scans, theta, phi = tiny_problem(rng)
+        assert fd_gradient_check(base, scans, theta, phi,
+                                 frozen=learning.FREEZABLE) < 1e-5
+
+    @pytest.mark.parametrize("frozen", [{"phi"}, {"alpha"}, {"beta", "pose"}, "beta"])
+    def test_unknown_block_rejected(self, rng, frozen):
+        base, scans, theta, phi = tiny_problem(rng)
+        with pytest.raises(InvalidParam):
+            total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen)
+
+    def test_schedule_flags_map_to_blocks(self):
+        assert FitSchedule().frozen == frozenset()
+        assert FitSchedule(freeze_beta=True).frozen == {"beta"}
+        assert FitSchedule(freeze_pose=True).frozen == {
+            "joint_angles", "global_rot", "global_trans"}
+        assert FitSchedule(freeze_beta=True, freeze_pose=True).frozen == learning.FREEZABLE
+
+    @pytest.mark.parametrize("freeze_beta,freeze_pose",
+                             [(True, True), (True, False), (False, True)])
+    def test_fit_matches_differentiate_everything_reference(self, rng, freeze_beta,
+                                                            freeze_pose):
+        base, scans, _, _ = tiny_problem(rng, n_scans=4)
+        sched = FitSchedule(iterations=25, early_stop_window=100,
+                            freeze_beta=freeze_beta, freeze_pose=freeze_pose)
+        model, report = fit(scans, m=2, schedule=sched, base=base, seed=3)
+        trajectory, phi, alphas = fit_reference(scans, 2, sched, base, seed=3)
+        assert report.trajectory == trajectory
+        assert np.array_equal(model.identity_basis, phi)
+        assert np.array_equal(report.final_alphas, alphas)
+
+    def test_final_loss_is_the_loss_of_the_returned_parameters(self, rng):
+        base, scans, _, _ = tiny_problem(rng, n_scans=3)
+        sched = FitSchedule(iterations=5, early_stop_window=100)
+        _, report = fit(scans, m=2, schedule=sched, base=base)
+        d = report.to_dict()
+        assert d["final_loss"] == pytest.approx(sum(d["breakdown"].values()), rel=1e-12)
+        assert d["final_loss"] != d["trajectory"][-1]
+        assert d["trajectory"] == report.trajectory

@@ -17,6 +17,7 @@ from facegen.model import (
     lbs_apply,
     param_layout,
     pose_derivatives,
+    pose_transforms,
     world_transforms,
 )
 from facegen.procedural import desk_head
@@ -251,6 +252,15 @@ class TestEvaluate:
         assert np.array_equal(der.R_w, R_w)
         assert np.array_equal(der.b_w, b_w)
         assert np.array_equal(der.pivots, piv)
+
+    def test_pose_transforms_are_pose_derivatives_without_angle_tables(self, model, rng):
+        alpha = 0.4 * rng.standard_normal((3, model.n_identity))
+        angles = 0.3 * rng.standard_normal((3, 4, 3))
+        der = pose_derivatives(model.skeleton, alpha, angles)
+        fwd = pose_transforms(model.skeleton, alpha, angles)
+        for name in ("R_w", "b_w", "pivots", "db_dpiv"):
+            assert np.array_equal(getattr(fwd, name), getattr(der, name)), name
+        assert fwd.dR_w is None and fwd.db_w is None
 
     def test_jacobian_matches_finite_differences(self, model, rng):
         params = random_params(model, rng)
