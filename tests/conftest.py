@@ -14,15 +14,33 @@ from facegen.errors import EmptyComponent, SingularComponent
 from facegen.gmm import GaussianMixture, _kmeanspp_centers
 from facegen.adam import AdamState, adam_step
 from facegen.learning import (
+    GLOBAL_ROT_LIMITS,
     LossContext,
     LossWeights,
     ScanSet,
     ThetaBlocks,
+    _data_term,
     _init_phi,
+    barrier4,
     total_loss,
 )
-from facegen.mesh import Normals, QuadMesh, build_connectivity, signed_incidence
-from facegen.model import BlendshapeModel, Skeleton
+from facegen.mesh import (
+    Normals,
+    QuadMesh,
+    build_connectivity,
+    edge_length_energy,
+    signed_incidence,
+)
+from facegen.model import (
+    BlendshapeModel,
+    Skeleton,
+    euler_xyz,
+    euler_xyz_grad,
+    evaluate_unposed,
+    lbs_adjoint,
+    lbs_apply,
+    pose_derivatives,
+)
 from facegen.procedural import (
     cube_mesh,
     quad_grid,
@@ -124,8 +142,12 @@ def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6,
     def loss(th, ph):
         return total_loss(th, ph, scans, weights, base, ctx=ctx, frozen=frozen).total
 
+    blocks = ("phi", "alpha", "beta", "joint_angles", "global_rot", "global_trans")
+    assert res.grads.keys() == set(blocks) - frozen
     worst = 0.0
-    for name in res.grads:
+    for name in blocks:
+        if name in frozen:
+            continue
         arr = phi if name == "phi" else getattr(theta, name)
         fd = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
@@ -144,11 +166,84 @@ def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6,
     return worst
 
 
+def total_loss_reference(theta, phi, scans, weights, base, ctx):
+    """learning.total_loss with every block differentiated, written without
+    the frozen-block branches and with the pivot Jacobian built inline: an
+    unfrozen call must match it bit for bit.  Returns (total, grads)."""
+    N, V, m = scans.n_scans, scans.n_vertices, phi.shape[0]
+    order, inv_order = ctx.order, ctx.inv_order
+    alpha, beta = theta.alpha[order], theta.beta[order]
+    joint_angles = theta.joint_angles[order]
+    global_rot, global_trans = theta.global_rot[order], theta.global_trans[order]
+    w, skel = base.skinning_weights, base.skeleton
+
+    vbar = evaluate_unposed(dataclasses.replace(base, identity_basis=phi), alpha, beta)
+    der = pose_derivatives(skel, alpha, joint_angles)
+    R = skel.joint_rotations(joint_angles)
+    eye = np.eye(3)
+    db_dpiv = np.zeros((N, 4, 4, 3, 3))
+    db_dpiv[:, 0, 0] = eye - R[:, 0]
+    for j in (1, 2, 3):
+        db_dpiv[:, j, 0] = eye - R[:, 0]
+        db_dpiv[:, j, j] = R[:, 0] @ (eye - R[:, j])
+    v_out = lbs_apply(w, der.R_w, der.b_w, vbar)
+    R_g = euler_xyz(global_rot)
+    y = v_out @ np.swapaxes(R_g, 1, 2) + global_trans[:, None, :]
+    y_vm = np.ascontiguousarray(y.transpose(1, 2, 0))
+    vert_vals, norm_vals, data_grad_y = _data_term(
+        y_vm, ctx.targets, ctx.target_normals, ctx.faces,
+        weights.w_vertex, weights.w_normal)
+    edge_vals, edge_grad_y = edge_length_energy(y_vm, ctx.ref_edge_lengths, ctx.incidence)
+    bexpr_val, bexpr_der = barrier4(beta, 0.0, 1.0)
+    bpose_val, bpose_der = barrier4(joint_angles, skel.limits[..., 0], skel.limits[..., 1])
+    bglob_val, bglob_der = barrier4(global_rot, *GLOBAL_ROT_LIMITS)
+    phi_flat = phi.transpose(1, 0, 2).reshape(V, m * 3)
+    lap_phi = ctx.laplacian @ phi_flat
+    total = (weights.w_vertex * float(vert_vals.sum())
+             + weights.w_normal * float(norm_vals.sum())
+             + weights.w_barrier_expr * float(bexpr_val.sum())
+             + weights.w_barrier_pose * float(bpose_val.sum() + bglob_val.sum())
+             + weights.w_id_coeff * float(np.einsum("nq,nq->", alpha, alpha))
+             + weights.w_id_basis * float(np.einsum("qva,qva->", phi, phi))
+             + weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
+             + weights.w_edge * float(edge_vals.sum()))
+
+    dLdy = np.ascontiguousarray(
+        (data_grad_y + weights.w_edge * edge_grad_y).transpose(2, 0, 1))
+    g_gtrans = dLdy.sum(axis=1)
+    M_g = np.swapaxes(dLdy, 1, 2) @ v_out
+    g_grot = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), M_g)
+              + weights.w_barrier_pose * bglob_der)
+    dLdv_out = dLdy @ R_g
+    g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
+    vbar1 = np.concatenate([vbar, np.ones((N, V, 1))], axis=2)
+    moments = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
+    M, s = moments[..., :3], moments[..., 3]
+    g_angles = (np.einsum("nijkab,niab->njk", der.dR_w, M)
+                + np.einsum("nijka,nia->njk", der.db_w, s)
+                + weights.w_barrier_pose * bpose_der)
+    g_pivot = np.einsum("nijab,nia->njb", db_dpiv, s)
+    dLdvbar = lbs_adjoint(w, der.R_w, dLdv_out).reshape(N, V * 3)
+    g_alpha = (dLdvbar @ phi.reshape(m, V * 3).T
+               + np.einsum("njb,jbq->nq", g_pivot, skel.a)
+               + weights.w_id_coeff * 2.0 * alpha)
+    g_beta = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
+              + weights.w_barrier_expr * bexpr_der)
+    g_phi = ((alpha.T @ dLdvbar).reshape(m, V, 3)
+             + weights.w_id_basis * 2.0 * phi
+             + weights.w_laplacian * 2.0
+             * (ctx.lap_gram @ phi_flat).reshape(V, m, 3).transpose(1, 0, 2))
+    grads = {"phi": g_phi, "alpha": g_alpha[inv_order], "beta": g_beta[inv_order],
+             "joint_angles": g_angles[inv_order], "global_rot": g_grot[inv_order],
+             "global_trans": g_gtrans[inv_order]}
+    return float(total), grads
+
+
 def fit_reference(scans, m, schedule, base, weights=None, seed=0):
-    """learning.fit's loop with a loss that differentiates every block and
-    drops the frozen blocks' gradients before each Adam step: the reference
-    for a fit that skips their derivative work.  Early stop is not
-    modelled.  Returns (trajectory, final phi, final alphas)."""
+    """learning.fit's loop with total_loss_reference, which differentiates
+    every block, dropping the frozen blocks' gradients before each Adam
+    step: the reference for a fit that skips their derivative work.  Early
+    stop is not modelled.  Returns (trajectory, final phi, final alphas)."""
     weights = weights or LossWeights()
     frozen = ({"beta"} if schedule.freeze_beta else set()) | (
         {"joint_angles", "global_rot", "global_trans"} if schedule.freeze_pose else set())
@@ -162,9 +257,10 @@ def fit_reference(scans, m, schedule, base, weights=None, seed=0):
     for _ in range(schedule.iterations):
         theta = ThetaBlocks(params["alpha"], params["beta"], params["joint_angles"],
                             params["global_rot"], params["global_trans"])
-        res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx)
-        trajectory.append(res.total)
-        grads = {k: g for k, g in res.grads.items() if k not in frozen}
+        total, grads = total_loss_reference(theta, params["phi"], scans, weights,
+                                            base, ctx)
+        trajectory.append(total)
+        grads = {k: g for k, g in grads.items() if k not in frozen}
         params = adam_step(state, params, grads, schedule.lr,
                            schedule.beta1, schedule.beta2, schedule.eps)
     return trajectory, params["phi"], params["alpha"]

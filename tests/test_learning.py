@@ -32,6 +32,7 @@ from conftest import (
     fd_gradient_check,
     fit_reference,
     tiny_problem,
+    total_loss_reference,
 )
 
 
@@ -520,8 +521,16 @@ class TestFrozenBlocks:
         assert res.grads.keys() == full.grads.keys() - frozen
         for name, g in res.grads.items():
             assert _rel_err(g, full.grads[name]) <= 1e-12, name
-            if not frozen:
-                assert np.array_equal(g, full.grads[name]), name
+
+    def test_unfrozen_call_matches_reference_bitwise(self, rng):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=4)
+        ctx = LossContext.build(scans, base)
+        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        total, grads = total_loss_reference(theta, phi, scans, LossWeights(), base, ctx)
+        assert res.total == total
+        assert res.grads.keys() == grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(res.grads[name], g), name
 
     def test_live_blocks_match_fd_with_all_frozen(self, rng):
         base, scans, theta, phi = tiny_problem(rng)
