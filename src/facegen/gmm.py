@@ -56,14 +56,16 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-def _log_joint(data, weights, means, chols) -> np.ndarray:
+def _log_joint(data, weights, means, chols, delta=None) -> np.ndarray:
     """log w_k + log N(x | mu_k, L_k L_k^T) for all K components at once,
     component-major, shape (K, n), so that reductions over k run along
     contiguous rows.  The residuals are whitened by the inverse Cholesky
     factors, the precision-Cholesky form of scikit-learn (Pedregosa et al.,
-    JMLR 2011)."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    white = (data - means[:, None, :]) @ np.linalg.inv(np.swapaxes(chols, 1, 2))
+    JMLR 2011).  `delta` is the (K, n, d) residuals data - means[:, None, :]
+    when the caller already has them."""
+    if delta is None:
+        delta = np.atleast_2d(np.asarray(data, dtype=np.float64)) - means[:, None, :]
+    white = delta @ np.linalg.inv(np.swapaxes(chols, 1, 2))
     logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     const = np.log(weights) - 0.5 * means.shape[1] * np.log(2.0 * np.pi) - logdet
     return const[:, None] - 0.5 * np.einsum("knd,knd->kn", white, white)
@@ -132,13 +134,14 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
     just_reseeded = False
     trajectory: list[float] = []
     prev_ll = -np.inf
+    delta = None        # residuals of `means`, once an M-step has made them
     for _ in range(max_iter):
         try:
             chols = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError:
             GaussianMixture(weights, means, covs)   # names the first non-SPD component
             raise
-        log_joint = _log_joint(data, weights, means, chols)
+        log_joint = _log_joint(data, weights, means, chols, delta)
         log_norm = _logsumexp(log_joint)
         ll = float(log_norm.sum())
         if (trajectory and not just_reseeded
@@ -162,6 +165,7 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
                 covs[k] = global_cov
                 weights[k] = 1.0 / n
             weights /= weights.sum()
+            delta = None
             prev_ll = ll
             continue
 

@@ -30,6 +30,7 @@ from .errors import (
     TopologyMismatch,
 )
 from .mesh import (
+    BlockOperator,
     FaceOperators,
     QuadMesh,
     build_connectivity,
@@ -37,7 +38,6 @@ from .mesh import (
     dot3,
     edge_length_energy,
     normals_forward,
-    signed_incidence,
     uniform_laplacian_matrix,
     vertex_normals,
 )
@@ -133,31 +133,36 @@ def barrier4(x, lo, hi):
     """
     if np.any(np.asarray(lo) >= np.asarray(hi)):
         raise InvalidParam("barrier needs lo < hi")
-    x = np.asarray(x, dtype=np.float64)
-    above = np.maximum(x - hi, 0.0)
-    below = np.maximum(lo - x, 0.0)
-    val = above ** 4 + below ** 4
-    der = 4.0 * above ** 3 - 4.0 * below ** 3
+    val, der = _barrier4(np.asarray(x, dtype=np.float64), lo, hi)
     if val.ndim == 0:
         return float(val), float(der)
     return val, der
+
+
+def _barrier4(x: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """barrier4 on an array, without the bound check: the loss's bounds
+    are the module constants and the limits a Skeleton checked."""
+    above = np.maximum(x - hi, 0.0)
+    below = np.maximum(lo - x, 0.0)
+    a2, b2 = above * above, below * below
+    return a2 * a2 + b2 * b2, 4.0 * (a2 * above) - 4.0 * (b2 * below)
 
 
 @dataclass(frozen=True)
 class LossContext:
     """Everything the loss needs that depends only on the scans and the
     base template; `build` makes it once per fit.  Per-scan arrays are
-    vertex-major, (V, 3, N), in canonical scan order."""
+    component-major, (3, V, N), in canonical scan order."""
 
     scans: ScanSet                    # the scans it was built from
     faces: FaceOperators              # normal forward/adjoint operators
-    incidence: sparse.csr_matrix      # (E, V) vertices to edge vectors
+    incidence: BlockOperator          # (E, V) vertices to edge vectors
     laplacian: sparse.csr_matrix      # (V, V) uniform Laplacian L
     lap_gram: sparse.csr_matrix       # L^T L
     order: np.ndarray                 # canonical (sorted-id) scan order
     inv_order: np.ndarray             # its inverse permutation
-    targets: np.ndarray               # (V, 3, N) scan vertices
-    target_normals: np.ndarray        # (V, 3, N) scan normals
+    targets: np.ndarray               # (3, V, N) scan vertices
+    target_normals: np.ndarray        # (3, V, N) scan normals
     ref_edge_lengths: np.ndarray      # (E,) template edge lengths
 
     @classmethod
@@ -166,11 +171,11 @@ class LossContext:
         if base.template.n_vertices != V:
             raise DimensionMismatch("base template does not match scan vertex count")
         conn = build_connectivity(QuadMesh(base.template.vertices, scans.quads))
-        incidence = signed_incidence(conn.edges, (1, -1), V).T
+        incidence = BlockOperator.gather(conn.edges, (1, -1), V)
         laplacian = uniform_laplacian_matrix(conn)
         order = np.argsort(np.asarray(scans.ids))
         faces = FaceOperators.build(scans.quads, V)
-        targets = np.ascontiguousarray(scans.vertices[order].transpose(1, 2, 0))
+        targets = np.ascontiguousarray(scans.vertices[order].transpose(2, 1, 0))
         return cls(
             scans=scans,
             faces=faces,
@@ -181,36 +186,47 @@ class LossContext:
             inv_order=np.argsort(order),
             targets=targets,
             target_normals=vertex_normals(targets, faces),
-            ref_edge_lengths=np.linalg.norm(incidence @ base.template.vertices, axis=1),
+            ref_edge_lengths=np.linalg.norm(
+                incidence.apply(base.template.vertices.T), axis=0),
         )
 
 
 def _data_term(y: np.ndarray, targets: np.ndarray, target_normals: np.ndarray,
                faces: FaceOperators, w_vertex: float, w_normal: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex and normal data terms of vertex-major (V, 3, *batch) positions y.
+    """Vertex and normal data terms of component-major (3, V, *batch) positions y.
 
     Returns (per-mesh mean ||y - t||^2 (*batch), per-mesh mean (1 - cos
     angle) between generated and target normals (*batch), gradient of the
     weighted sum of both w.r.t. y).  Degenerate faces and zero-normal
     vertices contribute value 1 with zero gradient.
     """
-    V = len(y)
+    V = y.shape[1]
     diff = y - targets
-    vert_vals = np.einsum("va...,va...->...", diff, diff) / V
+    # summed vertex by vertex, each over its x, y, z, as in the (V, 3) layout
+    sq = (diff * diff).swapaxes(0, 1).reshape(3 * V, -1)
+    vert_vals = sq.sum(axis=0).reshape(y.shape[2:]) / V
     fwd = normals_forward(y, faces)
     n, nhat = fwd.vertex, fwd.face
     norm_vals = 1.0 - dot3(n, target_normals).mean(axis=0)
 
     # adjoint of the normals: d/dn of sum_v (1 - n.c)/V is -c/V
-    g_n = -target_normals / V
-    g_m = (g_n - n * dot3(n, g_n)[:, None]) * fwd.vertex_inv[:, None]
-    g_nhat = (faces.accum.T @ g_m.reshape(V, -1)).reshape(nhat.shape)
-    g_u = (g_nhat - nhat * dot3(nhat, g_nhat)[:, None]) * fwd.face_inv[:, None]
-    g_normal = (faces.diag_p.T @ cross3(fwd.r, g_u).reshape(len(g_u), -1)
-                + faces.diag_r.T @ cross3(g_u, fwd.p).reshape(len(g_u), -1))
-    return (vert_vals, norm_vals,
-            w_vertex * (2.0 / V) * diff + w_normal * g_normal.reshape(y.shape))
+    g_m = _normalize_adjoint(target_normals / -V, n, fwd.vertex_inv)
+    g_u = _normalize_adjoint(faces.accum.apply_adjoint(g_m), nhat, fwd.face_inv)
+    grad = faces.diag_p.apply_adjoint(cross3(fwd.r, g_u))
+    grad += faces.diag_r.apply_adjoint(cross3(g_u, fwd.p))
+    grad *= w_normal
+    diff *= w_vertex * (2.0 / V)
+    grad += diff
+    return vert_vals, norm_vals, grad
+
+
+def _normalize_adjoint(g: np.ndarray, unit: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Adjoint of x -> x / |x| at x = unit / inv: (g - unit (unit . g)) * inv."""
+    out = unit * dot3(unit, g)
+    np.subtract(g, out, out=out)
+    out *= inv
+    return out
 
 
 def data_term(generated: np.ndarray, target: QuadMesh,
@@ -226,10 +242,50 @@ def data_term(generated: np.ndarray, target: QuadMesh,
         raise TopologyMismatch(
             f"generated {generated.shape} vs target {target.vertices.shape}")
     faces = FaceOperators.build(target.quads, target.n_vertices)
+    t = np.ascontiguousarray(target.vertices.T)
     vert_vals, norm_vals, grad = _data_term(
-        generated, target.vertices, vertex_normals(target.vertices, faces), faces,
+        np.ascontiguousarray(generated.T), t, vertex_normals(t, faces), faces,
         w_vertex, w_normal)
-    return w_vertex * float(vert_vals) + w_normal * float(norm_vals), grad
+    return (w_vertex * float(vert_vals) + w_normal * float(norm_vals),
+            np.ascontiguousarray(grad.T))
+
+
+# Size of one (3, V, n) float64 array of a chunk of scans: small enough that
+# the mesh terms' temporaries are reused from cache and from the heap rather
+# than from freshly mapped pages.
+_CHUNK_BYTES = 1 << 19
+
+
+def _scan_chunks(n_scans: int, n_vertices: int) -> list[slice]:
+    """Split the scans evenly into the fewest chunks whose (3, V, n) arrays
+    take at most about _CHUNK_BYTES, with at least two scans per chunk:
+    then every per-scan reduction adds in the same order as over all scans
+    at once, so the chunking does not change a bit of the result."""
+    k = max(1, min(n_scans // 2, -(-n_scans * 24 * n_vertices // _CHUNK_BYTES)))
+    bounds = np.arange(k + 1) * n_scans // k
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _mesh_terms(y: np.ndarray, ctx: LossContext, weights: LossWeights
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-scan vertex, normal and edge values of posed vertices y (N, V, 3),
+    and the gradient (N, V, 3) of their weighted sum.  Each chunk of scans
+    runs on one component-major (3, V, n) copy, and its gradient is moved
+    back once."""
+    N, V = y.shape[:2]
+    vert_vals, norm_vals, edge_vals = np.empty((3, N))
+    dLdy = np.empty_like(y)
+    for s in _scan_chunks(N, V):
+        y_cm = np.ascontiguousarray(y[s].transpose(2, 1, 0))
+        vert_vals[s], norm_vals[s], grad = _data_term(
+            y_cm, ctx.targets[..., s], ctx.target_normals[..., s], ctx.faces,
+            weights.w_vertex, weights.w_normal)
+        edge_vals[s], edge_grad = edge_length_energy(y_cm, ctx.ref_edge_lengths,
+                                                     ctx.incidence)
+        edge_grad *= weights.w_edge
+        grad += edge_grad
+        dLdy[s] = grad.transpose(2, 1, 0)
+    return vert_vals, norm_vals, edge_vals, dLdy
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +370,18 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     v_out = lbs_apply(w, der.R_w, der.b_w, vbar)
     R_g = euler_xyz(global_rot)
     y = v_out @ np.swapaxes(R_g, 1, 2) + global_trans[:, None, :]
-    # the mesh terms run on one vertex-major (V, 3, N) copy
-    y_vm = np.ascontiguousarray(y.transpose(1, 2, 0))
 
-    # data terms
-    vert_vals, norm_vals, data_grad_y = _data_term(
-        y_vm, ctx.targets, ctx.target_normals, ctx.faces,
-        weights.w_vertex, weights.w_normal)
+    # data terms, and the edge-degeneracy term against template edge lengths
+    vert_vals, norm_vals, edge_vals, dLdy = _mesh_terms(y, ctx, weights)
     term_vertex = weights.w_vertex * float(vert_vals.sum())
     term_normal = weights.w_normal * float(norm_vals.sum())
-
-    # edge-degeneracy term against template edge lengths
-    edge_vals, edge_grad_y = edge_length_energy(y_vm, ctx.ref_edge_lengths,
-                                                ctx.incidence)
     term_edge = weights.w_edge * float(edge_vals.sum())
 
     # barriers
-    bexpr_val, bexpr_der = barrier4(beta, 0.0, 1.0)
+    bexpr_val, bexpr_der = _barrier4(beta, 0.0, 1.0)
     term_bexpr = weights.w_barrier_expr * float(bexpr_val.sum())
-    bpose_val, bpose_der = barrier4(joint_angles, skel.limits[..., 0], skel.limits[..., 1])
-    bglob_val, bglob_der = barrier4(global_rot, *GLOBAL_ROT_LIMITS)
+    bpose_val, bpose_der = _barrier4(joint_angles, skel.limits[..., 0], skel.limits[..., 1])
+    bglob_val, bglob_der = _barrier4(global_rot, *GLOBAL_ROT_LIMITS)
     term_bpose = weights.w_barrier_pose * float(bpose_val.sum() + bglob_val.sum())
 
     # priors
@@ -348,8 +396,6 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
 
     # ---- backward: every block not frozen, in canonical order ----------
     g = {}
-    dLdy = np.ascontiguousarray(
-        (data_grad_y + weights.w_edge * edge_grad_y).transpose(2, 0, 1))
 
     if "global_trans" not in frozen:
         g["global_trans"] = dLdy.sum(axis=1)

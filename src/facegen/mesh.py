@@ -198,44 +198,108 @@ def signed_incidence(index: np.ndarray, signs, n_vertices: int) -> sparse.csc_ma
                              shape=(n_vertices, K))
 
 
+def _kron3(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+           shape: tuple[int, int]) -> sparse.csr_matrix:
+    """kron(I_3, A) for the CSR arrays of an (R, C) matrix A, built from
+    them directly: three copies of A down the diagonal, in A's order."""
+    (R, C), nnz = shape, len(data)
+    return sparse.csr_matrix(
+        (np.tile(data, 3),
+         np.concatenate([indices, indices + C, indices + 2 * C]),
+         np.concatenate([indptr[:-1], indptr[:-1] + nnz, indptr + 2 * nnz])),
+        shape=(3 * R, 3 * C))
+
+
+def _block_apply(block: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    return (block @ x.reshape(block.shape[1], -1)).reshape(3, -1, *x.shape[2:])
+
+
+class BlockOperator(NamedTuple):
+    """A sparse (R, C) map A applied to every component slab of a
+    component-major (3, C, *batch) array at once: kron(I_3, A) and its
+    adjoint kron(I_3, A.T), both stored as CSR.  Each acts on the free
+    (3C, -1) view with one product."""
+
+    forward: sparse.csr_matrix    # (3R, 3C)
+    adjoint: sparse.csr_matrix    # (3C, 3R), forward.T
+
+    @classmethod
+    def gather(cls, index: np.ndarray, signs, n: int) -> "BlockOperator":
+        """The (K, n) map whose row k holds signs[c] in column index[k, c],
+        the transpose of `signed_incidence(index, signs, n)`: edge vectors
+        for an edge list and signs (1, -1).
+
+        Row k lists its columns in the order of index[k], which is the
+        order a product adds them in (a face's corners in quad order); the
+        adjoint lists each column's rows in ascending order, so its
+        indices are sorted."""
+        K, c = index.shape
+        index = index.astype(np.int32).ravel()   # the index type scipy would pick
+        data = np.tile(np.asarray(signs, dtype=np.float64), K)
+        by_col = np.argsort(index, kind="stable").astype(np.int32)
+        col_ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(index, minlength=n), out=col_ptr[1:])
+        return cls(_kron3(np.arange(0, K * c + 1, c, dtype=np.int32), index, data, (K, n)),
+                   _kron3(col_ptr, by_col // c, data[by_col], (n, K)))
+
+    @property
+    def T(self) -> "BlockOperator":
+        return BlockOperator(self.adjoint, self.forward)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(3, C, *batch) -> (3, R, *batch)"""
+        return _block_apply(self.forward, x)
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """(3, R, *batch) -> (3, C, *batch)"""
+        return _block_apply(self.adjoint, x)
+
+
 @dataclass(frozen=True)
 class FaceOperators:
-    """Sparse maps between the faces of a quad list and its vertices; each
-    acts on the leading axis of vertex-major (K, 3, *batch) arrays, and
-    its `.T` is the adjoint map."""
+    """Sparse maps between the faces of a quad list and its vertices, on
+    component-major (3, K, *batch) arrays."""
 
-    accum: sparse.csc_matrix      # (V, F) sums face values onto their corners
-    diag_p: sparse.csr_matrix     # (F, V) gathers the diagonal p = v2 - v0
-    diag_r: sparse.csr_matrix     # (F, V) gathers the diagonal r = v3 - v1
+    accum: BlockOperator      # (V, F) sums face values onto their corners
+    diag_p: BlockOperator     # (F, V) gathers the diagonal p = v2 - v0
+    diag_r: BlockOperator     # (F, V) gathers the diagonal r = v3 - v1
 
     @classmethod
     def build(cls, quads: np.ndarray, n_vertices: int) -> "FaceOperators":
-        return cls(signed_incidence(quads, (1, 1, 1, 1), n_vertices),
-                   signed_incidence(quads[:, [2, 0]], (1, -1), n_vertices).T,
-                   signed_incidence(quads[:, [3, 1]], (1, -1), n_vertices).T)
+        return cls(BlockOperator.gather(quads, (1, 1, 1, 1), n_vertices).T,
+                   BlockOperator.gather(quads[:, [2, 0]], (1, -1), n_vertices),
+                   BlockOperator.gather(quads[:, [3, 1]], (1, -1), n_vertices))
 
 
 class Normals(NamedTuple):
     """Vertex normals with the intermediates their adjoint needs."""
 
-    vertex: np.ndarray       # (V, 3, *batch) unit vertex normals, zero if degenerate
-    face: np.ndarray         # (F, 3, *batch) unit face normals, zero if degenerate
-    p: np.ndarray            # (F, 3, *batch) diagonal v2 - v0
-    r: np.ndarray            # (F, 3, *batch) diagonal v3 - v1
+    vertex: np.ndarray       # (3, V, *batch) unit vertex normals, zero if degenerate
+    face: np.ndarray         # (3, F, *batch) unit face normals, zero if degenerate
+    p: np.ndarray            # (3, F, *batch) diagonal v2 - v0
+    r: np.ndarray            # (3, F, *batch) diagonal v3 - v1
     face_inv: np.ndarray     # (F, *batch) 1 / |p x r|, zero below 1e-15
     vertex_inv: np.ndarray   # (V, *batch) 1 / |sum of face normals|, zero below 1e-15
 
 
 def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product along axis 1 of (K, 3, *batch) arrays, summed component
-    by component, so a mesh rounds alike alone and in a batch."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    """Dot product of component-major (3, K, *batch) arrays, summed
+    component by component, so a mesh rounds alike alone and in a batch."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product along axis 1 of (K, 3, *batch) arrays."""
-    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(a, 1, 0), np.moveaxis(b, 1, 0)
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+    """Cross product of component-major (3, K, *batch) arrays."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    tmp = np.empty(out.shape[1:])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        out[i] -= tmp
+    return out
 
 
 def _inverse_norm(x: np.ndarray) -> np.ndarray:
@@ -245,33 +309,37 @@ def _inverse_norm(x: np.ndarray) -> np.ndarray:
 
 
 def normals_forward(vertices: np.ndarray, faces: FaceOperators) -> Normals:
-    """Vertex normals of vertex-major (V, 3, *batch) vertex sets sharing `faces`.
+    """Vertex normals of component-major (3, V, *batch) vertex sets sharing
+    `faces`.
 
     Face normals come from the cross product of the quad diagonals; each
     vertex normal is the normalized sum of its incident unit face normals.
     """
-    x = vertices.reshape(len(vertices), -1)
-    p = (faces.diag_p @ x).reshape(-1, *vertices.shape[1:])
-    r = (faces.diag_r @ x).reshape(p.shape)
-    u = cross3(p, r)
-    face_inv = _inverse_norm(u)
-    nhat = u * face_inv[:, None]
-    m = (faces.accum @ nhat.reshape(len(nhat), -1)).reshape(vertices.shape)
+    p = faces.diag_p.apply(vertices)
+    r = faces.diag_r.apply(vertices)
+    nhat = cross3(p, r)
+    face_inv = _inverse_norm(nhat)
+    nhat *= face_inv
+    m = faces.accum.apply(nhat)
     vertex_inv = _inverse_norm(m)
-    return Normals(m * vertex_inv[:, None], nhat, p, r, face_inv, vertex_inv)
+    m *= vertex_inv
+    return Normals(m, nhat, p, r, face_inv, vertex_inv)
 
 
 def vertex_normals(mesh: QuadMesh | np.ndarray,
                    faces: FaceOperators | None = None) -> np.ndarray:
     """Per-vertex unit normals: normalized sum of incident unit face normals.
 
-    With `faces`, `mesh` may instead be vertex-major (V, 3, *batch) vertex
-    sets sharing their quads, and the operators are reused rather than
-    rebuilt.  Faces and vertices whose magnitude is below 1e-15 get zero
-    normals; zero-area faces are reported with a ZeroAreaFace warning.
+    A QuadMesh gets (V, 3) normals.  With `faces`, `mesh` is instead
+    component-major (3, V, *batch) vertex sets sharing their quads, the
+    operators are reused rather than rebuilt, and the normals come back
+    in that layout.  Faces and vertices whose magnitude is below 1e-15 get
+    zero normals; zero-area faces are reported with a ZeroAreaFace warning.
     """
-    if faces is None:
-        vertices, faces = mesh.vertices, FaceOperators.build(mesh.quads, mesh.n_vertices)
+    single = faces is None
+    if single:
+        vertices = np.ascontiguousarray(mesh.vertices.T)
+        faces = FaceOperators.build(mesh.quads, mesh.n_vertices)
     else:
         vertices = np.asarray(mesh, dtype=np.float64)
     fwd = normals_forward(vertices, faces)
@@ -279,7 +347,7 @@ def vertex_normals(mesh: QuadMesh | np.ndarray,
     if n_bad:
         warnings.warn(f"{n_bad} zero-area face(s) skipped in normal computation",
                       ZeroAreaFace)
-    return fwd.vertex
+    return np.ascontiguousarray(fwd.vertex.T) if single else fwd.vertex
 
 
 def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
@@ -296,19 +364,19 @@ def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
 
 
 def edge_length_energy(vertices: np.ndarray, ref_lengths: np.ndarray,
-                       incidence: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+                       incidence: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     """Sum over edges of (|e| - ref_length_e)^2 with its exact gradient.
 
-    vertices (V, 3, *batch) share an edge list; `incidence` is the (E, V)
-    transpose of its `signed_incidence` with signs (1, -1).  Returns
-    (values (*batch), gradient (V, 3, *batch)).
+    Component-major vertices (3, V, *batch) share an edge list;
+    `incidence` is its `BlockOperator.gather(edges, (1, -1), V)`.
+    Returns (values (*batch), gradient (3, V, *batch)).
     """
     vertices = np.asarray(vertices, dtype=np.float64)
-    d = (incidence @ vertices.reshape(len(vertices), -1)).reshape(-1, *vertices.shape[1:])
+    d = incidence.apply(vertices)
     ln = np.sqrt(dot3(d, d))
     diff = (ln.T - ref_lengths).T        # (E,) lengths against (E, *batch)
     values = np.einsum("e...,e...->...", diff, diff)
     # d|e|/dv_a = (v_a - v_b)/|e|
     safe = np.where(ln > 0, ln, 1.0)
-    coeff = (2.0 * diff / safe)[:, None] * d
-    return values, (incidence.T @ coeff.reshape(len(coeff), -1)).reshape(vertices.shape)
+    d *= 2.0 * diff / safe
+    return values, incidence.apply_adjoint(d)

@@ -189,11 +189,11 @@ def total_loss_reference(theta, phi, scans, weights, base, ctx):
     v_out = lbs_apply(w, der.R_w, der.b_w, vbar)
     R_g = euler_xyz(global_rot)
     y = v_out @ np.swapaxes(R_g, 1, 2) + global_trans[:, None, :]
-    y_vm = np.ascontiguousarray(y.transpose(1, 2, 0))
+    y_cm = np.ascontiguousarray(y.transpose(2, 1, 0))
     vert_vals, norm_vals, data_grad_y = _data_term(
-        y_vm, ctx.targets, ctx.target_normals, ctx.faces,
+        y_cm, ctx.targets, ctx.target_normals, ctx.faces,
         weights.w_vertex, weights.w_normal)
-    edge_vals, edge_grad_y = edge_length_energy(y_vm, ctx.ref_edge_lengths, ctx.incidence)
+    edge_vals, edge_grad_y = edge_length_energy(y_cm, ctx.ref_edge_lengths, ctx.incidence)
     bexpr_val, bexpr_der = barrier4(beta, 0.0, 1.0)
     bpose_val, bpose_der = barrier4(joint_angles, skel.limits[..., 0], skel.limits[..., 1])
     bglob_val, bglob_der = barrier4(global_rot, *GLOBAL_ROT_LIMITS)
@@ -209,7 +209,7 @@ def total_loss_reference(theta, phi, scans, weights, base, ctx):
              + weights.w_edge * float(edge_vals.sum()))
 
     dLdy = np.ascontiguousarray(
-        (data_grad_y + weights.w_edge * edge_grad_y).transpose(2, 0, 1))
+        (data_grad_y + weights.w_edge * edge_grad_y).transpose(2, 1, 0))
     g_gtrans = dLdy.sum(axis=1)
     M_g = np.swapaxes(dLdy, 1, 2) @ v_out
     g_grot = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), M_g)
@@ -485,7 +485,7 @@ def normals_forward_reference(vertices: np.ndarray, quads: np.ndarray) -> Normal
 def data_term_reference(y, targets, target_normals, quads, w_vertex, w_normal):
     """learning._data_term on batch-major (N, V, 3) arrays, its sparse
     products applied through transposing copies: the reference for the
-    vertex-major data term."""
+    component-major data term."""
     V = y.shape[-2]
     accum = signed_incidence(quads, (1, 1, 1, 1), V)
     diag_p = signed_incidence(quads[:, [2, 0]], (1, -1), V)

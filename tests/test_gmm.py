@@ -147,9 +147,9 @@ class TestEmReseed:
         real = fgmm._log_joint
         rec = SimpleNamespace(means=[], edit={})
 
-        def log_joint(data, weights, means, chols):
+        def log_joint(data, weights, means, chols, delta=None):
             rec.means.append(means.copy())
-            out = real(data, weights, means, chols)
+            out = real(data, weights, means, chols, delta)
             return rec.edit.get(len(rec.means) - 1, lambda lj: lj)(out)
 
         monkeypatch.setattr(fgmm, "_kmeanspp_centers", far_centers)
@@ -181,6 +181,28 @@ class TestEmReseed:
         steps.edit = {2: lambda lj: lj - 1e3}
         with pytest.raises(SingularComponent, match="log-likelihood decreased"):
             fit_gmm(data, K=3, seed=0)
+
+    def test_reseed_after_an_m_step_drops_its_residuals(self, monkeypatch, rng):
+        # the M-step's residuals feed the next E-step, unless a reseed has
+        # moved the means since
+        real = fgmm._log_joint
+        consistent = []
+
+        def log_joint(data, weights, means, chols, delta=None):
+            consistent.append(delta is None
+                              or np.array_equal(delta, data - means[:, None, :]))
+            out = real(data, weights, means, chols, delta)
+            if len(consistent) == 3:
+                # starve component 0 at step 2, raising the others so the
+                # log-likelihood check passes
+                out = out.copy()
+                out[0] = -1e300
+                out[1:] += 1e3
+            return out
+
+        monkeypatch.setattr(fgmm, "_log_joint", log_joint)
+        fit_gmm(two_cluster_data(rng, n=200), K=3, seed=0)
+        assert len(consistent) > 4 and all(consistent)
 
     def test_second_collapse_raises(self, steps, rng):
         def starve_component_0(lj):

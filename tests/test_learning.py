@@ -191,6 +191,21 @@ class TestTotalLoss:
         assert np.array_equal(res_p.grads["phi"], res.grads["phi"])
         assert np.array_equal(res_p.grads["alpha"], res.grads["alpha"][perm])
 
+    @pytest.mark.parametrize("n_scans", [2, 5, 6])
+    def test_scan_chunks_leave_the_result_unchanged(self, rng, monkeypatch, n_scans):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=n_scans)
+        ctx = LossContext.build(scans, base)
+        whole = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        chunks = learning._scan_chunks(n_scans, scans.n_vertices)
+        assert len(chunks) == n_scans // 2
+        assert min(s.stop - s.start for s in chunks) >= 2
+        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        assert res.total == whole.total and res.breakdown == whole.breakdown
+        assert np.array_equal(res.scan_vertex_ms, whole.scan_vertex_ms)
+        for name, g in whole.grads.items():
+            assert np.array_equal(res.grads[name], g), name
+
     def test_barriers_zero_inside_support(self, rng):
         base, scans, theta, phi = tiny_problem(rng, with_pose=False)
         theta = dataclasses.replace(theta, beta=np.clip(theta.beta, 0.0, 1.0))
@@ -205,20 +220,18 @@ def _rel_err(a, b) -> float:
 
 def _batch_major_terms(monkeypatch, quads):
     """Make total_loss evaluate its data and edge terms with the batch-major
-    references, moving the batch axis to the front and back around them."""
-    def to_batch_major(x):
-        return np.moveaxis(x, -1, 0)
-
+    references, transposing their component-major (3, V, N) arrays to
+    (N, V, 3) and back around them."""
     def data(y, targets, target_normals, faces, w_vertex, w_normal):
         vert_vals, norm_vals, g = data_term_reference(
-            to_batch_major(y), to_batch_major(targets), to_batch_major(target_normals),
-            quads, w_vertex, w_normal)
-        return vert_vals, norm_vals, np.moveaxis(g, 0, -1)
+            y.T, targets.T, target_normals.T, quads, w_vertex, w_normal)
+        return vert_vals, norm_vals, g.T
 
     def edge(y, ref_lengths, incidence):
-        values, g = edge_length_energy_reference(to_batch_major(y), ref_lengths,
-                                                 incidence, incidence.T)
-        return values, np.moveaxis(g, 0, -1)
+        # the (E, V) incidence is the first diagonal block of kron(I_3, D)
+        D = incidence.forward[:len(ref_lengths), :y.shape[1]]
+        values, g = edge_length_energy_reference(y.T, ref_lengths, D, D.T)
+        return values, g.T
 
     monkeypatch.setattr(learning, "_data_term", data)
     monkeypatch.setattr(learning, "edge_length_energy", edge)
@@ -246,7 +259,7 @@ def _fit_large_problem(rng):
 
 
 class TestVertexMajorParity:
-    """The vertex-major loss against the batch-major data term and edge
+    """The component-major loss against the batch-major data term and edge
     energy it replaced: loss, every term and every gradient block within
     1e-12 relative."""
 
@@ -317,9 +330,25 @@ class TestLossContext:
     def test_target_normals_match_per_scan_normals(self, rng):
         base, scans, _, _ = tiny_problem(rng, n_scans=4)
         ctx = LossContext.build(scans, base)
-        per_scan = np.stack([vertex_normals(QuadMesh(v, scans.quads))
+        per_scan = np.stack([vertex_normals(QuadMesh(v, scans.quads)).T
                              for v in scans.vertices[ctx.order]], axis=-1)
         assert np.array_equal(ctx.target_normals, per_scan)
+
+    def test_stored_operators_are_csr_with_exact_adjoints(self, rng):
+        base, scans, _, _ = tiny_problem(rng, n_scans=3)
+        ctx = LossContext.build(scans, base)
+        faces = ctx.faces
+        for op in (ctx.incidence, faces.accum, faces.diag_p, faces.diag_r):
+            assert op.forward.format == op.adjoint.format == "csr"
+            assert np.array_equal(op.adjoint.toarray(), op.forward.T.toarray())
+        # the scatter side of each operator has sorted indices; a gather row
+        # keeps its index order (a face's corners in quad order), the order
+        # in which the product adds its entries
+        for A in (ctx.laplacian, ctx.lap_gram, ctx.incidence.adjoint,
+                  faces.accum.forward, faces.diag_p.adjoint, faces.diag_r.adjoint):
+            assert A.format == "csr" and A.has_sorted_indices
+        F = len(scans.quads)
+        assert np.array_equal(faces.accum.adjoint.indices[:4 * F], scans.quads.ravel())
 
     def test_fit_builds_per_scan_constants_once(self, rng, monkeypatch):
         calls = _count_calls(monkeypatch, ("build_connectivity",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from facegen.errors import (
     DegenerateQuad,
@@ -9,6 +10,7 @@ from facegen.errors import (
     ZeroAreaFace,
 )
 from facegen.mesh import (
+    BlockOperator,
     FaceOperators,
     Normals,
     QuadMesh,
@@ -146,7 +148,7 @@ class TestVertexNormals:
         mesh = QuadMesh(verts, [[0, 1, 2, 3]])   # collinear: zero-area quad
         with pytest.warns(ZeroAreaFace):
             vertex_normals(mesh)
-        batch = np.stack([verts, verts + 1.0], axis=-1)
+        batch = np.stack([verts.T, verts.T + 1.0], axis=-1)
         with pytest.warns(ZeroAreaFace, match="2 zero-area"):
             vertex_normals(batch, FaceOperators.build(mesh.quads, 4))
 
@@ -154,11 +156,33 @@ class TestVertexNormals:
     def test_forward_matches_batch_major_reference(self, rng):
         mesh = random_closed_mesh(rng)
         batch = mesh.vertices + 0.02 * rng.standard_normal((4,) + mesh.vertices.shape)
-        fwd = normals_forward(np.ascontiguousarray(batch.transpose(1, 2, 0)),
+        fwd = normals_forward(np.ascontiguousarray(batch.T),
                               FaceOperators.build(mesh.quads, mesh.n_vertices))
         ref = normals_forward_reference(batch, mesh.quads)
         for name, a, b in zip(Normals._fields, fwd, ref):
-            assert np.allclose(a, np.moveaxis(b, 0, -1), rtol=1e-12, atol=1e-15), name
+            assert np.allclose(a, b.T, rtol=1e-12, atol=1e-15), name
+
+
+class TestBlockOperator:
+    def test_gather_is_kron_of_the_incidence_transpose(self, rng):
+        mesh = random_closed_mesh(rng)
+        V = mesh.n_vertices
+        x = rng.standard_normal((3, V, 2))
+        for index, signs in ((mesh.quads, (1, 1, 1, 1)),
+                             (build_connectivity(mesh).edges, (1, -1))):
+            op = BlockOperator.gather(index, signs, V)
+            A = signed_incidence(index, signs, V).T
+            assert np.array_equal(op.forward.toarray(),
+                                  sparse.kron(sparse.identity(3), A).toarray())
+            assert np.array_equal(op.adjoint.toarray(), op.forward.T.toarray())
+            assert op.forward.format == op.adjoint.format == "csr"
+            assert op.adjoint.has_sorted_indices
+            assert np.array_equal(op.forward.indices[:index.size], index.ravel())
+            # each slab adds in the order of the unstacked operator, bit for bit
+            y = op.apply(x)
+            assert np.array_equal(op.apply_adjoint(y), np.stack([A.T @ c for c in y]))
+            assert np.array_equal(y, np.stack([A @ c for c in x]))
+            assert np.array_equal(op.T.apply(y), op.apply_adjoint(y))
 
 
 class TestUniformLaplacian:
@@ -210,10 +234,12 @@ class TestUniformLaplacian:
 
 def edge_energy_against(mesh: QuadMesh, reference: QuadMesh):
     """edge_length_energy of `mesh` against the edge lengths of `reference`,
-    which shares its topology."""
-    D = signed_incidence(build_connectivity(mesh).edges, (1, -1), mesh.n_vertices).T
+    which shares its topology; the gradient is component-major (3, V)."""
+    edges = build_connectivity(mesh).edges
+    D = signed_incidence(edges, (1, -1), mesh.n_vertices).T
     lengths = np.linalg.norm(D @ reference.vertices, axis=1)
-    return edge_length_energy(mesh.vertices, lengths, D)
+    return edge_length_energy(mesh.vertices.T, lengths,
+                              BlockOperator.gather(edges, (1, -1), mesh.n_vertices))
 
 
 class TestEdgeLengthEnergy:
@@ -232,9 +258,12 @@ class TestEdgeLengthEnergy:
         grid = quad_grid(3, 3)
         ref = grid.vertices.copy()
         v = ref + 0.1 * rng.standard_normal(ref.shape)
-        D = signed_incidence(build_connectivity(grid).edges, (1, -1), grid.n_vertices).T
+        edges = build_connectivity(grid).edges
+        D = signed_incidence(edges, (1, -1), grid.n_vertices).T
+        B = BlockOperator.gather(edges, (1, -1), grid.n_vertices)
         lengths = np.linalg.norm(D @ ref, axis=1)
-        _, g = edge_length_energy(v, lengths, D)
+        _, g = edge_length_energy(v.T, lengths, B)
+        g = g.T
         h = 1e-6
         fd = np.zeros_like(g)
         for i in range(v.shape[0]):
@@ -242,31 +271,34 @@ class TestEdgeLengthEnergy:
                 vp, vm = v.copy(), v.copy()
                 vp[i, k] += h
                 vm[i, k] -= h
-                fd[i, k] = (edge_length_energy(vp, lengths, D)[0]
-                            - edge_length_energy(vm, lengths, D)[0]) / (2 * h)
+                fd[i, k] = (edge_length_energy(vp.T, lengths, B)[0]
+                            - edge_length_energy(vm.T, lengths, B)[0]) / (2 * h)
         assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-6
 
     def test_batched_matches_single_meshes(self, rng):
         cube = cube_mesh()
-        D = signed_incidence(build_connectivity(cube).edges, (1, -1), cube.n_vertices).T
-        batch = cube.vertices[..., None, None] + 0.1 * rng.standard_normal(
-            cube.vertices.shape + (3, 2))
-        values, grads = edge_length_energy(batch, np.ones(D.shape[0]), D)
+        edges = build_connectivity(cube).edges
+        batch = cube.vertices.T[..., None, None] + 0.1 * rng.standard_normal(
+            cube.vertices.T.shape + (3, 2))
+        values, grads = edge_length_energy(
+            batch, np.ones(len(edges)), BlockOperator.gather(edges, (1, -1), cube.n_vertices))
         assert values.shape == (3, 2) and grads.shape == batch.shape
         for i in range(3):
             for j in range(2):
-                e, g = edge_energy_against(cube.with_vertices(batch[..., i, j]), cube)
+                e, g = edge_energy_against(cube.with_vertices(batch[..., i, j].T), cube)
                 assert values[i, j] == pytest.approx(e, rel=1e-12)
                 assert np.allclose(grads[..., i, j], g, rtol=0, atol=1e-12)
 
     def test_matches_batch_major_reference(self, rng):
         mesh = random_closed_mesh(rng)
-        D = signed_incidence(build_connectivity(mesh).edges, (1, -1), mesh.n_vertices).T
+        edges = build_connectivity(mesh).edges
+        D = signed_incidence(edges, (1, -1), mesh.n_vertices).T
         lengths = np.linalg.norm(D @ mesh.vertices, axis=1)
         batch = mesh.vertices + 0.05 * rng.standard_normal((3,) + mesh.vertices.shape)
         values, grads = edge_length_energy(
-            np.ascontiguousarray(batch.transpose(1, 2, 0)), lengths, D)
+            np.ascontiguousarray(batch.T), lengths,
+            BlockOperator.gather(edges, (1, -1), mesh.n_vertices))
         ref_values, ref_grads = edge_length_energy_reference(batch, lengths, D, D.T)
         assert np.allclose(values, ref_values, rtol=1e-12, atol=0)
-        assert np.abs(grads - np.moveaxis(ref_grads, 0, -1)).max() \
+        assert np.abs(grads - ref_grads.T).max() \
             <= 1e-12 * np.abs(ref_grads).max()
