@@ -15,7 +15,9 @@ scan order.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -251,41 +253,27 @@ def data_term(generated: np.ndarray, target: QuadMesh,
 
 
 # Size of one (3, V, n) float64 array of a chunk of scans: small enough that
-# the mesh terms' temporaries are reused from cache and from the heap rather
-# than from freshly mapped pages.
+# the posed-scan chain's temporaries are reused from cache and from the heap
+# rather than from freshly mapped pages.
 _CHUNK_BYTES = 1 << 19
 
 
-def _scan_chunks(n_scans: int, n_vertices: int) -> list[slice]:
+def _cpu_count() -> int:
+    """CPUs this process may run on: the most chunk workers of a loss."""
+    affinity = getattr(os, "sched_getaffinity", None)   # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _scan_chunks(n_scans: int, n_vertices: int, workers: int = 1) -> list[slice]:
     """Split the scans evenly into the fewest chunks whose (3, V, n) arrays
-    take at most about _CHUNK_BYTES, with at least two scans per chunk:
-    then every per-scan reduction adds in the same order as over all scans
-    at once, so the chunking does not change a bit of the result."""
-    k = max(1, min(n_scans // 2, -(-n_scans * 24 * n_vertices // _CHUNK_BYTES)))
+    take at most about _CHUNK_BYTES, their number rounded up to a multiple
+    of `workers` when there is more than one, with at least two scans per
+    chunk: then every per-scan reduction adds in the same order as over all
+    scans at once, so neither chunks nor workers change a bit of the result."""
+    k = -(-n_scans * 24 * n_vertices // _CHUNK_BYTES)
+    k = max(1, min(n_scans // 2, k if k == 1 else -(-k // workers) * workers))
     bounds = np.arange(k + 1) * n_scans // k
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _mesh_terms(y: np.ndarray, ctx: LossContext, weights: LossWeights
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-scan vertex, normal and edge values of posed vertices y (N, V, 3),
-    and the gradient (N, V, 3) of their weighted sum.  Each chunk of scans
-    runs on one component-major (3, V, n) copy, and its gradient is moved
-    back once."""
-    N, V = y.shape[:2]
-    vert_vals, norm_vals, edge_vals = np.empty((3, N))
-    dLdy = np.empty_like(y)
-    for s in _scan_chunks(N, V):
-        y_cm = np.ascontiguousarray(y[s].transpose(2, 1, 0))
-        vert_vals[s], norm_vals[s], grad = _data_term(
-            y_cm, ctx.targets[..., s], ctx.target_normals[..., s], ctx.faces,
-            weights.w_vertex, weights.w_normal)
-        edge_vals[s], edge_grad = edge_length_energy(y_cm, ctx.ref_edge_lengths,
-                                                     ctx.incidence)
-        edge_grad *= weights.w_edge
-        grad += edge_grad
-        dLdy[s] = grad.transpose(2, 1, 0)
-    return vert_vals, norm_vals, edge_vals, dLdy
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +350,63 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     model = replace(base, identity_basis=phi)
     w = base.skinning_weights
     skel = base.skeleton
+    live_angles = "joint_angles" not in frozen
 
-    # forward
+    # forward work batched over all scans, on the calling thread
     vbar = evaluate_unposed(model, alpha, beta)                    # (N, V, 3)
-    pose = pose_transforms if "joint_angles" in frozen else pose_derivatives
-    der = pose(skel, alpha, joint_angles)
-    v_out = lbs_apply(w, der.R_w, der.b_w, vbar)
+    der = (pose_derivatives if live_angles else pose_transforms)(skel, alpha, joint_angles)
     R_g = euler_xyz(global_rot)
-    y = v_out @ np.swapaxes(R_g, 1, 2) + global_trans[:, None, :]
 
-    # data terms, and the edge-degeneracy term against template edge lengths
-    vert_vals, norm_vals, edge_vals, dLdy = _mesh_terms(y, ctx, weights)
+    # per-scan outputs of the posed-scan chain; each chunk fills its own rows.
+    # The joint sums s_i = sum_v w_vi g_v feed the pivots; with live angles
+    # they are the last column of the moments [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T
+    vert_vals, norm_vals, edge_vals = np.empty((3, N))
+    g_trans, M_g = np.empty((N, 3)), np.empty((N, 3, 3))
+    moments = np.empty((N, 4, 3, 4) if live_angles else (N, 3, 4))
+    dLdvbar = np.empty((N, V, 3))
+
+    def posed_chunk(c: slice) -> None:
+        v_out = lbs_apply(w, der.R_w[c], der.b_w[c], vbar[c])
+        y = v_out @ np.swapaxes(R_g[c], 1, 2) + global_trans[c, None, :]
+        # data and edge-degeneracy terms on one component-major (3, V, n) copy
+        y_cm = np.ascontiguousarray(y.transpose(2, 1, 0))
+        vert_vals[c], norm_vals[c], grad = _data_term(
+            y_cm, ctx.targets[..., c], ctx.target_normals[..., c], ctx.faces,
+            weights.w_vertex, weights.w_normal)
+        edge_vals[c], edge_grad = edge_length_energy(y_cm, ctx.ref_edge_lengths,
+                                                     ctx.incidence)
+        grad += weights.w_edge * edge_grad
+        # backward through the global transform and the skinning
+        dLdy = np.ascontiguousarray(grad.transpose(2, 1, 0))
+        if "global_trans" not in frozen:
+            g_trans[c] = dLdy.sum(axis=1)
+        if "global_rot" not in frozen:
+            M_g[c] = np.swapaxes(dLdy, 1, 2) @ v_out
+        dLdv_out = dLdy @ R_g[c]
+        # per joint one batched GEMM of the weighted gradient rows
+        g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
+        if live_angles:
+            vbar1 = np.concatenate([vbar[c], np.ones(vbar[c].shape[:2] + (1,))], axis=2)
+            moments[c] = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
+        else:
+            moments[c] = g_t @ w
+        dLdvbar[c] = lbs_adjoint(w, der.R_w[c], dLdv_out)
+
+    cpus = _cpu_count()
+    chunks = _scan_chunks(N, V, cpus)
+    workers = min(len(chunks), cpus)
+    if workers > 1:
+        # the calling thread takes every workers-th chunk itself: one thread
+        # fewer to start, and one malloc arena fewer to hold a chunk's temporaries
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(posed_chunk, [c for i, c in enumerate(chunks) if i % workers])
+            for c in chunks[::workers]:
+                posed_chunk(c)
+            list(others)
+    else:
+        for c in chunks:
+            posed_chunk(c)
+
     term_vertex = weights.w_vertex * float(vert_vals.sum())
     term_normal = weights.w_normal * float(norm_vals.sum())
     term_edge = weights.w_edge * float(edge_vals.sum())
@@ -394,33 +428,23 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     total = (term_vertex + term_normal + term_bexpr + term_bpose
              + term_id_coeff + term_id_basis + term_lap + term_edge)
 
-    # ---- backward: every block not frozen, in canonical order ----------
+    # ---- backward of the blocks not frozen, in canonical order --------
     g = {}
-
     if "global_trans" not in frozen:
-        g["global_trans"] = dLdy.sum(axis=1)
+        g["global_trans"] = g_trans
     if "global_rot" not in frozen:
-        M_g = np.swapaxes(dLdy, 1, 2) @ v_out
         g["global_rot"] = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), M_g)
                            + weights.w_barrier_pose * bglob_der)
-    dLdv_out = dLdy @ R_g
-
-    # joint sums s_i = sum_v w_vi g_v feed the pivots; with live angles
-    # they come with the pose moments M_i = sum_v w_vi g_v vbar_v^T, per
-    # joint one batched GEMM of the weighted gradient rows against [vbar | 1]
-    g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
-    if "joint_angles" in frozen:
-        s = np.swapaxes(g_t @ w, 1, 2)
-    else:
-        vbar1 = np.concatenate([vbar, np.ones((N, V, 1))], axis=2)
-        moments = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
+    if live_angles:
         M, s = moments[..., :3], moments[..., 3]
         g["joint_angles"] = (np.einsum("nijkab,niab->njk", der.dR_w, M)
                              + np.einsum("nijka,nia->njk", der.db_w, s)
                              + weights.w_barrier_pose * bpose_der)
+    else:
+        s = np.swapaxes(moments, 1, 2)
     g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
 
-    dLdvbar = lbs_adjoint(w, der.R_w, dLdv_out).reshape(N, V * 3)
+    dLdvbar = dLdvbar.reshape(N, V * 3)
     g["alpha"] = (dLdvbar @ phi.reshape(m, V * 3).T
                   + np.einsum("njb,jbq->nq", g_pivot, skel.a)
                   + weights.w_id_coeff * 2.0 * alpha)

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from facegen.learning import (
     total_loss,
 )
 from facegen.mesh import QuadMesh, vertex_normals
+from facegen.model import ModelParams, Pose, evaluate_with_jacobian, param_layout
 from facegen.procedural import desk_head, quad_grid, smooth_vertex_fields
 
 from conftest import (
@@ -37,21 +40,27 @@ from conftest import (
 
 
 def _count_calls(monkeypatch, names):
-    """Count calls of the learner's module attributes `names`, which the
-    per-layer tracer wraps; returns the live counts."""
-    calls = dict.fromkeys(names, 0)
+    """Record calls of the learner's module attributes `names`, which the
+    per-layer tracer wraps, as (name, thread id) in call order; returns the
+    live list."""
+    calls = []
 
     def counted(name):
         fn = getattr(learning, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.append((name, threading.get_ident()))
             return fn(*args, **kwargs)
         return wrapper
 
     for name in names:
         monkeypatch.setattr(learning, name, counted(name))
     return calls
+
+
+def _tally(calls, names):
+    """Calls per name of a _count_calls record, zero for names not called."""
+    return {name: sum(1 for n, _ in calls if n == name) for name in names}
 
 
 class TestBarrier4:
@@ -149,6 +158,14 @@ class TestDataTerm:
             data_term(np.zeros((5, 3)), quad_grid(2, 2))
 
 
+FROZEN_SETS = [frozenset(), frozenset({"beta"}), frozenset({"joint_angles"}),
+               frozenset({"global_rot", "global_trans"}), learning.FREEZABLE]
+
+
+def _frozen_id(frozen):
+    return "+".join(sorted(frozen)) or "none"
+
+
 class TestTotalLoss:
     def test_zero_configuration(self, rng):
         base, scans, theta, phi = tiny_problem(rng)
@@ -193,18 +210,92 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("n_scans", [2, 5, 6])
     def test_scan_chunks_leave_the_result_unchanged(self, rng, monkeypatch, n_scans):
+        # every frozen subset, since the chunks hold its branches, on the
+        # calling thread and on two workers
         base, scans, theta, phi = tiny_problem(rng, n_scans=n_scans)
+        ctx = LossContext.build(scans, base)
+        wholes = {frozen: total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+                                     frozen=frozen) for frozen in FROZEN_SETS}
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        for workers in (1, 2):
+            monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
+            chunks = learning._scan_chunks(n_scans, scans.n_vertices, workers)
+            assert len(chunks) == n_scans // 2
+            assert min(s.stop - s.start for s in chunks) >= 2
+            for frozen, whole in wholes.items():
+                case = f"{_frozen_id(frozen)}, {workers} workers"
+                res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+                                 frozen=frozen)
+                assert res.total == whole.total, case
+                assert res.breakdown == whole.breakdown, case
+                assert np.array_equal(res.scan_vertex_ms, whole.scan_vertex_ms), case
+                assert res.grads.keys() == whole.grads.keys(), case
+                for name, g in whole.grads.items():
+                    assert np.array_equal(res.grads[name], g), (case, name)
+
+    def test_chunk_rows_survive_more_workers_than_cores(self, rng, monkeypatch):
+        # every chunk writes its rows of the shared per-scan outputs; none
+        # may be lost when the interpreter switches threads as often as it can
+        base, scans, theta, phi = tiny_problem(rng, n_scans=16)
         ctx = LossContext.build(scans, base)
         whole = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
-        chunks = learning._scan_chunks(n_scans, scans.n_vertices)
-        assert len(chunks) == n_scans // 2
+        monkeypatch.setattr(learning, "_cpu_count", lambda: 8)
+        assert len(learning._scan_chunks(16, scans.n_vertices, 8)) == 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+                    for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for res in runs:
+            assert res.total == whole.total
+            assert np.array_equal(res.scan_vertex_ms, whole.scan_vertex_ms)
+            for name, g in whole.grads.items():
+                assert np.array_equal(res.grads[name], g), name
+
+    @pytest.mark.parametrize("n_scans,cache_chunks,workers,expected", [
+        (30, 1, 2, 1), (30, 3, 1, 3), (30, 3, 2, 4), (30, 3, 4, 4), (30, 5, 2, 6),
+        (30, 20, 2, 15), (5, 2, 3, 2)])
+    def test_chunk_count_rounds_up_to_a_multiple_of_the_workers(
+            self, monkeypatch, n_scans, cache_chunks, workers, expected):
+        # the cache rule asks for `cache_chunks` chunks of (3, V, n) arrays
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", -(-n_scans * 24 * 100 // cache_chunks))
+        chunks = learning._scan_chunks(n_scans, 100, workers)
+        assert len(chunks) == expected
+        assert [s.start for s in chunks[1:]] == [s.stop for s in chunks[:-1]]
+        assert chunks[0].start == 0 and chunks[-1].stop == n_scans
         assert min(s.stop - s.start for s in chunks) >= 2
-        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
-        assert res.total == whole.total and res.breakdown == whole.breakdown
-        assert np.array_equal(res.scan_vertex_ms, whole.scan_vertex_ms)
-        for name, g in whole.grads.items():
-            assert np.array_equal(res.grads[name], g), name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_vertex_gradients_are_the_pose_chain_jacobian_transpose(
+            self, rng, monkeypatch, workers):
+        # the threaded backward pass against the dense Jacobian of the pose
+        # chain: with only the vertex term, dL/dtheta_n = J_n^T 2 (y_n - t_n) / V
+        base, scans, theta, phi = tiny_problem(rng, n_scans=5)
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
+        assert len(learning._scan_chunks(5, scans.n_vertices, workers)) == 2
+        weights = LossWeights(w_vertex=1.0, w_normal=0.0, w_barrier_expr=0.0,
+                              w_barrier_pose=0.0, w_id_coeff=0.0, w_id_basis=0.0,
+                              w_laplacian=0.0, w_edge=0.0)
+        res = total_loss(theta, phi, scans, weights, base)
+        model = dataclasses.replace(base, identity_basis=phi)
+        layout = param_layout(model)
+        V = scans.n_vertices
+        blocks = {name: [] for name in theta.as_dict()}
+        for n in range(scans.n_scans):
+            params = ModelParams(theta.alpha[n], theta.beta[n],
+                                 Pose(theta.joint_angles[n], theta.global_rot[n],
+                                      theta.global_trans[n]))
+            y, jac = evaluate_with_jacobian(model, params, check_limits=False)
+            jtg = np.einsum("va,vap->p", 2.0 * (y - scans.vertices[n]) / V, jac)
+            for name in blocks:
+                blocks[name].append(jtg[layout[name]])
+        for name, rows in blocks.items():
+            expected = np.stack(rows).reshape(res.grads[name].shape)
+            assert _rel_err(res.grads[name], expected) <= 1e-12, name
 
     def test_barriers_zero_inside_support(self, rng):
         base, scans, theta, phi = tiny_problem(rng, with_pose=False)
@@ -351,47 +442,61 @@ class TestLossContext:
         assert np.array_equal(faces.accum.adjoint.indices[:4 * F], scans.quads.ravel())
 
     def test_fit_builds_per_scan_constants_once(self, rng, monkeypatch):
-        calls = _count_calls(monkeypatch, ("build_connectivity",
-                                           "uniform_laplacian_matrix", "vertex_normals"))
+        names = ("build_connectivity", "uniform_laplacian_matrix", "vertex_normals")
+        calls = _count_calls(monkeypatch, names)
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         sched = FitSchedule(iterations=7, early_stop_window=100)
         _, report = fit(scans, m=2, schedule=sched, base=base)
         assert report.iterations == 7
-        assert calls == {"build_connectivity": 1, "uniform_laplacian_matrix": 1,
-                         "vertex_normals": 1}
+        assert _tally(calls, names) == {"build_connectivity": 1,
+                                        "uniform_laplacian_matrix": 1,
+                                        "vertex_normals": 1}
 
         ctx = LossContext.build(scans, base)
-        for name in calls:
-            calls[name] = 0
+        calls.clear()
         total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
-        assert calls == dict.fromkeys(calls, 0)
+        assert calls == []
 
         # the standalone data term needs the target normals, not the topology
         target = QuadMesh(scans.vertices[0], scans.quads)
         data_term(target.vertices, target)
-        assert calls == {"build_connectivity": 0, "uniform_laplacian_matrix": 0,
-                         "vertex_normals": 1}
+        assert _tally(calls, names) == {"build_connectivity": 0,
+                                        "uniform_laplacian_matrix": 0,
+                                        "vertex_normals": 1}
 
     def test_total_loss_calls_traced_forward_once(self, rng, monkeypatch):
         # the learner must go through the module attributes the per-layer
-        # tracer wraps, not a private copy of the forward
+        # tracer wraps, not a private copy of the forward: the work that
+        # mixes scans once per loss on the calling thread, the skinning once
+        # per chunk of scans, on the calling thread and a pool thread
         calls = _count_calls(monkeypatch, ("evaluate_unposed", "pose_derivatives",
                                            "lbs_apply", "euler_xyz_grad"))
-        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        base, scans, theta, phi = tiny_problem(rng, n_scans=6)
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        monkeypatch.setattr(learning, "_cpu_count", lambda: 2)
+        n_chunks = len(learning._scan_chunks(6, scans.n_vertices, 2))
+        assert n_chunks == 3
         ctx = LossContext.build(scans, base)
         total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
-        assert calls == dict.fromkeys(calls, 1)
+        caller = threading.get_ident()
+        mixing = [(name, ident) for name, ident in calls if name != "lbs_apply"]
+        assert sorted(mixing) == [("euler_xyz_grad", caller),
+                                  ("evaluate_unposed", caller),
+                                  ("pose_derivatives", caller)]
+        skinning = [ident for name, ident in calls if name == "lbs_apply"]
+        assert len(skinning) == n_chunks
+        assert len(set(skinning)) == 2 and caller in skinning
 
     def test_frozen_fit_skips_pose_derivative_tables(self, rng, monkeypatch):
-        calls = _count_calls(monkeypatch, ("evaluate_unposed", "pose_derivatives",
-                                           "lbs_apply", "euler_xyz_grad"))
+        names = ("evaluate_unposed", "pose_derivatives", "lbs_apply", "euler_xyz_grad")
+        calls = _count_calls(monkeypatch, names)
         base, scans, _, _ = tiny_problem(rng, n_scans=3)
         sched = FitSchedule(iterations=6, early_stop_window=100,
                             freeze_pose=True, freeze_beta=True)
         fit(scans, m=2, schedule=sched, base=base)
         # one loss per iteration plus the final evaluation
-        assert calls == {"evaluate_unposed": 7, "pose_derivatives": 0,
-                         "lbs_apply": 7, "euler_xyz_grad": 0}
+        assert _tally(calls, names) == {"evaluate_unposed": 7, "pose_derivatives": 0,
+                                        "lbs_apply": 7, "euler_xyz_grad": 0}
 
     def test_per_scan_rms_in_input_order(self, rng):
         grid = quad_grid(3, 4, spacing=0.05)
@@ -440,6 +545,21 @@ class TestFit:
         m2, r2 = fit(scans, m=2, schedule=sched, seed=9)
         assert np.array_equal(m1.identity_basis, m2.identity_basis)
         assert r1.trajectory == r2.trajectory
+
+    def test_worker_count_leaves_the_fit_unchanged(self, rng, monkeypatch):
+        base, scans, _, _ = tiny_problem(rng, n_scans=6)
+        sched = FitSchedule(iterations=12, early_stop_window=100)
+        runs = [fit(scans, m=2, schedule=sched, base=base, seed=2)]
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        for workers in (1, 2):
+            monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
+            assert len(learning._scan_chunks(6, scans.n_vertices, workers)) == 3
+            runs.append(fit(scans, m=2, schedule=sched, base=base, seed=2))
+        (model, report), others = runs[0], runs[1:]
+        for other_model, other in others:
+            assert other.trajectory == report.trajectory
+            assert np.array_equal(other_model.identity_basis, model.identity_basis)
+            assert np.array_equal(other.final_alphas, report.final_alphas)
 
     def test_needs_two_scans(self):
         grid = quad_grid(2, 2)
@@ -527,16 +647,11 @@ class TestFit:
         assert float(first[1]) == report.trajectory[0]
 
 
-FROZEN_SETS = [frozenset(), frozenset({"beta"}), frozenset({"joint_angles"}),
-               frozenset({"global_rot", "global_trans"}), learning.FREEZABLE]
-
-
 class TestFrozenBlocks:
     """total_loss with frozen blocks: the loss of the unfrozen call, bit for
     bit, its gradients for the live blocks, and no gradient for a frozen one."""
 
-    @pytest.mark.parametrize("frozen", FROZEN_SETS,
-                             ids=lambda f: "+".join(sorted(f)) or "none")
+    @pytest.mark.parametrize("frozen", FROZEN_SETS, ids=_frozen_id)
     def test_parity_with_unfrozen_call(self, rng, frozen):
         base, scans, theta, phi = tiny_problem(rng, n_scans=4)
         # posed away from rest, pivots coupled to identity

@@ -44,3 +44,31 @@ def test_benchmark_fit_desk_runs(monkeypatch, tmp_path):
     out = workload.op(0)
     assert workload.check(0, out)
     assert workload.units(out, 0.0)[0] == 8
+
+
+def test_benchmark_fit_large_runs(monkeypatch, tmp_path):
+    """The fit-large workload runs its loss on chunk worker threads; a span
+    the tracer wraps and a worker thread calls must neither crash nor get
+    lost, and the fit must stay the one-chunk fit bit for bit."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    harness = importlib.import_module("harness")
+    learning = importlib.import_module("facegen.learning")
+    sizes = harness.Sizes(large_lat=8, large_lon=10, large_scans=8, large_m=4,
+                          large_iterations=5)
+    workload = harness.FitLarge(0, sizes, tmp_path)
+    assert len(workload.setup()) == 1          # one chunk: the reference fit
+    V = workload.scans.n_vertices
+    monkeypatch.setattr(learning, "_CHUNK_BYTES", 2 * 24 * V)
+    monkeypatch.setattr(learning, "_cpu_count", lambda: 2)
+    n_chunks = len(learning._scan_chunks(8, V, 2))
+    assert n_chunks == 4
+
+    out = workload.op(0)
+    assert workload.check(0, out)
+    tracer = harness.Tracer()
+    with tracer.installed():
+        out = workload.op(1)
+    assert workload.check(1, out)
+    # one loss per iteration plus fit's final one
+    assert len(tracer.self_ms["learning.total_loss"]) == 6
+    assert len(tracer.self_ms["model.lbs_apply"]) == 6 * n_chunks
