@@ -269,7 +269,9 @@ def _cmd_decode_hair(args) -> int:
         }
     report_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     log.info(f"decoded {groom.n_strands} strands "
-             f"({int(report.early_terminated.sum())} early-terminated)")
+             f"({payload['n_early_terminated']} early-terminated: "
+             f"{payload['n_zero_flow_stops']} zero-flow, {payload['n_wall_stops']} wall, "
+             f"{payload['n_stubs']} stubs)")
     return EXIT_OK
 
 

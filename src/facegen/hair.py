@@ -153,8 +153,9 @@ class HairCode:
         bbox = bbox.reshape(2, 3)
         if den.ndim != 2 or den.shape != (len(den),) * 2 or ln.shape != den.shape:
             raise DimensionMismatch("density/length maps must be square and equal size")
-        if flow.ndim != 4 or flow.shape != (len(flow),) * 3 + (3,):
-            raise DimensionMismatch(f"flow volume must be (G, G, G, 3), got {flow.shape}")
+        if flow.ndim != 4 or flow.shape != (len(flow),) * 3 + (3,) or len(flow) < 2:
+            raise DimensionMismatch(
+                f"flow volume must be (G, G, G, 3) with G >= 2, got {flow.shape}")
         R = len(den)
         if np.any(den < 0) or np.any(ln < 0):
             raise InvalidParam("density and length maps must be nonnegative")
@@ -271,22 +272,28 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
 
 
 def _trilinear(volume: np.ndarray, pos: np.ndarray, bbox: np.ndarray) -> np.ndarray:
-    """Cell-centered trilinear interpolation of a (G, G, G, 3) field."""
+    """Cell-centered trilinear interpolation of a (G, G, G, 3) field, G >= 2."""
     G = volume.shape[0]
     cell = (bbox[1] - bbox[0]) / G
     g = (pos - bbox[0]) / cell - 0.5
     i0 = np.clip(np.floor(g).astype(np.int64), 0, G - 2)
     f = np.clip(g - i0, 0.0, 1.0)
+    # the 8 corners of every cell in one gather from the flat volume, in
+    # (dx, dy, dz) order
+    base = (i0[:, 0] * G + i0[:, 1]) * G + i0[:, 2]
+    corners = iter(np.take(volume.reshape(-1, 3),
+                           base + _CORNERS.dot([G * G, G, 1])[:, None], axis=0))
+    w = (1.0 - f.T, f.T)          # w[d][axis]: weight of offset d along axis
     out = np.zeros((len(pos), 3))
     for dx in (0, 1):
-        wx = f[:, 0] if dx else 1.0 - f[:, 0]
         for dy in (0, 1):
-            wy = f[:, 1] if dy else 1.0 - f[:, 1]
+            wxy = w[dx][0] * w[dy][1]
             for dz in (0, 1):
-                wz = f[:, 2] if dz else 1.0 - f[:, 2]
-                w = (wx * wy * wz)[:, None]
-                out += w * volume[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
+                out += (wxy * w[dz][2])[:, None] * next(corners)
     return out
+
+
+_CORNERS = np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
 
 
 def _systematic_counts(weights: np.ndarray, n: int,
@@ -302,14 +309,25 @@ def _systematic_counts(weights: np.ndarray, n: int,
 
 @dataclass
 class DecodeReport:
+    """Per-strand outcome of `decode_groom`.  Every early-terminated strand
+    stopped for exactly one reason: the flow vanished under it after it
+    had moved (`zero_flow`), a step would have left the volume
+    (`wall`), or it never moved at all (`stub`)."""
+
     target_lengths: np.ndarray
     grown_lengths: np.ndarray
     early_terminated: np.ndarray
+    zero_flow: np.ndarray
+    wall: np.ndarray
+    stub: np.ndarray
 
     def to_dict(self) -> dict:
         return {
             "n_strands": int(len(self.target_lengths)),
             "n_early_terminated": int(self.early_terminated.sum()),
+            "n_zero_flow_stops": int(self.zero_flow.sum()),
+            "n_wall_stops": int(self.wall.sum()),
+            "n_stubs": int(self.stub.sum()),
             "target_lengths": [float(x) for x in self.target_lengths],
             "grown_lengths": [float(x) for x in self.grown_lengths],
         }
@@ -323,7 +341,8 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
     resampling) and jittered inside their texel in UV; each strand starts
     at the texel's mean root position and follows the trilinearly
     interpolated flow until its target length (the length map at the
-    root) is consumed.  Zero-flow regions terminate growth early.
+    root) is consumed.  Zero-flow regions and the volume wall terminate
+    growth early; the report tells the two apart.
     """
     if n_strands < 1:
         raise InvalidParam("n_strands must be >= 1")
@@ -346,55 +365,54 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
     starts = code.root_points[iu, iv]
     targets = code.length_map[iu, iv]
 
-    pos = starts.copy()
-    remaining = targets.copy()
-    alive = remaining > 0
-    early = np.zeros(n_strands, dtype=bool)
+    zero_flow = np.zeros(n_strands, dtype=bool)
+    wall = np.zeros(n_strands, dtype=bool)
+    # the live strands, in id order: their ids, positions and the length
+    # each has left to grow; rows are dropped only when strands stop
+    ids = np.flatnonzero(targets > 0)
+    pos, remaining = starts[ids], targets[ids]
     # every position a strand takes, root first, as (strand ids, points)
     # records in growth order
     moved_ids, moved_pos = [np.arange(n_strands)], [starts]
-    max_steps = int(np.ceil(targets.max() / step)) + 2 if n_strands else 0
+    lo, hi = code.bbox
+    max_steps = int(np.ceil(targets.max() / step)) + 2
     for _ in range(max_steps):
-        if not np.any(alive):
+        if not len(ids):
             break
-        idx = np.nonzero(alive)[0]
-        d = _trilinear(code.flow_volume, pos[idx], code.bbox)
+        d = _trilinear(code.flow_volume, pos, code.bbox)
         dn = np.linalg.norm(d, axis=1)
         dead = dn < 1e-6
-        early[idx[dead]] = True
-        alive[idx[dead]] = False
-        ok = idx[~dead]
-        if len(ok) == 0:
-            continue
-        dirn = d[~dead] / dn[~dead, None]
-        lens = np.minimum(step, remaining[ok])
-        cand = pos[ok] + dirn * lens[:, None]
-        clipped = np.clip(cand, code.bbox[0], code.bbox[1])
-        hit_wall = np.any(clipped != cand, axis=1)
-        pos[ok] = clipped
-        remaining[ok] -= lens
-        moved_ids.append(ok)
-        moved_pos.append(clipped)
-        done = ok[remaining[ok] <= 1e-12]
-        alive[done] = False
+        if dead.any():
+            zero_flow[ids[dead]] = True
+            live = ~dead
+            ids, pos, remaining, d, dn = ids[live], pos[live], remaining[live], d[live], dn[live]
+        lens = np.minimum(step, remaining)
+        cand = pos + d / dn[:, None] * lens[:, None]
+        pos = np.clip(cand, lo, hi)
+        remaining = remaining - lens
+        moved_ids.append(ids)
+        moved_pos.append(pos)
+        growing = remaining > 1e-12
         # strands pressed against the volume boundary stop growing
-        wall = ok[hit_wall & (remaining[ok] > 1e-12)]
-        early[wall] = True
-        alive[wall] = False
+        at_wall = np.any(pos != cand, axis=1) & growing
+        wall[ids[at_wall]] = True
+        live = growing & ~at_wall
+        if not live.all():
+            ids, pos, remaining = ids[live], pos[live], remaining[live]
 
     # never moved: synthesize a degenerate-but-valid stub along +z
-    stub = np.flatnonzero(np.bincount(np.concatenate(moved_ids), minlength=n_strands) < 2)
-    early[stub] = True
-    moved_ids.append(stub)
+    stub = np.bincount(np.concatenate(moved_ids), minlength=n_strands) < 2
+    zero_flow &= ~stub
+    moved_ids.append(np.flatnonzero(stub))
     moved_pos.append(starts[stub] + np.array([0.0, 0.0, max(step * 0.5, 1e-9)]))
     ids = np.concatenate(moved_ids)
     order = np.argsort(ids, kind="stable")
     groom = Groom.from_ragged(np.concatenate(moved_pos)[order],
                               _offsets(np.bincount(ids, minlength=n_strands)),
                               root_uv, style=style)
-    grown = groom.arc_lengths()
-    return groom, DecodeReport(target_lengths=targets, grown_lengths=grown,
-                               early_terminated=early)
+    return groom, DecodeReport(target_lengths=targets, grown_lengths=groom.arc_lengths(),
+                               early_terminated=zero_flow | wall | stub,
+                               zero_flow=zero_flow, wall=wall, stub=stub)
 
 
 def flip_groom(groom: Groom) -> Groom:

@@ -10,9 +10,32 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import DataError, naming
 from .mesh import QuadMesh
+
+
+def float_tokens(values: np.ndarray) -> list[str]:
+    """`repr(float(x))` of every value of a float array, in C order.
+
+    One orjson call formats the whole array.  orjson writes float64 with
+    Ryu, the shortest string that round-trips, rounded to nearest, so its
+    digits are repr's; only the notation can differ.  repr switches to
+    exponent form for nonzero magnitudes below 1e-4 and from 1e16 on, and
+    orjson writes nan and the infinities as null: those few tokens are
+    redone with repr.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if flat.size == 0:
+        return []
+    tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(flat)
+    # nan fails both comparisons, so it is redone too
+    redo = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (flat != 0))
+    for i, x in zip(redo.tolist(), flat[redo].tolist()):
+        tokens[i] = repr(x)
+    return tokens
 
 
 def obj_topology(quads: np.ndarray, uvs: np.ndarray | None = None) -> str:
@@ -25,7 +48,7 @@ def obj_topology(quads: np.ndarray, uvs: np.ndarray | None = None) -> str:
     F = len(quads)
     if uvs is None:
         return ("f %d %d %d %d\n" * F) % tuple((quads + 1).ravel().tolist())
-    vt = ("vt %r %r\n" * (4 * F)) % tuple(uvs.ravel().tolist())
+    vt = ("vt %s %s\n" * (4 * F)) % tuple(float_tokens(uvs))
     corner = np.arange(1, 4 * F + 1).reshape(F, 4)
     tokens = np.stack([quads + 1, corner], axis=2).ravel().tolist()
     return vt + ("f %d/%d %d/%d %d/%d %d/%d\n" * F) % tuple(tokens)
@@ -36,8 +59,7 @@ def dump_obj(mesh: QuadMesh, topology: str | None = None) -> str:
     formatted here when not given."""
     if topology is None:
         topology = obj_topology(mesh.quads, mesh.uvs)
-    # %r of a Python float is its shortest round-trip repr
-    verts = "".join(["v %r %r %r\n" % (x, y, z) for x, y, z in mesh.vertices.tolist()])
+    verts = ("v %s %s %s\n" * len(mesh.vertices)) % tuple(float_tokens(mesh.vertices))
     return verts + topology or "\n"      # an empty mesh is one newline
 
 

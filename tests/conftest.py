@@ -644,6 +644,90 @@ def fit_gmm_reference(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e
     return GaussianMixture(weights, means, covs, ll_trajectory=tuple(trajectory))
 
 
+def _trilinear_reference(volume: np.ndarray, pos: np.ndarray, bbox: np.ndarray):
+    """Cell-centered trilinear interpolation with one fancy-index gather of
+    the (G, G, G, 3) volume per corner."""
+    G = volume.shape[0]
+    cell = (bbox[1] - bbox[0]) / G
+    g = (pos - bbox[0]) / cell - 0.5
+    i0 = np.clip(np.floor(g).astype(np.int64), 0, G - 2)
+    f = np.clip(g - i0, 0.0, 1.0)
+    out = np.zeros((len(pos), 3))
+    for dx in (0, 1):
+        wx = f[:, 0] if dx else 1.0 - f[:, 0]
+        for dy in (0, 1):
+            wy = f[:, 1] if dy else 1.0 - f[:, 1]
+            for dz in (0, 1):
+                wz = f[:, 2] if dz else 1.0 - f[:, 2]
+                w = (wx * wy * wz)[:, None]
+                out += w * volume[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
+    return out
+
+
+def decode_groom_reference(code, n_strands: int, step: float, rng=None,
+                           style: str = "scalp"):
+    """decode_groom over an alive mask of all n_strands, re-indexed on every
+    step, with eight gathers per flow lookup: the reference for the
+    compacted live set and flat-offset gather of facegen.hair.  Returns
+    (groom, target lengths, grown lengths, early-terminated mask); it does
+    not tell the stop reasons apart."""
+    from facegen.hair import Groom, _offsets, _systematic_counts
+
+    rng = np.random.default_rng(rng)
+    R = code.uv_resolution
+    counts = _systematic_counts(code.density_map.ravel(), n_strands, rng)
+    texels = np.repeat(np.arange(R * R), counts)
+    iu, iv = texels // R, texels % R
+    jitter = rng.uniform(0.0, 1.0, size=(n_strands, 2))
+    root_uv = np.clip((np.stack([iu, iv], axis=1) + jitter) / R, 0.0, 1.0)
+    starts = code.root_points[iu, iv]
+    targets = code.length_map[iu, iv]
+
+    pos = starts.copy()
+    remaining = targets.copy()
+    alive = remaining > 0
+    early = np.zeros(n_strands, dtype=bool)
+    moved_ids, moved_pos = [np.arange(n_strands)], [starts]
+    max_steps = int(np.ceil(targets.max() / step)) + 2
+    for _ in range(max_steps):
+        if not np.any(alive):
+            break
+        idx = np.nonzero(alive)[0]
+        d = _trilinear_reference(code.flow_volume, pos[idx], code.bbox)
+        dn = np.linalg.norm(d, axis=1)
+        dead = dn < 1e-6
+        early[idx[dead]] = True
+        alive[idx[dead]] = False
+        ok = idx[~dead]
+        if len(ok) == 0:
+            continue
+        dirn = d[~dead] / dn[~dead, None]
+        lens = np.minimum(step, remaining[ok])
+        cand = pos[ok] + dirn * lens[:, None]
+        clipped = np.clip(cand, code.bbox[0], code.bbox[1])
+        hit_wall = np.any(clipped != cand, axis=1)
+        pos[ok] = clipped
+        remaining[ok] -= lens
+        moved_ids.append(ok)
+        moved_pos.append(clipped)
+        done = ok[remaining[ok] <= 1e-12]
+        alive[done] = False
+        wall = ok[hit_wall & (remaining[ok] > 1e-12)]
+        early[wall] = True
+        alive[wall] = False
+
+    stub = np.flatnonzero(np.bincount(np.concatenate(moved_ids), minlength=n_strands) < 2)
+    early[stub] = True
+    moved_ids.append(stub)
+    moved_pos.append(starts[stub] + np.array([0.0, 0.0, max(step * 0.5, 1e-9)]))
+    ids = np.concatenate(moved_ids)
+    order = np.argsort(ids, kind="stable")
+    groom = Groom.from_ragged(np.concatenate(moved_pos)[order],
+                              _offsets(np.bincount(ids, minlength=n_strands)),
+                              root_uv, style=style)
+    return groom, targets, groom.arc_lengths(), early
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -174,7 +174,7 @@ class TestExport:
 
 
 class TestHairCommands:
-    def test_encode_decode_with_report(self, tmp_path, rng):
+    def test_encode_decode_with_report(self, tmp_path, rng, capsys):
         from conftest import clustered_groom
         from facegen.hair import save_groom
         groom = clustered_groom(rng, n_strands=60, R=8)
@@ -191,6 +191,11 @@ class TestHairCommands:
         assert rc == 0
         report = json.loads((tmp_path / "decoded_report.json").read_text())
         assert report["n_strands"] == 60
+        assert report["n_early_terminated"] == (
+            report["n_zero_flow_stops"] + report["n_wall_stops"] + report["n_stubs"])
+        assert (f"({report['n_early_terminated']} early-terminated: "
+                f"{report['n_zero_flow_stops']} zero-flow, {report['n_wall_stops']} wall, "
+                f"{report['n_stubs']} stubs)") in capsys.readouterr().err
         rt = report["roundtrip"]
         assert rt["density_rms_delta"] < 0.2
         assert rt["endpoint_error_mean"] < 3 * rt["cell_diagonal"]
@@ -528,6 +533,8 @@ MALFORMED = {
     "hair_code_without_flow": _hair_code,
     "hair_code_bbox_of_5": _hair_code_with(bbox=np.zeros(5)),
     "hair_code_density_0d": _hair_code_with(density_map=np.array(1.0)),
+    "hair_code_flow_of_one_cell": _hair_code_with(
+        flow_volume=np.array([[[[0.0, 0.0, 1.0]]]])),
     "scans_of_two_vertex_counts": _scans_of_two_sizes,
     "expressions_of_wrong_kind": _config_case(
         lambda c: c.update(expression_library="gmm.json")),

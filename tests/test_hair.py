@@ -15,6 +15,7 @@ from facegen.errors import (
     PointOutsideBbox,
 )
 from facegen.hair import (
+    HAIR_STYLES,
     Groom,
     HairCode,
     code_to_vector,
@@ -29,7 +30,7 @@ from facegen.hair import (
     vector_to_code,
 )
 
-from conftest import clustered_groom, encode_reference
+from conftest import clustered_groom, decode_groom_reference, encode_reference
 
 
 def single_vertical_strand(length=0.1, root=(0.05, 0.05, 0.0), uv=(0.5, 0.5)):
@@ -174,6 +175,7 @@ class TestDecode:
         out, report = decode_groom(code, n_strands=5, step=step, rng=1)
         lengths = out.arc_lengths()
         assert np.all(np.abs(lengths - 0.1) <= step + 1e-12)
+        assert not report.early_terminated.any()
         d = np.concatenate([np.diff(s, axis=0) for s in out.strands])
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         assert np.allclose(d, [0, 0, 1], atol=1e-12)
@@ -218,6 +220,86 @@ class TestDecode:
         assert np.all(out.arc_lengths() < 0.5)
 
 
+def one_texel_code(length: float, flow: np.ndarray) -> HairCode:
+    """A code whose only root texel, (4, 4), grows strands of `length` from
+    (0.06, 0.06, 0) through `flow` (G = 8, inside BBOX)."""
+    R = 8
+    density = np.zeros((R, R))
+    density[4, 4] = 1.0
+    lengths = np.zeros((R, R))
+    lengths[4, 4] = length
+    roots = np.zeros((R, R, 3))
+    roots[4, 4] = [0.06, 0.06, 0.0]
+    return HairCode(density, lengths, flow, BBOX, root_points=roots)
+
+
+def upward_flow(layers: int = 8) -> np.ndarray:
+    """+z flow in the lowest `layers` of the 8 cell layers, zero above."""
+    flow = np.zeros((8, 8, 8, 3))
+    flow[:, :, :layers, 2] = 1.0
+    return flow
+
+
+class TestDecodeMatchesReference:
+    """decode_groom's compacted live set and one-gather lookup must give the
+    grooms and reports of the alive-mask, eight-gather decode bit for bit."""
+
+    @staticmethod
+    def decode_both(code, n_strands, step=None, seed=0):
+        step = float(code.cell_size().min()) / 4.0 if step is None else step
+        groom, report = decode_groom(code, n_strands, step, rng=seed)
+        ref, targets, grown, early = decode_groom_reference(code, n_strands, step, rng=seed)
+        for a, b in [(groom.points, ref.points), (groom.offsets, ref.offsets),
+                     (groom.root_uv, ref.root_uv), (report.target_lengths, targets),
+                     (report.grown_lengths, grown), (report.early_terminated, early)]:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        # each early stop has exactly one reason
+        reasons = np.stack([report.zero_flow, report.wall, report.stub])
+        assert np.array_equal(reasons.sum(axis=0), report.early_terminated)
+        return report
+
+    @pytest.mark.parametrize("style", HAIR_STYLES)
+    def test_demo_grooms(self, style):
+        for seed in (11, 12):
+            code = encode_groom(make_demo_groom(style, 300, seed=seed), R=32, G=16)
+            self.decode_both(code, 300, seed=seed)
+
+    def test_clustered_criterion_7_groom(self):
+        groom = clustered_groom(np.random.default_rng(7000), n_strands=200, R=16,
+                                n_clusters=7)
+        self.decode_both(encode_groom(groom, R=16, G=16), 200)
+
+    def test_one_strand(self):
+        groom = clustered_groom(np.random.default_rng(3), n_strands=40, R=8)
+        report = self.decode_both(encode_groom(groom, R=8, G=8), 1)
+        assert len(report.target_lengths) == 1
+
+    def test_wall_stops(self):
+        # 0.5 m of +z flow in a 0.12 m box: every strand reaches the lid
+        report = self.decode_both(one_texel_code(0.5, upward_flow()), 6, step=0.004)
+        assert report.wall.all()
+        assert not report.zero_flow.any() and not report.stub.any()
+
+    def test_zero_flow_stops(self):
+        report = self.decode_both(one_texel_code(0.5, upward_flow(2)), 6, step=0.004)
+        assert report.zero_flow.all()
+        assert not report.wall.any() and not report.stub.any()
+        d = report.to_dict()
+        assert (d["n_early_terminated"], d["n_zero_flow_stops"], d["n_wall_stops"],
+                d["n_stubs"]) == (6, 6, 0, 0)
+
+    def test_stubs(self):
+        # no flow at the root, or nothing to grow: the strand never moves
+        for code in (one_texel_code(0.05, upward_flow(0)),
+                     one_texel_code(0.0, upward_flow())):
+            groom, report = decode_groom(code, 4, 0.004, rng=0)
+            assert report.stub.all()
+            assert not report.zero_flow.any() and not report.wall.any()
+            assert np.all(np.diff(groom.offsets) == 2)
+            self.decode_both(code, 4, step=0.004)
+
+
 class TestVectorLayout:
     def test_length_formula(self, rng):
         groom = clustered_groom(rng, n_strands=40, R=8)
@@ -238,6 +320,11 @@ class TestVectorLayout:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch):
             vector_to_code(np.zeros(10), 8, 8, BBOX)
+
+    def test_flow_volume_of_one_cell_rejected(self):
+        # the trilinear lookup needs two cells per axis
+        with pytest.raises(DimensionMismatch, match="G >= 2"):
+            one_texel_code(0.05, np.array([[[[0.0, 0.0, 1.0]]]]))
 
     def test_full_rank_pca_reproduces_codes(self, rng):
         from facegen.pca import fit_pca, pca_project, pca_reconstruct

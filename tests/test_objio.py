@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facegen.errors import DataError, NonFiniteInput
 from facegen.mesh import QuadMesh
-from facegen.objio import dump_obj, load_obj, obj_topology, parse_obj, save_obj
+from facegen.objio import dump_obj, float_tokens, load_obj, obj_topology, parse_obj, save_obj
 from facegen.procedural import cube_mesh, quad_grid
 
 from conftest import dump_obj_reference, random_closed_mesh
@@ -34,6 +36,53 @@ def test_bulk_formatting_matches_scalar_reference_on_closed_meshes(rng):
 def test_empty_mesh_matches_scalar_reference():
     mesh = QuadMesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=np.int64))
     assert dump_obj(mesh) == dump_obj_reference(mesh) == "\n"
+
+
+def _neighbours(x: float, k: int = 40) -> list[float]:
+    """x and the k floats on either side of it."""
+    out = [x]
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(k):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out
+
+
+# where repr changes notation (1e-4, 1e16), the extremes and the specials
+EDGES = [s * v for s in (1.0, -1.0) for x in (1e-4, 1e16) for v in _neighbours(x)] + [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+
+
+def test_float_tokens_are_repr_at_the_notation_edges():
+    assert float_tokens(np.array(EDGES)) == [repr(x) for x in EDGES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(EDGES), min_size=1, max_size=40))
+def test_float_tokens_are_repr(values):
+    """st.floats() draws every float64: subnormals, both zeros, nan, ±inf."""
+    assert float_tokens(np.array(values)) == [repr(x) for x in values]
+
+
+def test_float_tokens_are_repr_of_random_bit_patterns():
+    bits = np.random.default_rng(13).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert float_tokens(values) == [repr(x) for x in values.tolist()]
+
+
+def test_float_tokens_are_repr_where_orjson_formats_them():
+    # random bit patterns rarely land in [1e-4, 1e16), where no token is redone
+    rng = np.random.default_rng(14)
+    values = 10.0 ** rng.uniform(-4.0, 16.0, 2 * 10**5) * rng.choice([-1.0, 1.0], 2 * 10**5)
+    assert float_tokens(values) == [repr(x) for x in values.tolist()]
+
+
+def test_float_tokens_keep_c_order_and_handle_no_values():
+    a = np.arange(12.0).reshape(3, 4)
+    assert float_tokens(a.T) == [repr(x) for x in a.T.ravel().tolist()]
+    assert float_tokens(np.zeros((0, 3))) == []
 
 
 def test_roundtrip_bit_exact(rng, tmp_path):

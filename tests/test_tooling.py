@@ -1,13 +1,37 @@
 """Checks on the repository's own tooling that the package tests would
 otherwise not exercise."""
 
+import ast
 import importlib
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """A module of the package that imports a third-party package the
+    project does not declare works here and fails on a clean install."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                    for req in tomllib.load(f)["project"]["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "facegen").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"facegen"}
+    assert "numpy" in third_party        # the scan sees the imports
+    assert sorted(third_party - declared) == []
 
 
 def test_every_traced_span_resolves():
