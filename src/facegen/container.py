@@ -1,6 +1,6 @@
 """Matrix container: a JSON manifest naming tensors plus one raw blob,
-and the strict JSON-object reading that the manifests and the JSON
-config files share.
+and the strict JSON-object reading that the manifests, the JSON config
+files and scene descriptions share.
 
 The manifest lists {name, shape, dtype in {f32, f64}, byte_offset} per
 tensor; the blob is little-endian, row-major, tensors concatenated in
@@ -104,13 +104,22 @@ def read_json_object(path) -> dict:
     DataError naming the file."""
     path = Path(path)
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"invalid JSON in {path}: {e}") from e
+    return parse_json_object(text, path)
+
+
+def parse_json_object(text: str, source="JSON text") -> dict:
+    """The JSON object that `text` holds; anything else is a DataError
+    naming `source`."""
+    try:
+        value = json.loads(text)
+    # bad JSON, an integer past int's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as e:
+        raise DataError(f"invalid JSON in {source}: {e}") from e
     if not isinstance(value, dict):
-        raise DataError(f"{path}: expected a JSON object, got {type(value).__name__}")
+        raise DataError(f"{source}: expected a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -125,7 +134,9 @@ def decode_json(value, spec, key: str = "$"):
     `spec` is float (any finite JSON number, returned as a float), int,
     str, bool or dict (any object); a dict {name: spec} (an object with
     only those keys, returned as a StrictDict); a one-item list [spec] (an
-    array, returned as a tuple); a set of allowed strings; or a shape
+    array, returned as a tuple); a list of n > 1 specs (an array of exactly
+    n items, the i-th checked against the i-th spec, returned as a tuple);
+    a set of allowed strings; or a shape
     tuple (a finite number or nested arrays of them that broadcast to that
     shape, returned as an array).
     """
@@ -141,7 +152,11 @@ def decode_json(value, spec, key: str = "$"):
     if isinstance(spec, list):
         if not isinstance(value, list):
             raise DataError(f"{key} must be an array, got {type(value).__name__}")
-        return tuple(decode_json(v, spec[0], f"{key}[{i}]") for i, v in enumerate(value))
+        items = spec if len(spec) > 1 else spec * len(value)
+        if len(value) != len(items):
+            raise DataError(f"{key} must have {len(items)} items, got {len(value)}")
+        return tuple(decode_json(v, s, f"{key}[{i}]")
+                     for i, (v, s) in enumerate(zip(value, items)))
     if isinstance(spec, set):
         if not (isinstance(value, str) and value in spec):
             raise DataError(f"{key} must be one of {sorted(spec)}, got {value!r}")

@@ -191,12 +191,6 @@ class ModelParams:
     def zeros(cls, n_identity: int, n_expression: int = 51) -> "ModelParams":
         return cls(np.zeros(n_identity), np.zeros(n_expression), Pose.identity())
 
-    def validate(self, skeleton: Skeleton) -> None:
-        """Sampled-value checks: beta in [0,1], angles within limits."""
-        if np.any(self.beta < 0) or np.any(self.beta > 1):
-            raise InvalidParam("beta coefficients must lie in [0, 1]")
-        skeleton.check_limits(self.gamma.joint_angles)
-
 
 @dataclass(frozen=True)
 class BlendshapeModel:

@@ -8,15 +8,14 @@ writes renderer-consumable files with a content-hash manifest.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .container import decode_json, parse_json_object
 from .errors import DataError, InvalidParam
 from .eyes import build_eye, shrinkwrap_eyelids
 from .gmm import sample_identity
@@ -51,6 +50,27 @@ class Camera:
     look_at: tuple[float, float, float]
     fov_deg: float
 
+    def __post_init__(self):
+        if not 1.0 <= self.fov_deg <= 179.0:
+            raise InvalidParam(f"$.camera.fov_deg {self.fov_deg} outside [1, 179]")
+
+
+_VEC3 = [float] * 3
+# scene.json as SceneDescription.from_dict reads it (decode_json); the
+# published schemas/scene.schema.json states the same document for renderers
+_SCENE_SPEC = {
+    "params": {"alpha": [float], "beta": [float], "joint_angles": [_VEC3] * 4,
+               "global_rot": _VEC3, "global_trans": _VEC3},
+    "texture_id": str, "eye_color_id": str,
+    "grooms": dict.fromkeys(HAIR_STYLES, {"id": str, "flip": bool}),
+    "hair_color": dict.fromkeys(("melanin", "pheomelanin", "grayness"), float),
+    "hdr_id": str, "hdr_yaw": float,
+    "camera": {"position": _VEC3, "look_at": _VEC3, "fov_deg": float},
+    "render": {"resolution": int, "spp": int},
+    "seed": int,
+    "eye_metadata": dict,           # written by export_scene for the renderer
+}
+
 
 @dataclass(frozen=True)
 class SceneDescription:
@@ -67,8 +87,16 @@ class SceneDescription:
     seed: int
 
     def __post_init__(self):
+        # errors name the field by its path in the scene document (to_dict)
+        beta = self.params.beta
+        bad = np.flatnonzero(~((beta >= 0.0) & (beta <= 1.0)))
+        if bad.size:
+            raise InvalidParam(f"$.params.beta[{bad[0]}] {beta[bad[0]]} outside [0, 1]")
         if not 0.0 <= self.hdr_yaw < 2.0 * np.pi:
-            raise InvalidParam(f"hdr_yaw {self.hdr_yaw} outside [0, 2*pi)")
+            raise InvalidParam(f"$.hdr_yaw {self.hdr_yaw} outside [0, 2*pi)")
+        for name, value in (("resolution", self.resolution), ("spp", self.spp)):
+            if value < 1:
+                raise InvalidParam(f"$.render.{name} {value} below 1")
 
     def to_dict(self) -> dict:
         g = self.params.gamma
@@ -102,31 +130,26 @@ class SceneDescription:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneDescription":
-        validate_scene_dict(d)
+        """The scene a scene.json object holds; any mismatch with
+        `_SCENE_SPEC` or the value ranges is a DataError naming the key."""
+        d = decode_json(d, _SCENE_SPEC)
         p = d["params"]
-        params = ModelParams(
-            np.asarray(p["alpha"], dtype=np.float64),
-            np.asarray(p["beta"], dtype=np.float64),
-            Pose(np.asarray(p["joint_angles"], dtype=np.float64),
-                 np.asarray(p["global_rot"], dtype=np.float64),
-                 np.asarray(p["global_trans"], dtype=np.float64)),
-        )
         hc = d["hair_color"]
         cam = d["camera"]
         return cls(
-            params=params,
+            params=ModelParams(p["alpha"], p["beta"],
+                               Pose(p["joint_angles"], p["global_rot"], p["global_trans"])),
             texture_id=d["texture_id"],
             eye_color_id=d["eye_color_id"],
-            grooms={style: GroomChoice(v["id"], bool(v["flip"]))
+            grooms={style: GroomChoice(v["id"], v["flip"])
                     for style, v in d["grooms"].items()},
             hair_color=HairColor(hc["melanin"], hc["pheomelanin"], hc["grayness"]),
             hdr_id=d["hdr_id"],
-            hdr_yaw=float(d["hdr_yaw"]),
-            camera=Camera(tuple(cam["position"]), tuple(cam["look_at"]),
-                          float(cam["fov_deg"])),
-            resolution=int(d["render"]["resolution"]),
-            spp=int(d["render"]["spp"]),
-            seed=int(d["seed"]),
+            hdr_yaw=d["hdr_yaw"],
+            camera=Camera(cam["position"], cam["look_at"], cam["fov_deg"]),
+            resolution=d["render"]["resolution"],
+            spp=d["render"]["spp"],
+            seed=d["seed"],
         )
 
     def to_json(self) -> str:
@@ -134,75 +157,7 @@ class SceneDescription:
 
     @classmethod
     def from_json(cls, text: str) -> "SceneDescription":
-        return cls.from_dict(json.loads(text))
-
-
-# ---------------------------------------------------------------------------
-# schema validation (minimal JSON-schema subset interpreter)
-# ---------------------------------------------------------------------------
-
-@functools.cache
-def _schema() -> dict:
-    with resources.files("facegen").joinpath("schemas/scene.schema.json").open() as f:
-        return json.load(f)
-
-
-def _check(instance, schema: dict, path: str) -> None:
-    t = schema.get("type")
-    if t == "object":
-        if not isinstance(instance, dict):
-            raise DataError(f"{path}: expected object")
-        for key in schema.get("required", ()):
-            if key not in instance:
-                raise DataError(f"{path}: missing required key {key!r}")
-        props = schema.get("properties", {})
-        for key, sub in props.items():
-            if key in instance:
-                _check(instance[key], sub, f"{path}.{key}")
-        extra = schema.get("additionalProperties")
-        if isinstance(extra, dict):
-            for key in instance:
-                if key not in props:
-                    _check(instance[key], extra, f"{path}.{key}")
-    elif t == "array":
-        if not isinstance(instance, list):
-            raise DataError(f"{path}: expected array")
-        if "items" in schema:
-            for i, item in enumerate(instance):
-                _check(item, schema["items"], f"{path}[{i}]")
-        if "minItems" in schema and len(instance) < schema["minItems"]:
-            raise DataError(f"{path}: fewer than {schema['minItems']} items")
-        if "maxItems" in schema and len(instance) > schema["maxItems"]:
-            raise DataError(f"{path}: more than {schema['maxItems']} items")
-    elif t == "number":
-        if not isinstance(instance, (int, float)) or isinstance(instance, bool):
-            raise DataError(f"{path}: expected number")
-        if "minimum" in schema and instance < schema["minimum"]:
-            raise DataError(f"{path}: {instance} below minimum {schema['minimum']}")
-        if "exclusiveMaximum" in schema and instance >= schema["exclusiveMaximum"]:
-            raise DataError(f"{path}: {instance} not below {schema['exclusiveMaximum']}")
-        if "maximum" in schema and instance > schema["maximum"]:
-            raise DataError(f"{path}: {instance} above maximum {schema['maximum']}")
-    elif t == "integer":
-        if not isinstance(instance, int) or isinstance(instance, bool):
-            raise DataError(f"{path}: expected integer")
-        if "minimum" in schema and instance < schema["minimum"]:
-            raise DataError(f"{path}: {instance} below minimum {schema['minimum']}")
-    elif t == "string":
-        if not isinstance(instance, str):
-            raise DataError(f"{path}: expected string")
-        if "enum" in schema and instance not in schema["enum"]:
-            raise DataError(f"{path}: {instance!r} not in {schema['enum']}")
-    elif t == "boolean":
-        if not isinstance(instance, bool):
-            raise DataError(f"{path}: expected boolean")
-    else:
-        raise DataError(f"{path}: schema node missing a supported type")
-
-
-def validate_scene_dict(d: dict) -> None:
-    """Validate a scene dict against the published scene.schema.json."""
-    _check(d, _schema(), "$")
+        return cls.from_dict(parse_json_object(text, "scene JSON"))
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +208,9 @@ def sample_scene(library: AssetLibrary, seed: int) -> SceneDescription:
     hdr_id = hdr_ids[int(rng.integers(len(hdr_ids)))]
     yaw = float(rng.uniform(0.0, 2.0 * np.pi))
 
-    params = ModelParams(alpha, beta, pose)
-    params.validate(library.model.skeleton)
+    library.model.skeleton.check_limits(pose.joint_angles)
     return SceneDescription(
-        params=params,
+        params=ModelParams(alpha, beta, pose),
         texture_id=texture_id,
         eye_color_id=eye_color_id,
         grooms=grooms,
@@ -286,6 +240,11 @@ class RealizedScene:
 def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedScene:
     """Geometry for one scene: posed subdivided face, placed eyes with
     shrinkwrapped lids, and grooms transported by the head transform."""
+    for key, asset_id, ids in (("texture_id", scene.texture_id, library.textures),
+                               ("eye_color_id", scene.eye_color_id, library.eye_colors),
+                               ("hdr_id", scene.hdr_id, library.hdrs)):
+        if asset_id not in ids:
+            raise DataError(f"{key} {asset_id!r} is not in the library")
     model = library.model
     topo = library.topology
     params = scene.params

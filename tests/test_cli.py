@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -552,6 +553,11 @@ MALFORMED = {
     "fit_config_negative_seed": _fit({"seed": -1}),
     "scene_schema_failure": _export(lambda d: d.pop("hdr_id")),
     "scene_unknown_groom": _export(lambda d: d["grooms"]["scalp"].update(id="nope")),
+    "scene_unknown_texture": _export(lambda d: d.update(texture_id="nope")),
+    "scene_unknown_hdr": _export(lambda d: d.update(hdr_id="nope")),
+    "scene_unknown_eye_color": _export(lambda d: d.update(eye_color_id="nope")),
+    "scene_nonfinite_camera": _export(lambda d: d["camera"].update(fov_deg=math.nan)),
+    "scene_unknown_key": _export(lambda d: d.update(bogus=1)),
 }
 
 
@@ -566,6 +572,69 @@ def test_malformed_input_exits_2_naming_it(demo_lib, tmp_path, capsys, monkeypat
     assert rc == 2, err
     assert str(offending) in err.splitlines()[-1]
     assert "Traceback" not in err
+
+
+def _json_path(path) -> str:
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+_NUMERIC_FIELDS = [("params", "alpha", 0), ("params", "beta", 1),
+                   ("params", "joint_angles", 1, 2), ("params", "global_rot", 0),
+                   ("params", "global_trans", 2), ("hair_color", "melanin"), ("hdr_yaw",),
+                   ("camera", "position", 1), ("camera", "look_at", 0),
+                   ("camera", "fov_deg"), ("render", "resolution"), ("render", "spp"),
+                   ("seed",)]
+_OBJECTS = [(), ("params",), ("grooms",), ("grooms", "scalp"), ("hair_color",),
+            ("camera",), ("render",)]
+_FIXED_ARRAYS = [("params", "joint_angles"), ("params", "joint_angles", 3),
+                 ("params", "global_rot"), ("params", "global_trans"),
+                 ("camera", "position"), ("camera", "look_at")]
+# name: (path, value, what the error must name); a value of None drops the last
+# item of the array at path
+SCENE_FAULTS = {
+    **{f"nonfinite_{_json_path(p)}_{v}": (p, v, _json_path(p))
+       for p in _NUMERIC_FIELDS for v in (math.nan, -math.inf)},
+    **{f"unknown_key_in_{_json_path(p)}": (p + ("bogus",), 1, _json_path(p))
+       for p in _OBJECTS},
+    **{f"short_{_json_path(p)}": (p, None, _json_path(p)) for p in _FIXED_ARRAYS},
+    "beta_out_of_range": (("params", "beta", 1), 1.5, "$.params.beta[1]"),
+    "fov_out_of_range": (("camera", "fov_deg"), 0.5, "$.camera.fov_deg"),
+    "hdr_yaw_out_of_range": (("hdr_yaw",), -0.5, "$.hdr_yaw"),
+    "resolution_out_of_range": (("render", "resolution"), 0, "$.render.resolution"),
+    "spp_out_of_range": (("render", "spp"), 0, "$.render.spp"),
+    **{f"unknown_{key}": ((key,), "nope", f"{key} 'nope'")
+       for key in ("texture_id", "hdr_id", "eye_color_id")},
+}
+
+
+@pytest.fixture(scope="module")
+def sampled_scene(demo_lib, tmp_path_factory):
+    out = tmp_path_factory.mktemp("sampled")
+    assert cli_main(["--out", str(out), "sample", "--library", str(demo_lib)]) == 0
+    return json.loads((out / "scene_0000" / "scene.json").read_text())
+
+
+@pytest.mark.parametrize("path, value, named", SCENE_FAULTS.values(), ids=SCENE_FAULTS.keys())
+def test_export_of_bad_scene_names_file_and_field(demo_lib, sampled_scene, tmp_path,
+                                                  capsys, path, value, named):
+    doc = json.loads(json.dumps(sampled_scene))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        parent[path[-1]].pop()
+    else:
+        parent[path[-1]] = value
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli_main(["--out", str(tmp_path / "e"), "export", "--library", str(demo_lib),
+                   "--scene", str(scene)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert str(scene) in err.splitlines()[-1]
+    assert named in err.splitlines()[-1]
 
 
 def test_eyelid_id_out_of_range_names_config_and_key(demo_lib, tmp_path):

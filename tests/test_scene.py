@@ -14,7 +14,6 @@ from facegen.scene import (
     export_scene,
     realize_scene,
     sample_scene,
-    validate_scene_dict,
 )
 
 
@@ -118,25 +117,32 @@ class TestSceneJson:
         assert again.to_dict() == scene.to_dict()
 
     def test_validates_against_schema(self, library):
-        validate_scene_dict(sample_scene(library, 8).to_dict())
+        SceneDescription.from_dict(sample_scene(library, 8).to_dict())
 
     def test_missing_key_rejected(self, library):
         d = sample_scene(library, 9).to_dict()
         del d["hdr_id"]
         with pytest.raises(DataError):
-            validate_scene_dict(d)
+            SceneDescription.from_dict(d)
 
     def test_bad_beta_rejected(self, library):
         d = sample_scene(library, 10).to_dict()
         d["params"]["beta"][0] = 1.5
         with pytest.raises(DataError):
-            validate_scene_dict(d)
+            SceneDescription.from_dict(d)
 
     def test_bad_yaw_rejected(self, library):
         d = sample_scene(library, 11).to_dict()
         d["hdr_yaw"] = 7.0
         with pytest.raises(DataError):
-            validate_scene_dict(d)
+            SceneDescription.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "text", ["{", "[1, 2]", "", '{"seed": ' + "1" * 5000 + "}", "[" * 100_000],
+        ids=["truncated", "array", "empty", "int_past_digit_limit", "nested_too_deep"])
+    def test_text_not_a_json_object_rejected(self, text):
+        with pytest.raises(DataError, match="scene JSON"):
+            SceneDescription.from_json(text)
 
 
 class TestRealize:
