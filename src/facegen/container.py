@@ -26,8 +26,9 @@ _MANIFEST_SPEC = {"version": int, "blob": str, "tensors": [_ENTRY_SPEC], "metada
 
 
 def save_container(manifest_path, tensors: dict[str, np.ndarray],
-                   metadata: dict | None = None) -> None:
-    """Write tensors to `<path>` (manifest) and `<path stem>.bin` (blob)."""
+                   metadata: dict | None = None) -> dict[str, bytes]:
+    """Write tensors to `<path>` (manifest) and `<path stem>.bin` (blob);
+    returns {file name: bytes written} of the two."""
     manifest_path = Path(manifest_path)
     blob_path = manifest_path.with_suffix(".bin")
     entries = []
@@ -54,9 +55,11 @@ def save_container(manifest_path, tensors: dict[str, np.ndarray],
     }
     if metadata is not None:
         manifest["metadata"] = metadata
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
-    blob_path.write_bytes(b"".join(chunks))
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    files = {manifest_path.name: text.encode(), blob_path.name: b"".join(chunks)}
+    for name, data in files.items():
+        (manifest_path.parent / name).write_bytes(data)
+    return files
 
 
 class StrictDict(dict):

@@ -73,10 +73,7 @@ class Groom:
         if short.size:
             i = short[0]
             raise InvalidParam(f"strand {i} must be (L >= 2, 3), got ({counts[i]}, 3)")
-        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-        if bad.size:
-            i = np.searchsorted(offsets, bad[0], side="right") - 1
-            raise InvalidParam(f"strand {i} contains non-finite points")
+        _check_finite(points, offsets)
         uv = np.asarray(root_uv, dtype=np.float64)
         if uv.shape != (len(counts), 2):
             raise InvalidParam(f"root_uv must be ({len(counts)}, 2), got {uv.shape}")
@@ -90,6 +87,20 @@ class Groom:
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "root_uv", uv)
         object.__setattr__(self, "style", style)
+
+    def with_points(self, points) -> "Groom":
+        """Same strands, roots and style, new (P, 3) point positions.  The
+        offsets, root UVs and style were checked when this groom was made,
+        so only the points are."""
+        points = np.asarray(points, dtype=np.float64)
+        if points.shape != self.points.shape:
+            raise InvalidParam(f"points must be {self.points.shape}, got {points.shape}")
+        _check_finite(points, self.offsets)
+        groom = Groom.__new__(Groom)
+        for name, value in (("points", points), ("offsets", self.offsets),
+                            ("root_uv", self.root_uv), ("style", self.style)):
+            object.__setattr__(groom, name, value)
+        return groom
 
     @property
     def strands(self) -> tuple[np.ndarray, ...]:
@@ -114,6 +125,13 @@ class Groom:
         if self.n_strands == 0:
             raise EmptyGroom("groom has no strands")
         return np.array([self.points.min(axis=0) - pad, self.points.max(axis=0) + pad])
+
+
+def _check_finite(points: np.ndarray, offsets: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        i = np.searchsorted(offsets, bad[0], side="right") - 1
+        raise InvalidParam(f"strand {i} contains non-finite points")
 
 
 def _offsets(counts) -> np.ndarray:
@@ -469,17 +487,18 @@ def vector_to_code(v: np.ndarray, R: int, G: int, bbox: np.ndarray,
 # groom and code files
 # ---------------------------------------------------------------------------
 
-def save_groom(path, groom: Groom) -> None:
-    """Groom file: container manifest with style/counts/bbox header fields."""
+def save_groom(path, groom: Groom) -> dict[str, bytes]:
+    """Groom file: container manifest with style/counts/bbox header fields.
+    Returns {file name: bytes written} of the manifest and its blob."""
     bbox = groom.points_bbox()
-    save_container(path, {"points": groom.points, "root_uv": groom.root_uv},
-                   metadata={
-                       "kind": "groom",
-                       "style": groom.style,
-                       "counts": np.diff(groom.offsets).tolist(),
-                       "bbox": [[float(x) for x in bbox[0]],
-                                [float(x) for x in bbox[1]]],
-                   })
+    return save_container(path, {"points": groom.points, "root_uv": groom.root_uv},
+                          metadata={
+                              "kind": "groom",
+                              "style": groom.style,
+                              "counts": np.diff(groom.offsets).tolist(),
+                              "bbox": [[float(x) for x in bbox[0]],
+                                       [float(x) for x in bbox[1]]],
+                          })
 
 
 def load_groom(path) -> Groom:

@@ -15,11 +15,12 @@ import numpy as np
 from scipy import sparse
 
 from .container import decode_json, load_container, read_json_object, save_container
-from .errors import DataError, naming
+from .errors import DataError, InvalidParam, naming
 from .eyes import EyeGeometry, EyeGeometryParams, build_eye
 from .gmm import GaussianMixture
 from .hair import HAIR_STYLES, Groom, flip_groom, load_groom
 from .hdr import HdrImage, read_hdr
+from .mesh import QuadMesh
 from .model import BlendshapeModel
 from .modelio import load_model
 from .objio import obj_topology
@@ -62,10 +63,26 @@ class EyelidCorrectionConfig:
     gain: float = 1.0
 
 
+def check_fov(fov_deg: float) -> None:
+    """The camera field of view must lie in [1, 179] degrees."""
+    if not 1.0 <= fov_deg <= 179.0:
+        raise InvalidParam(f"$.camera.fov_deg {fov_deg} outside [1, 179]")
+
+
+def check_render(resolution: int, spp: int) -> None:
+    """The image resolution and the samples per pixel must be at least 1."""
+    for name, value in (("resolution", resolution), ("spp", spp)):
+        if value < 1:
+            raise InvalidParam(f"$.render.{name} {value} below 1")
+
+
 @dataclass(frozen=True)
 class CameraConfig:
     fov_deg: float = 20.0
     framing_scale: float = 1.4
+
+    def __post_init__(self):
+        check_fov(self.fov_deg)
 
 
 @dataclass(frozen=True)
@@ -73,39 +90,44 @@ class RenderConfig:
     resolution: int = 1024
     spp: int = 256
 
+    def __post_init__(self):
+        check_render(self.resolution, self.spp)
+
 
 @dataclass(frozen=True)
 class SceneTopology:
     """Everything scene realization and export need that depends only on the
-    library: the template's subdivision stencil and subdivided topology,
-    the eye meshes, the mirrored grooms and the OBJ `vt`/`f` text of the
-    face and of the merged eyes."""
+    library: the template's subdivision stencil and subdivided mesh, the
+    eye meshes merged as scenes export them, the mirrored grooms and the
+    OBJ `vt`/`f` bytes of the face and of the merged eyes.  A scene moves
+    the vertices of `face` and `eyes` (`QuadMesh.with_vertices`), so their
+    topology is checked once, here."""
 
     stencil: sparse.csr_matrix                   # (V_L, V_0) Catmull-Clark
-    face_quads: np.ndarray
-    face_uvs: np.ndarray | None
-    face_obj: str
+    face: QuadMesh                               # the subdivided template
+    face_obj: bytes
     eye: EyeGeometry
-    eyes_quads: np.ndarray                       # sclera, cornea per eye, left first
-    eyes_obj: str
+    eyes: QuadMesh                               # sclera, cornea per eye, left first
+    eyes_obj: bytes
     flipped_grooms: dict[str, dict[str, Groom]]  # style -> id -> flip_groom(groom)
 
     @classmethod
     def compile(cls, model: BlendshapeModel, eye_params: EyeGeometryParams,
                 grooms: dict[str, dict[str, Groom]], levels: int) -> "SceneTopology":
         stencil, face_quads, face_uvs = catmull_clark_stencil(model.template, levels)
+        face = QuadMesh(stencil @ model.template.vertices, face_quads, face_uvs)
         eye = build_eye(eye_params)
         parts = (eye.sclera, eye.cornea) * 2
         offsets = np.cumsum([0] + [p.n_vertices for p in parts[:-1]])
-        eyes_quads = np.concatenate([p.quads + off for p, off in zip(parts, offsets)])
+        eyes = QuadMesh(np.concatenate([p.vertices for p in parts]),
+                        np.concatenate([p.quads + off for p, off in zip(parts, offsets)]))
         return cls(
             stencil=stencil,
-            face_quads=face_quads,
-            face_uvs=face_uvs,
-            face_obj=obj_topology(face_quads, face_uvs),
+            face=face,
+            face_obj=obj_topology(face.quads, face.uvs),
             eye=eye,
-            eyes_quads=eyes_quads,
-            eyes_obj=obj_topology(eyes_quads),
+            eyes=eyes,
+            eyes_obj=obj_topology(eyes.quads),
             flipped_grooms={style: {gid: flip_groom(g) for gid, g in pool.items()}
                             for style, pool in grooms.items()},
         )

@@ -38,10 +38,8 @@ class QuadMesh:
     uvs: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
+        v = _checked_vertices(self.vertices)
         q = np.ascontiguousarray(np.asarray(self.quads, dtype=np.int64))
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise DegenerateQuad(f"vertices must be (V, 3), got {v.shape}")
         if q.ndim != 2 or q.shape[1] != 4:
             raise DegenerateQuad(f"quads must be (F, 4), got {q.shape}")
         if q.size and (q.min() < 0 or q.max() >= len(v)):
@@ -51,9 +49,6 @@ class QuadMesh:
         if np.any(s[:, :-1] == s[:, 1:]):
             bad = int(np.argmax(np.any(s[:, :-1] == s[:, 1:], axis=1)))
             raise DegenerateQuad(f"quad {bad} repeats a vertex")
-        if not np.isfinite(v).all():
-            bad = int(np.argmin(np.isfinite(v).all(axis=1)))
-            raise NonFiniteInput(f"vertex {bad} is not finite")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "quads", q)
         if self.uvs is not None:
@@ -71,11 +66,28 @@ class QuadMesh:
         return len(self.quads)
 
     def with_vertices(self, vertices: np.ndarray) -> "QuadMesh":
-        """Same topology, new vertex positions."""
-        return QuadMesh(vertices, self.quads, self.uvs)
+        """Same topology, new vertex positions.  The quads and UVs were
+        checked when this mesh was made, so only the (V, 3) positions are."""
+        mesh = object.__new__(QuadMesh)
+        object.__setattr__(mesh, "vertices", _checked_vertices(vertices, self.n_vertices))
+        object.__setattr__(mesh, "quads", self.quads)
+        object.__setattr__(mesh, "uvs", self.uvs)
+        return mesh
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+
+def _checked_vertices(vertices, n: int | None = None) -> np.ndarray:
+    """`vertices` as a C-ordered (V, 3) float64 array, with V = n when given;
+    a non-finite vertex is a NonFiniteInput naming it."""
+    v = np.ascontiguousarray(vertices, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 3 or n is not None and len(v) != n:
+        raise DegenerateQuad(f"vertices must be ({'V' if n is None else n}, 3), got {v.shape}")
+    if not np.isfinite(v).all():
+        bad = int(np.argmin(np.isfinite(v).all(axis=1)))
+        raise NonFiniteInput(f"vertex {bad} is not finite")
+    return v
 
 
 @dataclass(frozen=True)

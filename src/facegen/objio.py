@@ -16,29 +16,34 @@ from .errors import DataError, naming
 from .mesh import QuadMesh
 
 
-def float_tokens(values: np.ndarray) -> list[str]:
-    """`repr(float(x))` of every value of a float array, in C order.
+def float_lines(values: np.ndarray, prefix: bytes) -> bytes:
+    """One line per row of a (n, k) float array: `prefix`, then the row's
+    values as `repr(float(x))` writes them, separated by spaces.
 
-    One orjson call formats the whole array.  orjson writes float64 with
-    Ryu, the shortest string that round-trips, rounded to nearest, so its
-    digits are repr's; only the notation can differ.  repr switches to
-    exponent form for nonzero magnitudes below 1e-4 and from 1e16 on, and
-    orjson writes nan and the infinities as null: those few tokens are
-    redone with repr.
+    orjson formats the rows with Ryu, the shortest string that round-trips,
+    rounded to nearest, so its digits are repr's; only the notation can
+    differ.  repr switches to exponent form for nonzero magnitudes below
+    1e-4 and from 1e16 on, and orjson writes nan and the infinities as
+    null: the few rows holding such a value are written with repr, and the
+    runs of rows between them each with one orjson call.
     """
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if flat.size == 0:
-        return []
-    tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    mag = np.abs(flat)
-    # nan fails both comparisons, so it is redone too
-    redo = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (flat != 0))
-    for i, x in zip(redo.tolist(), flat[redo].tolist()):
-        tokens[i] = repr(x)
-    return tokens
+    block = np.ascontiguousarray(values, dtype=np.float64)
+    mag = np.abs(block)
+    # nan fails both comparisons, so its row is redone too
+    redo = np.flatnonzero((~((mag >= 1e-4) & (mag < 1e16)) & (block != 0)).any(axis=1))
+    pieces, start = [], 0
+    for row in redo.tolist() + [len(block)]:
+        if start < row:
+            text = orjson.dumps(block[start:row], option=orjson.OPT_SERIALIZE_NUMPY)
+            pieces += [prefix, text[2:-2].replace(b"],[", b"\n" + prefix).replace(b",", b" "),
+                       b"\n"]
+        if row < len(block):
+            pieces += [prefix, " ".join(map(repr, block[row].tolist())).encode(), b"\n"]
+        start = row + 1
+    return b"".join(pieces)
 
 
-def obj_topology(quads: np.ndarray, uvs: np.ndarray | None = None) -> str:
+def obj_topology(quads: np.ndarray, uvs: np.ndarray | None = None) -> bytes:
     """The `vt` and `f` lines that `dump_obj` writes after the vertices.
 
     They depend only on the topology (and the UVs), so callers that
@@ -47,24 +52,23 @@ def obj_topology(quads: np.ndarray, uvs: np.ndarray | None = None) -> str:
     """
     F = len(quads)
     if uvs is None:
-        return ("f %d %d %d %d\n" * F) % tuple((quads + 1).ravel().tolist())
-    vt = ("vt %s %s\n" * (4 * F)) % tuple(float_tokens(uvs))
+        return (b"f %d %d %d %d\n" * F) % tuple((quads + 1).ravel().tolist())
     corner = np.arange(1, 4 * F + 1).reshape(F, 4)
     tokens = np.stack([quads + 1, corner], axis=2).ravel().tolist()
-    return vt + ("f %d/%d %d/%d %d/%d %d/%d\n" * F) % tuple(tokens)
+    return (float_lines(uvs.reshape(-1, 2), b"vt ")
+            + (b"f %d/%d %d/%d %d/%d %d/%d\n" * F) % tuple(tokens))
 
 
-def dump_obj(mesh: QuadMesh, topology: str | None = None) -> str:
-    """OBJ text of `mesh`; `topology` is `obj_topology` of its quads and UVs,
-    formatted here when not given."""
+def dump_obj(mesh: QuadMesh, topology: bytes | None = None) -> bytes:
+    """OBJ file bytes of `mesh`; `topology` is `obj_topology` of its quads
+    and UVs, formatted here when not given."""
     if topology is None:
         topology = obj_topology(mesh.quads, mesh.uvs)
-    verts = ("v %s %s %s\n" * len(mesh.vertices)) % tuple(float_tokens(mesh.vertices))
-    return verts + topology or "\n"      # an empty mesh is one newline
+    return float_lines(mesh.vertices, b"v ") + topology or b"\n"   # an empty mesh is one newline
 
 
 def save_obj(path, mesh: QuadMesh) -> None:
-    Path(path).write_text(dump_obj(mesh))
+    Path(path).write_bytes(dump_obj(mesh))
 
 
 def parse_obj(text: str) -> QuadMesh:

@@ -20,7 +20,7 @@ from .errors import DataError, InvalidParam
 from .eyes import build_eye, shrinkwrap_eyelids
 from .gmm import sample_identity
 from .hair import HAIR_STYLES, Groom, flip_groom, save_groom
-from .library import AssetLibrary, SceneTopology
+from .library import AssetLibrary, SceneTopology, check_fov, check_render
 from .mesh import QuadMesh
 from .model import ModelParams, Pose, euler_xyz, evaluate, world_transforms
 from .objio import dump_obj
@@ -51,8 +51,7 @@ class Camera:
     fov_deg: float
 
     def __post_init__(self):
-        if not 1.0 <= self.fov_deg <= 179.0:
-            raise InvalidParam(f"$.camera.fov_deg {self.fov_deg} outside [1, 179]")
+        check_fov(self.fov_deg)
 
 
 _VEC3 = [float] * 3
@@ -94,9 +93,7 @@ class SceneDescription:
             raise InvalidParam(f"$.params.beta[{bad[0]}] {beta[bad[0]]} outside [0, 1]")
         if not 0.0 <= self.hdr_yaw < 2.0 * np.pi:
             raise InvalidParam(f"$.hdr_yaw {self.hdr_yaw} outside [0, 2*pi)")
-        for name, value in (("resolution", self.resolution), ("spp", self.spp)):
-            if value < 1:
-                raise InvalidParam(f"$.render.{name} {value} below 1")
+        check_render(self.resolution, self.spp)
 
     def to_dict(self) -> dict:
         g = self.params.gamma
@@ -270,8 +267,8 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
         if lid_ids is not None and len(lid_ids):
             face_verts = shrinkwrap_eyelids(face_verts, lid_ids, center_world,
                                             library.eye_params.sclera_radius)
-    face = QuadMesh(face_verts, topo.face_quads, topo.face_uvs)
-    eyes = QuadMesh(np.concatenate(eye_verts), topo.eyes_quads)
+    face = topo.face.with_vertices(face_verts)
+    eyes = topo.eyes.with_vertices(np.concatenate(eye_verts))
 
     grooms: dict[str, Groom] = {}
     neck_R = R_g @ R_w[0]
@@ -281,8 +278,7 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
         g = pool.get(style, {}).get(choice.groom_id)
         if g is None:
             raise DataError(f"{style} groom {choice.groom_id!r} is not in the library")
-        grooms[style] = Groom.from_ragged(g.points @ neck_R.T + neck_t, g.offsets,
-                                          g.root_uv, style=g.style)
+        grooms[style] = g.with_points(g.points @ neck_R.T + neck_t)
 
     return RealizedScene(face=face, eyes=eyes, grooms=grooms,
                          eye_metadata=topo.eye.metadata, topology=topo)
@@ -311,19 +307,18 @@ def export_scene(scene: SceneDescription, geometry: RealizedScene,
     for name in _EXPORT_NAMES:
         (out / name).unlink(missing_ok=True)
     topo = geometry.topology
-    (out / "face.obj").write_text(dump_obj(geometry.face, topo.face_obj))
-    (out / "eyes.obj").write_text(dump_obj(geometry.eyes, topo.eyes_obj))
-    written = ["face.obj", "eyes.obj", "scene.json"]
-    for style, groom in sorted(geometry.grooms.items()):
-        save_groom(out / f"groom_{style}.json", groom)
-        written += [f"groom_{style}.json", f"groom_{style}.bin"]
     scene_dict = scene.to_dict()
     scene_dict["eye_metadata"] = geometry.eye_metadata
-    (out / "scene.json").write_text(
-        json.dumps(scene_dict, sort_keys=True, indent=1) + "\n")
+    files = {"face.obj": dump_obj(geometry.face, topo.face_obj),
+             "eyes.obj": dump_obj(geometry.eyes, topo.eyes_obj),
+             "scene.json": (json.dumps(scene_dict, sort_keys=True, indent=1) + "\n").encode()}
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    for style, groom in sorted(geometry.grooms.items()):
+        files.update(save_groom(out / f"groom_{style}.json", groom))
 
-    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-              for name in sorted(written)}
+    # hashed as built: nothing is read back
+    hashes = {name: hashlib.sha256(data).hexdigest() for name, data in sorted(files.items())}
     (out / "manifest.json").write_text(
         json.dumps({"files": hashes}, sort_keys=True, indent=1) + "\n")
     return hashes

@@ -313,7 +313,7 @@ def test_criterion_10_format_roundtrips(tmp_path):
     # OBJ
     mesh = random_closed_mesh(rng)
     text1 = dump_obj(mesh)
-    text2 = dump_obj(parse_obj(text1))
+    text2 = dump_obj(parse_obj(text1.decode()))
     obj_ok = text1 == text2
 
     # matrix container

@@ -524,6 +524,10 @@ MALFORMED = {
        ("pose", "eyelid", "camera", "render", "eye_geometry", "sampling")},
     "fov_not_number": _section_key("camera", "fov_deg", "wide"),
     "fov_beyond_float": _section_key("camera", "fov_deg", 10 ** 400),
+    "fov_below_1": _section_key("camera", "fov_deg", 0.5),
+    "fov_above_179": _section_key("camera", "fov_deg", 179.5),
+    "resolution_zero": _section_key("render", "resolution", 0),
+    "spp_zero": _section_key("render", "spp", 0),
     "joint_std_bad_shape": _section_key("pose", "joint_std", [1, 2]),
     "levels_not_integer": _config_case(lambda c: c.update(subdivision_levels="x")),
     "eyelid_id_out_of_range": _section_key("eyelid", "raise_ids", [0, 99]),
@@ -643,6 +647,17 @@ def test_eyelid_id_out_of_range_names_config_and_key(demo_lib, tmp_path):
     _edit_json(lib / "library.json",
                lambda c: c.setdefault("eyelid", {}).update(lower_ids=[-1]))
     with pytest.raises(DataError, match=r"library\.json: \$\.eyelid\.lower_ids holds \[-1\]"):
+        AssetLibrary.load(lib / "library.json")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("camera", "fov_deg", 0.5), ("camera", "fov_deg", 180.0),
+    ("render", "resolution", 0), ("render", "spp", -3)])
+def test_config_range_names_config_and_key(demo_lib, tmp_path, section, key, value):
+    lib = tmp_path / "lib"
+    shutil.copytree(demo_lib.parent, lib)
+    _edit_json(lib / "library.json", lambda c: c.setdefault(section, {}).update({key: value}))
+    with pytest.raises(DataError, match=rf"library\.json: \$\.{section}\.{key} {value} "):
         AssetLibrary.load(lib / "library.json")
 
 

@@ -109,6 +109,32 @@ class TestEncode:
         assert np.array_equal(code.flow_volume, ref_flow)
 
 
+class TestWithPoints:
+    """with_points keeps the checked strands, roots and style and checks only
+    the points."""
+
+    def test_keeps_strands_and_takes_points(self, rng):
+        groom = clustered_groom(rng, n_strands=12, R=8)
+        moved = groom.with_points(groom.points + 1.0)
+        assert moved.offsets is groom.offsets and moved.root_uv is groom.root_uv
+        assert moved.style == groom.style
+        assert np.array_equal(moved.points, groom.points + 1.0)
+
+    def test_non_finite_point_names_the_strand(self, rng):
+        groom = clustered_groom(rng, n_strands=12, R=8)
+        points = groom.points.copy()
+        points[groom.offsets[7] + 1, 0] = np.nan
+        with pytest.raises(InvalidParam, match="strand 7 contains non-finite"):
+            groom.with_points(points)
+
+    @pytest.mark.parametrize("drop", [1, -1])
+    def test_wrong_shape_rejected(self, rng, drop):
+        groom = clustered_groom(rng, n_strands=12, R=8)
+        points = np.zeros((len(groom.points) - drop, 3))
+        with pytest.raises(InvalidParam, match="points must be"):
+            groom.with_points(points)
+
+
 class TestFlip:
     def dyadic_groom(self, rng):
         return clustered_groom(rng, n_strands=30, R=8)

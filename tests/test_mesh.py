@@ -91,6 +91,31 @@ class TestConnectivity:
             QuadMesh(np.eye(3, 3), [[0, 1, 2, 3]])
 
 
+class TestWithVertices:
+    """with_vertices keeps the checked topology and checks only the positions."""
+
+    def test_keeps_topology_and_takes_positions(self, rng):
+        mesh = random_closed_mesh(rng)
+        moved = mesh.with_vertices(2.0 * mesh.vertices)
+        assert moved.quads is mesh.quads and moved.uvs is mesh.uvs
+        assert np.array_equal(moved.vertices, 2.0 * mesh.vertices)
+        assert moved.vertices.flags.c_contiguous and moved.vertices.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_vertex_named(self, bad):
+        mesh = quad_grid(2, 2)
+        verts = mesh.vertices.copy()
+        verts[5, 2] = bad
+        with pytest.raises(NonFiniteInput, match="vertex 5 is not finite"):
+            mesh.with_vertices(verts)
+
+    @pytest.mark.parametrize("shape", [(9, 2), (8, 3), (10, 3), (27,), (9, 3, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        mesh = quad_grid(2, 2)
+        with pytest.raises(DegenerateQuad, match=r"vertices must be \(9, 3\)"):
+            mesh.with_vertices(np.zeros(shape))
+
+
 class TestVertexNormals:
     def test_planar_grid(self):
         mesh = quad_grid(3, 3)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from facegen.errors import DataError, NonFiniteInput
 from facegen.mesh import QuadMesh
-from facegen.objio import dump_obj, float_tokens, load_obj, obj_topology, parse_obj, save_obj
+from facegen.objio import dump_obj, float_lines, load_obj, obj_topology, parse_obj, save_obj
 from facegen.procedural import cube_mesh, quad_grid
 
 from conftest import dump_obj_reference, random_closed_mesh
@@ -23,19 +25,40 @@ def test_bulk_formatting_matches_scalar_reference(rng, with_uvs):
         uvs.ravel()[:len(special)] = special
     mesh = QuadMesh(verts, grid.quads, uvs)
     text = dump_obj(mesh)
-    assert text == dump_obj_reference(mesh)
+    assert text == dump_obj_reference(mesh).encode()
     assert text == dump_obj(mesh, obj_topology(mesh.quads, mesh.uvs))
 
 
 def test_bulk_formatting_matches_scalar_reference_on_closed_meshes(rng):
     for _ in range(5):
         mesh = random_closed_mesh(rng)
-        assert dump_obj(mesh) == dump_obj_reference(mesh)
+        assert dump_obj(mesh) == dump_obj_reference(mesh).encode()
 
 
 def test_empty_mesh_matches_scalar_reference():
     mesh = QuadMesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=np.int64))
-    assert dump_obj(mesh) == dump_obj_reference(mesh) == "\n"
+    assert dump_obj(mesh) == dump_obj_reference(mesh).encode() == b"\n"
+
+
+def _unchecked_mesh(vertices, uvs=None) -> SimpleNamespace:
+    """What dump_obj reads of a mesh, unchecked, so that it can hold nan and
+    ±inf: (V, 3) vertices and, with `uvs`, one quad per 8 UV values."""
+    quads = np.zeros((0, 4), dtype=np.int64)
+    if uvs is not None:
+        uvs = np.reshape(uvs, (-1, 4, 2))
+        quads = np.tile(np.arange(4), (len(uvs), 1))
+    return SimpleNamespace(vertices=np.reshape(vertices, (-1, 3)), quads=quads, uvs=uvs)
+
+
+def assert_lines_are_repr(values, vt: bool = True) -> None:
+    """`values` (repeated to a whole number of quads) written as `v` lines
+    and, with `vt`, as `vt` lines: each byte for byte the scalar reference's
+    repr text."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.resize(values, -(-values.size // 24) * 24)
+    meshes = [_unchecked_mesh(values)] + vt * [_unchecked_mesh(np.zeros((4, 3)), values)]
+    for mesh in meshes:
+        assert dump_obj(mesh) == dump_obj_reference(mesh).encode()
 
 
 def _neighbours(x: float, k: int = 40) -> list[float]:
@@ -56,33 +79,53 @@ EDGES = [s * v for s in (1.0, -1.0) for x in (1e-4, 1e16) for v in _neighbours(x
 
 
 def test_float_tokens_are_repr_at_the_notation_edges():
-    assert float_tokens(np.array(EDGES)) == [repr(x) for x in EDGES]
+    assert_lines_are_repr(EDGES)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats() | st.sampled_from(EDGES), min_size=1, max_size=40))
 def test_float_tokens_are_repr(values):
     """st.floats() draws every float64: subnormals, both zeros, nan, ±inf."""
-    assert float_tokens(np.array(values)) == [repr(x) for x in values]
+    assert_lines_are_repr(values)
 
 
 def test_float_tokens_are_repr_of_random_bit_patterns():
     bits = np.random.default_rng(13).integers(0, 2**64, size=10**6, dtype=np.uint64)
     values = bits.view(np.float64)
-    assert float_tokens(values) == [repr(x) for x in values.tolist()]
+    assert_lines_are_repr(values, vt=False)
+    assert_lines_are_repr(values[:2 * 10**4])   # the vt reference's f lines are slow
 
 
 def test_float_tokens_are_repr_where_orjson_formats_them():
-    # random bit patterns rarely land in [1e-4, 1e16), where no token is redone
+    # random bit patterns rarely land in [1e-4, 1e16), where no row is redone
     rng = np.random.default_rng(14)
     values = 10.0 ** rng.uniform(-4.0, 16.0, 2 * 10**5) * rng.choice([-1.0, 1.0], 2 * 10**5)
-    assert float_tokens(values) == [repr(x) for x in values.tolist()]
+    assert_lines_are_repr(values)
 
 
 def test_float_tokens_keep_c_order_and_handle_no_values():
-    a = np.arange(12.0).reshape(3, 4)
-    assert float_tokens(a.T) == [repr(x) for x in a.T.ravel().tolist()]
-    assert float_tokens(np.zeros((0, 3))) == []
+    verts = np.arange(24.0).reshape(8, 3, order="F")
+    uvs = np.arange(16.0).reshape(2, 4, 2, order="F")
+    for mesh in (_unchecked_mesh(verts), _unchecked_mesh(verts, uvs)):
+        assert not mesh.vertices.flags.c_contiguous
+        assert dump_obj(mesh) == dump_obj_reference(mesh).encode()
+    assert float_lines(np.zeros((0, 3)), b"v ") == b""
+
+
+# rows that repr writes in another notation than orjson, among rows it does not
+REDO_ROWS = {"first": [0], "last": [-1], "first_and_last": [0, -1],
+             "adjacent": [3, 4], "adjacent_at_end": [-2, -1], "every": slice(None)}
+
+
+@pytest.mark.parametrize("value", [3e-7, -1e20, float("nan"), float("-inf")])
+@pytest.mark.parametrize("rows", REDO_ROWS.values(), ids=REDO_ROWS.keys())
+def test_redone_rows_are_spliced_in_order(rng, rows, value):
+    for n in (5, 9):
+        values = rng.uniform(0.1, 10.0, (n, 24))
+        values[rows, n % 5] = value
+        assert_lines_are_repr(values)
+        assert float_lines(values.reshape(-1, 3), b"v ") == \
+            dump_obj_reference(_unchecked_mesh(values)).encode()
 
 
 def test_roundtrip_bit_exact(rng, tmp_path):
@@ -96,7 +139,7 @@ def test_roundtrip_bit_exact(rng, tmp_path):
 def test_write_read_write_byte_identical(rng, tmp_path):
     mesh = random_closed_mesh(rng)
     text1 = dump_obj(mesh)
-    text2 = dump_obj(parse_obj(text1))
+    text2 = dump_obj(parse_obj(text1.decode()))
     assert text1 == text2
 
 
@@ -104,13 +147,13 @@ def test_uv_roundtrip(rng):
     grid = quad_grid(2, 2)
     uvs = rng.uniform(0, 1, (grid.n_quads, 4, 2))
     mesh = QuadMesh(grid.vertices, grid.quads, uvs)
-    back = parse_obj(dump_obj(mesh))
+    back = parse_obj(dump_obj(mesh).decode())
     assert back.uvs is not None
     assert np.array_equal(back.uvs, uvs)
 
 
 def test_one_based_indices():
-    text = dump_obj(cube_mesh())
+    text = dump_obj(cube_mesh()).decode()
     fline = [l for l in text.splitlines() if l.startswith("f ")][0]
     ids = [int(t) for t in fline.split()[1:]]
     assert min(ids) >= 1

@@ -1,4 +1,7 @@
+import builtins
 import dataclasses
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -7,7 +10,9 @@ from scipy.stats import chisquare
 
 from facegen.demo import build_demo_library
 from facegen.errors import DataError
+from facegen.hair import Groom
 from facegen.library import AssetLibrary
+from facegen.mesh import QuadMesh
 from facegen.sampling import split_seed
 from facegen.scene import (
     SceneDescription,
@@ -69,6 +74,30 @@ class TestLibrary:
             flips += sum(c.flip for c in scene.grooms.values())
             export_scene(scene, realize_scene(library, scene), tmp_path / str(i))
         assert flips > 0
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_scenes_revalidate_no_library_topology(self, library, tmp_path, monkeypatch):
+        """Scenes move the library's checked meshes and grooms: neither the
+        full mesh check nor the full groom check runs per scene."""
+        calls = {"QuadMesh.__post_init__": 0, "Groom._store": 0}
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                calls[f"{cls.__name__}.{name}"] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+
+        count(QuadMesh, "__post_init__")
+        count(Groom, "_store")
+        n_grooms = 0
+        for i in range(4):
+            scene = sample_scene(library, split_seed(41, i))
+            geometry = realize_scene(library, scene)
+            export_scene(scene, geometry, tmp_path / str(i))
+            n_grooms += len(geometry.grooms)
+        assert n_grooms > 0
         assert calls == dict.fromkeys(calls, 0)
 
 
@@ -231,6 +260,27 @@ class TestExport:
         assert set(hashes) == names - {"manifest.json", "notes.txt"}
         mf = json.loads((out / "manifest.json").read_text())
         assert mf["files"] == hashes
+
+    def test_export_hashes_what_it_wrote_without_reading_back(self, library, tmp_path,
+                                                                monkeypatch):
+        scene = sample_scene(library, 36)
+        geo = realize_scene(library, scene)
+        assert geo.grooms
+        real_open = io.open
+
+        def write_only(file, mode="r", *args, **kwargs):
+            if "r" in mode or "+" in mode:
+                raise AssertionError(f"export_scene opened {file} with mode {mode!r}")
+            return real_open(file, mode, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            for module in (builtins, io):
+                m.setattr(module, "open", write_only)
+            hashes = export_scene(scene, geo, tmp_path / "s")
+        on_disk = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "s").iterdir() if p.name != "manifest.json"}
+        assert hashes == on_disk
+        assert json.loads((tmp_path / "s/manifest.json").read_text())["files"] == on_disk
 
     def test_face_obj_reimports(self, library, tmp_path):
         from facegen.objio import load_obj
