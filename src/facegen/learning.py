@@ -18,7 +18,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -45,6 +47,7 @@ from .mesh import (
 )
 from .model import (
     BlendshapeModel,
+    PoseDerivatives,
     evaluate_unposed,
     euler_xyz,
     euler_xyz_grad,
@@ -55,7 +58,10 @@ from .model import (
 )
 
 GLOBAL_ROT_LIMITS = (-np.pi, np.pi)
+# the blocks a fit schedule may hold fixed, and every block total_loss can
+# differentiate: with all of BLOCKS frozen it runs the forward pass only
 FREEZABLE = frozenset({"beta", "joint_angles", "global_rot", "global_trans"})
+BLOCKS = FREEZABLE | {"alpha", "phi"}
 
 
 @dataclass(frozen=True)
@@ -194,14 +200,14 @@ class LossContext:
 
 
 def _data_term(y: np.ndarray, targets: np.ndarray, target_normals: np.ndarray,
-               faces: FaceOperators, w_vertex: float, w_normal: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               faces: FaceOperators, w_vertex: float, w_normal: float, grad: bool = True
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Vertex and normal data terms of component-major (3, V, *batch) positions y.
 
     Returns (per-mesh mean ||y - t||^2 (*batch), per-mesh mean (1 - cos
     angle) between generated and target normals (*batch), gradient of the
-    weighted sum of both w.r.t. y).  Degenerate faces and zero-normal
-    vertices contribute value 1 with zero gradient.
+    weighted sum of both w.r.t. y, None unless `grad`).  Degenerate faces
+    and zero-normal vertices contribute value 1 with zero gradient.
     """
     V = y.shape[1]
     diff = y - targets
@@ -211,6 +217,8 @@ def _data_term(y: np.ndarray, targets: np.ndarray, target_normals: np.ndarray,
     fwd = normals_forward(y, faces)
     n, nhat = fwd.vertex, fwd.face
     norm_vals = 1.0 - dot3(n, target_normals).mean(axis=0)
+    if not grad:
+        return vert_vals, norm_vals, None
 
     # adjoint of the normals: d/dn of sum_v (1 - n.c)/V is -c/V
     g_m = _normalize_adjoint(target_normals / -V, n, fwd.vertex_inv)
@@ -276,6 +284,14 @@ def _scan_chunks(n_scans: int, n_vertices: int, workers: int = 1) -> list[slice]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def _chunk_workers(n_scans: int, n_vertices: int) -> tuple[list[slice], int]:
+    """A loss's chunks of scans and the threads that run them: one per CPU,
+    at most one per chunk."""
+    cpus = _cpu_count()
+    chunks = _scan_chunks(n_scans, n_vertices, cpus)
+    return chunks, min(len(chunks), cpus)
+
+
 # ---------------------------------------------------------------------------
 # total loss over all scans
 # ---------------------------------------------------------------------------
@@ -305,20 +321,111 @@ class ThetaBlocks:
 class LossResult:
     total: float
     breakdown: dict[str, float]
-    grads: dict[str, np.ndarray]   # phi + the ThetaBlocks keys not frozen
+    grads: dict[str, np.ndarray]   # the blocks not frozen
     scan_vertex_ms: np.ndarray     # (N,) mean squared vertex distance per scan
+
+
+@dataclass(frozen=True)
+class PosedChain:
+    """One loss's inputs to the posed-scan chain, in canonical scan order,
+    and the per-scan arrays its chunks fill, each chunk its own rows.  An
+    output the loss does not need is None; with none, a chunk runs the
+    forward half only."""
+
+    ctx: LossContext
+    weights: LossWeights
+    skinning: np.ndarray             # (V, 4) skinning weights
+    pose: PoseDerivatives            # world transforms R_w, b_w of every scan
+    vbar: np.ndarray                 # (N, V, 3) unposed vertices
+    R_g: np.ndarray                  # (N, 3, 3) global rotations
+    global_trans: np.ndarray         # (N, 3)
+    values: np.ndarray               # (3, N) vertex, normal and edge terms
+    g_trans: np.ndarray | None       # (N, 3) global-translation gradient
+    M_g: np.ndarray | None           # (N, 3, 3) global-rotation moments
+    moments: np.ndarray | None       # (N, 4, 3, 4) [M_i | s_i] with live angles, else (N, 3, 4) s
+    dLdvbar: np.ndarray | None       # (N, V, 3) gradient at the unposed vertices
+
+    @property
+    def backward(self) -> bool:
+        return any(a is not None for a in (self.g_trans, self.M_g, self.moments, self.dLdvbar))
+
+
+def posed_chunk(chain: PosedChain, c: slice) -> None:
+    """The posed-scan chain of the scans in chunk `c`: skinning, the global
+    transform and the data and edge terms, then the gradient back through
+    them into the outputs `chain` holds."""
+    ctx, wt, w = chain.ctx, chain.weights, chain.skinning
+    R_w, R_g = chain.pose.R_w[c], chain.R_g[c]
+    v_out = lbs_apply(w, R_w, chain.pose.b_w[c], chain.vbar[c])
+    y = v_out @ np.swapaxes(R_g, 1, 2) + chain.global_trans[c, None, :]
+    # data and edge-degeneracy terms on one component-major (3, V, n) copy
+    y_cm = np.ascontiguousarray(y.transpose(2, 1, 0))
+    data_args = (y_cm, ctx.targets[..., c], ctx.target_normals[..., c], ctx.faces,
+                 wt.w_vertex, wt.w_normal)
+    edge_args = (y_cm, ctx.ref_edge_lengths, ctx.incidence)
+    vals = chain.values
+    if not chain.backward:
+        vals[0, c], vals[1, c], _ = _data_term(*data_args, grad=False)
+        vals[2, c], _ = edge_length_energy(*edge_args, grad=False)
+        return
+    vals[0, c], vals[1, c], grad = _data_term(*data_args)
+    vals[2, c], edge_grad = edge_length_energy(*edge_args)
+    grad += wt.w_edge * edge_grad
+    # backward through the global transform and the skinning
+    dLdy = np.ascontiguousarray(grad.transpose(2, 1, 0))
+    if chain.g_trans is not None:
+        chain.g_trans[c] = dLdy.sum(axis=1)
+    if chain.M_g is not None:
+        chain.M_g[c] = np.swapaxes(dLdy, 1, 2) @ v_out
+    dLdv_out = dLdy @ R_g
+    if chain.moments is not None:
+        # per joint one batched GEMM of the weighted gradient rows
+        g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
+        if chain.moments.ndim == 4:      # live angles: [M_i | s_i]
+            vbar = chain.vbar[c]
+            vbar1 = np.concatenate([vbar, np.ones(vbar.shape[:2] + (1,))], axis=2)
+            chain.moments[c] = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
+        else:
+            chain.moments[c] = g_t @ w
+    if chain.dLdvbar is not None:
+        chain.dLdvbar[c] = lbs_adjoint(w, R_w, dLdv_out)
+
+
+def _run_chunks(chain: PosedChain, executor: ThreadPoolExecutor | None) -> None:
+    """posed_chunk over every chunk of the chain's scans.  With more than one
+    worker the calling thread takes every workers-th chunk itself (one
+    thread fewer to start, and one malloc arena fewer to hold a chunk's
+    temporaries) and `executor` the others; without an executor this call
+    opens one of its own."""
+    chunks, workers = _chunk_workers(*chain.vbar.shape[:2])
+    run = partial(posed_chunk, chain)
+    if workers == 1:
+        for c in chunks:
+            run(c)
+        return
+    with (nullcontext(executor) if executor is not None
+          else ThreadPoolExecutor(workers - 1)) as pool:
+        others = pool.map(run, [c for i, c in enumerate(chunks) if i % workers])
+        for c in chunks[::workers]:
+            run(c)
+        list(others)
 
 
 def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
                scans: ScanSet, weights: LossWeights,
                base: BlendshapeModel, ctx: LossContext | None = None,
-               frozen: frozenset[str] = frozenset()) -> LossResult:
+               frozen: frozenset[str] = frozenset(),
+               executor: ThreadPoolExecutor | None = None) -> LossResult:
     """Full learning loss and analytic gradients for every parameter block
-    but those in `frozen` (a subset of FREEZABLE; alpha and phi always live).
+    but those in `frozen`, a subset of BLOCKS; with all of them frozen only
+    the forward pass runs and `grads` is empty.
 
     `base` supplies template, expression basis, skeleton and skinning
     weights (all held fixed); `phi` is the identity basis being learned.
     `ctx` is `LossContext.build(scans, base)`, built here when not given.
+    `executor` runs chunks of scans beside the calling thread (fit passes
+    the one it keeps for the fit); a call without one that has more than
+    one worker opens its own.
     """
     phi = np.asarray(phi, dtype=np.float64)
     N = scans.n_scans
@@ -329,8 +436,8 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     if thetas.alpha.shape != (N, m):
         raise DimensionMismatch(
             f"alpha blocks {thetas.alpha.shape} inconsistent with (N={N}, m={m})")
-    if not FREEZABLE.issuperset(frozen):
-        raise InvalidParam(f"frozen blocks {sorted(frozen)} not all in {sorted(FREEZABLE)}")
+    if not BLOCKS.issuperset(frozen):
+        raise InvalidParam(f"frozen blocks {sorted(frozen)} not all in {sorted(BLOCKS)}")
     if ctx is None:
         ctx = LossContext.build(scans, base)
     elif ctx.scans is not scans and (
@@ -348,64 +455,27 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     global_trans = thetas.global_trans[order]
 
     model = replace(base, identity_basis=phi)
-    w = base.skinning_weights
     skel = base.skeleton
-    live_angles = "joint_angles" not in frozen
+    live = BLOCKS - frozen
+    live_angles = "joint_angles" in live
 
     # forward work batched over all scans, on the calling thread
     vbar = evaluate_unposed(model, alpha, beta)                    # (N, V, 3)
     der = (pose_derivatives if live_angles else pose_transforms)(skel, alpha, joint_angles)
-    R_g = euler_xyz(global_rot)
 
-    # per-scan outputs of the posed-scan chain; each chunk fills its own rows.
-    # The joint sums s_i = sum_v w_vi g_v feed the pivots; with live angles
-    # they are the last column of the moments [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T
-    vert_vals, norm_vals, edge_vals = np.empty((3, N))
-    g_trans, M_g = np.empty((N, 3)), np.empty((N, 3, 3))
-    moments = np.empty((N, 4, 3, 4) if live_angles else (N, 3, 4))
-    dLdvbar = np.empty((N, V, 3))
-
-    def posed_chunk(c: slice) -> None:
-        v_out = lbs_apply(w, der.R_w[c], der.b_w[c], vbar[c])
-        y = v_out @ np.swapaxes(R_g[c], 1, 2) + global_trans[c, None, :]
-        # data and edge-degeneracy terms on one component-major (3, V, n) copy
-        y_cm = np.ascontiguousarray(y.transpose(2, 1, 0))
-        vert_vals[c], norm_vals[c], grad = _data_term(
-            y_cm, ctx.targets[..., c], ctx.target_normals[..., c], ctx.faces,
-            weights.w_vertex, weights.w_normal)
-        edge_vals[c], edge_grad = edge_length_energy(y_cm, ctx.ref_edge_lengths,
-                                                     ctx.incidence)
-        grad += weights.w_edge * edge_grad
-        # backward through the global transform and the skinning
-        dLdy = np.ascontiguousarray(grad.transpose(2, 1, 0))
-        if "global_trans" not in frozen:
-            g_trans[c] = dLdy.sum(axis=1)
-        if "global_rot" not in frozen:
-            M_g[c] = np.swapaxes(dLdy, 1, 2) @ v_out
-        dLdv_out = dLdy @ R_g[c]
-        # per joint one batched GEMM of the weighted gradient rows
-        g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
-        if live_angles:
-            vbar1 = np.concatenate([vbar[c], np.ones(vbar[c].shape[:2] + (1,))], axis=2)
-            moments[c] = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
-        else:
-            moments[c] = g_t @ w
-        dLdvbar[c] = lbs_adjoint(w, der.R_w[c], dLdv_out)
-
-    cpus = _cpu_count()
-    chunks = _scan_chunks(N, V, cpus)
-    workers = min(len(chunks), cpus)
-    if workers > 1:
-        # the calling thread takes every workers-th chunk itself: one thread
-        # fewer to start, and one malloc arena fewer to hold a chunk's temporaries
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = pool.map(posed_chunk, [c for i, c in enumerate(chunks) if i % workers])
-            for c in chunks[::workers]:
-                posed_chunk(c)
-            list(others)
-    else:
-        for c in chunks:
-            posed_chunk(c)
+    # the posed-scan chain per chunk of scans.  The joint sums
+    # s_i = sum_v w_vi g_v feed the pivots, so alpha; with live angles they
+    # are the last column of the moments [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T
+    chain = PosedChain(
+        ctx, weights, base.skinning_weights, der, vbar, euler_xyz(global_rot), global_trans,
+        values=np.empty((3, N)),
+        g_trans=np.empty((N, 3)) if "global_trans" in live else None,
+        M_g=np.empty((N, 3, 3)) if "global_rot" in live else None,
+        moments=(np.empty((N, 4, 3, 4)) if live_angles
+                 else np.empty((N, 3, 4)) if "alpha" in live else None),
+        dLdvbar=np.empty((N, V, 3)) if live & {"alpha", "beta", "phi"} else None)
+    _run_chunks(chain, executor)
+    vert_vals, norm_vals, edge_vals = chain.values
 
     term_vertex = weights.w_vertex * float(vert_vals.sum())
     term_normal = weights.w_normal * float(norm_vals.sum())
@@ -428,33 +498,35 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     total = (term_vertex + term_normal + term_bexpr + term_bpose
              + term_id_coeff + term_id_basis + term_lap + term_edge)
 
-    # ---- backward of the blocks not frozen, in canonical order --------
+    # ---- backward of the live blocks, in canonical order --------------
     g = {}
-    if "global_trans" not in frozen:
-        g["global_trans"] = g_trans
-    if "global_rot" not in frozen:
-        g["global_rot"] = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), M_g)
+    if "global_trans" in live:
+        g["global_trans"] = chain.g_trans
+    if "global_rot" in live:
+        g["global_rot"] = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), chain.M_g)
                            + weights.w_barrier_pose * bglob_der)
     if live_angles:
-        M, s = moments[..., :3], moments[..., 3]
+        M, s = chain.moments[..., :3], chain.moments[..., 3]
         g["joint_angles"] = (np.einsum("nijkab,niab->njk", der.dR_w, M)
                              + np.einsum("nijka,nia->njk", der.db_w, s)
                              + weights.w_barrier_pose * bpose_der)
-    else:
-        s = np.swapaxes(moments, 1, 2)
-    g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
-
-    dLdvbar = dLdvbar.reshape(N, V * 3)
-    g["alpha"] = (dLdvbar @ phi.reshape(m, V * 3).T
-                  + np.einsum("njb,jbq->nq", g_pivot, skel.a)
-                  + weights.w_id_coeff * 2.0 * alpha)
-    if "beta" not in frozen:
+    elif chain.moments is not None:
+        s = np.swapaxes(chain.moments, 1, 2)
+    if chain.dLdvbar is not None:
+        dLdvbar = chain.dLdvbar.reshape(N, V * 3)
+    if "alpha" in live:
+        g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
+        g["alpha"] = (dLdvbar @ phi.reshape(m, V * 3).T
+                      + np.einsum("njb,jbq->nq", g_pivot, skel.a)
+                      + weights.w_id_coeff * 2.0 * alpha)
+    if "beta" in live:
         g["beta"] = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
                      + weights.w_barrier_expr * bexpr_der)
-    g_phi = ((alpha.T @ dLdvbar).reshape(m, V, 3)
-             + weights.w_id_basis * 2.0 * phi
-             + weights.w_laplacian * 2.0
-             * (ctx.lap_gram @ phi_flat).reshape(V, m, 3).transpose(1, 0, 2))
+    if "phi" in live:
+        g["phi"] = ((alpha.T @ dLdvbar).reshape(m, V, 3)
+                    + weights.w_id_basis * 2.0 * phi
+                    + weights.w_laplacian * 2.0
+                    * (ctx.lap_gram @ phi_flat).reshape(V, m, 3).transpose(1, 0, 2))
 
     breakdown = {
         "data_vertex": term_vertex,
@@ -466,7 +538,9 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
         "laplacian": term_lap,
         "edge": term_edge,
     }
-    grads = {"phi": g_phi} | {k: g[k][inv_order] for k in thetas.as_dict() if k in g}
+    # phi is shared; the per-scan blocks go back to input order
+    grads = {k: g[k] if k == "phi" else g[k][inv_order]
+             for k in ("phi", *thetas.as_dict()) if k in g}
     return LossResult(total=float(total), breakdown=breakdown, grads=grads,
                       scan_vertex_ms=vert_vals[inv_order])
 
@@ -582,28 +656,32 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     trajectory: list[float] = []
     term_trajectory: list[dict[str, float]] = []
     stopped_early = False
-    t0 = time.perf_counter()
-    for it in range(schedule.iterations):
-        theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-        res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
-                         frozen=schedule.frozen)
-        if not np.isfinite(res.total):
-            raise Diverged(it)
-        trajectory.append(res.total)
-        term_trajectory.append(res.breakdown)
-        params = adam_step(state, params, res.grads, schedule.lr,
-                           schedule.beta1, schedule.beta2, schedule.eps)
-        win = schedule.early_stop_window
-        if it >= win:
-            prev = trajectory[-win - 1]
-            if prev - trajectory[-1] < schedule.early_stop_rel * abs(prev):
-                stopped_early = True
-                break
-    wall = time.perf_counter() - t0
+    workers = _chunk_workers(scans.n_scans, scans.n_vertices)[1]
+    # one executor for every loss of the fit, shut down when fit returns or raises
+    with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as executor:
+        t0 = time.perf_counter()
+        for it in range(schedule.iterations):
+            theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
+            res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
+                             frozen=schedule.frozen, executor=executor)
+            if not np.isfinite(res.total):
+                raise Diverged(it)
+            trajectory.append(res.total)
+            term_trajectory.append(res.breakdown)
+            params = adam_step(state, params, res.grads, schedule.lr,
+                               schedule.beta1, schedule.beta2, schedule.eps)
+            win = schedule.early_stop_window
+            if it >= win:
+                prev = trajectory[-win - 1]
+                if prev - trajectory[-1] < schedule.early_stop_rel * abs(prev):
+                    stopped_early = True
+                    break
+        wall = time.perf_counter() - t0
 
-    theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-    final = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
-                       frozen=schedule.frozen)
+        # the loss of the returned parameters: its values only
+        theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
+        final = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
+                           frozen=BLOCKS, executor=executor)
     if not np.isfinite(final.total):
         raise Diverged(len(trajectory))
     model = replace(base, identity_basis=params["phi"])

@@ -83,6 +83,8 @@ class CameraConfig:
 
     def __post_init__(self):
         check_fov(self.fov_deg)
+        if not self.framing_scale > 0:
+            raise InvalidParam(f"$.camera.framing_scale {self.framing_scale} not above 0")
 
 
 @dataclass(frozen=True)

@@ -140,12 +140,13 @@ def build_connectivity(mesh: QuadMesh) -> MeshConnectivity:
     V, F = mesh.n_vertices, mesh.n_quads
     q = mesh.quads
 
-    # directed quad sides (v_i, v_{i+1}), canonicalized to lower-first
-    sides = np.stack([q, np.roll(q, -1, axis=1)], axis=2).reshape(-1, 2)  # (4F, 2)
-    canon = np.sort(sides, axis=1)
-    edges, side_to_edge, counts = np.unique(
-        canon, axis=0, return_inverse=True, return_counts=True
+    # directed quad sides (v_i, v_{i+1}), canonicalized to lower-first and
+    # keyed lo * V + hi: sorted keys are the pairs in lexicographic order
+    a, b = q.ravel(), np.roll(q, -1, axis=1).ravel()                      # (4F,)
+    keys, side_to_edge, counts = np.unique(
+        np.minimum(a, b) * V + np.maximum(a, b), return_inverse=True, return_counts=True
     )
+    edges = np.stack(np.divmod(keys, V), axis=1)
     if np.any(counts > 2):
         bad = edges[np.argmax(counts > 2)]
         raise NonManifoldEdge(f"edge {tuple(bad)} has {int(counts.max())} incident faces")
@@ -376,18 +377,21 @@ def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
 
 
 def edge_length_energy(vertices: np.ndarray, ref_lengths: np.ndarray,
-                       incidence: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
+                       incidence: BlockOperator, grad: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
     """Sum over edges of (|e| - ref_length_e)^2 with its exact gradient.
 
     Component-major vertices (3, V, *batch) share an edge list;
     `incidence` is its `BlockOperator.gather(edges, (1, -1), V)`.
-    Returns (values (*batch), gradient (3, V, *batch)).
+    Returns (values (*batch), gradient (3, V, *batch), None unless `grad`).
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     d = incidence.apply(vertices)
     ln = np.sqrt(dot3(d, d))
     diff = (ln.T - ref_lengths).T        # (E,) lengths against (E, *batch)
     values = np.einsum("e...,e...->...", diff, diff)
+    if not grad:
+        return values, None
     # d|e|/dv_a = (v_a - v_b)/|e|
     safe = np.where(ln > 0, ln, 1.0)
     d *= 2.0 * diff / safe

@@ -303,9 +303,11 @@ def export_scene(scene: SceneDescription, geometry: RealizedScene,
     Export-owned names left by an earlier export into `out_dir` are
     removed; other files there are kept and not listed."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in _EXPORT_NAMES:
-        (out / name).unlink(missing_ok=True)
+    if out.is_dir():
+        for name in _EXPORT_NAMES:
+            (out / name).unlink(missing_ok=True)
+    else:
+        out.mkdir(parents=True)
     topo = geometry.topology
     scene_dict = scene.to_dict()
     scene_dict["eye_metadata"] = geometry.eye_metadata

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from facegen.errors import EmptyComponent, SingularComponent
+from facegen.errors import EmptyComponent, NonManifoldEdge, SingularComponent
 from facegen.gmm import GaussianMixture, _kmeanspp_centers
 from facegen.adam import AdamState, adam_step
 from facegen.learning import (
@@ -25,6 +25,7 @@ from facegen.learning import (
     total_loss,
 )
 from facegen.mesh import (
+    MeshConnectivity,
     Normals,
     QuadMesh,
     build_connectivity,
@@ -346,6 +347,49 @@ def encode_reference(groom, R: int, G: int, bbox: np.ndarray):
     flow = np.zeros_like(acc)
     flow[nz] = acc[nz] / norms[nz][:, None]
     return length_map, flow
+
+
+def build_connectivity_reference(mesh: QuadMesh) -> MeshConnectivity:
+    """mesh.build_connectivity with the edges found by `np.unique` over the
+    rows of the canonical (lo, hi) side pairs: the reference the 1-D edge
+    keys are checked against, table for table."""
+    V, F = mesh.n_vertices, mesh.n_quads
+    q = mesh.quads
+    sides = np.stack([q, np.roll(q, -1, axis=1)], axis=2).reshape(-1, 2)
+    edges, side_to_edge, counts = np.unique(
+        np.sort(sides, axis=1), axis=0, return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        bad = edges[np.argmax(counts > 2)]
+        raise NonManifoldEdge(f"edge {tuple(bad)} has {int(counts.max())} incident faces")
+    E = len(edges)
+    side_to_edge = side_to_edge.ravel()
+    edge_faces = np.full((E, 2), -1, dtype=np.int64)
+    order = np.argsort(side_to_edge, kind="stable")
+    sorted_faces = np.repeat(np.arange(F, dtype=np.int64), 4)[order]
+    first = np.searchsorted(side_to_edge[order], np.arange(E))
+    edge_faces[:, 0] = sorted_faces[first]
+    has2 = counts == 2
+    edge_faces[has2, 1] = sorted_faces[first[has2] + 1]
+    both = np.concatenate([edges, edges[:, ::-1]], axis=0)
+    valence = np.bincount(edges.ravel(), minlength=V).astype(np.int64)
+    boundary_vertex = np.zeros(V, dtype=bool)
+    boundary_vertex[edges[counts == 1].ravel()] = True
+    return MeshConnectivity(
+        n_vertices=V,
+        n_faces=F,
+        edges=edges.astype(np.int64),
+        edge_faces=edge_faces,
+        face_edges=side_to_edge.reshape(F, 4),
+        vf_indptr=np.concatenate([[0], np.cumsum(np.bincount(q.ravel(), minlength=V))]
+                                 ).astype(np.int64),
+        vf_indices=np.repeat(np.arange(F, dtype=np.int64), 4)[
+            np.argsort(q.ravel(), kind="stable")],
+        nbr_indptr=np.concatenate([[0], np.cumsum(valence)]).astype(np.int64),
+        nbr_indices=both[np.argsort(both[:, 0], kind="stable"), 1].astype(np.int64),
+        valence=valence,
+        boundary_edge=counts == 1,
+        boundary_vertex=boundary_vertex,
+    )
 
 
 def subdivide_reference(mesh: QuadMesh, levels: int) -> QuadMesh:

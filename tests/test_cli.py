@@ -526,6 +526,8 @@ MALFORMED = {
     "fov_beyond_float": _section_key("camera", "fov_deg", 10 ** 400),
     "fov_below_1": _section_key("camera", "fov_deg", 0.5),
     "fov_above_179": _section_key("camera", "fov_deg", 179.5),
+    "framing_scale_zero": _section_key("camera", "framing_scale", 0.0),
+    "framing_scale_negative": _section_key("camera", "framing_scale", -1.4),
     "resolution_zero": _section_key("render", "resolution", 0),
     "spp_zero": _section_key("render", "spp", 0),
     "joint_std_bad_shape": _section_key("pose", "joint_std", [1, 2]),
@@ -652,6 +654,7 @@ def test_eyelid_id_out_of_range_names_config_and_key(demo_lib, tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("camera", "fov_deg", 0.5), ("camera", "fov_deg", 180.0),
+    ("camera", "framing_scale", 0.0), ("camera", "framing_scale", -1.4),
     ("render", "resolution", 0), ("render", "spp", -3)])
 def test_config_range_names_config_and_key(demo_lib, tmp_path, section, key, value):
     lib = tmp_path / "lib"

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,7 +160,10 @@ class TestDataTerm:
 
 
 FROZEN_SETS = [frozenset(), frozenset({"beta"}), frozenset({"joint_angles"}),
-               frozenset({"global_rot", "global_trans"}), learning.FREEZABLE]
+               frozenset({"global_rot", "global_trans"}), learning.FREEZABLE,
+               frozenset({"alpha"}), frozenset({"phi"}), frozenset({"alpha", "beta", "phi"}),
+               learning.FREEZABLE | {"alpha"}, learning.FREEZABLE | {"phi"},
+               learning.BLOCKS]
 
 
 def _frozen_id(frozen):
@@ -235,7 +239,8 @@ class TestTotalLoss:
 
     def test_chunk_rows_survive_more_workers_than_cores(self, rng, monkeypatch):
         # every chunk writes its rows of the shared per-scan outputs; none
-        # may be lost when the interpreter switches threads as often as it can
+        # may be lost when the interpreter switches threads as often as it
+        # can, with an executor of the loss's own or one shared by losses
         base, scans, theta, phi = tiny_problem(rng, n_scans=16)
         ctx = LossContext.build(scans, base)
         whole = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
@@ -245,8 +250,10 @@ class TestTotalLoss:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
-                    for _ in range(5)]
+            with ThreadPoolExecutor(7) as shared:
+                runs = [total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+                                   executor=shared if k % 2 else None)
+                        for k in range(6)]
         finally:
             sys.setswitchinterval(interval)
         for res in runs:
@@ -498,6 +505,16 @@ class TestLossContext:
         assert _tally(calls, names) == {"evaluate_unposed": 7, "pose_derivatives": 0,
                                         "lbs_apply": 7, "euler_xyz_grad": 0}
 
+    def test_closing_loss_is_forward_only(self, rng, monkeypatch):
+        names = ("pose_derivatives", "euler_xyz_grad", "lbs_apply", "lbs_adjoint")
+        calls = _count_calls(monkeypatch, names)
+        base, scans, _, _ = tiny_problem(rng, n_scans=3)
+        fit(scans, m=2, schedule=FitSchedule(iterations=6, early_stop_window=100), base=base)
+        # the backward pass and the angle tables once per iteration, the
+        # skinning once more for the loss of the returned parameters
+        assert _tally(calls, names) == {"pose_derivatives": 6, "euler_xyz_grad": 6,
+                                        "lbs_apply": 7, "lbs_adjoint": 6}
+
     def test_per_scan_rms_in_input_order(self, rng):
         grid = quad_grid(3, 4, spacing=0.05)
         V = grid.vertices.shape[0]
@@ -560,6 +577,57 @@ class TestFit:
             assert other.trajectory == report.trajectory
             assert np.array_equal(other_model.identity_basis, model.identity_basis)
             assert np.array_equal(other.final_alphas, report.final_alphas)
+
+    @staticmethod
+    def two_worker_problem(rng, monkeypatch):
+        """A 6-scan problem whose losses run 3 chunks on 2 workers."""
+        base, scans, _, _ = tiny_problem(rng, n_scans=6)
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        monkeypatch.setattr(learning, "_cpu_count", lambda: 2)
+        assert len(learning._scan_chunks(6, scans.n_vertices, 2)) == 3
+        return base, scans
+
+    def test_fit_opens_one_executor(self, rng, monkeypatch):
+        opened = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "ThreadPoolExecutor", Counted)
+        base, scans = self.two_worker_problem(rng, monkeypatch)
+        sched = FitSchedule(iterations=9, early_stop_window=100)
+        fit(scans, m=2, schedule=sched, base=base)
+        assert opened == [(1,)]
+        # a loss called without one opens its own; one worker needs none
+        theta = ThetaBlocks.zeros(6, 2, base.n_expression)
+        total_loss(theta, base.identity_basis, scans, LossWeights(), base)
+        assert len(opened) == 2
+        monkeypatch.setattr(learning, "_cpu_count", lambda: 1)
+        fit(scans, m=2, schedule=sched, base=base)
+        assert len(opened) == 2
+
+    # numpy's errstate does not reach the pool thread of the diverging fit
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_thread_outlives_fit(self, rng, monkeypatch):
+        base, scans = self.two_worker_problem(rng, monkeypatch)
+        threads = []
+        chunk = learning.posed_chunk
+
+        def counted(chain, c):
+            threads.append(threading.active_count())
+            return chunk(chain, c)
+
+        monkeypatch.setattr(learning, "posed_chunk", counted)
+        start = threading.active_count()
+        fit(scans, m=2, schedule=FitSchedule(iterations=5, early_stop_window=100), base=base)
+        assert max(threads) == start + 1 and threading.active_count() == start
+        threads.clear()
+        with pytest.raises(Diverged):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit(scans, m=2, schedule=FitSchedule(iterations=50, lr=1e200), base=base)
+        assert max(threads) == start + 1 and threading.active_count() == start
 
     def test_needs_two_scans(self):
         grid = quad_grid(2, 2)
@@ -681,7 +749,26 @@ class TestFrozenBlocks:
         assert fd_gradient_check(base, scans, theta, phi,
                                  frozen=learning.FREEZABLE) < 1e-5
 
-    @pytest.mark.parametrize("frozen", [{"phi"}, {"alpha"}, {"beta", "pose"}, "beta"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_frozen_call_is_the_full_call_forward_only(self, rng, monkeypatch, workers):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=6)
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
+        ctx = LossContext.build(scans, base)
+        full = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        names = ("pose_derivatives", "euler_xyz_grad", "lbs_apply", "lbs_adjoint")
+        calls = _count_calls(monkeypatch, names)
+        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+                         frozen=learning.BLOCKS)
+        assert res.total == full.total
+        assert res.breakdown == full.breakdown
+        assert np.array_equal(res.scan_vertex_ms, full.scan_vertex_ms)
+        assert res.grads == {}
+        # no angle tables and no backward pass; the skinning once per chunk
+        assert _tally(calls, names) == {"pose_derivatives": 0, "euler_xyz_grad": 0,
+                                        "lbs_apply": 3, "lbs_adjoint": 0}
+
+    @pytest.mark.parametrize("frozen", [{"phi", "basis"}, {"alphas"}, {"beta", "pose"}, "beta"])
     def test_unknown_block_rejected(self, rng, frozen):
         base, scans, theta, phi = tiny_problem(rng)
         with pytest.raises(InvalidParam):

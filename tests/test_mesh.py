@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -12,6 +14,7 @@ from facegen.errors import (
 from facegen.mesh import (
     BlockOperator,
     FaceOperators,
+    MeshConnectivity,
     Normals,
     QuadMesh,
     build_connectivity,
@@ -21,11 +24,12 @@ from facegen.mesh import (
     uniform_laplacian_matrix,
     vertex_normals,
 )
-from facegen.procedural import cube_mesh, quad_grid
+from facegen.procedural import cube_mesh, desk_head, quad_grid
 
 from conftest import (
     brute_force_face_normals,
     brute_force_vertex_normals,
+    build_connectivity_reference,
     edge_length_energy_reference,
     normals_forward_reference,
     random_closed_mesh,
@@ -74,6 +78,48 @@ class TestConnectivity:
         quads = [[0, 1, 2, 3], [0, 1, 5, 4], [0, 1, 7, 6]]
         with pytest.raises(NonManifoldEdge):
             build_connectivity(QuadMesh(verts, quads))
+
+    @staticmethod
+    def assert_matches_reference(mesh):
+        conn, ref = build_connectivity(mesh), build_connectivity_reference(mesh)
+        for field in dataclasses.fields(MeshConnectivity):
+            a, b = np.asarray(getattr(conn, field.name)), np.asarray(getattr(ref, field.name))
+            assert np.array_equal(a, b) and a.dtype == b.dtype, field.name
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tables_match_row_unique_reference(self, seed):
+        # closed meshes with shuffled vertex labels, faces and corner starts,
+        # then open ones with about 40% of their faces cut away
+        rng = np.random.default_rng(seed)
+        mesh = random_closed_mesh(rng)
+        perm = rng.permutation(mesh.n_vertices)
+        shift = rng.integers(4, size=(mesh.n_quads, 1))
+        quads = np.take_along_axis(perm[mesh.quads], (np.arange(4) + shift) % 4, axis=1)
+        mesh = QuadMesh(mesh.vertices[np.argsort(perm)], quads[rng.permutation(len(quads))])
+        self.assert_matches_reference(mesh)
+        self.assert_matches_reference(
+            QuadMesh(mesh.vertices, mesh.quads[rng.random(mesh.n_quads) < 0.6]))
+
+    @pytest.mark.parametrize("mesh", [
+        quad_grid(5, 3), desk_head(m=4).template, desk_head(m=8, lat=40, lon=48).template],
+        ids=["grid", "desk_head", "desk_head_fit_large"])
+    def test_tables_match_row_unique_reference_on_fixed_meshes(self, mesh):
+        self.assert_matches_reference(mesh)
+
+    def test_non_manifold_edge_named_as_by_reference(self, rng):
+        # two extra fins, each on an edge of a closed mesh: the error names
+        # the lexicographically first of the two non-manifold edges
+        mesh = random_closed_mesh(rng)
+        V = mesh.n_vertices
+        fins = [[q[0], q[1], V + 2 * k, V + 2 * k + 1]
+                for k, q in enumerate(mesh.quads[rng.choice(mesh.n_quads, 2, replace=False)])]
+        verts = np.concatenate([mesh.vertices, rng.standard_normal((4, 3))])
+        bad = QuadMesh(verts, np.concatenate([mesh.quads, fins]))
+        with pytest.raises(NonManifoldEdge) as got:
+            build_connectivity(bad)
+        with pytest.raises(NonManifoldEdge) as ref:
+            build_connectivity_reference(bad)
+        assert str(got.value) == str(ref.value)
 
     def test_degenerate_quad_raises(self):
         with pytest.raises(DegenerateQuad):
