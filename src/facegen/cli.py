@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import decode_json, load_container, read_json_object, save_container
+from .container import (decode_json, encode_json, load_container, read_json_object,
+                        save_container, write_files)
 from .errors import DataError, FacegenError, NumericError, naming
 from .gmm import fit_gmm
 from .hair import (
@@ -193,9 +194,8 @@ def _cmd_fit(args) -> int:
     model, report = fit(scans, args.basis_size, weights, schedule, seed)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.json", model)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
-    (out / "trajectory.csv").write_text(report.trajectory_csv())
+    write_files(out, {"report.json": encode_json(report.to_dict(), indent=1),
+                      "trajectory.csv": report.trajectory_csv().encode()})
     save_container(out / "alphas.json", {"alphas": report.final_alphas},
                    metadata={"kind": "identity_coefficients"})
     log.info(f"fit finished: {report.iterations} iterations, "
@@ -252,7 +252,6 @@ def _cmd_decode_hair(args) -> int:
     step = args.step if args.step is not None else float(code.cell_size().min()) / 4.0
     groom, report = decode_groom(code, args.count, step, rng=args.seed)
     save_groom(out, groom)
-    report_path = out.with_name(out.stem + "_report.json")
     payload = report.to_dict()
     if args.reference is not None:
         ref = load_groom(args.reference)
@@ -267,7 +266,7 @@ def _cmd_decode_hair(args) -> int:
             "length_rms_delta": _rms(re_code.length_map - code.length_map),
             "cell_diagonal": code.cell_diagonal(),
         }
-    report_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_files(out.parent, {out.stem + "_report.json": encode_json(payload, indent=1)})
     log.info(f"decoded {groom.n_strands} strands "
              f"({payload['n_early_terminated']} early-terminated: "
              f"{payload['n_zero_flow_stops']} zero-flow, {payload['n_wall_stops']} wall, "

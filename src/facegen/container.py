@@ -1,6 +1,6 @@
-"""Matrix container: a JSON manifest naming tensors plus one raw blob,
-and the strict JSON-object reading that the manifests, the JSON config
-files and scene descriptions share.
+"""Matrix container: a JSON manifest naming tensors plus one raw blob;
+the strict JSON reading and the one JSON encoder and file-set writer that
+every manifest, JSON file and multi-file output of facegen goes through.
 
 The manifest lists {name, shape, dtype in {f32, f64}, byte_offset} per
 tensor; the blob is little-endian, row-major, tensors concatenated in
@@ -10,6 +10,7 @@ separators) so write -> read -> write is byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -26,9 +27,9 @@ _MANIFEST_SPEC = {"version": int, "blob": str, "tensors": [_ENTRY_SPEC], "metada
 
 
 def save_container(manifest_path, tensors: dict[str, np.ndarray],
-                   metadata: dict | None = None) -> dict[str, bytes]:
-    """Write tensors to `<path>` (manifest) and `<path stem>.bin` (blob);
-    returns {file name: bytes written} of the two."""
+                   metadata: dict | None = None) -> dict[str, str]:
+    """Write tensors to `<path stem>.bin` (blob) and then `<path>`
+    (manifest); returns {file name: sha256} of the two."""
     manifest_path = Path(manifest_path)
     blob_path = manifest_path.with_suffix(".bin")
     entries = []
@@ -55,11 +56,25 @@ def save_container(manifest_path, tensors: dict[str, np.ndarray],
     }
     if metadata is not None:
         manifest["metadata"] = metadata
-    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-    files = {manifest_path.name: text.encode(), blob_path.name: b"".join(chunks)}
+    return write_files(manifest_path.parent, {blob_path.name: b"".join(chunks),
+                                              manifest_path.name: encode_json(manifest)})
+
+
+def encode_json(value, indent: int | None = None) -> bytes:
+    """`value` as JSON file bytes (sorted keys, compact without `indent`, a
+    final newline), the mirror of decode_json.  A NaN or infinity raises
+    ValueError: input is checked finite where it is read, so one is a bug."""
+    return (json.dumps(value, sort_keys=True, indent=indent, allow_nan=False,
+                       separators=None if indent else (",", ":")) + "\n").encode()
+
+
+def write_files(directory, files: dict[str, bytes]) -> dict[str, str]:
+    """Write {file name: bytes} into the existing `directory` in the order
+    given, so a commit record such as a manifest goes last; returns {file
+    name: sha256 hex digest} of the bytes written."""
     for name, data in files.items():
-        (manifest_path.parent / name).write_bytes(data)
-    return files
+        Path(directory, name).write_bytes(data)
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
 
 
 class StrictDict(dict):

@@ -5,11 +5,11 @@ that the sample/export pipeline can run against out of the box.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from .container import encode_json, write_files
 from .gmm import fit_gmm
 from .hair import Groom, save_groom
 from .hdr import HdrImage, write_hdr
@@ -123,10 +123,6 @@ def build_demo_library(out_dir, seed: int = 0, n_identity: int = 4,
         write_hdr(out / name, make_demo_hdr(kind, seed=seed + i))
         hdr_names.append(name)
 
-    (out / "haircolor.json").write_text(
-        json.dumps(HairColorTable.uniform_placeholder().to_dict(),
-                   sort_keys=True, indent=1) + "\n")
-
     cfg = {
         "model": "model.json",
         "gmm": "gmm.json",
@@ -143,7 +139,9 @@ def build_demo_library(out_dir, seed: int = 0, n_identity: int = 4,
         "sampling": {"sigma": 0.8, "sigma_mode": "std"},
         "subdivision_levels": 3,
     }
+    write_files(out, {
+        "haircolor.json": encode_json(HairColorTable.uniform_placeholder().to_dict(), indent=1),
+        "library.json": encode_json(cfg, indent=1)})
     path = out / "library.json"
-    path.write_text(json.dumps(cfg, sort_keys=True, indent=1) + "\n")
     AssetLibrary.load(path)   # fail fast if the bundle is inconsistent
     return path

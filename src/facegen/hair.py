@@ -487,17 +487,15 @@ def vector_to_code(v: np.ndarray, R: int, G: int, bbox: np.ndarray,
 # groom and code files
 # ---------------------------------------------------------------------------
 
-def save_groom(path, groom: Groom) -> dict[str, bytes]:
+def save_groom(path, groom: Groom) -> dict[str, str]:
     """Groom file: container manifest with style/counts/bbox header fields.
-    Returns {file name: bytes written} of the manifest and its blob."""
-    bbox = groom.points_bbox()
+    Returns {file name: sha256} of the blob and its manifest."""
     return save_container(path, {"points": groom.points, "root_uv": groom.root_uv},
                           metadata={
                               "kind": "groom",
                               "style": groom.style,
                               "counts": np.diff(groom.offsets).tolist(),
-                              "bbox": [[float(x) for x in bbox[0]],
-                                       [float(x) for x in bbox[1]]],
+                              "bbox": groom.points_bbox().tolist(),
                           })
 
 

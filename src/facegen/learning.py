@@ -20,7 +20,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -397,8 +396,13 @@ def _run_chunks(chain: PosedChain, executor: ThreadPoolExecutor | None) -> None:
     thread fewer to start, and one malloc arena fewer to hold a chunk's
     temporaries) and `executor` the others; without an executor this call
     opens one of its own."""
+    err = np.geterr()       # numpy's error state is per thread: pass the caller's on
+
+    def run(c):
+        with np.errstate(**err):
+            posed_chunk(chain, c)
+
     chunks, workers = _chunk_workers(*chain.vbar.shape[:2])
-    run = partial(posed_chunk, chain)
     if workers == 1:
         for c in chunks:
             run(c)

@@ -7,13 +7,13 @@ Computed as separable Gaussian smoothing followed by the discrete
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
+from .container import encode_json, write_files
 from .errors import DataError, InvalidSigma
 
 
@@ -55,12 +55,11 @@ def write_pgm16(path, img: np.ndarray, sidecar: dict | None = None) -> None:
     norm = (img - lo) / span if span > 0 else np.zeros_like(img)
     u16 = np.round(norm * 65535.0).astype(">u2")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii")
-    path.write_bytes(header + u16.tobytes())
     meta = {"min": lo, "max": hi}
     if sidecar:
         meta.update(sidecar)
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    write_files(path.parent, {path.name: header + u16.tobytes(),
+                              path.name + ".json": encode_json(meta)})
 
 
 def read_pgm(path) -> np.ndarray:

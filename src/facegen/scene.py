@@ -8,14 +8,12 @@ writes renderer-consumable files with a content-hash manifest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .container import decode_json, parse_json_object
+from .container import decode_json, encode_json, parse_json_object, write_files
 from .errors import DataError, InvalidParam
 from .eyes import build_eye, shrinkwrap_eyelids
 from .gmm import sample_identity
@@ -150,7 +148,7 @@ class SceneDescription:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        return encode_json(self.to_dict(), indent=1).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "SceneDescription":
@@ -311,16 +309,10 @@ def export_scene(scene: SceneDescription, geometry: RealizedScene,
     topo = geometry.topology
     scene_dict = scene.to_dict()
     scene_dict["eye_metadata"] = geometry.eye_metadata
-    files = {"face.obj": dump_obj(geometry.face, topo.face_obj),
-             "eyes.obj": dump_obj(geometry.eyes, topo.eyes_obj),
-             "scene.json": (json.dumps(scene_dict, sort_keys=True, indent=1) + "\n").encode()}
-    for name, data in files.items():
-        (out / name).write_bytes(data)
+    hashes = write_files(out, {"face.obj": dump_obj(geometry.face, topo.face_obj),
+                               "eyes.obj": dump_obj(geometry.eyes, topo.eyes_obj),
+                               "scene.json": encode_json(scene_dict, indent=1)})
     for style, groom in sorted(geometry.grooms.items()):
-        files.update(save_groom(out / f"groom_{style}.json", groom))
-
-    # hashed as built: nothing is read back
-    hashes = {name: hashlib.sha256(data).hexdigest() for name, data in sorted(files.items())}
-    (out / "manifest.json").write_text(
-        json.dumps({"files": hashes}, sort_keys=True, indent=1) + "\n")
+        hashes.update(save_groom(out / f"groom_{style}.json", groom))
+    write_files(out, {"manifest.json": encode_json({"files": hashes}, indent=1)})
     return hashes

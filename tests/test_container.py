@@ -1,10 +1,30 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from facegen.container import load_container, save_container
+from facegen.container import (decode_json, encode_json, load_container,
+                               parse_json_object, save_container)
 from facegen.errors import DataError
+
+PROPERTY = settings(max_examples=200, deadline=None)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+KEYS = st.text(max_size=6)
+JSON = st.recursive(
+    st.text(max_size=8) | st.integers() | FINITE,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=12)
+# a JSON value holding one NaN or infinity at a random depth among finite siblings
+POISONED = st.recursive(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: (
+        st.tuples(st.lists(JSON, max_size=2), inner).map(lambda t: [*t[0], t[1]])
+        | st.tuples(st.dictionaries(KEYS, JSON, max_size=2), KEYS, inner)
+        .map(lambda t: {**t[0], t[1]: t[2]})),
+    max_leaves=6)
 
 
 def test_roundtrip_f64_and_f32(rng, tmp_path):
@@ -143,3 +163,31 @@ def test_non_object_metadata_rejected(tmp_path, metadata):
     _edit_manifest(tmp_path / "c.json", lambda m: m.update(metadata=metadata))
     with pytest.raises(DataError, match="c.json"):
         load_container(tmp_path / "c.json")
+
+
+@PROPERTY
+@given(JSON)
+def test_encode_json_is_the_sorted_stdlib_encoding(value):
+    assert encode_json(value, indent=1) == (
+        json.dumps(value, sort_keys=True, indent=1) + "\n").encode()
+    assert encode_json(value) == (
+        json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@PROPERTY
+@given(POISONED)
+def test_encode_json_rejects_non_finite_numbers_at_any_depth(value):
+    for indent in (None, 1):
+        with pytest.raises(ValueError):
+            encode_json(value, indent=indent)
+
+
+@PROPERTY
+@given(st.fixed_dictionaries({"doc": st.dictionaries(KEYS, JSON, max_size=4),
+                              "xs": st.lists(FINITE, max_size=5),
+                              "n": st.integers(), "s": st.text(max_size=8)}))
+def test_decode_json_reads_back_what_encode_json_wrote(value):
+    spec = {"doc": dict, "xs": [float], "n": int, "s": str}
+    for indent in (None, 1):
+        back = decode_json(parse_json_object(encode_json(value, indent=indent).decode()), spec)
+        assert back == {**value, "xs": tuple(value["xs"])}

@@ -608,8 +608,8 @@ class TestFit:
         fit(scans, m=2, schedule=sched, base=base)
         assert len(opened) == 2
 
-    # numpy's errstate does not reach the pool thread of the diverging fit
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the caller's errstate must reach the pool thread of the diverging fit
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_thread_outlives_fit(self, rng, monkeypatch):
         base, scans = self.two_worker_problem(rng, monkeypatch)
         threads = []

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -281,6 +282,45 @@ class TestExport:
                    for p in (tmp_path / "s").iterdir() if p.name != "manifest.json"}
         assert hashes == on_disk
         assert json.loads((tmp_path / "s/manifest.json").read_text())["files"] == on_disk
+
+    def test_interrupted_export_never_commits_a_bad_manifest(self, library, tmp_path,
+                                                             monkeypatch):
+        """Whichever file write fails, into a fresh directory or over an
+        earlier export, manifest.json is absent or lists only present files
+        whose bytes hash as it says."""
+        bearded = sample_scene(library, 35)
+        assert "beard" in bearded.grooms
+        shaved = dataclasses.replace(
+            bearded, grooms={k: v for k, v in bearded.grooms.items() if k != "beard"})
+        real_write = pathlib.Path.write_bytes
+        violations = []
+        for case, before, scene in (("fresh", None, bearded), ("used", bearded, shaved)):
+            geo = realize_scene(library, scene)
+            prior = None if before is None else realize_scene(library, before)
+            n_writes = 4 + 2 * len(scene.grooms)   # objs, scene.json, grooms, manifest
+            for k in range(n_writes):
+                out = tmp_path / f"{case}_{k}"
+                if before is not None:
+                    export_scene(before, prior, out)
+                calls = []
+
+                def fail_kth(path, data, calls=calls, k=k):
+                    calls.append(path.name)
+                    if len(calls) == k + 1:
+                        raise OSError(f"write {k} of {path.name} failed")
+                    return real_write(path, data)
+
+                with monkeypatch.context() as m:
+                    m.setattr(pathlib.Path, "write_bytes", fail_kth)
+                    with pytest.raises(OSError, match=f"write {k} "):
+                        export_scene(scene, geo, out)
+                manifest = out / "manifest.json"
+                listed = json.loads(manifest.read_text())["files"] if manifest.exists() else {}
+                violations += [(case, k, name) for name, digest in listed.items()
+                               if not (out / name).is_file() or hashlib.sha256(
+                                   (out / name).read_bytes()).hexdigest() != digest]
+            assert calls[-1] == "manifest.json"
+        assert violations == []
 
     def test_face_obj_reimports(self, library, tmp_path):
         from facegen.objio import load_obj

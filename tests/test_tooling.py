@@ -96,3 +96,37 @@ def test_benchmark_fit_large_runs(monkeypatch, tmp_path):
     # one loss per iteration plus fit's final one
     assert len(tracer.self_ms["learning.total_loss"]) == 6
     assert len(tracer.self_ms["model.lbs_apply"]) == 6 * n_chunks
+
+
+def _calls_by_function(attrs):
+    """{(module, enclosing def's qualified name)} of every call `x.<attr>(...)`
+    with attr in `attrs` ("json.dumps" names the call on the name json)
+    in the package's modules."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                owner = child.func.value
+                name = (f"{owner.id}.{child.func.attr}" if isinstance(owner, ast.Name)
+                        else child.func.attr)
+                if child.func.attr in attrs or name in attrs:
+                    found.add((module, scope))
+            visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "facegen").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_one_json_encoder_and_one_file_set_writer():
+    """Every JSON file goes through container.encode_json and every file but
+    a lone OBJ or HDR through container.write_files, so output format and
+    write order are decided in one module."""
+    assert _calls_by_function({"json.dumps"}) == {
+        ("container", "encode_json"), ("cli", "_JsonLogFormatter.format")}
+    assert _calls_by_function({"write_text", "write_bytes"}) == {
+        ("container", "write_files"), ("objio", "save_obj"), ("hdr", "write_hdr")}
