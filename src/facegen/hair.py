@@ -364,7 +364,7 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
     """
     if n_strands < 1:
         raise InvalidParam("n_strands must be >= 1")
-    if step <= 0 or step >= code.cell_size().min():
+    if not 0 < step < code.cell_size().min():
         raise InvalidParam("step must be positive and below the cell size")
     if code.root_points is None:
         raise MissingRootMap(

@@ -95,10 +95,7 @@ class MeshConnectivity:
     """Incidence tables derived deterministically from a quad list.
 
     edges         : (E, 2) int64, lower index first, lexicographically sorted
-    edge_faces    : (E, 2) int64, incident faces, -1 where absent
     face_edges    : (F, 4) int64, edge id of quad side (v_i, v_{i+1})
-    vertex_faces  : CSR arrays (vf_indptr, vf_indices)
-    neighbors     : CSR arrays (nbr_indptr, nbr_indices) over edge graph
     valence       : (V,) int64, edges incident to each vertex
     boundary_edge : (E,) bool, exactly one incident face
     boundary_vertex : (V,) bool, touches a boundary edge
@@ -107,12 +104,7 @@ class MeshConnectivity:
     n_vertices: int
     n_faces: int
     edges: np.ndarray
-    edge_faces: np.ndarray
     face_edges: np.ndarray
-    vf_indptr: np.ndarray
-    vf_indices: np.ndarray
-    nbr_indptr: np.ndarray
-    nbr_indices: np.ndarray
     valence: np.ndarray
     boundary_edge: np.ndarray
     boundary_vertex: np.ndarray
@@ -121,18 +113,9 @@ class MeshConnectivity:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_faces
-
-    def vertex_face_list(self, v: int) -> np.ndarray:
-        return self.vf_indices[self.vf_indptr[v]:self.vf_indptr[v + 1]]
-
-    def vertex_neighbors(self, v: int) -> np.ndarray:
-        return self.nbr_indices[self.nbr_indptr[v]:self.nbr_indptr[v + 1]]
-
 
 def build_connectivity(mesh: QuadMesh) -> MeshConnectivity:
-    """Derive all incidence tables for a quad mesh.
+    """Derive the incidence tables of a quad mesh.
 
     Raises NonManifoldEdge if any undirected edge has more than two
     incident faces.  DegenerateQuad is raised by QuadMesh itself.
@@ -151,75 +134,43 @@ def build_connectivity(mesh: QuadMesh) -> MeshConnectivity:
         bad = edges[np.argmax(counts > 2)]
         raise NonManifoldEdge(f"edge {tuple(bad)} has {int(counts.max())} incident faces")
 
-    E = len(edges)
-    face_edges = side_to_edge.reshape(F, 4)
-
-    # edge -> faces (up to 2, -1 padded), filled in face order
-    edge_faces = np.full((E, 2), -1, dtype=np.int64)
-    face_of_side = np.repeat(np.arange(F, dtype=np.int64), 4)
-    order = np.argsort(side_to_edge, kind="stable")
-    sorted_edges = side_to_edge[order]
-    sorted_faces = face_of_side[order]
-    first = np.searchsorted(sorted_edges, np.arange(E))
-    cnt = counts
-    edge_faces[:, 0] = sorted_faces[first]
-    has2 = cnt == 2
-    edge_faces[has2, 1] = sorted_faces[first[has2] + 1]
-
-    boundary_edge = cnt == 1
-
-    # vertex -> faces CSR
-    vf_order = np.argsort(q.ravel(), kind="stable")
-    vf_indices = np.repeat(np.arange(F, dtype=np.int64), 4)[vf_order]
-    vf_counts = np.bincount(q.ravel(), minlength=V)
-    vf_indptr = np.concatenate([[0], np.cumsum(vf_counts)]).astype(np.int64)
-
-    # vertex neighbors over edges CSR
-    both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    nb_order = np.argsort(both[:, 0], kind="stable")
-    nbr_indices = both[nb_order, 1]
-    valence = np.bincount(edges.ravel(), minlength=V).astype(np.int64)
-    nbr_indptr = np.concatenate([[0], np.cumsum(valence)]).astype(np.int64)
-
+    boundary_edge = counts == 1
     boundary_vertex = np.zeros(V, dtype=bool)
     boundary_vertex[edges[boundary_edge].ravel()] = True
 
     return MeshConnectivity(
         n_vertices=V,
         n_faces=F,
-        edges=edges.astype(np.int64),
-        edge_faces=edge_faces,
-        face_edges=face_edges,
-        vf_indptr=vf_indptr,
-        vf_indices=vf_indices,
-        nbr_indptr=nbr_indptr,
-        nbr_indices=nbr_indices.astype(np.int64),
-        valence=valence,
+        edges=edges,
+        face_edges=side_to_edge.reshape(F, 4),
+        valence=np.bincount(edges.ravel(), minlength=V),
         boundary_edge=boundary_edge,
         boundary_vertex=boundary_vertex,
     )
 
 
-def signed_incidence(index: np.ndarray, signs, n_vertices: int) -> sparse.csc_matrix:
-    """(V, K) matrix whose column k holds signs[c] in row index[k, c]: it
-    scatters per-element values onto vertices, and its transpose gathers
-    (edge vectors, for an edge list and signs (1, -1)).  The rows of a
-    column must be distinct."""
+def gather_matrix(index: np.ndarray, signs, n: int) -> sparse.csr_matrix:
+    """(K, n) CSR matrix whose row k holds signs[c] in column index[k, c]:
+    it gathers per-vertex values onto elements (edge vectors, for an edge
+    list and signs (1, -1)), and its transpose scatters them back.  Row k
+    lists its columns in the order of index[k], which is the order a
+    product adds them in; the columns of a row must be distinct."""
     K, c = index.shape
-    data = np.tile(np.asarray(signs, dtype=np.float64), K)
-    return sparse.csc_matrix((data, index.ravel(), np.arange(0, K * c + 1, c)),
-                             shape=(n_vertices, K))
-
-
-def _kron3(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-           shape: tuple[int, int]) -> sparse.csr_matrix:
-    """kron(I_3, A) for the CSR arrays of an (R, C) matrix A, built from
-    them directly: three copies of A down the diagonal, in A's order."""
-    (R, C), nnz = shape, len(data)
     return sparse.csr_matrix(
-        (np.tile(data, 3),
-         np.concatenate([indices, indices + C, indices + 2 * C]),
-         np.concatenate([indptr[:-1], indptr[:-1] + nnz, indptr + 2 * nnz])),
+        (np.tile(np.asarray(signs, dtype=np.float64), K),
+         index.astype(np.int32).ravel(),           # the index type scipy would pick
+         np.arange(0, K * c + 1, c, dtype=np.int32)),
+        shape=(K, n))
+
+
+def _kron3(a: sparse.csr_matrix) -> sparse.csr_matrix:
+    """kron(I_3, A) for an (R, C) CSR matrix A, built from its arrays
+    directly: three copies of A down the diagonal, in A's order."""
+    (R, C), nnz = a.shape, a.nnz
+    return sparse.csr_matrix(
+        (np.tile(a.data, 3),
+         np.concatenate([a.indices, a.indices + C, a.indices + 2 * C]),
+         np.concatenate([a.indptr[:-1], a.indptr[:-1] + nnz, a.indptr + 2 * nnz])),
         shape=(3 * R, 3 * C))
 
 
@@ -238,22 +189,11 @@ class BlockOperator(NamedTuple):
 
     @classmethod
     def gather(cls, index: np.ndarray, signs, n: int) -> "BlockOperator":
-        """The (K, n) map whose row k holds signs[c] in column index[k, c],
-        the transpose of `signed_incidence(index, signs, n)`: edge vectors
-        for an edge list and signs (1, -1).
-
-        Row k lists its columns in the order of index[k], which is the
-        order a product adds them in (a face's corners in quad order); the
+        """The block operator of `gather_matrix(index, signs, n)`.  Its
         adjoint lists each column's rows in ascending order, so its
         indices are sorted."""
-        K, c = index.shape
-        index = index.astype(np.int32).ravel()   # the index type scipy would pick
-        data = np.tile(np.asarray(signs, dtype=np.float64), K)
-        by_col = np.argsort(index, kind="stable").astype(np.int32)
-        col_ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(index, minlength=n), out=col_ptr[1:])
-        return cls(_kron3(np.arange(0, K * c + 1, c, dtype=np.int32), index, data, (K, n)),
-                   _kron3(col_ptr, by_col // c, data[by_col], (n, K)))
+        g = gather_matrix(index, signs, n)
+        return cls(_kron3(g), _kron3(g.T.tocsr()))
 
     @property
     def T(self) -> "BlockOperator":
@@ -369,10 +309,9 @@ def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
         bad = int(np.nonzero(conn.valence == 0)[0][0])
         raise IsolatedVertex(f"vertex {bad} has no incident edges")
     V = conn.n_vertices
-    inv_deg = 1.0 / conn.valence
-    rows = np.repeat(np.arange(V), np.diff(conn.nbr_indptr))
-    data = inv_deg[rows]
-    off = sparse.csr_matrix((data, (rows, conn.nbr_indices)), shape=(V, V))
+    lo, hi = conn.edges.T
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])   # both directions
+    off = sparse.csr_matrix((1.0 / conn.valence[rows], (rows, cols)), shape=(V, V))
     return off - sparse.identity(V, format="csr")
 
 

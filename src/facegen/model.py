@@ -243,9 +243,6 @@ class BlendshapeModel:
     def n_vertices(self) -> int:
         return self.template.n_vertices
 
-    def zero_params(self) -> ModelParams:
-        return ModelParams.zeros(self.n_identity, self.n_expression)
-
 
 def evaluate_unposed(model: BlendshapeModel, alpha: np.ndarray,
                      beta: np.ndarray) -> np.ndarray:

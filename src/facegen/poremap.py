@@ -26,8 +26,8 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 def pore_map(texture: np.ndarray, sigma: float) -> np.ndarray:
     """sigma^2 * Laplacian(Gaussian(texture)); linear in the input."""
-    if sigma <= 0:
-        raise InvalidSigma(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise InvalidSigma(f"sigma must be positive and finite, got {sigma}")
     img = np.asarray(texture, dtype=np.float64)
     if img.ndim != 2:
         raise DataError(f"texture must be a 2-D grayscale image, got shape {img.shape}")
@@ -83,7 +83,7 @@ def read_pgm(path) -> np.ndarray:
     magic = tokens[0]
     if magic not in (b"P5", b"P2"):
         raise DataError(f"{path}: unsupported PGM magic {magic!r}")
-    if not all(t.isdigit() for t in tokens[1:]) or int(tokens[3]) < 1:
+    if not all(t.isdigit() for t in tokens[1:]) or min(map(int, tokens[1:])) < 1:
         raise DataError(f"{path}: PGM header needs integer width, height and maxval >= 1")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if magic == b"P5":

@@ -49,25 +49,6 @@ def cube_mesh(size: float = 1.0) -> QuadMesh:
     return QuadMesh(verts, quads)
 
 
-def torus_mesh(nu: int = 8, nv: int = 6, R: float = 1.0, r: float = 0.3) -> QuadMesh:
-    """Closed quad torus with nu*nv vertices."""
-    u = 2 * np.pi * np.arange(nu) / nu
-    v = 2 * np.pi * np.arange(nv) / nv
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    x = (R + r * np.cos(vv)) * np.cos(uu)
-    y = (R + r * np.cos(vv)) * np.sin(uu)
-    z = r * np.sin(vv)
-    verts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    quads = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * nv + j
-            b = ((i + 1) % nu) * nv + j
-            j1 = (j + 1) % nv
-            quads.append((a, b, ((i + 1) % nu) * nv + j1, i * nv + j1))
-    return QuadMesh(verts, np.asarray(quads, dtype=np.int64))
-
-
 def desk_skeleton(m: int, scale: float = 0.1, identity_offsets: np.ndarray | None = None,
                   ) -> Skeleton:
     """Skeleton with anatomically plausible pivots and rotation limits.

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidParam
-from .mesh import MeshConnectivity, QuadMesh, build_connectivity, signed_incidence
+from .mesh import MeshConnectivity, QuadMesh, build_connectivity, gather_matrix
 
 
 def subdivide_catmull_clark(mesh: QuadMesh, levels: int) -> QuadMesh:
@@ -61,14 +61,14 @@ def _level_operator(conn: MeshConnectivity, quads: np.ndarray
     V, E, F = conn.n_vertices, conn.n_edges, conn.n_faces
     edges = conn.edges
     boundary_edge = conn.boundary_edge
-    face_vert = signed_incidence(quads, (1, 1, 1, 1), V).T
-    edge_vert = signed_incidence(edges, (1, 1), V).T
-    bnd_vert = signed_incidence(edges[boundary_edge], (1, 1), V).T
+    face_vert = gather_matrix(quads, (1, 1, 1, 1), V)
+    edge_vert = gather_matrix(edges, (1, 1), V)
+    bnd_vert = gather_matrix(edges[boundary_edge], (1, 1), V)
 
     face_pts = 0.25 * face_vert                       # centroids
 
     # edge points: interior = (v0 + v1 + f0 + f1)/4, boundary = midpoint
-    edge_face = signed_incidence(conn.face_edges, (1, 1, 1, 1), E)
+    edge_face = gather_matrix(conn.face_edges, (1, 1, 1, 1), E).T
     edge_pts = (_diag(np.where(boundary_edge, 0.5, 0.25)) @ edge_vert
                 + _diag(np.where(boundary_edge, 0.0, 0.25)) @ (edge_face @ face_pts))
 
@@ -84,7 +84,7 @@ def _level_operator(conn: MeshConnectivity, quads: np.ndarray
     w_edge = np.zeros(V)
     w_self = np.ones(V)
     ni = conn.valence[interior].astype(np.float64)
-    w_face[interior] = 1.0 / (np.diff(conn.vf_indptr)[interior] * ni)
+    w_face[interior] = 1.0 / (np.bincount(quads.ravel(), minlength=V)[interior] * ni)
     w_edge[interior] = 1.0 / (ni * ni)
     w_self[interior] = (ni - 3.0) / ni
     w_self[crease] = 0.5

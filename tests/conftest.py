@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
@@ -24,14 +25,7 @@ from facegen.learning import (
     barrier4,
     total_loss,
 )
-from facegen.mesh import (
-    MeshConnectivity,
-    Normals,
-    QuadMesh,
-    build_connectivity,
-    edge_length_energy,
-    signed_incidence,
-)
+from facegen.mesh import Normals, QuadMesh, edge_length_energy, gather_matrix
 from facegen.model import (
     BlendshapeModel,
     Skeleton,
@@ -42,13 +36,27 @@ from facegen.model import (
     lbs_apply,
     pose_derivatives,
 )
-from facegen.procedural import (
-    cube_mesh,
-    quad_grid,
-    softmax_skinning_weights,
-    torus_mesh,
-)
+from facegen.procedural import cube_mesh, quad_grid, softmax_skinning_weights
 from facegen.eyes import quad_uv_sphere
+
+
+def torus_mesh(nu: int = 8, nv: int = 6, R: float = 1.0, r: float = 0.3) -> QuadMesh:
+    """Closed quad torus with nu*nv vertices."""
+    u = 2 * np.pi * np.arange(nu) / nu
+    v = 2 * np.pi * np.arange(nv) / nv
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    x = (R + r * np.cos(vv)) * np.cos(uu)
+    y = (R + r * np.cos(vv)) * np.sin(uu)
+    z = r * np.sin(vv)
+    verts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    quads = []
+    for i in range(nu):
+        for j in range(nv):
+            a = i * nv + j
+            b = ((i + 1) % nu) * nv + j
+            j1 = (j + 1) % nv
+            quads.append((a, b, ((i + 1) % nu) * nv + j1, i * nv + j1))
+    return QuadMesh(verts, np.asarray(quads, dtype=np.int64))
 
 
 def random_closed_mesh(rng: np.random.Generator) -> QuadMesh:
@@ -349,10 +357,41 @@ def encode_reference(groom, R: int, G: int, bbox: np.ndarray):
     return length_map, flow
 
 
-def build_connectivity_reference(mesh: QuadMesh) -> MeshConnectivity:
-    """mesh.build_connectivity with the edges found by `np.unique` over the
-    rows of the canonical (lo, hi) side pairs: the reference the 1-D edge
-    keys are checked against, table for table."""
+@dataclasses.dataclass(frozen=True)
+class ConnectivityReference:
+    """Every incidence table of a quad mesh, built independently of
+    mesh.build_connectivity: the fields of MeshConnectivity plus the
+    edge-face, vertex-face and neighbour tables the references read."""
+
+    n_vertices: int
+    n_faces: int
+    edges: np.ndarray            # (E, 2) lower index first, lexicographic
+    face_edges: np.ndarray       # (F, 4) edge id of quad side (v_i, v_{i+1})
+    valence: np.ndarray          # (V,) edges incident to each vertex
+    boundary_edge: np.ndarray    # (E,) exactly one incident face
+    boundary_vertex: np.ndarray  # (V,) touches a boundary edge
+    edge_faces: np.ndarray       # (E, 2) incident faces in face order, -1 where absent
+    vf_indptr: np.ndarray        # vertex -> faces CSR, faces ascending
+    vf_indices: np.ndarray
+    nbr_indptr: np.ndarray       # vertex -> neighbours CSR over the edges:
+    nbr_indices: np.ndarray      # higher neighbours first, then lower ones
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    def vertex_faces(self, v: int) -> np.ndarray:
+        return self.vf_indices[self.vf_indptr[v]:self.vf_indptr[v + 1]]
+
+    def vertex_neighbors(self, v: int) -> np.ndarray:
+        return self.nbr_indices[self.nbr_indptr[v]:self.nbr_indptr[v + 1]]
+
+
+def build_connectivity_reference(mesh: QuadMesh) -> ConnectivityReference:
+    """Incidence tables with the edges found by `np.unique` over the rows
+    of the canonical (lo, hi) side pairs and every other table by stable
+    argsorts: the reference the 1-D edge keys of mesh.build_connectivity
+    are checked against, table for table."""
     V, F = mesh.n_vertices, mesh.n_quads
     q = mesh.quads
     sides = np.stack([q, np.roll(q, -1, axis=1)], axis=2).reshape(-1, 2)
@@ -374,22 +413,33 @@ def build_connectivity_reference(mesh: QuadMesh) -> MeshConnectivity:
     valence = np.bincount(edges.ravel(), minlength=V).astype(np.int64)
     boundary_vertex = np.zeros(V, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True
-    return MeshConnectivity(
+    return ConnectivityReference(
         n_vertices=V,
         n_faces=F,
         edges=edges.astype(np.int64),
-        edge_faces=edge_faces,
         face_edges=side_to_edge.reshape(F, 4),
+        valence=valence,
+        boundary_edge=counts == 1,
+        boundary_vertex=boundary_vertex,
+        edge_faces=edge_faces,
         vf_indptr=np.concatenate([[0], np.cumsum(np.bincount(q.ravel(), minlength=V))]
                                  ).astype(np.int64),
         vf_indices=np.repeat(np.arange(F, dtype=np.int64), 4)[
             np.argsort(q.ravel(), kind="stable")],
         nbr_indptr=np.concatenate([[0], np.cumsum(valence)]).astype(np.int64),
         nbr_indices=both[np.argsort(both[:, 0], kind="stable"), 1].astype(np.int64),
-        valence=valence,
-        boundary_edge=counts == 1,
-        boundary_vertex=boundary_vertex,
     )
+
+
+def uniform_laplacian_reference(conn: ConnectivityReference) -> sparse.csr_matrix:
+    """mesh.uniform_laplacian_matrix built row by row from the neighbour
+    CSR table: the construction the edge-list Laplacian is checked against
+    array for array."""
+    V = conn.n_vertices
+    rows = np.repeat(np.arange(V), np.diff(conn.nbr_indptr))
+    off = sparse.csr_matrix(((1.0 / conn.valence)[rows], (rows, conn.nbr_indices)),
+                            shape=(V, V))
+    return off - sparse.identity(V, format="csr")
 
 
 def subdivide_reference(mesh: QuadMesh, levels: int) -> QuadMesh:
@@ -401,7 +451,7 @@ def subdivide_reference(mesh: QuadMesh, levels: int) -> QuadMesh:
 
 
 def _subdivide_once_reference(mesh: QuadMesh) -> QuadMesh:
-    conn = build_connectivity(mesh)
+    conn = build_connectivity_reference(mesh)
     V, E, F = conn.n_vertices, conn.n_edges, conn.n_faces
     verts = mesh.vertices
     quads = mesh.quads
@@ -515,7 +565,7 @@ def normals_forward_reference(vertices: np.ndarray, quads: np.ndarray) -> Normal
     """Normals of batch-major (..., V, 3) vertex sets by fancy-indexed
     diagonals and np.cross: the reference for mesh.normals_forward, its
     fields batch-major too."""
-    accum = signed_incidence(quads, (1, 1, 1, 1), vertices.shape[-2])
+    accum = gather_matrix(quads, (1, 1, 1, 1), vertices.shape[-2]).T
     p = vertices[..., quads[:, 2], :] - vertices[..., quads[:, 0], :]
     r = vertices[..., quads[:, 3], :] - vertices[..., quads[:, 1], :]
     u = np.cross(p, r)
@@ -531,9 +581,9 @@ def data_term_reference(y, targets, target_normals, quads, w_vertex, w_normal):
     products applied through transposing copies: the reference for the
     component-major data term."""
     V = y.shape[-2]
-    accum = signed_incidence(quads, (1, 1, 1, 1), V)
-    diag_p = signed_incidence(quads[:, [2, 0]], (1, -1), V)
-    diag_r = signed_incidence(quads[:, [3, 1]], (1, -1), V)
+    accum = gather_matrix(quads, (1, 1, 1, 1), V).T
+    diag_p = gather_matrix(quads[:, [2, 0]], (1, -1), V).T
+    diag_r = gather_matrix(quads[:, [3, 1]], (1, -1), V).T
     diff = y - targets
     vert_vals = np.einsum("nva,nva->n", diff, diff) / V
     fwd = normals_forward_reference(y, quads)

@@ -453,6 +453,22 @@ def _pgm(body: bytes):
     return case
 
 
+def _pore_map_sigma(sigma: str):
+    """`pore-map` of a valid PGM at `sigma`."""
+    def case(lib, monkeypatch):
+        argv, _ = _pgm(b"P5\n2 2\n255\n" + bytes(4))(lib, monkeypatch)
+        return argv[:-1] + [sigma], "sigma"
+    return case
+
+
+def _decode_hair_step(step: str):
+    """`decode-hair` of a valid demo hair code at growth step `step`."""
+    def case(lib, monkeypatch):
+        argv, _ = _hair_code_with()(lib, monkeypatch)
+        return argv + ["--step", step], "step"
+    return case
+
+
 def _fit(config=None, basis_size="2"):
     """`fit` on two flat grids, with `config` as --config when given."""
     def case(lib, monkeypatch):
@@ -552,6 +568,11 @@ MALFORMED = {
     "pgm_maxval_not_integer": _pgm(b"P5\n2 2\n2.5\n" + bytes(4)),
     "pgm_body_short": _pgm(b"P5\n2 2\n255\n" + bytes(3)),
     "pgm_ascii_body_short": _pgm(b"P2\n2 2\n255\n1 2 3\n"),
+    "pgm_zero_size": _pgm(b"P5\n0 0\n255\n"),
+    "pgm_zero_width": _pgm(b"P2\n0 2\n255\n"),
+    "pore_map_sigma_nan": _pore_map_sigma("nan"),
+    "pore_map_sigma_inf": _pore_map_sigma("inf"),
+    "decode_hair_step_nan": _decode_hair_step("nan"),
     "threads_env_not_integer": _threads,
     "fit_config_unknown_schedule_key": _fit({"schedule": {"iters": 3}}),
     "fit_config_unknown_init": _fit({"schedule": {"init": "zeros"}}),

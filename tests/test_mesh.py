@@ -19,8 +19,8 @@ from facegen.mesh import (
     QuadMesh,
     build_connectivity,
     edge_length_energy,
+    gather_matrix,
     normals_forward,
-    signed_incidence,
     uniform_laplacian_matrix,
     vertex_normals,
 )
@@ -33,6 +33,7 @@ from conftest import (
     edge_length_energy_reference,
     normals_forward_reference,
     random_closed_mesh,
+    uniform_laplacian_reference,
 )
 
 
@@ -42,7 +43,7 @@ class TestConnectivity:
         assert conn.n_edges == 12
         assert np.all(conn.valence == 3)
         assert not conn.boundary_edge.any()
-        assert conn.euler_characteristic() == 2
+        assert conn.n_vertices - conn.n_edges + conn.n_faces == 2
 
     def test_single_quad(self):
         mesh = QuadMesh(np.eye(4, 3), [[0, 1, 2, 3]])
@@ -68,9 +69,8 @@ class TestConnectivity:
         mesh = random_closed_mesh(rng)
         c1 = build_connectivity(mesh)
         c2 = build_connectivity(mesh)
-        assert np.array_equal(c1.edges, c2.edges)
-        assert np.array_equal(c1.edge_faces, c2.edge_faces)
-        assert np.array_equal(c1.nbr_indices, c2.nbr_indices)
+        for field in dataclasses.fields(MeshConnectivity):
+            assert np.array_equal(getattr(c1, field.name), getattr(c2, field.name))
 
     def test_non_manifold_edge_raises(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
@@ -234,22 +234,58 @@ class TestVertexNormals:
             assert np.allclose(a, b.T, rtol=1e-12, atol=1e-15), name
 
 
+def dense_gather(index: np.ndarray, signs, n: int) -> np.ndarray:
+    """The (K, n) gather matrix accumulated entry by entry."""
+    K, c = index.shape
+    A = np.zeros((K, n))
+    np.add.at(A, (np.repeat(np.arange(K), c), index.ravel()), np.tile(signs, K))
+    return A
+
+
+def gather_cases(mesh: QuadMesh):
+    """(index, signs, n) of every gather the package builds on a mesh: the
+    learner's face and edge operators first, then the subdivision's
+    incidences, the face-edge one with n = E."""
+    conn = build_connectivity(mesh)
+    V = mesh.n_vertices
+    return [(mesh.quads, (1, 1, 1, 1), V), (mesh.quads[:, [2, 0]], (1, -1), V),
+            (conn.edges, (1, -1), V), (conn.edges, (1, 1), V),
+            (conn.edges[conn.boundary_edge], (1, 1), V),
+            (conn.face_edges, (1, 1, 1, 1), conn.n_edges)]
+
+
+class TestGatherMatrix:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for index, signs, n in gather_cases(random_closed_mesh(rng)) + gather_cases(
+                quad_grid(int(rng.integers(1, 5)), 2)):
+            g = gather_matrix(index, signs, n)
+            assert g.format == "csr" and g.shape == (len(index), n)
+            assert np.array_equal(g.toarray(), dense_gather(index, signs, n))
+            # row k lists its columns in the order of index[k]
+            assert np.array_equal(g.indices, index.ravel())
+            assert np.array_equal(g.indptr, np.arange(0, index.size + 1, index.shape[1]))
+            assert g.indices.dtype == g.indptr.dtype == np.int32
+
+
 class TestBlockOperator:
-    def test_gather_is_kron_of_the_incidence_transpose(self, rng):
+    def test_gather_is_kron_of_the_gather_matrix(self, rng):
         mesh = random_closed_mesh(rng)
         V = mesh.n_vertices
         x = rng.standard_normal((3, V, 2))
-        for index, signs in ((mesh.quads, (1, 1, 1, 1)),
-                             (build_connectivity(mesh).edges, (1, -1))):
+        for index, signs, _ in gather_cases(mesh)[:3]:     # what the learner gathers
             op = BlockOperator.gather(index, signs, V)
-            A = signed_incidence(index, signs, V).T
-            assert np.array_equal(op.forward.toarray(),
-                                  sparse.kron(sparse.identity(3), A).toarray())
-            assert np.array_equal(op.adjoint.toarray(), op.forward.T.toarray())
+            dense = np.kron(np.eye(3), dense_gather(index, signs, V))
+            assert np.array_equal(op.forward.toarray(), dense)
+            assert np.array_equal(op.adjoint.toarray(), dense.T)
             assert op.forward.format == op.adjoint.format == "csr"
             assert op.adjoint.has_sorted_indices
             assert np.array_equal(op.forward.indices[:index.size], index.ravel())
+            for m in op:
+                assert m.indices.dtype == m.indptr.dtype == np.int32
             # each slab adds in the order of the unstacked operator, bit for bit
+            A = gather_matrix(index, signs, V)
             y = op.apply(x)
             assert np.array_equal(op.apply_adjoint(y), np.stack([A.T @ c for c in y]))
             assert np.array_equal(y, np.stack([A @ c for c in x]))
@@ -279,11 +315,12 @@ class TestUniformLaplacian:
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [1, 1, 0],
                           [0, 0, 1], [1, 0, 1], [2, 0, 1], [1, 1, 1]], dtype=float)
         quads = [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]]
-        conn = build_connectivity(QuadMesh(verts, quads))
+        mesh = QuadMesh(verts, quads)
+        conn = build_connectivity(mesh)
         f = verts[:, :1] * 1.0
         out = uniform_laplacian_matrix(conn) @ np.concatenate([f, f * 0, f * 0], axis=1)
         # vertex 0 neighbors along the band: 1, 3 (x=1,1) and 4 (x=0)
-        nbrs = conn.vertex_neighbors(0)
+        nbrs = build_connectivity_reference(mesh).vertex_neighbors(0)
         expect = f[nbrs, 0].mean() - f[0, 0]
         assert out[0, 0] == pytest.approx(expect)
 
@@ -294,6 +331,17 @@ class TestUniformLaplacian:
         L = uniform_laplacian_matrix(conn)
         assert np.allclose(L @ (2.0 * f - 0.5 * g), 2.0 * (L @ f) - 0.5 * (L @ g),
                            atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_neighbour_table_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        for mesh in (random_closed_mesh(rng), quad_grid(int(rng.integers(1, 6)), 3)):
+            L = uniform_laplacian_matrix(build_connectivity(mesh))
+            ref = uniform_laplacian_reference(build_connectivity_reference(mesh))
+            assert L.format == ref.format == "csr"
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(L, name), getattr(ref, name)
+                assert np.array_equal(a, b) and a.dtype == b.dtype, name
 
     def test_isolated_vertex_raises(self):
         verts = np.vstack([np.eye(4, 3), [5.0, 5.0, 5.0]])
@@ -307,7 +355,7 @@ def edge_energy_against(mesh: QuadMesh, reference: QuadMesh):
     """edge_length_energy of `mesh` against the edge lengths of `reference`,
     which shares its topology; the gradient is component-major (3, V)."""
     edges = build_connectivity(mesh).edges
-    D = signed_incidence(edges, (1, -1), mesh.n_vertices).T
+    D = gather_matrix(edges, (1, -1), mesh.n_vertices)
     lengths = np.linalg.norm(D @ reference.vertices, axis=1)
     return edge_length_energy(mesh.vertices.T, lengths,
                               BlockOperator.gather(edges, (1, -1), mesh.n_vertices))
@@ -330,7 +378,7 @@ class TestEdgeLengthEnergy:
         ref = grid.vertices.copy()
         v = ref + 0.1 * rng.standard_normal(ref.shape)
         edges = build_connectivity(grid).edges
-        D = signed_incidence(edges, (1, -1), grid.n_vertices).T
+        D = gather_matrix(edges, (1, -1), grid.n_vertices)
         B = BlockOperator.gather(edges, (1, -1), grid.n_vertices)
         lengths = np.linalg.norm(D @ ref, axis=1)
         _, g = edge_length_energy(v.T, lengths, B)
@@ -363,7 +411,7 @@ class TestEdgeLengthEnergy:
     def test_matches_batch_major_reference(self, rng):
         mesh = random_closed_mesh(rng)
         edges = build_connectivity(mesh).edges
-        D = signed_incidence(edges, (1, -1), mesh.n_vertices).T
+        D = gather_matrix(edges, (1, -1), mesh.n_vertices)
         lengths = np.linalg.norm(D @ mesh.vertices, axis=1)
         batch = mesh.vertices + 0.05 * rng.standard_normal((3,) + mesh.vertices.shape)
         values, grads = edge_length_energy(

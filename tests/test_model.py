@@ -210,7 +210,7 @@ class TestLbsGemm:
 
 class TestEvaluate:
     def test_zero_params_is_template(self, model):
-        mesh = evaluate(model, model.zero_params())
+        mesh = evaluate(model, ModelParams.zeros(model.n_identity, model.n_expression))
         assert np.array_equal(mesh.vertices, model.template.vertices)
         assert np.array_equal(mesh.quads, model.template.quads)
 

@@ -181,8 +181,8 @@ class TestRealize:
         from facegen.model import ModelParams
         from facegen.subdivision import subdivide_catmull_clark
         scene = sample_scene(library, 20)
-        zero = dc_replace(scene,
-                          params=library.model.zero_params())
+        model = library.model
+        zero = dc_replace(scene, params=ModelParams.zeros(model.n_identity, model.n_expression))
         geo = realize_scene(library, zero)
         expect = subdivide_catmull_clark(library.model.template,
                                          library.subdivision_levels)

@@ -130,3 +130,50 @@ def test_one_json_encoder_and_one_file_set_writer():
         ("container", "encode_json"), ("cli", "_JsonLogFormatter.format")}
     assert _calls_by_function({"write_text", "write_bytes"}) == {
         ("container", "write_files"), ("objio", "save_obj"), ("hdr", "write_hdr")}
+
+
+def _public_api() -> set[str]:
+    """The backticked names of the README's "Public API" list."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Public API", 1)[1].split("Removed, with what replaces them", 1)[0]
+    return set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
+
+
+def test_every_function_is_used_or_public_api():
+    """Each top-level function and each public method of a public class in
+    the package is referenced by the package outside its own definition or
+    named in the README's public-API list: code that only tests call is
+    either deleted, moved into the tests or declared public."""
+    defined, used = [], set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            name = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else
+                    child.name.rpartition(".")[2] if isinstance(child, ast.alias) else None)
+            if name is not None:
+                used.add((name, module, scope))
+            visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "facegen").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.stem, node.name, node.name))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined += [(path.stem, f"{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+        visit(tree, path.stem, "")
+
+    public = _public_api()
+    assert {"pca.load_pca", "SceneDescription.to_json"} <= public   # the list parses
+    unused = [f"{module}.{qualname}" for module, qualname, name in defined
+              if f"{module}.{qualname}" not in public and qualname not in public
+              and not any(n == name and not (m == module and (s == qualname or
+                                                             s.startswith(qualname + ".")))
+                          for n, m, s in used)]
+    assert unused == []
