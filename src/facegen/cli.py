@@ -254,11 +254,12 @@ def _cmd_decode_hair(args) -> int:
     save_groom(out, groom)
     payload = report.to_dict()
     if args.reference is not None:
+        from scipy.spatial import cKDTree
         ref = load_groom(args.reference)
         re_code = encode_groom(groom, R=code.uv_resolution,
                                G=code.volume_resolution, bbox=code.bbox)
-        d = _nearest_distances(groom.points[groom.offsets[1:] - 1],
-                               ref.points[ref.offsets[1:] - 1])
+        d = cKDTree(ref.points[ref.offsets[1:] - 1]).query(
+            groom.points[groom.offsets[1:] - 1])[0]
         payload["roundtrip"] = {
             "endpoint_error_mean": float(d.mean()),
             "endpoint_error_per_strand": [float(x) for x in d],
@@ -272,20 +273,6 @@ def _cmd_decode_hair(args) -> int:
              f"{payload['n_zero_flow_stops']} zero-flow, {payload['n_wall_stops']} wall, "
              f"{payload['n_stubs']} stubs)")
     return EXIT_OK
-
-
-_NEAREST_BLOCK = 128   # rows of points per all-pairs block in _nearest_distances
-
-
-def _nearest_distances(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest reference point, over row
-    blocks of `points` so memory stays O(_NEAREST_BLOCK * len(refs))."""
-    d = np.empty(len(points))
-    for start in range(0, len(points), _NEAREST_BLOCK):
-        rows = points[start:start + _NEAREST_BLOCK]
-        d[start:start + _NEAREST_BLOCK] = np.linalg.norm(
-            rows[:, None, :] - refs[None], axis=2).min(axis=1)
-    return d
 
 
 def _rms(x: np.ndarray) -> float:

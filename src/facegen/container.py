@@ -117,6 +117,13 @@ def load_container(manifest_path, kind: str | None = None) -> tuple[StrictDict, 
     return tensors, metadata
 
 
+def require_finite(tensors: dict[str, np.ndarray]) -> None:
+    """A DataError naming the first tensor that holds a NaN or an infinity."""
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"tensor {name!r} holds a non-finite value")
+
+
 def read_json_object(path) -> dict:
     """The JSON object in the UTF-8 file `path`; anything else is a
     DataError naming the file."""

@@ -15,27 +15,26 @@ from .hair import Groom, save_groom
 from .hdr import HdrImage, write_hdr
 from .library import AssetLibrary, save_expression_library, save_gmm
 from .modelio import save_model
-from .procedural import desk_head, synthetic_expression_library
+from .procedural import HEAD_SCALE, desk_head, synthetic_expression_library
 from .sampling import ExpressionLibrary, HairColorTable
 
 
-def make_demo_groom(style: str, n_strands: int, seed: int,
-                    scale: float = 0.1) -> Groom:
+def make_demo_groom(style: str, n_strands: int, seed: int) -> Groom:
     """Procedural groom: clustered roots on the upper head, strands swept
     outward then down by a smooth analytic field."""
     rng = np.random.default_rng(seed)
     if style == "scalp":
         lat_range = (0.45, 1.0)
-        length = (0.35 * scale, 0.9 * scale)
+        length = (0.35 * HEAD_SCALE, 0.9 * HEAD_SCALE)
     elif style == "eyebrow":
         lat_range = (0.15, 0.3)
-        length = (0.05 * scale, 0.12 * scale)
+        length = (0.05 * HEAD_SCALE, 0.12 * HEAD_SCALE)
     elif style == "beard":
         lat_range = (-0.5, -0.2)
-        length = (0.1 * scale, 0.3 * scale)
+        length = (0.1 * HEAD_SCALE, 0.3 * HEAD_SCALE)
     else:                        # eyelash
         lat_range = (0.1, 0.2)
-        length = (0.03 * scale, 0.06 * scale)
+        length = (0.03 * HEAD_SCALE, 0.06 * HEAD_SCALE)
 
     # roots on a head-sized sphere band, +y up, +z forward
     u = rng.uniform(0.25, 0.75, n_strands)          # azimuth fraction
@@ -43,7 +42,7 @@ def make_demo_groom(style: str, n_strands: int, seed: int,
     phi = 2.0 * np.pi * (u - 0.5)
     sin_lat = np.clip(v, -0.95, 0.95)
     cos_lat = np.sqrt(1.0 - sin_lat ** 2)
-    r = 0.9 * scale
+    r = 0.9 * HEAD_SCALE
     roots = np.stack([r * cos_lat * np.sin(phi),
                       r * sin_lat,
                       r * cos_lat * np.cos(phi)], axis=1)
@@ -86,25 +85,24 @@ def make_demo_hdr(kind: str, height: int = 32, width: int = 64,
     return HdrImage(np.ascontiguousarray(np.broadcast_to(img, (height, width, 3))))
 
 
-def build_demo_library(out_dir, seed: int = 0, n_identity: int = 4,
-                       n_expressions: int = 48) -> Path:
+def build_demo_library(out_dir, seed: int = 0) -> Path:
     """Write a self-contained demo library; returns the config path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    model = desk_head(m=n_identity, n_expression=51, seed=seed,
+    model = desk_head(m=4, n_expression=51, seed=seed,
                       identity_coupling=0.002)
     save_model(out / "model.json", model)
 
-    betas = synthetic_expression_library(n_expressions, 51, seed=seed + 1)
+    betas = synthetic_expression_library(48, 51, seed=seed + 1)
     save_expression_library(out / "expressions.json",
                             ExpressionLibrary(betas, source="synthetic demo"))
 
     # identity statistics: two loose clusters in coefficient space
     half = 60
-    cluster_a = rng.standard_normal((half, n_identity)) * 0.6 + 0.8
-    cluster_b = rng.standard_normal((half, n_identity)) * 0.4 - 0.6
+    cluster_a = rng.standard_normal((half, model.n_identity)) * 0.6 + 0.8
+    cluster_b = rng.standard_normal((half, model.n_identity)) * 0.4 - 0.6
     gmm = fit_gmm(np.concatenate([cluster_a, cluster_b]), K=2, seed=seed)
     save_gmm(out / "gmm.json", gmm)
 

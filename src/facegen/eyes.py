@@ -16,6 +16,7 @@ from .errors import DegenerateProjection, InvalidParam
 from .mesh import QuadMesh
 
 CORNEA_REFRACTION_INDEX = 1.376
+EYE_SEGMENTS = (12, 16)   # latitude rings, longitude segments of each eye sphere
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,6 @@ class EyeGeometryParams:
     cornea_radius: float = 0.0065
     iris_flatten_depth: float = 0.0035
     pupil_radius: float = 0.002
-    cornea_refraction_index: float = CORNEA_REFRACTION_INDEX
 
     def __post_init__(self):
         if min(self.sclera_radius, self.cornea_radius, self.pupil_radius) <= 0:
@@ -86,7 +86,7 @@ class EyeGeometry:
     @property
     def metadata(self) -> dict:
         return {
-            "cornea_refraction_index": self.params.cornea_refraction_index,
+            "cornea_refraction_index": CORNEA_REFRACTION_INDEX,
             "sclera_radius": self.params.sclera_radius,
             "cornea_radius": self.params.cornea_radius,
             "iris_flatten_depth": self.params.iris_flatten_depth,
@@ -94,8 +94,7 @@ class EyeGeometry:
         }
 
 
-def build_eye(params: EyeGeometryParams, lat_segments: int = 12,
-              lon_segments: int = 16) -> EyeGeometry:
+def build_eye(params: EyeGeometryParams) -> EyeGeometry:
     """Sclera sphere flattened into the iris plane plus the corneal sphere.
 
     Sclera vertices with z beyond (sclera_radius - iris_flatten_depth) are
@@ -103,13 +102,13 @@ def build_eye(params: EyeGeometryParams, lat_segments: int = 12,
     its center in the flattening plane.
     """
     r = params.sclera_radius
-    sclera = quad_uv_sphere(r, lat_segments, lon_segments)
+    sclera = quad_uv_sphere(r, *EYE_SEGMENTS)
     z_cut = r - params.iris_flatten_depth
     v = sclera.vertices.copy()
     v[:, 2] = np.minimum(v[:, 2], z_cut)
     sclera = sclera.with_vertices(v)
 
-    cornea = quad_uv_sphere(params.cornea_radius, lat_segments, lon_segments)
+    cornea = quad_uv_sphere(params.cornea_radius, *EYE_SEGMENTS)
     cv = cornea.vertices.copy()
     cv[:, 2] += z_cut
     cornea = cornea.with_vertices(cv)

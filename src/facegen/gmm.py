@@ -32,10 +32,12 @@ class GaussianMixture:
         K = len(w)
         if mu.ndim != 2 or len(mu) != K or cov.shape != (K, mu.shape[1], mu.shape[1]):
             raise InvalidParam("need weights (K,), means (K, m), covariances (K, m, m)")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not ((w > 0).all() and abs(w.sum() - 1.0) <= 1e-9):
             raise InvalidParam("weights must be positive and sum to 1 within 1e-9")
-        if np.any(np.abs(cov - np.swapaxes(cov, 1, 2)) > 1e-9):
-            raise InvalidParam("covariances must be symmetric")
+        if not np.isfinite(mu).all():
+            raise InvalidParam("means must be finite")
+        if not (np.abs(cov - np.swapaxes(cov, 1, 2)) <= 1e-9).all():
+            raise InvalidParam("covariances must be finite and symmetric")
         chols = np.empty_like(cov)
         for k in range(K):
             try:

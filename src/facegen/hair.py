@@ -352,8 +352,8 @@ class DecodeReport:
 
 
 def decode_groom(code: HairCode, n_strands: int, step: float,
-                 rng=None, style: str = "scalp") -> tuple[Groom, DecodeReport]:
-    """Grow strands back out of a code.
+                 rng=None) -> tuple[Groom, DecodeReport]:
+    """Grow strands back out of a code, as a scalp groom.
 
     Roots are allocated over texels proportionally to density (systematic
     resampling) and jittered inside their texel in UV; each strand starts
@@ -427,7 +427,7 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
     order = np.argsort(ids, kind="stable")
     groom = Groom.from_ragged(np.concatenate(moved_pos)[order],
                               _offsets(np.bincount(ids, minlength=n_strands)),
-                              root_uv, style=style)
+                              root_uv)
     return groom, DecodeReport(target_lengths=targets, grown_lengths=groom.arc_lengths(),
                                early_terminated=zero_flow | wall | stub,
                                zero_flow=zero_flow, wall=wall, stub=stub)

@@ -70,13 +70,12 @@ def resize_area(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _area_weights(W, out_w) @ rows
 
 
-def preprocess_hdr(img: HdrImage, out_h: int = PCA_HEIGHT,
-                   out_w: int = PCA_WIDTH) -> np.ndarray:
-    """Resize to (out_h, out_w) with a box filter, apply log(1 + I) and
-    flatten row-major RGB (d = out_h * out_w * 3)."""
+def preprocess_hdr(img: HdrImage) -> np.ndarray:
+    """Resize to (PCA_HEIGHT, PCA_WIDTH) with a box filter, apply
+    log(1 + I) and flatten row-major RGB (d = PCA_HEIGHT * PCA_WIDTH * 3)."""
     if not np.all(np.isfinite(img.data)):
         raise NonFiniteInput("HDR image contains non-finite values")
-    small = resize_area(img.data, out_h, out_w)
+    small = resize_area(img.data, PCA_HEIGHT, PCA_WIDTH)
     return np.log1p(small).ravel()
 
 

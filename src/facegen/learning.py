@@ -703,14 +703,10 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     return model, report
 
 
-def project_identity(model: BlendshapeModel, scan_vertices: np.ndarray,
-                     ridge: float = 0.0) -> np.ndarray:
+def project_identity(model: BlendshapeModel, scan_vertices: np.ndarray) -> np.ndarray:
     """Least-squares identity coefficients for a registered neutral scan."""
     V = model.n_vertices
     A = model.identity_basis.reshape(model.n_identity, V * 3).T
     b = (np.asarray(scan_vertices, dtype=np.float64)
          - model.template.vertices).ravel()
-    if ridge > 0:
-        AtA = A.T @ A + ridge * np.eye(A.shape[1])
-        return np.linalg.solve(AtA, A.T @ b)
     return np.linalg.lstsq(A, b, rcond=None)[0]

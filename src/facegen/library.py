@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .container import decode_json, load_container, read_json_object, save_container
+from .container import (decode_json, load_container, read_json_object, require_finite,
+                        save_container)
 from .errors import DataError, InvalidParam, naming
 from .eyes import EyeGeometry, EyeGeometryParams, build_eye
 from .gmm import GaussianMixture
@@ -40,6 +41,7 @@ def save_gmm(path, gmm: GaussianMixture) -> None:
 
 def load_gmm(path) -> GaussianMixture:
     tensors, _ = load_container(path, "gmm")
+    require_finite(tensors)
     return GaussianMixture(tensors["weights"], tensors["means"],
                            tensors["covariances"])
 
@@ -52,8 +54,8 @@ def save_expression_library(path, library: ExpressionLibrary) -> None:
 
 def load_expression_library(path) -> ExpressionLibrary:
     tensors, meta = load_container(path, "expression_library")
-    betas = np.clip(tensors["betas"].astype(np.float64), 0.0, 1.0)
-    return ExpressionLibrary(betas, source=meta.get("source", ""))
+    require_finite(tensors)
+    return ExpressionLibrary(tensors["betas"], source=meta.get("source", ""))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ so concurrent evaluation is safe.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -175,7 +176,9 @@ def _kron3(a: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 def _block_apply(block: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
-    return (block @ x.reshape(block.shape[1], -1)).reshape(3, -1, *x.shape[2:])
+    # the batch size in full: -1 is undetermined when the operator has no columns
+    rows = x.reshape(block.shape[1], math.prod(x.shape[2:]))
+    return (block @ rows).reshape(3, -1, *x.shape[2:])
 
 
 class BlockOperator(NamedTuple):

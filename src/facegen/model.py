@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParam, PoseLimitViolation
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidParam, PoseLimitViolation
 from .mesh import QuadMesh
 
 JOINT_NAMES = ("neck", "jaw", "eye_left", "eye_right")
@@ -96,9 +96,9 @@ class Skeleton:
             raise InvalidParam(f"a must be (4, 3, m), got {a.shape}")
         if limits.shape != (4, 3, 2):
             raise InvalidParam(f"limits must be (4, 3, 2), got {limits.shape}")
-        if np.any(limits[..., 0] >= limits[..., 1]):
+        if not (limits[..., 0] < limits[..., 1]).all():
             raise InvalidParam("rotation limits need min < max per axis")
-        if np.any(np.abs(limits) >= np.pi):
+        if not (np.abs(limits) < np.pi).all():
             raise InvalidParam("rotation limits must satisfy |limit| < pi")
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "a", a)
@@ -229,7 +229,10 @@ class BlendshapeModel:
         for side in ("eyelid_left", "eyelid_right"):
             ids = getattr(self, side)
             if ids is not None:
-                object.__setattr__(self, side, np.asarray(ids, dtype=np.int64))
+                ids = np.asarray(ids, dtype=np.int64)
+                if ids.size and (ids.min() < 0 or ids.max() >= V):
+                    raise IndexOutOfRange(f"{side} vertex ids must lie in [0, {V})")
+                object.__setattr__(self, side, ids)
 
     @property
     def n_identity(self) -> int:
@@ -351,12 +354,6 @@ def evaluate(model: BlendshapeModel, params: ModelParams,
     unposed = evaluate_unposed(model, params.alpha, params.beta)
     posed = apply_pose(model, params.alpha, params.gamma, unposed, check_limits)
     return model.template.with_vertices(posed)
-
-
-def evaluate_vertices(model: BlendshapeModel, params: ModelParams,
-                      check_limits: bool = True) -> np.ndarray:
-    unposed = evaluate_unposed(model, params.alpha, params.beta)
-    return apply_pose(model, params.alpha, params.gamma, unposed, check_limits)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .container import load_container, save_container
+from .container import load_container, require_finite, save_container
 from .errors import DataError
 from .mesh import QuadMesh
 from .model import BlendshapeModel, Skeleton
@@ -48,9 +48,10 @@ def load_model(path) -> BlendshapeModel:
     if meta.get("version") != MODEL_SCHEMA_VERSION:
         raise DataError(f"{path}: model version {meta.get('version')!r} is not the "
                         f"supported {MODEL_SCHEMA_VERSION}")
+    require_finite(tensors)
     template = QuadMesh(
         tensors["template_vertices"],
-        tensors["template_quads"].astype(np.int64),
+        _indices(tensors, "template_quads"),
         tensors.get("template_uvs"),
     )
     skeleton = Skeleton(
@@ -59,14 +60,21 @@ def load_model(path) -> BlendshapeModel:
         limits=tensors["skeleton_limits"],
         rest_rotations=tensors.get("skeleton_rest_rotations"),
     )
-    lid_l = tensors.get("eyelid_left")
-    lid_r = tensors.get("eyelid_right")
     return BlendshapeModel(
         template=template,
         identity_basis=tensors["identity_basis"],
         expression_basis=tensors["expression_basis"],
         skeleton=skeleton,
         skinning_weights=tensors["skinning_weights"],
-        eyelid_left=None if lid_l is None else lid_l.astype(np.int64),
-        eyelid_right=None if lid_r is None else lid_r.astype(np.int64),
+        eyelid_left=_indices(tensors, "eyelid_left") if "eyelid_left" in tensors else None,
+        eyelid_right=_indices(tensors, "eyelid_right") if "eyelid_right" in tensors else None,
     )
+
+
+def _indices(tensors, name: str) -> np.ndarray:
+    """The finite tensor `name` as int64 indices; a fractional entry is a
+    DataError naming the tensor."""
+    t = tensors[name]
+    if not (t == np.round(t)).all():
+        raise DataError(f"tensor {name!r} holds a non-integral index")
+    return t.astype(np.int64)

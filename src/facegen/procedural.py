@@ -15,13 +15,15 @@ from .learning import ScanSet
 from .mesh import QuadMesh, build_connectivity
 from .model import BlendshapeModel, Skeleton
 
+HEAD_SCALE = 0.1   # desk head radius, meters
 
-def quad_grid(nx: int, ny: int, spacing: float = 1.0, z: float = 0.0) -> QuadMesh:
-    """Planar (nx+1)x(ny+1)-vertex grid of nx*ny quads in the z-plane."""
+
+def quad_grid(nx: int, ny: int, spacing: float = 1.0) -> QuadMesh:
+    """Planar (nx+1)x(ny+1)-vertex grid of nx*ny quads in the plane z = 0."""
     xs = np.arange(nx + 1) * spacing
     ys = np.arange(ny + 1) * spacing
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)], axis=1)
+    verts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
     quads = []
     for i in range(nx):
         for j in range(ny):
@@ -100,8 +102,7 @@ def smooth_vertex_fields(mesh: QuadMesh, count: int, amplitude: float,
 
 
 def desk_head(m: int = 4, n_expression: int = 51, lat: int = 10, lon: int = 12,
-              scale: float = 0.1, seed: int = 0,
-              identity_coupling: float = 0.0) -> BlendshapeModel:
+              seed: int = 0, identity_coupling: float = 0.0) -> BlendshapeModel:
     """Small all-quad head: squashed sphere template, smooth random bases,
     softmax skinning, eyelid rings near the eye pivots.
 
@@ -109,6 +110,7 @@ def desk_head(m: int = 4, n_expression: int = 51, lat: int = 10, lon: int = 12,
     exercise the alpha -> pivot path of the pose transform.
     """
     rng = np.random.default_rng(seed)
+    scale = HEAD_SCALE
     sphere = quad_uv_sphere(scale, lat, lon)
     verts = sphere.vertices * np.array([0.78, 1.0, 0.88])
     # sphere poles are on +-z; stand the head up so +y is the crown
@@ -139,9 +141,9 @@ def desk_head(m: int = 4, n_expression: int = 51, lat: int = 10, lon: int = 12,
     )
 
 
-def default_base_model(scans: ScanSet, m: int, n_expression: int = 51) -> BlendshapeModel:
+def default_base_model(scans: ScanSet, m: int) -> BlendshapeModel:
     """Base model synthesized from a scan set: mean-scan template, zero
-    expression basis, desk skeleton scaled to the data."""
+    51-shape expression basis, desk skeleton scaled to the data."""
     template = QuadMesh(scans.vertices.mean(axis=0), scans.quads)
     lo, hi = template.bounding_box()
     scale = 0.5 * float(np.linalg.norm(hi - lo)) or 1.0
@@ -152,18 +154,19 @@ def default_base_model(scans: ScanSet, m: int, n_expression: int = 51) -> Blends
     return BlendshapeModel(
         template=template,
         identity_basis=np.zeros((m, template.n_vertices, 3)),
-        expression_basis=np.zeros((n_expression, template.n_vertices, 3)),
+        expression_basis=np.zeros((51, template.n_vertices, 3)),
         skeleton=skel,
         skinning_weights=weights,
     )
 
 
 def synthetic_expression_library(n_entries: int, n_expr: int = 51,
-                                 active: int = 3, seed: int = 0) -> np.ndarray:
-    """Random sparse activations standing in for the captured library."""
+                                 seed: int = 0) -> np.ndarray:
+    """Random sparse activations, 3 per entry, standing in for the captured
+    library."""
     rng = np.random.default_rng(seed)
     betas = np.zeros((n_entries, n_expr))
     for i in range(n_entries):
-        idx = rng.choice(n_expr, size=min(active, n_expr), replace=False)
+        idx = rng.choice(n_expr, size=min(3, n_expr), replace=False)
         betas[i, idx] = rng.uniform(0.1, 1.0, size=len(idx))
     return betas

@@ -54,7 +54,7 @@ class ExpressionLibrary:
         b = np.asarray(self.betas, dtype=np.float64)
         if b.ndim != 2:
             raise InvalidParam(f"betas must be 2-D, got shape {b.shape}")
-        if b.size and (b.min() < 0.0 or b.max() > 1.0):
+        if not ((b >= 0.0) & (b <= 1.0)).all():
             raise InvalidParam("expression coefficients must lie in [0, 1]")
         object.__setattr__(self, "betas", b)
 
@@ -77,17 +77,18 @@ def sample_expression(library: ExpressionLibrary, rng=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoseDistribution:
-    """Per-axis normal stds for joint and global rotations (radians)."""
+    """Per-axis normal stds for joint and global rotations (radians); global
+    rotations are truncated to [-pi/2, pi/2]."""
 
     joint_std: np.ndarray = field(default_factory=lambda: np.full((4, 3), 0.1))
     global_rot_std: np.ndarray = field(default_factory=lambda: np.full(3, 0.1))
-    global_rot_limits: tuple[float, float] = (-np.pi / 2, np.pi / 2)
 
     def __post_init__(self):
         js = np.broadcast_to(np.asarray(self.joint_std, dtype=np.float64), (4, 3)).copy()
         gs = np.broadcast_to(np.asarray(self.global_rot_std, dtype=np.float64), (3,)).copy()
-        if np.any(js < 0) or np.any(gs < 0):
-            raise InvalidParam("pose stds must be nonnegative")
+        stds = np.concatenate([js.ravel(), gs])
+        if not ((stds >= 0) & (stds < np.inf)).all():
+            raise InvalidParam("pose stds must be finite and nonnegative")
         object.__setattr__(self, "joint_std", js)
         object.__setattr__(self, "global_rot_std", gs)
 
@@ -114,9 +115,8 @@ def sample_pose(skeleton: Skeleton, config: PoseDistribution | None = None,
     lo = skeleton.limits[..., 0]
     hi = skeleton.limits[..., 1]
     joint = _truncated_normal(rng, config.joint_std, lo, hi)
-    glo, ghi = config.global_rot_limits
     grot = _truncated_normal(rng, config.global_rot_std,
-                             np.full(3, glo), np.full(3, ghi))
+                             np.full(3, -np.pi / 2), np.full(3, np.pi / 2))
     return Pose(joint_angles=joint, global_rot=grot, global_trans=np.zeros(3))
 
 

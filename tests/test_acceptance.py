@@ -20,7 +20,7 @@ from facegen.hair import code_to_vector, decode_groom, encode_groom, load_groom,
 from facegen.learning import FitSchedule, LossWeights, ScanSet, fit, project_identity
 from facegen.mesh import QuadMesh, build_connectivity
 from facegen.model import ModelParams, Pose, Skeleton, BlendshapeModel, \
-    apply_pose, euler_xyz, evaluate_vertices
+    apply_pose, euler_xyz, evaluate
 from facegen.objio import dump_obj, parse_obj
 from facegen.pca import fit_pca, pca_project, pca_reconstruct
 from facegen.poremap import pore_map
@@ -125,7 +125,7 @@ def test_criterion_4_lbs():
                           identity_coupling=0.01)
 
         # theta = 0 returns the template bit-exactly
-        out = evaluate_vertices(model, ModelParams.zeros(model.n_identity, model.n_expression))
+        out = evaluate(model, ModelParams.zeros(model.n_identity, model.n_expression)).vertices
         assert np.array_equal(out, model.template.vertices)
 
         # single bone with full weight is a rigid transform
@@ -159,8 +159,8 @@ def test_criterion_4_lbs():
                               rest_rotations=np.broadcast_to(R_g, (4, 3, 3)).copy()),
             skinning_weights=model.skinning_weights,
         )
-        base = evaluate_vertices(model, params, check_limits=False)
-        out = evaluate_vertices(moved, params, check_limits=False)
+        base = evaluate(model, params, check_limits=False).vertices
+        out = evaluate(moved, params, check_limits=False).vertices
         worst_equi = max(worst_equi, float(np.abs(out - (base @ R_g.T + t_g)).max()))
     with criterion(4, f"LBS: single-bone rigid err {worst_rigid:.1e} (<1e-12), "
                       f"equivariance err {worst_equi:.1e} (<1e-9), "

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from facegen import cli
-from facegen.cli import _FIT_CONFIG_SPEC, _NEAREST_BLOCK, _nearest_distances, cli_main
-from facegen.container import save_container
+from facegen.cli import _FIT_CONFIG_SPEC, cli_main
+from facegen.container import load_container, save_container
 from facegen.errors import DataError
 from facegen.hair import encode_groom, load_groom, save_hair_code
 from facegen.learning import FitSchedule
@@ -212,13 +213,29 @@ class TestHairCommands:
         assert "code.json" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("n_points,n_refs", [
-        (1, 5), (_NEAREST_BLOCK + 1, 40), (2 * _NEAREST_BLOCK + 44, 2 * _NEAREST_BLOCK + 1)])
-    def test_nearest_distances_match_all_pairs(self, rng, n_points, n_refs):
-        points = rng.standard_normal((n_points, 3))
-        refs = rng.standard_normal((n_refs, 3))
-        all_pairs = np.linalg.norm(points[:, None, :] - refs[None], axis=2).min(axis=1)
-        assert np.array_equal(_nearest_distances(points, refs), all_pairs)
+    @pytest.mark.parametrize("n_points,n_refs", [(1, 5), (129, 40), (300, 257)])
+    def test_nearest_distances_match_all_pairs(self, tmp_path, rng, n_points, n_refs):
+        """Each of `n_points` decoded strands' endpoint error in the
+        `decode-hair --reference` report is the distance from its tip to the
+        nearest of `n_refs` reference tips, bit for bit."""
+        from conftest import clustered_groom
+        from facegen.hair import save_groom
+        gpath, rpath = tmp_path / "g.json", tmp_path / "r.json"
+        cpath, dpath = tmp_path / "c.json", tmp_path / "d.json"
+        save_groom(gpath, clustered_groom(rng, n_strands=150, R=8))
+        ref = clustered_groom(rng, n_strands=n_refs, R=8)
+        save_groom(rpath, ref)
+        assert cli_main(["--out", str(cpath), "encode-hair", "--groom", str(gpath),
+                         "--uv-res", "8", "--vol-res", "8"]) == 0
+        assert cli_main(["--out", str(dpath), "decode-hair", "--code", str(cpath),
+                         "--count", str(n_points), "--reference", str(rpath)]) == 0
+        decoded = load_groom(dpath)
+        assert decoded.n_strands == n_points and ref.n_strands == n_refs
+        tips = decoded.points[decoded.offsets[1:] - 1]
+        ref_tips = ref.points[ref.offsets[1:] - 1]
+        all_pairs = np.linalg.norm(tips[:, None, :] - ref_tips[None], axis=2).min(axis=1)
+        report = json.loads((tmp_path / "d_report.json").read_text())
+        assert np.array_equal(report["roundtrip"]["endpoint_error_per_strand"], all_pairs)
 
 
 class TestPcaGmmPoremap:
@@ -683,6 +700,55 @@ def test_config_range_names_config_and_key(demo_lib, tmp_path, section, key, val
     _edit_json(lib / "library.json", lambda c: c.setdefault(section, {}).update({key: value}))
     with pytest.raises(DataError, match=rf"library\.json: \$\.{section}\.{key} {value} "):
         AssetLibrary.load(lib / "library.json")
+
+
+def _first_entry(value):
+    def edit(t):
+        t.flat[0] = value
+    return edit
+
+
+def _shifted(offset):
+    def edit(t):
+        t += offset
+    return edit
+
+
+# name: (container, tensor, edit of its array in place, what the error must name)
+BAD_TENSORS = {
+    **{f"nan_{c}_{t}": (c, t, _first_entry(math.nan), repr(t)) for c, t in [
+        ("model.json", "skeleton_limits"), ("model.json", "skinning_weights"),
+        ("model.json", "identity_basis"), ("model.json", "skeleton_t0"),
+        ("model.json", "skeleton_a"), ("gmm.json", "weights"), ("gmm.json", "means"),
+        ("gmm.json", "covariances"), ("expressions.json", "betas")]},
+    "fractional_quads": ("model.json", "template_quads", _shifted(0.5), "'template_quads'"),
+    "fractional_eyelid_ids": ("model.json", "eyelid_left", _shifted(0.7), "'eyelid_left'"),
+    "eyelid_id_past_vertices": ("model.json", "eyelid_right", _first_entry(1e6),
+                                "eyelid_right vertex ids"),
+    "beta_above_1": ("expressions.json", "betas", _first_entry(1.5), "[0, 1]"),
+}
+
+
+@pytest.mark.parametrize("container, tensor, edit, named", BAD_TENSORS.values(),
+                         ids=BAD_TENSORS.keys())
+def test_bad_asset_tensor_fails_at_load_naming_it(demo_lib, tmp_path, capsys,
+                                                  container, tensor, edit, named):
+    lib = tmp_path / "lib"
+    shutil.copytree(demo_lib.parent, lib)
+    tensors, meta = load_container(lib / container)
+    edit(tensors[tensor])
+    save_container(lib / container, tensors, metadata=meta)
+    # checked before `sample` runs: a pose drawn within NaN limits is never accepted
+    with pytest.raises(DataError, match=re.escape(named)):
+        AssetLibrary.load(lib / "library.json")
+    capsys.readouterr()
+    rc = cli_main(["--out", str(tmp_path / "out"), "sample", "--library",
+                   str(lib / "library.json"), "--count", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert str(lib / container) in err.splitlines()[-1]
+    assert named in err.splitlines()[-1]
 
 
 def test_builtin_exception_from_a_bug_propagates(monkeypatch, tmp_path):

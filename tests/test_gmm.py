@@ -235,6 +235,18 @@ class TestGaussianMixtureValidation:
             GaussianMixture(np.array([0.6, 0.6]), np.zeros((2, 2)),
                             np.stack([np.eye(2)] * 2))
 
+    @pytest.mark.parametrize("weights, mean, off_diagonal", [
+        ([0.5, np.nan], 0.0, 0.0), ([np.nan, np.nan], 0.0, 0.0),
+        ([0.5, 0.5], np.nan, 0.0), ([0.5, 0.5], 0.0, np.nan)],
+        ids=["nan_weight", "nan_weights", "nan_mean", "nan_covariance"])
+    def test_nan_rejected(self, weights, mean, off_diagonal):
+        """A NaN weight would reach rng.choice, a NaN covariance the
+        Cholesky factorisation."""
+        with pytest.raises(InvalidParam):
+            GaussianMixture(np.array(weights), np.array([[0.0, mean], [0.0, 0.0]]),
+                            np.array([[[1.0, off_diagonal], [off_diagonal, 1.0]],
+                                      np.eye(2)]))
+
     def test_covariance_must_be_spd(self):
         cov = np.array([[[1.0, 0.0], [0.0, -1.0]]])
         with pytest.raises(SingularComponent):

@@ -291,6 +291,14 @@ class TestBlockOperator:
             assert np.array_equal(y, np.stack([A @ c for c in x]))
             assert np.array_equal(op.T.apply(y), op.apply_adjoint(y))
 
+    def test_operator_with_an_empty_side_applies_both_ways(self):
+        """A closed mesh has no boundary edges: its boundary-edge operator is
+        (0, V) and maps to and from empty arrays."""
+        conn = build_connectivity(cube_mesh())
+        op = BlockOperator.gather(conn.edges[conn.boundary_edge], (1, 1), conn.n_vertices)
+        assert op.apply(np.ones((3, 8, 2))).shape == (3, 0, 2)
+        assert np.array_equal(op.apply_adjoint(np.ones((3, 0, 2))), np.zeros((3, 8, 2)))
+
 
 class TestUniformLaplacian:
     def test_constant_field_annihilated(self, rng):

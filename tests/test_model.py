@@ -10,7 +10,6 @@ from facegen.model import (
     apply_pose,
     evaluate,
     evaluate_unposed,
-    evaluate_vertices,
     evaluate_with_jacobian,
     euler_xyz,
     lbs_adjoint,
@@ -236,8 +235,7 @@ class TestEvaluate:
         lam = 0.3
 
         def f(a, b):
-            return evaluate_vertices(model, ModelParams(a, b, pose),
-                                     check_limits=False)
+            return evaluate(model, ModelParams(a, b, pose), check_limits=False).vertices
 
         mix = f(lam * a1 + (1 - lam) * a2, lam * b1 + (1 - lam) * b2)
         lin = lam * f(a1, b1) + (1 - lam) * f(a2, b2)
@@ -285,8 +283,8 @@ class TestEvaluate:
             vp, vm = v0.copy(), v0.copy()
             vp[p] += h
             vm[p] -= h
-            fd[:, :, p] = (evaluate_vertices(model, unpack(vp), check_limits=False)
-                           - evaluate_vertices(model, unpack(vm), check_limits=False)
+            fd[:, :, p] = (evaluate(model, unpack(vp), check_limits=False).vertices
+                           - evaluate(model, unpack(vm), check_limits=False).vertices
                            ) / (2 * h)
         rel = np.abs(jac - fd).max() / np.abs(fd).max()
         assert rel < 1e-5
@@ -313,6 +311,6 @@ class TestEvaluate:
             # equivariance statement is for zero global transform
             p0 = ModelParams(params.alpha, params.beta,
                              Pose(params.gamma.joint_angles, np.zeros(3), np.zeros(3)))
-            base0 = evaluate_vertices(model, p0, check_limits=False)
-            out0 = evaluate_vertices(moved, p0, check_limits=False)
+            base0 = evaluate(model, p0, check_limits=False).vertices
+            out0 = evaluate(moved, p0, check_limits=False).vertices
             assert np.abs(out0 - (base0 @ R.T + t)).max() < 1e-9

@@ -8,6 +8,7 @@ from facegen.errors import (
     InvalidParam,
     NonNormalizedTable,
 )
+from facegen.model import Skeleton
 from facegen.procedural import desk_skeleton
 from facegen.sampling import (
     ExpressionLibrary,
@@ -53,8 +54,27 @@ class TestExpressionLibrary:
         with pytest.raises(InvalidParam):
             ExpressionLibrary(np.array([[0.5, 1.5]]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidParam):
+            ExpressionLibrary(np.array([[0.5, np.nan]]))
+
 
 class TestSamplePose:
+    @pytest.mark.parametrize("field", ["joint_std", "global_rot_std"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_std_not_finite_rejected(self, field, bad):
+        """A NaN or infinite std never draws a value inside the limits."""
+        with pytest.raises(InvalidParam):
+            PoseDistribution(**{field: bad})
+
+    def test_nan_limit_rejected(self):
+        """A NaN limit accepts no draw, so it must not reach sample_pose."""
+        skel = desk_skeleton(m=2)
+        limits = skel.limits.copy()
+        limits[1, 0, 0] = np.nan
+        with pytest.raises(InvalidParam):
+            Skeleton(skel.t0, skel.a, limits)
+
     def test_std_zero_gives_zero(self):
         skel = desk_skeleton(m=2)
         cfg = PoseDistribution(joint_std=np.zeros((4, 3)), global_rot_std=np.zeros(3))

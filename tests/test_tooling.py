@@ -177,3 +177,55 @@ def test_every_function_is_used_or_public_api():
                                                              s.startswith(qualname + ".")))
                           for n, m, s in used)]
     assert unused == []
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, position in a call or None for keyword-only) of each
+    parameter of `fn` with a default; a `bound` method's self is not
+    passed."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """Each defaulted parameter of a top-level function or of a public
+    class's method in the package is set, by keyword or by position, by at
+    least one call in the package, the benchmark or the tests: a parameter
+    that every caller leaves at its default is a constant.  A call by the
+    function's name with *args or **kwargs sets them all."""
+    params = []
+    for path in sorted((ROOT / "src" / "facegen").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                params += [(f"{path.stem}.{node.name}", node.name, p)
+                           for p in _defaulted_parameters(node, False)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        bound = not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                        for d in item.decorator_list)
+                        called = node.name if item.name == "__init__" else item.name
+                        params += [(f"{path.stem}.{node.name}.{item.name}", called, p)
+                                   for p in _defaulted_parameters(item, bound)]
+
+    set_by = {}     # called name -> parameter names and positions some call sets
+    sources = [*(ROOT / "src" / "facegen").glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+               *(ROOT / "tests").rglob("*.py")]
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                got = set_by.setdefault(name, set())
+                got |= {k.arg for k in node.keywords} | set(range(len(node.args)))
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    got.add("*")
+
+    assert ("model.evaluate", "evaluate", ("check_limits", 2)) in params   # the scan sees them
+    unset = [f"{qualname}({name})" for qualname, called, (name, position) in params
+             if not set_by.get(called, set()) & {name, position, "*"}]
+    assert unset == []
