@@ -15,6 +15,7 @@ scan order.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,7 +60,8 @@ from .model import (
 GLOBAL_ROT_LIMITS = (-np.pi, np.pi)
 # the blocks a fit schedule may hold fixed, and every block total_loss can
 # differentiate: with all of BLOCKS frozen it runs the forward pass only
-FREEZABLE = frozenset({"beta", "joint_angles", "global_rot", "global_trans"})
+POSE_BLOCKS = frozenset({"joint_angles", "global_rot", "global_trans"})
+FREEZABLE = POSE_BLOCKS | {"beta"}
 BLOCKS = FREEZABLE | {"alpha", "phi"}
 
 
@@ -128,8 +130,9 @@ class LossWeights:
     def __post_init__(self):
         for name in ("w_vertex", "w_normal", "w_barrier_expr", "w_barrier_pose",
                      "w_id_coeff", "w_id_basis", "w_laplacian", "w_edge"):
-            if getattr(self, name) < 0:
-                raise InvalidParam(f"{name} must be nonnegative")
+            w = getattr(self, name)
+            if not (w >= 0 and math.isfinite(w)):      # NaN fails both
+                raise InvalidParam(f"{name} must be finite and nonnegative, got {w}")
 
 
 def barrier4(x, lo, hi):
@@ -329,14 +332,15 @@ class PosedChain:
     """One loss's inputs to the posed-scan chain, in canonical scan order,
     and the per-scan arrays its chunks fill, each chunk its own rows.  An
     output the loss does not need is None; with none, a chunk runs the
-    forward half only."""
+    forward half only.  `pose` and `R_g` are None at the rest pose, where
+    skinning and the global transform return every vertex unchanged."""
 
     ctx: LossContext
     weights: LossWeights
     skinning: np.ndarray             # (V, 4) skinning weights
-    pose: PoseDerivatives            # world transforms R_w, b_w of every scan
+    pose: PoseDerivatives | None     # world transforms R_w, b_w of every scan
     vbar: np.ndarray                 # (N, V, 3) unposed vertices
-    R_g: np.ndarray                  # (N, 3, 3) global rotations
+    R_g: np.ndarray | None           # (N, 3, 3) global rotations
     global_trans: np.ndarray         # (N, 3)
     values: np.ndarray               # (3, N) vertex, normal and edge terms
     g_trans: np.ndarray | None       # (N, 3) global-translation gradient
@@ -354,9 +358,13 @@ def posed_chunk(chain: PosedChain, c: slice) -> None:
     transform and the data and edge terms, then the gradient back through
     them into the outputs `chain` holds."""
     ctx, wt, w = chain.ctx, chain.weights, chain.skinning
-    R_w, R_g = chain.pose.R_w[c], chain.R_g[c]
-    v_out = lbs_apply(w, R_w, chain.pose.b_w[c], chain.vbar[c])
-    y = v_out @ np.swapaxes(R_g, 1, 2) + chain.global_trans[c, None, :]
+    rest = chain.pose is None
+    if rest:
+        y = chain.vbar[c]
+    else:
+        R_w, R_g = chain.pose.R_w[c], chain.R_g[c]
+        v_out = lbs_apply(w, R_w, chain.pose.b_w[c], chain.vbar[c])
+        y = v_out @ np.swapaxes(R_g, 1, 2) + chain.global_trans[c, None, :]
     # data and edge-degeneracy terms on one component-major (3, V, n) copy
     y_cm = np.ascontiguousarray(y.transpose(2, 1, 0))
     data_args = (y_cm, ctx.targets[..., c], ctx.target_normals[..., c], ctx.faces,
@@ -372,6 +380,9 @@ def posed_chunk(chain: PosedChain, c: slice) -> None:
     grad += wt.w_edge * edge_grad
     # backward through the global transform and the skinning
     dLdy = np.ascontiguousarray(grad.transpose(2, 1, 0))
+    if rest:        # the pose blocks are frozen, so dLdvbar is the only output
+        chain.dLdvbar[c] = dLdy
+        return
     if chain.g_trans is not None:
         chain.g_trans[c] = dLdy.sum(axis=1)
     if chain.M_g is not None:
@@ -462,21 +473,29 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     skel = base.skeleton
     live = BLOCKS - frozen
     live_angles = "joint_angles" in live
+    # the pose frozen at zero without rest frames: skinning and the global
+    # transform are the identity bit for bit, so the chain skips them
+    rest = (POSE_BLOCKS <= frozen and skel.rest_rotations is None
+            and not (joint_angles.any() or global_rot.any() or global_trans.any()))
 
     # forward work batched over all scans, on the calling thread
     vbar = evaluate_unposed(model, alpha, beta)                    # (N, V, 3)
-    der = (pose_derivatives if live_angles else pose_transforms)(skel, alpha, joint_angles)
+    if rest:
+        der = R_g = None
+    else:
+        der = (pose_derivatives if live_angles else pose_transforms)(skel, alpha, joint_angles)
+        R_g = euler_xyz(global_rot)
 
     # the posed-scan chain per chunk of scans.  The joint sums
     # s_i = sum_v w_vi g_v feed the pivots, so alpha; with live angles they
     # are the last column of the moments [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T
     chain = PosedChain(
-        ctx, weights, base.skinning_weights, der, vbar, euler_xyz(global_rot), global_trans,
+        ctx, weights, base.skinning_weights, der, vbar, R_g, global_trans,
         values=np.empty((3, N)),
         g_trans=np.empty((N, 3)) if "global_trans" in live else None,
         M_g=np.empty((N, 3, 3)) if "global_rot" in live else None,
         moments=(np.empty((N, 4, 3, 4)) if live_angles
-                 else np.empty((N, 3, 4)) if "alpha" in live else None),
+                 else np.empty((N, 3, 4)) if "alpha" in live and not rest else None),
         dLdvbar=np.empty((N, V, 3)) if live & {"alpha", "beta", "phi"} else None)
     _run_chunks(chain, executor)
     vert_vals, norm_vals, edge_vals = chain.values
@@ -519,10 +538,11 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     if chain.dLdvbar is not None:
         dLdvbar = chain.dLdvbar.reshape(N, V * 3)
     if "alpha" in live:
-        g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
-        g["alpha"] = (dLdvbar @ phi.reshape(m, V * 3).T
-                      + np.einsum("njb,jbq->nq", g_pivot, skel.a)
-                      + weights.w_id_coeff * 2.0 * alpha)
+        g_alpha = dLdvbar @ phi.reshape(m, V * 3).T
+        if not rest:        # the pivot term: its Jacobian I - R is zero at rest
+            g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
+            g_alpha += np.einsum("njb,jbq->nq", g_pivot, skel.a)
+        g["alpha"] = g_alpha + weights.w_id_coeff * 2.0 * alpha
     if "beta" in live:
         g["beta"] = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
                      + weights.w_barrier_expr * bexpr_der)
@@ -568,14 +588,24 @@ class FitSchedule:
     freeze_pose: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidParam(f"iterations must be >= 1, got {self.iterations}")
+        # each test fails on NaN, and each float range stops short of infinity
+        for name, ok, rule in (
+                ("iterations", self.iterations >= 1, ">= 1"),
+                ("early_stop_window", self.early_stop_window >= 1, ">= 1"),
+                ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", 0 < self.eps < math.inf, "finite and > 0"),
+                ("early_stop_rel", 0 <= self.early_stop_rel < math.inf, "finite and >= 0"),
+                ("init_sigma", 0 < self.init_sigma < math.inf, "finite and > 0")):
+            if not ok:
+                raise InvalidParam(f"{name} must be {rule}, got {getattr(self, name)}")
 
     @property
     def frozen(self) -> frozenset[str]:
         """The blocks fit holds at their initial values."""
         return (frozenset({"beta"} if self.freeze_beta else ())
-                | (FREEZABLE - {"beta"} if self.freeze_pose else frozenset()))
+                | (POSE_BLOCKS if self.freeze_pose else frozenset()))
 
 
 @dataclass

@@ -25,7 +25,8 @@ from .mesh import QuadMesh
 from .model import BlendshapeModel
 from .modelio import load_model
 from .objio import obj_topology
-from .sampling import ExpressionLibrary, HairColorTable, PoseDistribution
+from .sampling import (ExpressionLibrary, HairColorTable, PoseDistribution,
+                       check_pose_acceptance)
 from .subdivision import catmull_clark_stencil
 
 DEFAULT_EYE_COLORS = ("brown", "dark_brown", "blue", "green", "hazel")
@@ -211,6 +212,8 @@ class AssetLibrary:
                     raise DataError(f"$.eyelid.{key} holds {bad}, outside the model's "
                                     f"expression range [0, {model.n_expression})")
             eye_params = EyeGeometryParams(**cfg.get("eye_geometry", {}))
+            pose = PoseDistribution(**cfg.get("pose", {}))
+            check_pose_acceptance(model.skeleton, pose)
             levels = cfg.get("subdivision_levels", 3)
             return cls(
                 root=root,
@@ -222,7 +225,7 @@ class AssetLibrary:
                 grooms=grooms,
                 hdrs=read_assets(read_hdr, hdrs),
                 hair_colors=hair_colors,
-                pose=PoseDistribution(**cfg.get("pose", {})),
+                pose=pose,
                 eyelid=eyelid,
                 camera=CameraConfig(**cfg.get("camera", {})),
                 render=RenderConfig(**cfg.get("render", {})),

@@ -8,6 +8,7 @@ callers split the seed per stream with split_seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .container import decode_json
 from .errors import (
+    DataError,
     EmptyLibrary,
     EmptyTable,
     IndexOutOfRange,
@@ -22,7 +24,7 @@ from .errors import (
     NonNormalizedTable,
     TableRenormalized,
 )
-from .model import Pose, Skeleton
+from .model import JOINT_NAMES, Pose, Skeleton
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,17 +95,59 @@ class PoseDistribution:
         object.__setattr__(self, "global_rot_std", gs)
 
 
+# the global-rotation truncation, and the lowest acceptance probability of
+# one axis that a pose distribution may have
+GLOBAL_ROT_BOUND = np.pi / 2
+MIN_ACCEPTANCE = 1e-6
+_JOINT_AXES = np.array([[f"joint {j!r} axis {k}" for k in range(3)] for j in JOINT_NAMES])
+_GLOBAL_AXES = np.array([f"global rotation axis {k}" for k in range(3)])
+
+
+def _acceptance(std: float, lo: float, hi: float) -> float:
+    """Probability that a N(0, std) draw lies in [lo, hi]: Phi(hi/std) -
+    Phi(lo/std), and for std = 0 one if 0 lies in [lo, hi], else zero."""
+    if std == 0:
+        return float(lo <= 0 <= hi)
+    s = std * math.sqrt(2.0)
+    return 0.5 * (math.erf(hi / s) - math.erf(lo / s))
+
+
+def check_pose_acceptance(skeleton: Skeleton, config: PoseDistribution) -> None:
+    """Every axis `sample_pose` draws must accept a draw with probability
+    at least MIN_ACCEPTANCE; a DataError names the first that does not."""
+    axes = [(f"$.pose.joint_std[{j}][{k}]", config.joint_std[j, k], *skeleton.limits[j, k])
+            for j in range(4) for k in range(3)]
+    axes += [(f"$.pose.global_rot_std[{k}]", config.global_rot_std[k],
+              -GLOBAL_ROT_BOUND, GLOBAL_ROT_BOUND) for k in range(3)]
+    for name, std, lo, hi in axes:
+        p = _acceptance(std, lo, hi)
+        if p < MIN_ACCEPTANCE:
+            raise DataError(f"{name} {std:g} on the limits [{lo:g}, {hi:g}] accepts "
+                            f"a draw with probability {p:.3g}, below {MIN_ACCEPTANCE:g}")
+
+
 def _truncated_normal(rng: np.random.Generator, std: np.ndarray,
-                      lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-axis rejection sampling of N(0, std) truncated to [lo, hi]."""
+                      lo: np.ndarray, hi: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """Per-axis rejection sampling of N(0, std) truncated to [lo, hi].  An
+    axis still pending after 100 rounds whose acceptance probability is
+    below MIN_ACCEPTANCE is an InvalidParam naming it from `names`."""
     out = np.zeros_like(std)
     degenerate = std <= 0
     pending = ~degenerate
+    rounds = 0
     while np.any(pending):
         draw = rng.standard_normal(out.shape) * std
         accept = pending & (draw >= lo) & (draw <= hi)
         out[accept] = draw[accept]
         pending &= ~accept
+        rounds += 1
+        if rounds == 100:
+            for i in zip(*np.nonzero(pending)):
+                p = _acceptance(std[i], lo[i], hi[i])
+                if p < MIN_ACCEPTANCE:
+                    raise InvalidParam(
+                        f"{names[i]}: N(0, {std[i]:g}) truncated to [{lo[i]:g}, {hi[i]:g}] "
+                        f"accepts a draw with probability {p:.3g}, below {MIN_ACCEPTANCE:g}")
     return out
 
 
@@ -114,9 +158,9 @@ def sample_pose(skeleton: Skeleton, config: PoseDistribution | None = None,
     rng = np.random.default_rng(rng)
     lo = skeleton.limits[..., 0]
     hi = skeleton.limits[..., 1]
-    joint = _truncated_normal(rng, config.joint_std, lo, hi)
-    grot = _truncated_normal(rng, config.global_rot_std,
-                             np.full(3, -np.pi / 2), np.full(3, np.pi / 2))
+    joint = _truncated_normal(rng, config.joint_std, lo, hi, _JOINT_AXES)
+    grot = _truncated_normal(rng, config.global_rot_std, np.full(3, -GLOBAL_ROT_BOUND),
+                             np.full(3, GLOBAL_ROT_BOUND), _GLOBAL_AXES)
     return Pose(joint_angles=joint, global_rot=grot, global_trans=np.zeros(3))
 
 

@@ -23,6 +23,10 @@ from scipy import sparse
 from .errors import InvalidParam
 from .mesh import MeshConnectivity, QuadMesh, build_connectivity, gather_matrix
 
+# the most quads a subdivision may make.  Six levels of the 120-quad desk
+# head, 491,520 quads, build a 7.6M-entry stencil at a peak of 270 MB.
+MAX_QUADS = 1 << 20
+
 
 def subdivide_catmull_clark(mesh: QuadMesh, levels: int) -> QuadMesh:
     """Apply `levels` rounds of Catmull-Clark subdivision (levels >= 0)."""
@@ -39,10 +43,16 @@ def catmull_clark_stencil(mesh: QuadMesh, levels: int
     Returns (S, quads, uvs): S is the (V_L, V_0) CSR matrix with
     `S @ mesh.vertices` the subdivided vertices, quads the (4^L F, 4)
     subdivided quads, and uvs the refined per-corner UVs (None when the
-    mesh has none).  The vertex positions of `mesh` are not used.
+    mesh has none).  The vertex positions of `mesh` are not used.  More
+    than MAX_QUADS output quads is an InvalidParam, raised before any work.
     """
     if levels < 0:
         raise InvalidParam(f"subdivision levels must be >= 0, got {levels}")
+    # 4^11 quads per input quad already exceed the cap: no huge power is formed
+    F = len(mesh.quads)
+    if F << 2 * min(levels, 11) > MAX_QUADS:
+        raise InvalidParam(f"{levels} subdivision levels of {F} quads make "
+                           f"{F} * 4^{levels} quads, above the limit of 2^20")
     stencil = sparse.identity(mesh.n_vertices, format="csr")
     quads, uvs = mesh.quads, mesh.uvs
     level_mesh = mesh

@@ -9,16 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facegen import cli
+from facegen import cli, learning
 from facegen.cli import _FIT_CONFIG_SPEC, cli_main
-from facegen.container import load_container, save_container
+from facegen.container import decode_json, load_container, save_container
 from facegen.errors import DataError
 from facegen.hair import encode_groom, load_groom, save_hair_code
-from facegen.learning import FitSchedule
+from facegen.learning import FitSchedule, LossWeights
 from facegen.library import AssetLibrary
 from facegen.objio import load_obj, save_obj
 from facegen.poremap import read_pgm
-from facegen.procedural import quad_grid, smooth_vertex_fields
+from facegen.procedural import cube_mesh, desk_head, quad_grid, smooth_vertex_fields
 from facegen.mesh import QuadMesh
 
 
@@ -359,6 +359,16 @@ class TestFitCommand:
         fields = {f.name for f in dataclasses.fields(FitSchedule)}
         assert _FIT_CONFIG_SPEC["schedule"].keys() == fields
 
+    def test_readme_config_example_builds_weights_and_schedule(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### `fit` config (JSON)", 1)[1]
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        cfg = decode_json(json.loads(example), _FIT_CONFIG_SPEC)
+        assert cfg.keys() == {"weights", "schedule", "seed"}
+        assert LossWeights(**cfg["weights"]) == LossWeights()
+        schedule = FitSchedule(**cfg["schedule"])
+        assert schedule.frozen == learning.FREEZABLE
+
     def test_diverged_fit_exits_numeric(self, tmp_path, rng):
         grid = quad_grid(3, 4, spacing=0.05)
         scans_dir = tmp_path / "scans"
@@ -539,11 +549,13 @@ def _manifest_as_library(lib, monkeypatch):
     return _sample(lib, "model.json"), lib / "model.json"
 
 
-def _negative_levels(lib, monkeypatch):
-    from facegen.procedural import cube_mesh
-    save_obj(lib.parent / "cube.obj", cube_mesh())
-    return ["--out", str(lib.parent / "sub.obj"), "subdivide",
-            "--mesh", str(lib.parent / "cube.obj"), "--levels", "-1"], "got -1"
+def _subdivide_levels(make_mesh, levels, offending):
+    """`subdivide` of the mesh `make_mesh()` at `levels` levels."""
+    def case(lib, monkeypatch):
+        save_obj(lib.parent / "mesh.obj", make_mesh())
+        return ["--out", str(lib.parent / "sub.obj"), "subdivide",
+                "--mesh", str(lib.parent / "mesh.obj"), "--levels", levels], offending
+    return case
 
 
 MALFORMED = {
@@ -579,7 +591,11 @@ MALFORMED = {
     "expressions_of_wrong_kind": _config_case(
         lambda c: c.update(expression_library="gmm.json")),
     "manifest_not_utf8": _not_utf8,
-    "negative_subdivision_levels": _negative_levels,
+    "negative_subdivision_levels": _subdivide_levels(cube_mesh, "-1", "got -1"),
+    "subdivision_above_quad_cap": _subdivide_levels(lambda: desk_head().template, "9",
+                                                    "120 * 4^9 quads"),
+    "library_subdivision_above_quad_cap": _config_case(
+        lambda c: c.update(subdivision_levels=9)),
     "basis_size_zero": _fit(basis_size="0"),
     "pgm_width_not_integer": _pgm(b"P5\nx 2\n255\n" + bytes(4)),
     "pgm_maxval_not_integer": _pgm(b"P5\n2 2\n2.5\n" + bytes(4)),
@@ -595,6 +611,10 @@ MALFORMED = {
     "fit_config_unknown_init": _fit({"schedule": {"init": "zeros"}}),
     "fit_config_zero_iterations": _fit({"schedule": {"iterations": 0}}),
     "fit_config_negative_seed": _fit({"seed": -1}),
+    **{f"fit_config_{key}_{value}": _fit({"schedule": {key: value}}) for key, value in [
+        ("early_stop_window", -3), ("early_stop_window", 0), ("lr", -1), ("lr", 0),
+        ("beta1", -0.5), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0),
+        ("early_stop_rel", -1), ("init_sigma", 0)]},
     "scene_schema_failure": _export(lambda d: d.pop("hdr_id")),
     "scene_unknown_groom": _export(lambda d: d["grooms"]["scalp"].update(id="nope")),
     "scene_unknown_texture": _export(lambda d: d.update(texture_id="nope")),
@@ -687,6 +707,16 @@ def test_eyelid_id_out_of_range_names_config_and_key(demo_lib, tmp_path):
     _edit_json(lib / "library.json",
                lambda c: c.setdefault("eyelid", {}).update(lower_ids=[-1]))
     with pytest.raises(DataError, match=r"library\.json: \$\.eyelid\.lower_ids holds \[-1\]"):
+        AssetLibrary.load(lib / "library.json")
+
+
+@pytest.mark.parametrize("key, named", [("joint_std", r"joint_std\[0\]\[0\]"),
+                                        ("global_rot_std", r"global_rot_std\[0\]")])
+def test_hopeless_pose_std_names_config_and_key(demo_lib, tmp_path, key, named):
+    lib = tmp_path / "lib"
+    shutil.copytree(demo_lib.parent, lib)
+    _edit_json(lib / "library.json", lambda c: c.setdefault("pose", {}).update({key: 1e7}))
+    with pytest.raises(DataError, match=rf"library\.json: \$\.pose\.{named} 1e\+07 .* below 1e-06"):
         AssetLibrary.load(lib / "library.json")
 
 

@@ -27,7 +27,7 @@ from facegen.learning import (
     total_loss,
 )
 from facegen.mesh import QuadMesh, vertex_normals
-from facegen.model import ModelParams, Pose, evaluate_with_jacobian, param_layout
+from facegen.model import ModelParams, Pose, euler_xyz, evaluate_with_jacobian, param_layout
 from facegen.procedural import desk_head, quad_grid, smooth_vertex_fields
 
 from conftest import (
@@ -501,9 +501,10 @@ class TestLossContext:
         sched = FitSchedule(iterations=6, early_stop_window=100,
                             freeze_pose=True, freeze_beta=True)
         fit(scans, m=2, schedule=sched, base=base)
-        # one loss per iteration plus the final evaluation
+        # one loss per iteration plus the final evaluation, every one at the
+        # rest pose, so none of them skins
         assert _tally(calls, names) == {"evaluate_unposed": 7, "pose_derivatives": 0,
-                                        "lbs_apply": 7, "euler_xyz_grad": 0}
+                                        "lbs_apply": 0, "euler_xyz_grad": 0}
 
     def test_closing_loss_is_forward_only(self, rng, monkeypatch):
         names = ("pose_derivatives", "euler_xyz_grad", "lbs_apply", "lbs_adjoint")
@@ -802,3 +803,75 @@ class TestFrozenBlocks:
         assert d["final_loss"] == pytest.approx(sum(d["breakdown"].values()), rel=1e-12)
         assert d["final_loss"] != d["trajectory"][-1]
         assert d["trajectory"] == report.trajectory
+
+
+# every frozen set that holds the pose blocks
+REST_FROZEN_SETS = [learning.POSE_BLOCKS | extra for extra in (
+    set(), {"beta"}, {"alpha"}, {"phi"}, {"alpha", "beta"}, {"beta", "phi"},
+    {"alpha", "phi"}, {"alpha", "beta", "phi"})]
+POSE_WORK = ("pose_transforms", "pose_derivatives", "euler_xyz", "lbs_apply", "lbs_adjoint")
+
+
+class TestRestPose:
+    """A loss whose pose blocks are frozen at zero, on a skeleton without
+    rest frames, skips skinning and the global transform; the loss and the
+    gradients stay those of the full pose chain, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("frozen", REST_FROZEN_SETS, ids=_frozen_id)
+    def test_rest_call_is_the_posed_chain_bitwise(self, rng, monkeypatch, frozen, workers):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=6, with_pose=False)
+        assert not (theta.joint_angles.any() or theta.global_rot.any()
+                    or theta.global_trans.any())
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
+        ctx = LossContext.build(scans, base)
+        # the pose blocks live: the full chain, skinning included
+        posed = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+                           frozen=frozen - learning.POSE_BLOCKS)
+        calls = _count_calls(monkeypatch, POSE_WORK)
+        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx, frozen=frozen)
+        assert calls == []
+        assert res.total == posed.total
+        assert res.breakdown == posed.breakdown
+        assert res.scan_vertex_ms.tobytes() == posed.scan_vertex_ms.tobytes()
+        assert res.grads.keys() == posed.grads.keys() - learning.POSE_BLOCKS
+        for name, g in res.grads.items():
+            assert g.tobytes() == posed.grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("case", ["rest_rotations", "joint_angles", "global_rot",
+                                      "global_trans"])
+    def test_pose_chain_runs_off_rest(self, rng, monkeypatch, case):
+        base, scans, theta, phi = tiny_problem(rng, with_pose=False)
+        if case == "rest_rotations":
+            A = euler_xyz(0.3 * rng.standard_normal((4, 3)))
+            base = dataclasses.replace(
+                base, skeleton=dataclasses.replace(base.skeleton, rest_rotations=A))
+        else:
+            getattr(theta, case).flat[1] = 0.05
+        calls = _count_calls(monkeypatch, POSE_WORK)
+        total_loss(theta, phi, scans, LossWeights(), base, frozen=learning.FREEZABLE)
+        assert _tally(calls, POSE_WORK) == {"pose_transforms": 1, "pose_derivatives": 0,
+                                            "euler_xyz": 1, "lbs_apply": 1,
+                                            "lbs_adjoint": 1}
+
+
+class TestScheduleRanges:
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 0), ("early_stop_window", 0), ("early_stop_window", -3),
+        ("lr", 0.0), ("lr", -1.0), ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0),
+        ("eps", 0.0), ("early_stop_rel", -1e-7), ("init_sigma", 0.0),
+        *[(f, v) for f in ("lr", "beta1", "beta2", "eps", "early_stop_rel", "init_sigma")
+          for v in (np.nan, np.inf)]])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(InvalidParam, match=rf"^{field} must be .*, got {value}$"):
+            FitSchedule(**{field: value})
+
+    def test_range_edges_accepted(self):
+        FitSchedule(iterations=1, early_stop_window=1, beta1=0.0, beta2=0.0,
+                    early_stop_rel=0.0, lr=1e200, eps=1e-300, init_sigma=1e-300)
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf, -np.inf])
+    def test_bad_weight_named(self, value):
+        with pytest.raises(InvalidParam, match=r"^w_edge must be finite and nonnegative"):
+            LossWeights(w_edge=value)

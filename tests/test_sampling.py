@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, norm
 
 from facegen.errors import (
+    DataError,
     EmptyLibrary,
     IndexOutOfRange,
     InvalidParam,
@@ -15,6 +18,8 @@ from facegen.sampling import (
     HairColor,
     HairColorTable,
     PoseDistribution,
+    _acceptance,
+    check_pose_acceptance,
     gaze_eyelid_correction,
     sample_expression,
     sample_hair_color,
@@ -74,6 +79,48 @@ class TestSamplePose:
         limits[1, 0, 0] = np.nan
         with pytest.raises(InvalidParam):
             Skeleton(skel.t0, skel.a, limits)
+
+    def test_hopeless_axis_fails_fast_naming_it(self):
+        """A jaw limit 50 stds out accepts no draw in any time: the sampler
+        must say so, not loop."""
+        skel = desk_skeleton(m=2)
+        limits = skel.limits.copy()
+        limits[1, 0] = [0.5, 0.6]
+        skel = Skeleton(skel.t0, skel.a, limits)
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidParam, match=r"joint 'jaw' axis 0: .* below 1e-06"):
+            sample_pose(skel, PoseDistribution(joint_std=0.01), rng=0)
+        assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(DataError, match=r"\$\.pose\.joint_std\[1\]\[0\] 0\.01 "):
+            check_pose_acceptance(skel, PoseDistribution(joint_std=0.01))
+
+    def test_unlikely_axis_still_samples(self):
+        """An acceptance probability of about 1e-3 takes more than 100
+        rounds on most seeds, but is no reason to fail."""
+        skel = desk_skeleton(m=2)
+        limits = skel.limits.copy()
+        limits[1, 0] = [0.3, 0.6]
+        skel = Skeleton(skel.t0, skel.a, limits)
+        cfg = PoseDistribution(joint_std=0.1)
+        check_pose_acceptance(skel, cfg)
+        for seed in range(5):
+            pose = sample_pose(skel, cfg, rng=seed)
+            assert 0.3 <= pose.joint_angles[1, 0] <= 0.6
+
+    def test_huge_global_std_rejected(self):
+        with pytest.raises(DataError, match=r"\$\.pose\.global_rot_std\[0\] 1e\+07 "):
+            check_pose_acceptance(desk_skeleton(m=2), PoseDistribution(global_rot_std=1e7))
+
+    @pytest.mark.parametrize("std, lo, hi", [(0.1, -0.2, 0.3), (1.0, 0.5, 2.0),
+                                             (0.01, -0.6, -0.5), (3.0, -0.1, 0.1)])
+    def test_acceptance_is_the_normal_mass(self, std, lo, hi):
+        expected = norm.cdf(hi / std) - norm.cdf(lo / std)
+        assert _acceptance(std, lo, hi) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+    def test_acceptance_of_zero_std(self):
+        assert _acceptance(0.0, -0.1, 0.1) == 1.0
+        assert _acceptance(0.0, 0.0, 0.1) == 1.0
+        assert _acceptance(0.0, 0.1, 0.2) == 0.0
 
     def test_std_zero_gives_zero(self):
         skel = desk_skeleton(m=2)

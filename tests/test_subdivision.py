@@ -212,3 +212,19 @@ def test_negative_levels_are_invalid_param():
     from facegen.errors import InvalidParam
     with pytest.raises(InvalidParam, match="got -1"):
         catmull_clark_stencil(cube_mesh(), -1)
+
+
+def test_output_above_the_quad_cap_rejected_before_any_work(monkeypatch):
+    import facegen.subdivision as subdivision
+    from facegen.errors import InvalidParam
+    head = desk_head().template
+    assert head.n_quads == 120
+    for levels in (7, 9, 10 ** 9):
+        with pytest.raises(InvalidParam, match=r"above the limit of 2\^20"):
+            catmull_clark_stencil(head, levels)
+    # the cap counts output quads, F * 4^levels, and admits it exactly
+    monkeypatch.setattr(subdivision, "MAX_QUADS", 6 * 4 ** 2)
+    assert catmull_clark_stencil(cube_mesh(), 2)[1].shape == (6 * 4 ** 2, 4)
+    monkeypatch.setattr(subdivision, "build_connectivity", None)    # no work first
+    with pytest.raises(InvalidParam, match=r"6 \* 4\^3 quads"):
+        catmull_clark_stencil(cube_mesh(), 3)
