@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -37,6 +37,7 @@ from .mesh import (
     BlockOperator,
     FaceOperators,
     QuadMesh,
+    Workspace,
     build_connectivity,
     cross3,
     dot3,
@@ -165,6 +166,7 @@ class LossContext:
     component-major, (3, V, N), in canonical scan order."""
 
     scans: ScanSet                    # the scans it was built from
+    template: np.ndarray              # (V, 3) the base template vertices it was built from
     faces: FaceOperators              # normal forward/adjoint operators
     incidence: BlockOperator          # (E, V) vertices to edge vectors
     laplacian: sparse.csr_matrix      # (V, V) uniform Laplacian L
@@ -188,6 +190,7 @@ class LossContext:
         targets = np.ascontiguousarray(scans.vertices[order].transpose(2, 1, 0))
         return cls(
             scans=scans,
+            template=base.template.vertices,
             faces=faces,
             incidence=incidence,
             laplacian=laplacian,
@@ -202,43 +205,62 @@ class LossContext:
 
 
 def _data_term(y: np.ndarray, targets: np.ndarray, target_normals: np.ndarray,
-               faces: FaceOperators, w_vertex: float, w_normal: float, grad: bool = True
+               faces: FaceOperators, w_vertex: float, w_normal: float, grad: bool = True,
+               ws: Workspace | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Vertex and normal data terms of component-major (3, V, *batch) positions y.
 
     Returns (per-mesh mean ||y - t||^2 (*batch), per-mesh mean (1 - cos
     angle) between generated and target normals (*batch), gradient of the
-    weighted sum of both w.r.t. y, None unless `grad`).  Degenerate faces
-    and zero-normal vertices contribute value 1 with zero gradient.
+    weighted sum of both w.r.t. y, None unless `grad`); the gradient is
+    taken from `ws`.  Degenerate faces and zero-normal vertices contribute
+    value 1 with zero gradient.
     """
-    V = y.shape[1]
-    diff = y - targets
-    # summed vertex by vertex, each over its x, y, z, as in the (V, 3) layout
-    sq = (diff * diff).swapaxes(0, 1).reshape(3 * V, -1)
-    vert_vals = sq.sum(axis=0).reshape(y.shape[2:]) / V
-    fwd = normals_forward(y, faces)
-    n, nhat = fwd.vertex, fwd.face
-    norm_vals = 1.0 - dot3(n, target_normals).mean(axis=0)
-    if not grad:
-        return vert_vals, norm_vals, None
+    ws = ws or Workspace()
+    V, batch = y.shape[1], y.shape[2:]
+    out = ws.take(*y.shape) if grad else None
+    with ws:
+        diff = np.subtract(y, targets, out=ws.take(*y.shape))
+        with ws:
+            # summed vertex by vertex, each over its x, y, z, as in the (V, 3) layout
+            sq = ws.take(V, 3, *batch)
+            np.multiply(diff.swapaxes(0, 1), diff.swapaxes(0, 1), out=sq)
+            vert_vals = sq.reshape(3 * V, -1).sum(axis=0).reshape(batch) / V
+        fwd = normals_forward(y, faces, ws)
+        n, nhat = fwd.vertex, fwd.face
+        with ws:
+            norm_vals = 1.0 - dot3(n, target_normals, ws).mean(axis=0)
+        if not grad:
+            return vert_vals, norm_vals, None
 
-    # adjoint of the normals: d/dn of sum_v (1 - n.c)/V is -c/V
-    g_m = _normalize_adjoint(target_normals / -V, n, fwd.vertex_inv)
-    g_u = _normalize_adjoint(faces.accum.apply_adjoint(g_m), nhat, fwd.face_inv)
-    grad = faces.diag_p.apply_adjoint(cross3(fwd.r, g_u))
-    grad += faces.diag_r.apply_adjoint(cross3(g_u, fwd.p))
-    grad *= w_normal
-    diff *= w_vertex * (2.0 / V)
-    grad += diff
-    return vert_vals, norm_vals, grad
+        # adjoint of the normals: d/dn of sum_v (1 - n.c)/V is -c/V
+        g_m = _normalize_adjoint(np.divide(target_normals, -V, out=ws.take(*y.shape)),
+                                 n, fwd.vertex_inv, ws)
+        g_u = _normalize_adjoint(faces.accum.apply_adjoint(g_m, ws.take(*nhat.shape)),
+                                 nhat, fwd.face_inv, ws)
+        with ws:
+            faces.scatter_p(cross3(fwd.r, g_u, ws), out)
+        # the second cross product takes the first one's memory, and its
+        # adjoint g_m's, which is dead
+        with ws:
+            out += faces.scatter_r(cross3(g_u, fwd.p, ws), g_m)
+        out *= w_normal
+        diff *= w_vertex * (2.0 / V)
+        out += diff
+    return vert_vals, norm_vals, out
 
 
-def _normalize_adjoint(g: np.ndarray, unit: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Adjoint of x -> x / |x| at x = unit / inv: (g - unit (unit . g)) * inv."""
-    out = unit * dot3(unit, g)
-    np.subtract(g, out, out=out)
-    out *= inv
-    return out
+def _normalize_adjoint(g: np.ndarray, unit: np.ndarray, inv: np.ndarray,
+                       ws: Workspace) -> np.ndarray:
+    """Adjoint of x -> x / |x| at x = unit / inv, in place on g and
+    returned: (g - unit (unit . g)) * inv."""
+    with ws:
+        dot = dot3(unit, g, ws)
+        tmp = ws.take(*dot.shape)
+        for i in range(3):
+            g[i] -= np.multiply(unit[i], dot, out=tmp)
+    g *= inv
+    return g
 
 
 def data_term(generated: np.ndarray, target: QuadMesh,
@@ -286,12 +308,34 @@ def _scan_chunks(n_scans: int, n_vertices: int, workers: int = 1) -> list[slice]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _chunk_workers(n_scans: int, n_vertices: int) -> tuple[list[slice], int]:
-    """A loss's chunks of scans and the threads that run them: one per CPU,
-    at most one per chunk."""
-    cpus = _cpu_count()
-    chunks = _scan_chunks(n_scans, n_vertices, cpus)
-    return chunks, min(len(chunks), cpus)
+@dataclass(frozen=True)
+class LossPlan:
+    """How the losses of one fit run: their context, the chunks of scans
+    and one workspace per worker slot.  Slot k runs chunks k, k + workers,
+    ... in turn, slot 0 on the calling thread, which also takes the loss's
+    per-scan arrays from it; so no two threads share a workspace.  A plan
+    kept from loss to loss, as fit keeps one, lets every loss after the
+    first take its arrays from the buffers the first one sized.  A plan
+    serves one loss at a time: two losses running at once on one plan
+    would write into the same buffers, so each thread that runs losses
+    of its own needs a plan of its own."""
+
+    ctx: LossContext
+    chunks: tuple[slice, ...]
+    slots: tuple[Workspace, ...]      # one per worker
+
+    @classmethod
+    def build(cls, ctx: LossContext) -> "LossPlan":
+        """The chunks of ctx's scans and one workspace per thread that runs
+        them: one per CPU, at most one per chunk."""
+        cpus = _cpu_count()
+        chunks = _scan_chunks(ctx.scans.n_scans, ctx.scans.n_vertices, cpus)
+        return cls(ctx, tuple(chunks),
+                   tuple(Workspace() for _ in range(min(len(chunks), cpus))))
+
+    @property
+    def workers(self) -> int:
+        return len(self.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +377,9 @@ class PosedChain:
     and the per-scan arrays its chunks fill, each chunk its own rows.  An
     output the loss does not need is None; with none, a chunk runs the
     forward half only.  `pose` and `R_g` are None at the rest pose, where
-    skinning and the global transform return every vertex unchanged."""
+    skinning and the global transform return every vertex unchanged.
+    `dLdvbar` may be `vbar` itself: a chunk writes its rows of the
+    gradient after its last read of its rows of vbar."""
 
     ctx: LossContext
     weights: LossWeights
@@ -353,82 +399,99 @@ class PosedChain:
         return any(a is not None for a in (self.g_trans, self.M_g, self.moments, self.dLdvbar))
 
 
-def posed_chunk(chain: PosedChain, c: slice) -> None:
+def posed_chunk(chain: PosedChain, c: slice, ws: Workspace) -> None:
     """The posed-scan chain of the scans in chunk `c`: skinning, the global
     transform and the data and edge terms, then the gradient back through
-    them into the outputs `chain` holds."""
+    them into the outputs `chain` holds.  Its arrays are taken from `ws`,
+    in a frame the caller opens."""
     ctx, wt, w = chain.ctx, chain.weights, chain.skinning
     rest = chain.pose is None
+    vbar = chain.vbar[c]
+    # data and edge-degeneracy terms on one component-major (3, V, n) copy
+    y_cm = ws.take(*vbar.shape[::-1])
     if rest:
-        y = chain.vbar[c]
+        np.copyto(y_cm, vbar.transpose(2, 1, 0))
     else:
         R_w, R_g = chain.pose.R_w[c], chain.R_g[c]
-        v_out = lbs_apply(w, R_w, chain.pose.b_w[c], chain.vbar[c])
-        y = v_out @ np.swapaxes(R_g, 1, 2) + chain.global_trans[c, None, :]
-    # data and edge-degeneracy terms on one component-major (3, V, n) copy
-    y_cm = np.ascontiguousarray(y.transpose(2, 1, 0))
+        v_out = lbs_apply(w, R_w, chain.pose.b_w[c], vbar, ws)
+        with ws:
+            y = np.matmul(v_out, np.swapaxes(R_g, 1, 2), out=ws.take(*v_out.shape))
+            y += chain.global_trans[c, None, :]
+            np.copyto(y_cm, y.transpose(2, 1, 0))
     data_args = (y_cm, ctx.targets[..., c], ctx.target_normals[..., c], ctx.faces,
                  wt.w_vertex, wt.w_normal)
     edge_args = (y_cm, ctx.ref_edge_lengths, ctx.incidence)
     vals = chain.values
     if not chain.backward:
-        vals[0, c], vals[1, c], _ = _data_term(*data_args, grad=False)
-        vals[2, c], _ = edge_length_energy(*edge_args, grad=False)
+        vals[0, c], vals[1, c], _ = _data_term(*data_args, grad=False, ws=ws)
+        vals[2, c], _ = edge_length_energy(*edge_args, grad=False, ws=ws)
         return
-    vals[0, c], vals[1, c], grad = _data_term(*data_args)
-    vals[2, c], edge_grad = edge_length_energy(*edge_args)
-    grad += wt.w_edge * edge_grad
+    vals[0, c], vals[1, c], grad = _data_term(*data_args, ws=ws)
+    vals[2, c], edge_grad = edge_length_energy(*edge_args, ws=ws)
+    edge_grad *= wt.w_edge
+    grad += edge_grad
     # backward through the global transform and the skinning
-    dLdy = np.ascontiguousarray(grad.transpose(2, 1, 0))
     if rest:        # the pose blocks are frozen, so dLdvbar is the only output
-        chain.dLdvbar[c] = dLdy
+        chain.dLdvbar[c] = grad.transpose(2, 1, 0)
         return
+    dLdy = ws.take(*grad.shape[::-1])
+    np.copyto(dLdy, grad.transpose(2, 1, 0))
     if chain.g_trans is not None:
         chain.g_trans[c] = dLdy.sum(axis=1)
     if chain.M_g is not None:
         chain.M_g[c] = np.swapaxes(dLdy, 1, 2) @ v_out
-    dLdv_out = dLdy @ R_g
+    dLdv_out = np.matmul(dLdy, R_g, out=ws.take(*dLdy.shape))
     if chain.moments is not None:
-        # per joint one batched GEMM of the weighted gradient rows
-        g_t = np.ascontiguousarray(np.swapaxes(dLdv_out, 1, 2))
-        if chain.moments.ndim == 4:      # live angles: [M_i | s_i]
-            vbar = chain.vbar[c]
-            vbar1 = np.concatenate([vbar, np.ones(vbar.shape[:2] + (1,))], axis=2)
-            chain.moments[c] = np.stack([(g_t * w_i) @ vbar1 for w_i in w.T], axis=1)
-        else:
-            chain.moments[c] = g_t @ w
+        with ws:
+            # per joint one batched GEMM of the weighted gradient rows
+            g_t = ws.take(*np.swapaxes(dLdv_out, 1, 2).shape)
+            np.copyto(g_t, np.swapaxes(dLdv_out, 1, 2))
+            if chain.moments.ndim == 4:      # live angles: [M_i | s_i]
+                vbar1 = ws.take(*vbar.shape[:2], 4)
+                vbar1[..., :3] = vbar
+                vbar1[..., 3] = 1.0
+                g_w = ws.take(*g_t.shape)
+                chain.moments[c] = np.stack(
+                    [np.multiply(g_t, w_i, out=g_w) @ vbar1 for w_i in w.T], axis=1)
+            else:
+                chain.moments[c] = g_t @ w
     if chain.dLdvbar is not None:
-        chain.dLdvbar[c] = lbs_adjoint(w, R_w, dLdv_out)
+        with ws:
+            chain.dLdvbar[c] = lbs_adjoint(w, R_w, dLdv_out, ws)
 
 
-def _run_chunks(chain: PosedChain, executor: ThreadPoolExecutor | None) -> None:
-    """posed_chunk over every chunk of the chain's scans.  With more than one
-    worker the calling thread takes every workers-th chunk itself (one
-    thread fewer to start, and one malloc arena fewer to hold a chunk's
-    temporaries) and `executor` the others; without an executor this call
-    opens one of its own."""
+def _run_chunks(chain: PosedChain, plan: LossPlan,
+                executor: ThreadPoolExecutor | None) -> None:
+    """posed_chunk over every chunk of the plan, each worker slot's chunks
+    in turn in its workspace: slot 0 on the calling thread (one thread
+    fewer to start, and one malloc arena fewer) and each other slot as one
+    task of `executor`; without an executor this call opens one of its own."""
     err = np.geterr()       # numpy's error state is per thread: pass the caller's on
 
-    def run(c):
+    def run(k):
+        ws = plan.slots[k]
         with np.errstate(**err):
-            posed_chunk(chain, c)
+            for c in plan.chunks[k::plan.workers]:
+                with ws:        # a chunk's arrays die with it
+                    posed_chunk(chain, c, ws)
 
-    chunks, workers = _chunk_workers(*chain.vbar.shape[:2])
-    if workers == 1:
-        for c in chunks:
-            run(c)
+    if plan.workers == 1:
+        run(0)
         return
     with (nullcontext(executor) if executor is not None
-          else ThreadPoolExecutor(workers - 1)) as pool:
-        others = pool.map(run, [c for i, c in enumerate(chunks) if i % workers])
-        for c in chunks[::workers]:
-            run(c)
-        list(others)
+          else ThreadPoolExecutor(plan.workers - 1)) as pool:
+        others = [pool.submit(run, k) for k in range(1, plan.workers)]
+        try:
+            run(0)
+        finally:
+            wait(others)    # no slot outlives the loss whose arrays it writes
+        for task in others:
+            task.result()
 
 
 def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
                scans: ScanSet, weights: LossWeights,
-               base: BlendshapeModel, ctx: LossContext | None = None,
+               base: BlendshapeModel, plan: LossPlan | None = None,
                frozen: frozenset[str] = frozenset(),
                executor: ThreadPoolExecutor | None = None) -> LossResult:
     """Full learning loss and analytic gradients for every parameter block
@@ -437,10 +500,14 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
 
     `base` supplies template, expression basis, skeleton and skinning
     weights (all held fixed); `phi` is the identity basis being learned.
-    `ctx` is `LossContext.build(scans, base)`, built here when not given.
+    `plan` is `LossPlan.build(LossContext.build(scans, base))`, made here
+    when not given; a caller that runs many losses keeps one, as fit does,
+    so that its losses reuse their arrays.  A plan serves one loss at a
+    time: its workspaces hold the arrays of the loss that runs on it.
     `executor` runs chunks of scans beside the calling thread (fit passes
     the one it keeps for the fit); a call without one that has more than
-    one worker opens its own.
+    one worker opens its own.  No returned array shares memory with the
+    plan.
     """
     phi = np.asarray(phi, dtype=np.float64)
     N = scans.n_scans
@@ -448,18 +515,25 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     m = phi.shape[0]
     if phi.shape[1:] != (V, 3):
         raise DimensionMismatch(f"phi must be (m, {V}, 3), got {phi.shape}")
+    if base.skeleton.n_identity != m:
+        raise DimensionMismatch(
+            f"skeleton identity offsets expect m={base.skeleton.n_identity}, phi has m={m}")
     if thetas.alpha.shape != (N, m):
         raise DimensionMismatch(
             f"alpha blocks {thetas.alpha.shape} inconsistent with (N={N}, m={m})")
     if not BLOCKS.issuperset(frozen):
         raise InvalidParam(f"frozen blocks {sorted(frozen)} not all in {sorted(BLOCKS)}")
-    if ctx is None:
-        ctx = LossContext.build(scans, base)
-    elif ctx.scans is not scans and (
+    if plan is None:
+        plan = LossPlan.build(LossContext.build(scans, base))
+    ctx = plan.ctx
+    if ctx.scans is not scans and (
             ctx.scans.ids != scans.ids
             or not np.array_equal(ctx.scans.vertices, scans.vertices)
             or not np.array_equal(ctx.scans.quads, scans.quads)):
         raise DimensionMismatch("loss context was built from a different scan set")
+    if (ctx.template is not base.template.vertices
+            and not np.array_equal(ctx.template, base.template.vertices)):
+        raise DimensionMismatch("loss context was built from a different base template")
 
     # canonical scan order: every reduction below runs in sorted-id order
     order, inv_order = ctx.order, ctx.inv_order
@@ -469,7 +543,6 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     global_rot = thetas.global_rot[order]
     global_trans = thetas.global_trans[order]
 
-    model = replace(base, identity_basis=phi)
     skel = base.skeleton
     live = BLOCKS - frozen
     live_angles = "joint_angles" in live
@@ -477,32 +550,6 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     # transform are the identity bit for bit, so the chain skips them
     rest = (POSE_BLOCKS <= frozen and skel.rest_rotations is None
             and not (joint_angles.any() or global_rot.any() or global_trans.any()))
-
-    # forward work batched over all scans, on the calling thread
-    vbar = evaluate_unposed(model, alpha, beta)                    # (N, V, 3)
-    if rest:
-        der = R_g = None
-    else:
-        der = (pose_derivatives if live_angles else pose_transforms)(skel, alpha, joint_angles)
-        R_g = euler_xyz(global_rot)
-
-    # the posed-scan chain per chunk of scans.  The joint sums
-    # s_i = sum_v w_vi g_v feed the pivots, so alpha; with live angles they
-    # are the last column of the moments [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T
-    chain = PosedChain(
-        ctx, weights, base.skinning_weights, der, vbar, R_g, global_trans,
-        values=np.empty((3, N)),
-        g_trans=np.empty((N, 3)) if "global_trans" in live else None,
-        M_g=np.empty((N, 3, 3)) if "global_rot" in live else None,
-        moments=(np.empty((N, 4, 3, 4)) if live_angles
-                 else np.empty((N, 3, 4)) if "alpha" in live and not rest else None),
-        dLdvbar=np.empty((N, V, 3)) if live & {"alpha", "beta", "phi"} else None)
-    _run_chunks(chain, executor)
-    vert_vals, norm_vals, edge_vals = chain.values
-
-    term_vertex = weights.w_vertex * float(vert_vals.sum())
-    term_normal = weights.w_normal * float(norm_vals.sum())
-    term_edge = weights.w_edge * float(edge_vals.sum())
 
     # barriers
     bexpr_val, bexpr_der = _barrier4(beta, 0.0, 1.0)
@@ -514,44 +561,86 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     # priors
     term_id_coeff = weights.w_id_coeff * float(np.einsum("nq,nq->", alpha, alpha))
     term_id_basis = weights.w_id_basis * float(np.einsum("qva,qva->", phi, phi))
-    phi_flat = phi.transpose(1, 0, 2).reshape(V, m * 3)
-    lap_phi = ctx.laplacian @ phi_flat
-    term_lap = weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
+
+    # the loss's per-scan arrays live in slot 0's workspace until the
+    # gradients are out of them
+    ws = plan.slots[0]
+    with ws:
+        # forward work batched over all scans, on the calling thread
+        vbar = evaluate_unposed(base, alpha, beta, identity_basis=phi, ws=ws)   # (N, V, 3)
+        if rest:
+            der = R_g = None
+        else:
+            der = (pose_derivatives if live_angles else pose_transforms)(skel, alpha, joint_angles)
+            R_g = euler_xyz(global_rot)
+
+        # the posed-scan chain per chunk of scans.  The joint sums
+        # s_i = sum_v w_vi g_v feed the pivots, so alpha; with live angles they
+        # are the last column of the moments [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T
+        chain = PosedChain(
+            ctx, weights, base.skinning_weights, der, vbar, R_g, global_trans,
+            values=ws.take(3, N),
+            g_trans=ws.take(N, 3) if "global_trans" in live else None,
+            M_g=ws.take(N, 3, 3) if "global_rot" in live else None,
+            moments=(ws.take(N, 4, 3, 4) if live_angles
+                     else ws.take(N, 3, 4) if "alpha" in live and not rest else None),
+            # each chunk writes its rows of dL/dvbar last, when it has read
+            # those of vbar for good: so they share memory
+            dLdvbar=vbar if live & {"alpha", "beta", "phi"} else None)
+        _run_chunks(chain, plan, executor)
+        vert_vals, norm_vals, edge_vals = chain.values
+        term_vertex = weights.w_vertex * float(vert_vals.sum())
+        term_normal = weights.w_normal * float(norm_vals.sum())
+        term_edge = weights.w_edge * float(edge_vals.sum())
+        scan_vertex_ms = vert_vals[inv_order]
+
+        # the Laplacian prior, on memory the chunks have given back
+        phi_flat = ws.take(V, m, 3)
+        np.copyto(phi_flat, phi.transpose(1, 0, 2))
+        phi_flat = phi_flat.reshape(V, m * 3)
+        lap_phi = ctx.laplacian @ phi_flat
+        term_lap = weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
+        del lap_phi         # its memory serves the gradient
+
+        # ---- backward of the live blocks, in canonical order --------------
+        g = {}
+        if "global_trans" in live:
+            g["global_trans"] = chain.g_trans
+        if "global_rot" in live:
+            g["global_rot"] = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), chain.M_g)
+                               + weights.w_barrier_pose * bglob_der)
+        if live_angles:
+            M, s = chain.moments[..., :3], chain.moments[..., 3]
+            g["joint_angles"] = (np.einsum("nijkab,niab->njk", der.dR_w, M)
+                                 + np.einsum("nijka,nia->njk", der.db_w, s)
+                                 + weights.w_barrier_pose * bpose_der)
+        elif chain.moments is not None:
+            s = np.swapaxes(chain.moments, 1, 2)
+        if chain.dLdvbar is not None:
+            dLdvbar = chain.dLdvbar.reshape(N, V * 3)
+        if "alpha" in live:
+            g_alpha = dLdvbar @ phi.reshape(m, V * 3).T
+            if not rest:        # the pivot term: its Jacobian I - R is zero at rest
+                g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
+                g_alpha += np.einsum("njb,jbq->nq", g_pivot, skel.a)
+            g["alpha"] = g_alpha + weights.w_id_coeff * 2.0 * alpha
+        if "beta" in live:
+            g["beta"] = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
+                         + weights.w_barrier_expr * bexpr_der)
+        if "phi" in live:
+            # (alpha^T dL/dvbar + 2 w_b phi) + 2 w_l L^T L phi, summed in place
+            g_phi = (alpha.T @ dLdvbar).reshape(m, V, 3)
+            g_phi += np.multiply(weights.w_id_basis * 2.0, phi, out=ws.take(m, V, 3))
+            lap_gram_phi = ctx.lap_gram @ phi_flat
+            lap_gram_phi *= weights.w_laplacian * 2.0
+            g_phi += lap_gram_phi.reshape(V, m, 3).transpose(1, 0, 2)
+            g["phi"] = g_phi
+        # phi is shared; the per-scan blocks go back to input order, as copies
+        grads = {k: g[k] if k == "phi" else g[k][inv_order]
+                 for k in ("phi", *thetas.as_dict()) if k in g}
 
     total = (term_vertex + term_normal + term_bexpr + term_bpose
              + term_id_coeff + term_id_basis + term_lap + term_edge)
-
-    # ---- backward of the live blocks, in canonical order --------------
-    g = {}
-    if "global_trans" in live:
-        g["global_trans"] = chain.g_trans
-    if "global_rot" in live:
-        g["global_rot"] = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), chain.M_g)
-                           + weights.w_barrier_pose * bglob_der)
-    if live_angles:
-        M, s = chain.moments[..., :3], chain.moments[..., 3]
-        g["joint_angles"] = (np.einsum("nijkab,niab->njk", der.dR_w, M)
-                             + np.einsum("nijka,nia->njk", der.db_w, s)
-                             + weights.w_barrier_pose * bpose_der)
-    elif chain.moments is not None:
-        s = np.swapaxes(chain.moments, 1, 2)
-    if chain.dLdvbar is not None:
-        dLdvbar = chain.dLdvbar.reshape(N, V * 3)
-    if "alpha" in live:
-        g_alpha = dLdvbar @ phi.reshape(m, V * 3).T
-        if not rest:        # the pivot term: its Jacobian I - R is zero at rest
-            g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
-            g_alpha += np.einsum("njb,jbq->nq", g_pivot, skel.a)
-        g["alpha"] = g_alpha + weights.w_id_coeff * 2.0 * alpha
-    if "beta" in live:
-        g["beta"] = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
-                     + weights.w_barrier_expr * bexpr_der)
-    if "phi" in live:
-        g["phi"] = ((alpha.T @ dLdvbar).reshape(m, V, 3)
-                    + weights.w_id_basis * 2.0 * phi
-                    + weights.w_laplacian * 2.0
-                    * (ctx.lap_gram @ phi_flat).reshape(V, m, 3).transpose(1, 0, 2))
-
     breakdown = {
         "data_vertex": term_vertex,
         "data_normal": term_normal,
@@ -562,11 +651,8 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
         "laplacian": term_lap,
         "edge": term_edge,
     }
-    # phi is shared; the per-scan blocks go back to input order
-    grads = {k: g[k] if k == "phi" else g[k][inv_order]
-             for k in ("phi", *thetas.as_dict()) if k in g}
     return LossResult(total=float(total), breakdown=breakdown, grads=grads,
-                      scan_vertex_ms=vert_vals[inv_order])
+                      scan_vertex_ms=scan_vertex_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +767,7 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
         raise DimensionMismatch(
             f"base model expects m={base.n_identity}, fit called with m={m}")
 
-    ctx = LossContext.build(scans, base)
+    plan = LossPlan.build(LossContext.build(scans, base))
     phi = _init_phi(scans, base.template.vertices, m, schedule, rng)
     theta = ThetaBlocks.zeros(scans.n_scans, m, base.n_expression)
 
@@ -690,14 +776,14 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     trajectory: list[float] = []
     term_trajectory: list[dict[str, float]] = []
     stopped_early = False
-    workers = _chunk_workers(scans.n_scans, scans.n_vertices)[1]
     # one executor for every loss of the fit, shut down when fit returns or raises
-    with (ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()) as executor:
+    with (ThreadPoolExecutor(plan.workers - 1) if plan.workers > 1
+          else nullcontext()) as executor:
         t0 = time.perf_counter()
         for it in range(schedule.iterations):
             theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-            res = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
-                             frozen=schedule.frozen, executor=executor)
+            res = total_loss(theta, params["phi"], scans, weights, base,
+                             frozen=schedule.frozen, executor=executor, plan=plan)
             if not np.isfinite(res.total):
                 raise Diverged(it)
             trajectory.append(res.total)
@@ -714,8 +800,8 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
 
         # the loss of the returned parameters: its values only
         theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-        final = total_loss(theta, params["phi"], scans, weights, base, ctx=ctx,
-                           frozen=BLOCKS, executor=executor)
+        final = total_loss(theta, params["phi"], scans, weights, base,
+                           frozen=BLOCKS, executor=executor, plan=plan)
     if not np.isfinite(final.total):
         raise Diverged(len(trajectory))
     model = replace(base, identity_basis=params["phi"])

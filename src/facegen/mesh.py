@@ -3,7 +3,8 @@ the model learner (normals, uniform Laplacian, edge-length energy).
 
 Vertices are float64 meters throughout; indices are int64.  Meshes are
 immutable after construction and every operation here is a pure function,
-so concurrent evaluation is safe.
+so concurrent evaluation is safe as long as no two threads share a
+`Workspace`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import (
     DegenerateQuad,
@@ -175,17 +177,72 @@ def _kron3(a: sparse.csr_matrix) -> sparse.csr_matrix:
         shape=(3 * R, 3 * C))
 
 
-def _block_apply(block: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Scratch arrays for one thread, taken in stack order from one kept
+    buffer.  `with ws:` opens a frame: the arrays taken inside it die when
+    it closes, and their memory serves the next take.  A take that does
+    not fit the buffer is a fresh array; when a frame opens with no array
+    live, the buffer first grows to the deepest stack seen, so that the
+    arrays of the call that sized it are gone before it is allocated.  So
+    a workspace kept across calls stops allocating after its first call,
+    and one made for a single call allocates like plain numpy code."""
+
+    _ALIGN = 8      # words: takes start whole 64-byte lines apart
+
+    def __init__(self):
+        self._buf = np.empty(0)
+        self._top = 0           # words taken by the open frames
+        self._peak = 0          # the most words ever taken at once
+        self._frames: list[int] = []
+
+    def __enter__(self) -> "Workspace":
+        if not self._top and self._peak > self._buf.size:
+            self._buf = np.empty(self._peak)
+        self._frames.append(self._top)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._top = self._frames.pop()
+
+    def take(self, *shape: int) -> np.ndarray:
+        """An uninitialized C-ordered float64 array of `shape`, live until
+        the frame it was taken in closes."""
+        size = math.prod(shape)
+        start = self._top
+        self._top = top = start - (-size // self._ALIGN) * self._ALIGN
+        if top > self._peak:
+            self._peak = top
+        if top > self._buf.size:
+            return np.empty(shape)
+        return self._buf[start:start + size].reshape(shape)
+
+
+def _block_apply(block: sparse.csr_matrix, x: np.ndarray,
+                 out: np.ndarray | None) -> np.ndarray:
+    """`block @ x` on the free (3C, -1) view of x, written into `out`
+    (a fresh array when None).  scipy's `@` zeroes an output and runs its
+    csr_matvecs kernel on it; this does the same on `out`, so the bits are
+    those of `@`, without the array `@` would allocate."""
     # the batch size in full: -1 is undetermined when the operator has no columns
-    rows = x.reshape(block.shape[1], math.prod(x.shape[2:]))
-    return (block @ rows).reshape(3, -1, *x.shape[2:])
+    n = math.prod(x.shape[2:])
+    shape = (3, block.shape[0] // 3, *x.shape[2:])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered {shape} array")
+    rows = np.ascontiguousarray(x, dtype=np.float64).reshape(block.shape[1], n)
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(block.shape[0], block.shape[1], n, block.indptr,
+                             block.indices, block.data, rows.ravel(), out.reshape(-1))
+    return out
 
 
 class BlockOperator(NamedTuple):
     """A sparse (R, C) map A applied to every component slab of a
     component-major (3, C, *batch) array at once: kron(I_3, A) and its
     adjoint kron(I_3, A.T), both stored as CSR.  Each acts on the free
-    (3C, -1) view with one product."""
+    (3C, -1) view with one product, into a given C-ordered `out` or a
+    fresh array."""
 
     forward: sparse.csr_matrix    # (3R, 3C)
     adjoint: sparse.csr_matrix    # (3C, 3R), forward.T
@@ -202,29 +259,46 @@ class BlockOperator(NamedTuple):
     def T(self) -> "BlockOperator":
         return BlockOperator(self.adjoint, self.forward)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(3, C, *batch) -> (3, R, *batch)"""
-        return _block_apply(self.forward, x)
+        return _block_apply(self.forward, x, out)
 
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+    def apply_adjoint(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(3, R, *batch) -> (3, C, *batch)"""
-        return _block_apply(self.adjoint, x)
+        return _block_apply(self.adjoint, x, out)
 
 
 @dataclass(frozen=True)
 class FaceOperators:
     """Sparse maps between the faces of a quad list and its vertices, on
-    component-major (3, K, *batch) arrays."""
+    component-major (3, K, *batch) arrays.  The normals gather both quad
+    diagonals in one product and send each one's gradient back in a
+    product of its own, so that every vertex adds its p terms and then its
+    r terms; of the diagonals' maps, only these three are kept."""
 
-    accum: BlockOperator      # (V, F) sums face values onto their corners
-    diag_p: BlockOperator     # (F, V) gathers the diagonal p = v2 - v0
-    diag_r: BlockOperator     # (F, V) gathers the diagonal r = v3 - v1
+    accum: BlockOperator            # (V, F) sums face values onto their corners
+    diagonals: sparse.csr_matrix    # (6F, 3V) gathers p = v2 - v0, then r = v3 - v1
+    p_adjoint: sparse.csr_matrix    # (3V, 3F) adjoint of the gather of p
+    r_adjoint: sparse.csr_matrix    # (3V, 3F) adjoint of the gather of r
 
     @classmethod
     def build(cls, quads: np.ndarray, n_vertices: int) -> "FaceOperators":
+        p, r = quads[:, [2, 0]], quads[:, [3, 1]]
         return cls(BlockOperator.gather(quads, (1, 1, 1, 1), n_vertices).T,
-                   BlockOperator.gather(quads[:, [2, 0]], (1, -1), n_vertices),
-                   BlockOperator.gather(quads[:, [3, 1]], (1, -1), n_vertices))
+                   _kron3(gather_matrix(np.concatenate([p, r]), (1, -1), n_vertices)),
+                   *(_kron3(gather_matrix(d, (1, -1), n_vertices).T.tocsr()) for d in (p, r)))
+
+    def gather_diagonals(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(3, V, *batch) -> (3, 2F, *batch): p of every face, then r"""
+        return _block_apply(self.diagonals, x, out)
+
+    def scatter_p(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(3, F, *batch) -> (3, V, *batch), the adjoint of the gather of p"""
+        return _block_apply(self.p_adjoint, g, out)
+
+    def scatter_r(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(3, F, *batch) -> (3, V, *batch), the adjoint of the gather of r"""
+        return _block_apply(self.r_adjoint, g, out)
 
 
 class Normals(NamedTuple):
@@ -238,46 +312,58 @@ class Normals(NamedTuple):
     vertex_inv: np.ndarray   # (V, *batch) 1 / |sum of face normals|, zero below 1e-15
 
 
-def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of component-major (3, K, *batch) arrays, summed
-    component by component, so a mesh rounds alike alone and in a batch."""
-    out = a[0] * b[0]
-    out += a[1] * b[1]
-    out += a[2] * b[2]
+def dot3(a: np.ndarray, b: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Dot product of component-major (3, K, *batch) arrays of one shape,
+    summed component by component, so a mesh rounds alike alone and in a
+    batch."""
+    out = ws.take(*a.shape[1:])
+    np.multiply(a[0], b[0], out=out)
+    with ws:
+        tmp = ws.take(*out.shape)
+        for i in (1, 2):
+            out += np.multiply(a[i], b[i], out=tmp)
     return out
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of component-major (3, K, *batch) arrays."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    tmp = np.empty(out.shape[1:])
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        np.multiply(a[k], b[j], out=tmp)
-        out[i] -= tmp
+def cross3(a: np.ndarray, b: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Cross product of component-major (3, K, *batch) arrays of one shape."""
+    out = ws.take(*a.shape)
+    with ws:
+        tmp = ws.take(*out.shape[1:])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(a[j], b[k], out=out[i])
+            out[i] -= np.multiply(a[k], b[j], out=tmp)
     return out
 
 
-def _inverse_norm(x: np.ndarray) -> np.ndarray:
-    mag = np.sqrt(dot3(x, x))
-    ok = mag >= 1e-15     # smaller faces and vertex sums count as zero
-    return np.where(ok, 1.0 / np.where(ok, mag, 1.0), 0.0)
+def _inverse_norm(x: np.ndarray, ws: Workspace) -> np.ndarray:
+    out = ws.take(*x.shape[1:])
+    with ws:
+        mag = dot3(x, x, ws)
+        np.sqrt(mag, out=mag)
+        out.fill(0.0)     # smaller faces and vertex sums count as zero
+        np.divide(1.0, mag, out=out, where=mag >= 1e-15)
+    return out
 
 
-def normals_forward(vertices: np.ndarray, faces: FaceOperators) -> Normals:
+def normals_forward(vertices: np.ndarray, faces: FaceOperators,
+                    ws: Workspace | None = None) -> Normals:
     """Vertex normals of component-major (3, V, *batch) vertex sets sharing
-    `faces`.
+    `faces`, their arrays taken from `ws`.
 
     Face normals come from the cross product of the quad diagonals; each
     vertex normal is the normalized sum of its incident unit face normals.
     """
-    p = faces.diag_p.apply(vertices)
-    r = faces.diag_r.apply(vertices)
-    nhat = cross3(p, r)
-    face_inv = _inverse_norm(nhat)
+    ws = ws or Workspace()
+    batch = vertices.shape[2:]
+    n_faces = faces.diagonals.shape[0] // 6
+    diagonals = faces.gather_diagonals(vertices, ws.take(3, 2 * n_faces, *batch))
+    p, r = diagonals[:, :n_faces], diagonals[:, n_faces:]
+    nhat = cross3(p, r, ws)
+    face_inv = _inverse_norm(nhat, ws)
     nhat *= face_inv
-    m = faces.accum.apply(nhat)
-    vertex_inv = _inverse_norm(m)
+    m = faces.accum.apply(nhat, ws.take(3, vertices.shape[1], *batch))
+    vertex_inv = _inverse_norm(m, ws)
     m *= vertex_inv
     return Normals(m, nhat, p, r, face_inv, vertex_inv)
 
@@ -319,22 +405,31 @@ def uniform_laplacian_matrix(conn: MeshConnectivity) -> sparse.csr_matrix:
 
 
 def edge_length_energy(vertices: np.ndarray, ref_lengths: np.ndarray,
-                       incidence: BlockOperator, grad: bool = True
+                       incidence: BlockOperator, ws: Workspace, grad: bool = True
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Sum over edges of (|e| - ref_length_e)^2 with its exact gradient.
 
     Component-major vertices (3, V, *batch) share an edge list;
     `incidence` is its `BlockOperator.gather(edges, (1, -1), V)`.
-    Returns (values (*batch), gradient (3, V, *batch), None unless `grad`).
+    Returns (values (*batch), gradient (3, V, *batch), None unless `grad`);
+    the gradient is taken from `ws`.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
-    d = incidence.apply(vertices)
-    ln = np.sqrt(dot3(d, d))
-    diff = (ln.T - ref_lengths).T        # (E,) lengths against (E, *batch)
-    values = np.einsum("e...,e...->...", diff, diff)
-    if not grad:
-        return values, None
-    # d|e|/dv_a = (v_a - v_b)/|e|
-    safe = np.where(ln > 0, ln, 1.0)
-    d *= 2.0 * diff / safe
-    return values, incidence.apply_adjoint(d)
+    batch = vertices.shape[2:]
+    out = ws.take(*vertices.shape) if grad else None
+    with ws:
+        d = incidence.apply(vertices, ws.take(3, len(ref_lengths), *batch))
+        ln = dot3(d, d, ws)
+        np.sqrt(ln, out=ln)
+        diff = ws.take(*ln.shape)     # (E,) lengths against (E, *batch)
+        np.subtract(ln.T, ref_lengths, out=diff.T)
+        values = np.einsum("e...,e...->...", diff, diff)
+        if not grad:
+            return values, None
+        # d|e|/dv_a = (v_a - v_b)/|e|
+        np.copyto(ln, 1.0, where=~(ln > 0))
+        diff *= 2.0
+        diff /= ln
+        d *= diff
+        incidence.apply_adjoint(d, out)
+    return values, out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParam, PoseLimitViolation
-from .mesh import QuadMesh
+from .mesh import QuadMesh, Workspace
 
 JOINT_NAMES = ("neck", "jaw", "eye_left", "eye_right")
 JOINT_PARENTS = (-1, 0, 0, 0)
@@ -247,29 +247,42 @@ class BlendshapeModel:
         return self.template.n_vertices
 
 
-def evaluate_unposed(model: BlendshapeModel, alpha: np.ndarray,
-                     beta: np.ndarray) -> np.ndarray:
+def evaluate_unposed(model: BlendshapeModel, alpha: np.ndarray, beta: np.ndarray,
+                     identity_basis: np.ndarray | None = None,
+                     ws: Workspace | None = None) -> np.ndarray:
     """Unposed vertices: template + alpha . identity basis + beta . expression basis.
 
-    alpha (..., m) and beta (..., n_expr) may carry batch dimensions.
+    alpha (..., m) may carry batch dimensions, which beta's (..., n_expr)
+    broadcast against.  An `identity_basis` (m, V, 3) is blended in place
+    of the model's own (the learner's basis, which changes every step);
+    the result is taken from `ws`.
     """
+    basis = model.identity_basis if identity_basis is None else identity_basis
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    if alpha.shape[-1] != model.n_identity:
+    if alpha.shape[-1] != len(basis):
         raise DimensionMismatch(
-            f"alpha has {alpha.shape[-1]} coeffs, model expects {model.n_identity}")
+            f"alpha has {alpha.shape[-1]} coeffs, model expects {len(basis)}")
     if beta.shape[-1] != model.n_expression:
         raise DimensionMismatch(
             f"beta has {beta.shape[-1]} coeffs, model expects {model.n_expression}")
-    return (model.template.vertices
-            + _blend_fields(alpha, model.identity_basis)
-            + _blend_fields(beta, model.expression_basis))
+    ws = ws or Workspace()
+    # (template + identity blend) + expression blend: the first sum in
+    # either order is the same, bit for bit
+    out = _blend_fields(alpha, basis, ws.take(*alpha.shape[:-1], *basis.shape[1:]))
+    out += model.template.vertices
+    with ws:
+        exb = model.expression_basis
+        out += _blend_fields(beta, exb, ws.take(*beta.shape[:-1], *exb.shape[1:]))
+    return out
 
 
-def _blend_fields(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """coeffs (..., q) . basis (q, V, 3) as one GEMM against the (q, 3V) basis."""
-    flat = coeffs @ basis.reshape(basis.shape[0], -1)
-    return flat.reshape(coeffs.shape[:-1] + basis.shape[1:])
+def _blend_fields(coeffs: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """coeffs (..., q) . basis (q, V, 3) into `out` (..., V, 3), as one GEMM
+    against the (q, 3V) basis."""
+    flat = basis.reshape(basis.shape[0], -1)
+    np.matmul(coeffs, flat, out=out.reshape(*coeffs.shape[:-1], flat.shape[1]))
+    return out
 
 
 def world_transforms(skeleton: Skeleton, alpha: np.ndarray,
@@ -324,28 +337,46 @@ def apply_pose(model: BlendshapeModel, alpha: np.ndarray, pose: Pose,
 
 
 def lbs_apply(weights: np.ndarray, R_w: np.ndarray, b_w: np.ndarray,
-              unposed: np.ndarray) -> np.ndarray:
+              unposed: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """v = sum_i w_vi (R_i v + b_i), evaluated in delta form
     v + sum_i w_vi ((R_i - I) v + b_i) so the rest pose reproduces the
     input bit-exactly despite float rounding in the weight rows.  Both
     blends are GEMMs over the joints; applying the per-vertex 3x3 blend
-    is elementwise."""
-    blend = _rotation_blend(weights, R_w)
-    return unposed + np.einsum("...vab,...vb->...va", blend, unposed) + weights @ b_w
+    is elementwise.  The result is taken from `ws`."""
+    ws = ws or Workspace()
+    out = _apply_rotation_blend(weights, R_w, unposed, "...vab,...vb->...va", ws)
+    with ws:
+        out += np.matmul(weights, b_w, out=ws.take(*b_w.shape[:-2], len(weights), 3))
+    return out
 
 
-def lbs_adjoint(weights: np.ndarray, R_w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def lbs_adjoint(weights: np.ndarray, R_w: np.ndarray, grad: np.ndarray,
+                ws: Workspace) -> np.ndarray:
     """Adjoint of lbs_apply w.r.t. the unposed vertices:
-    g + sum_i w_vi (R_i - I)^T g for a gradient g (..., V, 3)."""
-    return grad + np.einsum("...vab,...va->...vb", _rotation_blend(weights, R_w), grad)
+    g + sum_i w_vi (R_i - I)^T g for a gradient g (..., V, 3), taken from `ws`."""
+    return _apply_rotation_blend(weights, R_w, grad, "...vab,...va->...vb", ws)
 
 
-def _rotation_blend(weights: np.ndarray, R_w: np.ndarray) -> np.ndarray:
+def _apply_rotation_blend(weights: np.ndarray, R_w: np.ndarray, x: np.ndarray,
+                          subscripts: str, ws: Workspace) -> np.ndarray:
+    """x + the per-vertex rotation blend of R_w (..., 4, 3, 3) applied to
+    x (..., V, 3), of the same batch, by the einsum `subscripts`; taken
+    from `ws`."""
+    out = ws.take(*x.shape)
+    with ws:
+        blend = _rotation_blend(weights, R_w, ws.take(*x.shape, 3))
+        np.einsum(subscripts, blend, x, out=out)
+    out += x
+    return out
+
+
+def _rotation_blend(weights: np.ndarray, R_w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-vertex blend sum_i w_vi (R_i - I) of joint rotations
-    (..., 4, 3, 3) as one GEMM, shape (..., V, 3, 3); exactly zero at the
-    rest pose."""
+    (..., 4, 3, 3) as one GEMM, into `out` (..., V, 3, 3); exactly zero at
+    the rest pose."""
     D = (R_w - np.eye(3)).reshape(R_w.shape[:-2] + (9,))
-    return (weights @ D).reshape(D.shape[:-2] + (weights.shape[0], 3, 3))
+    np.matmul(weights, D, out=out.reshape(out.shape[:-2] + (9,)))
+    return out
 
 
 def evaluate(model: BlendshapeModel, params: ModelParams,
@@ -475,7 +506,7 @@ def evaluate_with_jacobian(model: BlendshapeModel, params: ModelParams,
     layout = param_layout(model)
 
     # d v_out / d vbar in delta form: I + sum_i w_vi (R_i - I)
-    blend_R = np.eye(3) + _rotation_blend(w, der.R_w)
+    blend_R = np.eye(3) + _rotation_blend(w, der.R_w, np.empty((V, 3, 3)))
 
     # identity: blendshape path plus pivot path
     dvbar = np.einsum("vab,qvb->qva", blend_R, model.identity_basis)

@@ -17,6 +17,7 @@ from facegen.adam import AdamState, adam_step
 from facegen.learning import (
     GLOBAL_ROT_LIMITS,
     LossContext,
+    LossPlan,
     LossWeights,
     ScanSet,
     ThetaBlocks,
@@ -25,7 +26,7 @@ from facegen.learning import (
     barrier4,
     total_loss,
 )
-from facegen.mesh import Normals, QuadMesh, edge_length_energy, gather_matrix
+from facegen.mesh import Normals, QuadMesh, Workspace, edge_length_energy, gather_matrix
 from facegen.model import (
     BlendshapeModel,
     Skeleton,
@@ -145,11 +146,11 @@ def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6,
     """Max relative error between analytic gradients and central finite
     differences, over every parameter block not in `frozen`."""
     weights = weights or LossWeights()
-    ctx = LossContext.build(scans, base)
-    res = total_loss(theta, phi, scans, weights, base, ctx=ctx, frozen=frozen)
+    plan = LossPlan.build(LossContext.build(scans, base))
+    res = total_loss(theta, phi, scans, weights, base, plan=plan, frozen=frozen)
 
     def loss(th, ph):
-        return total_loss(th, ph, scans, weights, base, ctx=ctx, frozen=frozen).total
+        return total_loss(th, ph, scans, weights, base, plan=plan, frozen=frozen).total
 
     blocks = ("phi", "alpha", "beta", "joint_angles", "global_rot", "global_trans")
     assert res.grads.keys() == set(blocks) - frozen
@@ -202,7 +203,8 @@ def total_loss_reference(theta, phi, scans, weights, base, ctx):
     vert_vals, norm_vals, data_grad_y = _data_term(
         y_cm, ctx.targets, ctx.target_normals, ctx.faces,
         weights.w_vertex, weights.w_normal)
-    edge_vals, edge_grad_y = edge_length_energy(y_cm, ctx.ref_edge_lengths, ctx.incidence)
+    edge_vals, edge_grad_y = edge_length_energy(y_cm, ctx.ref_edge_lengths, ctx.incidence,
+                                                Workspace())
     bexpr_val, bexpr_der = barrier4(beta, 0.0, 1.0)
     bpose_val, bpose_der = barrier4(joint_angles, skel.limits[..., 0], skel.limits[..., 1])
     bglob_val, bglob_der = barrier4(global_rot, *GLOBAL_ROT_LIMITS)
@@ -232,7 +234,7 @@ def total_loss_reference(theta, phi, scans, weights, base, ctx):
                 + np.einsum("nijka,nia->njk", der.db_w, s)
                 + weights.w_barrier_pose * bpose_der)
     g_pivot = np.einsum("nijab,nia->njb", db_dpiv, s)
-    dLdvbar = lbs_adjoint(w, der.R_w, dLdv_out).reshape(N, V * 3)
+    dLdvbar = lbs_adjoint(w, der.R_w, dLdv_out, Workspace()).reshape(N, V * 3)
     g_alpha = (dLdvbar @ phi.reshape(m, V * 3).T
                + np.einsum("njb,jbq->nq", g_pivot, skel.a)
                + weights.w_id_coeff * 2.0 * alpha)

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ import facegen.learning as learning
 from facegen.learning import (
     FitSchedule,
     LossContext,
+    LossPlan,
     LossWeights,
     ScanSet,
     ThetaBlocks,
@@ -27,7 +29,14 @@ from facegen.learning import (
     total_loss,
 )
 from facegen.mesh import QuadMesh, vertex_normals
-from facegen.model import ModelParams, Pose, euler_xyz, evaluate_with_jacobian, param_layout
+from facegen.model import (
+    BlendshapeModel,
+    ModelParams,
+    Pose,
+    euler_xyz,
+    evaluate_with_jacobian,
+    param_layout,
+)
 from facegen.procedural import desk_head, quad_grid, smooth_vertex_fields
 
 from conftest import (
@@ -218,8 +227,9 @@ class TestTotalLoss:
         # calling thread and on two workers
         base, scans, theta, phi = tiny_problem(rng, n_scans=n_scans)
         ctx = LossContext.build(scans, base)
-        wholes = {frozen: total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
-                                     frozen=frozen) for frozen in FROZEN_SETS}
+        wholes = {frozen: total_loss(theta, phi, scans, LossWeights(), base,
+                                     plan=LossPlan.build(ctx), frozen=frozen)
+                  for frozen in FROZEN_SETS}
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         for workers in (1, 2):
             monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
@@ -228,8 +238,8 @@ class TestTotalLoss:
             assert min(s.stop - s.start for s in chunks) >= 2
             for frozen, whole in wholes.items():
                 case = f"{_frozen_id(frozen)}, {workers} workers"
-                res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
-                                 frozen=frozen)
+                res = total_loss(theta, phi, scans, LossWeights(), base,
+                                 plan=LossPlan.build(ctx), frozen=frozen)
                 assert res.total == whole.total, case
                 assert res.breakdown == whole.breakdown, case
                 assert np.array_equal(res.scan_vertex_ms, whole.scan_vertex_ms), case
@@ -240,20 +250,23 @@ class TestTotalLoss:
     def test_chunk_rows_survive_more_workers_than_cores(self, rng, monkeypatch):
         # every chunk writes its rows of the shared per-scan outputs; none
         # may be lost when the interpreter switches threads as often as it
-        # can, with an executor of the loss's own or one shared by losses
-        base, scans, theta, phi = tiny_problem(rng, n_scans=16)
+        # can, with an executor of the loss's own or one shared by losses,
+        # and a plan of its own or one whose workspaces losses share
+        base, scans, theta, phi = tiny_problem(rng, V_grid=(6, 8), n_scans=16)
         ctx = LossContext.build(scans, base)
-        whole = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        whole = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         monkeypatch.setattr(learning, "_cpu_count", lambda: 8)
         assert len(learning._scan_chunks(16, scans.n_vertices, 8)) == 8
+        kept = LossPlan.build(ctx)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(7) as shared:
-                runs = [total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+                runs = [total_loss(theta, phi, scans, LossWeights(), base,
+                                   plan=kept if k % 3 else LossPlan.build(ctx),
                                    executor=shared if k % 2 else None)
-                        for k in range(6)]
+                        for k in range(12)]
         finally:
             sys.setswitchinterval(interval)
         for res in runs:
@@ -319,13 +332,14 @@ def _rel_err(a, b) -> float:
 def _batch_major_terms(monkeypatch, quads):
     """Make total_loss evaluate its data and edge terms with the batch-major
     references, transposing their component-major (3, V, N) arrays to
-    (N, V, 3) and back around them."""
-    def data(y, targets, target_normals, faces, w_vertex, w_normal):
+    (N, V, 3) and back around them; they allocate their own arrays, so
+    they ignore the loss's workspace."""
+    def data(y, targets, target_normals, faces, w_vertex, w_normal, ws):
         vert_vals, norm_vals, g = data_term_reference(
             y.T, targets.T, target_normals.T, quads, w_vertex, w_normal)
         return vert_vals, norm_vals, g.T
 
-    def edge(y, ref_lengths, incidence):
+    def edge(y, ref_lengths, incidence, ws):
         # the (E, V) incidence is the first diagonal block of kron(I_3, D)
         D = incidence.forward[:len(ref_lengths), :y.shape[1]]
         values, g = edge_length_energy_reference(y.T, ref_lengths, D, D.T)
@@ -364,10 +378,10 @@ class TestVertexMajorParity:
     @staticmethod
     def check(monkeypatch, base, scans, theta, phi):
         ctx = LossContext.build(scans, base)
-        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         with monkeypatch.context() as mp:
             _batch_major_terms(mp, scans.quads)
-            ref = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+            ref = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         assert abs(res.total - ref.total) <= 1e-12 * abs(ref.total)
         for name, value in ref.breakdown.items():
             assert abs(res.breakdown[name] - value) <= 1e-12 * abs(value), name
@@ -397,7 +411,7 @@ class TestLossContext:
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
         r1 = total_loss(theta, phi, scans, LossWeights(), base)
-        r2 = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        r2 = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         assert r1.total == r2.total
         for k in r1.grads:
             assert np.array_equal(r1.grads[k], r2.grads[k])
@@ -409,13 +423,13 @@ class TestLossContext:
         renamed = ScanSet(scans.vertices, scans.quads, ("x", "y", "z"))
         for other in (moved, renamed):
             with pytest.raises(DimensionMismatch):
-                total_loss(theta, phi, other, LossWeights(), base, ctx=ctx)
+                total_loss(theta, phi, other, LossWeights(), base, plan=LossPlan.build(ctx))
 
     def test_context_of_an_equal_scan_set_accepted(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
         equal = ScanSet(scans.vertices.copy(), scans.quads.copy(), scans.ids)
-        res = total_loss(theta, phi, equal, LossWeights(), base, ctx=ctx)
+        res = total_loss(theta, phi, equal, LossWeights(), base, plan=LossPlan.build(ctx))
         assert res.total == total_loss(theta, phi, scans, LossWeights(), base).total
 
     def test_context_of_other_scans_rejected(self, rng):
@@ -423,7 +437,21 @@ class TestLossContext:
         _, other, _, _ = tiny_problem(rng, n_scans=2)
         with pytest.raises(DimensionMismatch):
             total_loss(theta, phi, scans, LossWeights(), base,
-                       ctx=LossContext.build(other, base))
+                       plan=LossPlan.build(LossContext.build(other, base)))
+
+    def test_context_of_another_template_rejected(self, rng):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        ctx = LossContext.build(scans, base)
+        plan = LossPlan.build(ctx)
+        scaled = dataclasses.replace(base, template=QuadMesh(
+            1.5 * base.template.vertices, base.template.quads))
+        with pytest.raises(DimensionMismatch, match="template"):
+            total_loss(theta, phi, scans, LossWeights(), scaled, plan=plan)
+        # an equal template in another mesh is the same template
+        equal = dataclasses.replace(base, template=QuadMesh(
+            base.template.vertices.copy(), base.template.quads))
+        assert (total_loss(theta, phi, scans, LossWeights(), equal, plan=plan).total
+                == total_loss(theta, phi, scans, LossWeights(), base).total)
 
     def test_target_normals_match_per_scan_normals(self, rng):
         base, scans, _, _ = tiny_problem(rng, n_scans=4)
@@ -436,16 +464,22 @@ class TestLossContext:
         base, scans, _, _ = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
         faces = ctx.faces
-        for op in (ctx.incidence, faces.accum, faces.diag_p, faces.diag_r):
+        for op in (ctx.incidence, faces.accum):
             assert op.forward.format == op.adjoint.format == "csr"
             assert np.array_equal(op.adjoint.toarray(), op.forward.T.toarray())
+        # each diagonal's adjoint is the transpose of its rows of the gather
+        # of both: p's are rows c * 2F + f, r's c * 2F + F + f
+        F = len(scans.quads)
+        p_rows = (np.arange(3)[:, None] * 2 * F + np.arange(F)).ravel()
+        for A, rows in ((faces.p_adjoint, p_rows), (faces.r_adjoint, p_rows + F)):
+            assert faces.diagonals.format == A.format == "csr"
+            assert np.array_equal(A.toarray(), faces.diagonals[rows].T.toarray())
         # the scatter side of each operator has sorted indices; a gather row
         # keeps its index order (a face's corners in quad order), the order
         # in which the product adds its entries
         for A in (ctx.laplacian, ctx.lap_gram, ctx.incidence.adjoint,
-                  faces.accum.forward, faces.diag_p.adjoint, faces.diag_r.adjoint):
+                  faces.accum.forward, faces.p_adjoint, faces.r_adjoint):
             assert A.format == "csr" and A.has_sorted_indices
-        F = len(scans.quads)
         assert np.array_equal(faces.accum.adjoint.indices[:4 * F], scans.quads.ravel())
 
     def test_fit_builds_per_scan_constants_once(self, rng, monkeypatch):
@@ -461,7 +495,7 @@ class TestLossContext:
 
         ctx = LossContext.build(scans, base)
         calls.clear()
-        total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         assert calls == []
 
         # the standalone data term needs the target normals, not the topology
@@ -484,7 +518,7 @@ class TestLossContext:
         n_chunks = len(learning._scan_chunks(6, scans.n_vertices, 2))
         assert n_chunks == 3
         ctx = LossContext.build(scans, base)
-        total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         caller = threading.get_ident()
         mixing = [(name, ident) for name, ident in calls if name != "lbs_apply"]
         assert sorted(mixing) == [("euler_xyz_grad", caller),
@@ -616,9 +650,9 @@ class TestFit:
         threads = []
         chunk = learning.posed_chunk
 
-        def counted(chain, c):
+        def counted(chain, c, ws):
             threads.append(threading.active_count())
-            return chunk(chain, c)
+            return chunk(chain, c, ws)
 
         monkeypatch.setattr(learning, "posed_chunk", counted)
         start = threading.active_count()
@@ -726,8 +760,9 @@ class TestFrozenBlocks:
         # posed away from rest, pivots coupled to identity
         assert np.all(theta.joint_angles != 0) and np.all(base.skeleton.a != 0)
         ctx = LossContext.build(scans, base)
-        full = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
-        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx, frozen=frozen)
+        full = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+                         frozen=frozen)
         assert res.total == full.total
         assert res.breakdown == full.breakdown
         assert np.array_equal(res.scan_vertex_ms, full.scan_vertex_ms)
@@ -738,7 +773,7 @@ class TestFrozenBlocks:
     def test_unfrozen_call_matches_reference_bitwise(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=4)
         ctx = LossContext.build(scans, base)
-        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         total, grads = total_loss_reference(theta, phi, scans, LossWeights(), base, ctx)
         assert res.total == total
         assert res.grads.keys() == grads.keys()
@@ -756,10 +791,10 @@ class TestFrozenBlocks:
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
-        full = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx)
+        full = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
         names = ("pose_derivatives", "euler_xyz_grad", "lbs_apply", "lbs_adjoint")
         calls = _count_calls(monkeypatch, names)
-        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
                          frozen=learning.BLOCKS)
         assert res.total == full.total
         assert res.breakdown == full.breakdown
@@ -827,10 +862,11 @@ class TestRestPose:
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
         # the pose blocks live: the full chain, skinning included
-        posed = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx,
+        posed = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
                            frozen=frozen - learning.POSE_BLOCKS)
         calls = _count_calls(monkeypatch, POSE_WORK)
-        res = total_loss(theta, phi, scans, LossWeights(), base, ctx=ctx, frozen=frozen)
+        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+                         frozen=frozen)
         assert calls == []
         assert res.total == posed.total
         assert res.breakdown == posed.breakdown
@@ -854,6 +890,90 @@ class TestRestPose:
         assert _tally(calls, POSE_WORK) == {"pose_transforms": 1, "pose_derivatives": 0,
                                             "euler_xyz": 1, "lbs_apply": 1,
                                             "lbs_adjoint": 1}
+
+
+class TestLossPlan:
+    """A plan kept from loss to loss, as fit keeps one: the second loss
+    takes its arrays from the buffers the first sized, and no array of one
+    loss reaches the next."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_plan_returns_the_bits_of_fresh_calls(self, rng, monkeypatch, workers):
+        # every frozen subset, posed and at rest, over several chunks, with
+        # theta and phi changed between calls and one plan for all of them
+        monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
+        for with_pose, sets in ((True, FROZEN_SETS), (False, REST_FROZEN_SETS)):
+            base, scans, theta, phi = tiny_problem(rng, n_scans=6, with_pose=with_pose)
+            monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+            ctx = LossContext.build(scans, base)
+            plan = LossPlan.build(ctx)
+            assert len(plan.chunks) == 3 and plan.workers == workers
+            for step in (1.0, 1.25, 0.5):
+                th = ThetaBlocks(**{k: step * v for k, v in theta.as_dict().items()})
+                for frozen in sets:
+                    case = f"{_frozen_id(frozen)}, step {step}"
+                    fresh = total_loss(th, step * phi, scans, LossWeights(), base,
+                                       plan=LossPlan.build(ctx), frozen=frozen)
+                    kept = total_loss(th, step * phi, scans, LossWeights(), base,
+                                      frozen=frozen, plan=plan)
+                    assert kept.total == fresh.total, case
+                    assert kept.breakdown == fresh.breakdown, case
+                    assert kept.scan_vertex_ms.tobytes() == fresh.scan_vertex_ms.tobytes(), case
+                    assert kept.grads.keys() == fresh.grads.keys(), case
+                    for name, g in fresh.grads.items():
+                        assert kept.grads[name].tobytes() == g.tobytes(), (case, name)
+
+    def test_loss_on_a_sized_plan_allocates_little(self, rng):
+        # the fit-desk shapes: 30 scans of the 122-vertex desk head at rest,
+        # expression frozen; a loss without a kept plan peaks about 1.3 MB
+        # above where it starts.  The first loss sizes the plan's buffers and
+        # the second allocates them as it opens, when the first's arrays are
+        # gone; every later loss takes its arrays from them
+        base = desk_head(m=4)
+        alphas = rng.standard_normal((30, 4))
+        scans = ScanSet(base.template.vertices
+                        + np.einsum("nq,qvk->nvk", alphas, base.identity_basis),
+                        base.template.quads, tuple(f"scan_{k:03d}" for k in range(30)))
+        plan = LossPlan.build(LossContext.build(scans, base))
+        theta = ThetaBlocks.zeros(30, 4, base.n_expression)
+
+        def loss():
+            return total_loss(theta, base.identity_basis, scans, LossWeights(), base,
+                              frozen=learning.FREEZABLE, plan=plan)
+
+        first, second = loss(), loss()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            third = loss()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.total == second.total == third.total
+        assert peak - start < 256 * 1024
+
+    def test_planned_loss_builds_no_model(self, rng, monkeypatch):
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        plan = LossPlan.build(LossContext.build(scans, base))
+        built = []
+        post_init = BlendshapeModel.__post_init__
+
+        def counted(model):
+            built.append(model)
+            post_init(model)
+
+        monkeypatch.setattr(BlendshapeModel, "__post_init__", counted)
+        for frozen in (frozenset(), learning.FREEZABLE, learning.BLOCKS):
+            total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen, plan=plan)
+        assert built == []
+        dataclasses.replace(base, identity_basis=phi)      # the count sees a model built
+        assert len(built) == 1
+        # the basis size the skeleton was built for is still checked
+        with pytest.raises(DimensionMismatch, match="skeleton"):
+            total_loss(dataclasses.replace(theta, alpha=np.zeros((3, 3))),
+                       np.zeros((3, scans.n_vertices, 3)), scans, LossWeights(), base,
+                       plan=plan)
+
 
 
 class TestScheduleRanges:

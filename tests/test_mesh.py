@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from facegen.mesh import (
     MeshConnectivity,
     Normals,
     QuadMesh,
+    Workspace,
     build_connectivity,
     edge_length_energy,
     gather_matrix,
@@ -299,6 +301,69 @@ class TestBlockOperator:
         assert op.apply(np.ones((3, 8, 2))).shape == (3, 0, 2)
         assert np.array_equal(op.apply_adjoint(np.ones((3, 0, 2))), np.zeros((3, 8, 2)))
 
+    @pytest.mark.parametrize("batch", [(2,), (1,), ()], ids=["batch2", "batch1", "single"])
+    def test_product_into_out_is_the_scipy_product_bytewise(self, rng, batch):
+        # scipy's `@` on the free view, whatever `out` held before; the
+        # boundary-edge scatter of a closed mesh has no columns
+        mesh = random_closed_mesh(rng)
+        V = mesh.n_vertices
+        conn = build_connectivity(mesh)
+        ops = [BlockOperator.gather(conn.edges, (1, -1), V),
+               BlockOperator.gather(mesh.quads, (1, 1, 1, 1), V).T,
+               BlockOperator.gather(conn.edges[conn.boundary_edge], (1, 1), V).T]
+        assert ops[2].forward.shape == (3 * V, 0)
+        for op in ops:
+            for apply, A in ((op.apply, op.forward), (op.apply_adjoint, op.adjoint)):
+                x = rng.standard_normal((3, A.shape[1] // 3, *batch))
+                expected = A @ x.reshape(A.shape[1], math.prod(batch))
+                out = np.full((3, A.shape[0] // 3, *batch), np.nan)
+                assert apply(x, out) is out
+                assert out.tobytes() == expected.tobytes()
+                assert apply(x).tobytes() == expected.tobytes()
+
+    def test_out_of_another_shape_or_layout_rejected(self):
+        op = BlockOperator.gather(build_connectivity(cube_mesh()).edges, (1, -1), 8)
+        x = np.ones((3, 8, 2))
+        for out in (np.empty((3, 12, 3)), np.empty((3, 12, 4))[..., :2]):
+            with pytest.raises(ValueError, match="C-ordered"):
+                op.apply(x, out)
+
+
+class TestWorkspace:
+    def test_a_kept_workspace_takes_from_one_buffer(self):
+        ws = Workspace()
+
+        def call():
+            with ws:
+                a = ws.take(3, 5)
+                with ws:
+                    b = ws.take(7)
+                with ws:        # b's frame is closed: its memory serves c
+                    c = ws.take(2, 4)
+                return a, b, c
+
+        first, second, third = call(), call(), call()
+        # the first call takes fresh arrays, and the buffer they sized is
+        # allocated when the second call opens its frame
+        assert all(x.base is None for x in first)
+        assert not any(np.shares_memory(x, y) for x in first for y in second)
+        # later calls take the same memory each time
+        assert all(np.shares_memory(x, y) for x, y in zip(second, third))
+        a, b, c = second
+        assert np.shares_memory(b, c) and not np.shares_memory(a, b)
+        assert [(x.shape, x.flags.c_contiguous) for x in second] == [
+            ((3, 5), True), ((7,), True), ((2, 4), True)]
+        assert a.ctypes.data % 64 == b.ctypes.data % 64     # takes start whole lines apart
+
+    def test_a_take_past_the_buffer_is_a_fresh_array(self):
+        ws = Workspace()
+        with ws:
+            ws.take(8)
+        with ws:
+            inside = ws.take(8)
+            past = ws.take(8)
+        assert inside.base is not None and past.base is None
+
 
 class TestUniformLaplacian:
     def test_constant_field_annihilated(self, rng):
@@ -366,7 +431,8 @@ def edge_energy_against(mesh: QuadMesh, reference: QuadMesh):
     D = gather_matrix(edges, (1, -1), mesh.n_vertices)
     lengths = np.linalg.norm(D @ reference.vertices, axis=1)
     return edge_length_energy(mesh.vertices.T, lengths,
-                              BlockOperator.gather(edges, (1, -1), mesh.n_vertices))
+                              BlockOperator.gather(edges, (1, -1), mesh.n_vertices),
+                              Workspace())
 
 
 class TestEdgeLengthEnergy:
@@ -389,7 +455,7 @@ class TestEdgeLengthEnergy:
         D = gather_matrix(edges, (1, -1), grid.n_vertices)
         B = BlockOperator.gather(edges, (1, -1), grid.n_vertices)
         lengths = np.linalg.norm(D @ ref, axis=1)
-        _, g = edge_length_energy(v.T, lengths, B)
+        _, g = edge_length_energy(v.T, lengths, B, Workspace())
         g = g.T
         h = 1e-6
         fd = np.zeros_like(g)
@@ -398,8 +464,8 @@ class TestEdgeLengthEnergy:
                 vp, vm = v.copy(), v.copy()
                 vp[i, k] += h
                 vm[i, k] -= h
-                fd[i, k] = (edge_length_energy(vp.T, lengths, B)[0]
-                            - edge_length_energy(vm.T, lengths, B)[0]) / (2 * h)
+                fd[i, k] = (edge_length_energy(vp.T, lengths, B, Workspace())[0]
+                            - edge_length_energy(vm.T, lengths, B, Workspace())[0]) / (2 * h)
         assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-6
 
     def test_batched_matches_single_meshes(self, rng):
@@ -408,7 +474,8 @@ class TestEdgeLengthEnergy:
         batch = cube.vertices.T[..., None, None] + 0.1 * rng.standard_normal(
             cube.vertices.T.shape + (3, 2))
         values, grads = edge_length_energy(
-            batch, np.ones(len(edges)), BlockOperator.gather(edges, (1, -1), cube.n_vertices))
+            batch, np.ones(len(edges)), BlockOperator.gather(edges, (1, -1), cube.n_vertices),
+            Workspace())
         assert values.shape == (3, 2) and grads.shape == batch.shape
         for i in range(3):
             for j in range(2):
@@ -424,7 +491,7 @@ class TestEdgeLengthEnergy:
         batch = mesh.vertices + 0.05 * rng.standard_normal((3,) + mesh.vertices.shape)
         values, grads = edge_length_energy(
             np.ascontiguousarray(batch.T), lengths,
-            BlockOperator.gather(edges, (1, -1), mesh.n_vertices))
+            BlockOperator.gather(edges, (1, -1), mesh.n_vertices), Workspace())
         ref_values, ref_grads = edge_length_energy_reference(batch, lengths, D, D.T)
         assert np.allclose(values, ref_values, rtol=1e-12, atol=0)
         assert np.abs(grads - ref_grads.T).max() \

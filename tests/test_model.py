@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from facegen.errors import DimensionMismatch, PoseLimitViolation
+from facegen.mesh import Workspace
 from facegen.model import (
     ModelParams,
     Pose,
@@ -195,7 +196,8 @@ class TestLbsGemm:
         w = model.skinning_weights
         for got, ref in ((lbs_apply(w, R_w, b_w, unposed),
                           lbs_apply_reference(w, R_w, b_w, unposed)),
-                         (lbs_adjoint(w, R_w, grad), lbs_adjoint_reference(w, R_w, grad))):
+                         (lbs_adjoint(w, R_w, grad, Workspace()),
+                          lbs_adjoint_reference(w, R_w, grad))):
             assert got.shape == ref.shape == unposed.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -204,7 +206,7 @@ class TestLbsGemm:
         rest = np.broadcast_to(np.eye(3), (4, 3, 3))
         w = model.skinning_weights
         assert np.array_equal(lbs_apply(w, rest, np.zeros((4, 3)), unposed), unposed)
-        assert np.array_equal(lbs_adjoint(w, rest, unposed), unposed)
+        assert np.array_equal(lbs_adjoint(w, rest, unposed, Workspace()), unposed)
 
 
 class TestEvaluate:

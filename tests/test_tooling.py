@@ -98,6 +98,23 @@ def test_benchmark_fit_large_runs(monkeypatch, tmp_path):
     assert len(tracer.self_ms["model.lbs_apply"]) == 6 * n_chunks
 
 
+def test_only_mesh_reaches_scipys_private_sparse_kernel():
+    """mesh.BlockOperator writes its products through scipy's private
+    csr_matvecs kernel; with one module naming `scipy.sparse._sparsetools`,
+    one file breaks if scipy moves it."""
+    naming = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+                 *(ROOT / "tests").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if any("_sparsetools" in name for name in names):
+                naming.add(path.relative_to(ROOT).as_posix())
+    assert naming == {"src/facegen/mesh.py"}
+
+
 def _calls_by_function(attrs):
     """{(module, enclosing def's qualified name)} of every call `x.<attr>(...)`
     with attr in `attrs` ("json.dumps" names the call on the name json)
