@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import (DimensionMismatch, EmptyComponent, InvalidParam, NonFiniteInput,
                      SingularComponent)
@@ -38,16 +37,9 @@ class GaussianMixture:
             raise InvalidParam("means must be finite")
         if not (np.abs(cov - np.swapaxes(cov, 1, 2)) <= 1e-9).all():
             raise InvalidParam("covariances must be finite and symmetric")
-        chols = np.empty_like(cov)
-        for k in range(K):
-            try:
-                chols[k] = cholesky(cov[k], lower=True)
-            except np.linalg.LinAlgError as e:
-                raise SingularComponent(f"component {k} covariance not SPD") from e
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "covariances", cov)
-        object.__setattr__(self, "_chols", chols)
+        for name, value in (("weights", w), ("means", mu), ("covariances", cov),
+                            ("_chols", _cholesky(cov))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_components(self) -> int:
@@ -56,6 +48,19 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Batched lower Cholesky factors; SingularComponent names the first non-SPD component."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        for k, c in enumerate(cov):
+            try:
+                np.linalg.cholesky(c)
+            except np.linalg.LinAlgError as e:
+                raise SingularComponent(f"component {k} covariance not SPD") from e
+        raise
 
 
 def _log_joint(data, weights, means, chols, delta=None) -> np.ndarray:
@@ -138,12 +143,7 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
     prev_ll = -np.inf
     delta = None        # residuals of `means`, once an M-step has made them
     for _ in range(max_iter):
-        try:
-            chols = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            GaussianMixture(weights, means, covs)   # names the first non-SPD component
-            raise
-        log_joint = _log_joint(data, weights, means, chols, delta)
+        log_joint = _log_joint(data, weights, means, _cholesky(covs), delta)
         log_norm = _logsumexp(log_joint)
         ll = float(log_norm.sum())
         if (trajectory and not just_reseeded

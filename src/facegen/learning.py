@@ -150,13 +150,13 @@ def barrier4(x, lo, hi):
     return val, der
 
 
-def _barrier4(x: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """barrier4 on an array, without the bound check: the loss's bounds
-    are the module constants and the limits a Skeleton checked."""
+def _barrier4(x: np.ndarray, lo, hi, grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """barrier4 on an array, without the bound check (the loss's bounds are the
+    module constants and limits a Skeleton checked); no derivative without `grad`."""
     above = np.maximum(x - hi, 0.0)
     below = np.maximum(lo - x, 0.0)
     a2, b2 = above * above, below * below
-    return a2 * a2 + b2 * b2, 4.0 * (a2 * above) - 4.0 * (b2 * below)
+    return a2 * a2 + b2 * b2, 4.0 * (a2 * above) - 4.0 * (b2 * below) if grad else None
 
 
 @dataclass(frozen=True)
@@ -552,10 +552,10 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
             and not (joint_angles.any() or global_rot.any() or global_trans.any()))
 
     # barriers
-    bexpr_val, bexpr_der = _barrier4(beta, 0.0, 1.0)
+    bexpr_val, bexpr_der = _barrier4(beta, 0.0, 1.0, "beta" in live)
     term_bexpr = weights.w_barrier_expr * float(bexpr_val.sum())
-    bpose_val, bpose_der = _barrier4(joint_angles, skel.limits[..., 0], skel.limits[..., 1])
-    bglob_val, bglob_der = _barrier4(global_rot, *GLOBAL_ROT_LIMITS)
+    bpose_val, bpose_der = _barrier4(joint_angles, *np.moveaxis(skel.limits, -1, 0), live_angles)
+    bglob_val, bglob_der = _barrier4(global_rot, *GLOBAL_ROT_LIMITS, "global_rot" in live)
     term_bpose = weights.w_barrier_pose * float(bpose_val.sum() + bglob_val.sum())
 
     # priors

@@ -11,7 +11,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .container import encode_json, write_files
 from .errors import DataError, InvalidSigma
@@ -26,6 +25,7 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 def pore_map(texture: np.ndarray, sigma: float) -> np.ndarray:
     """sigma^2 * Laplacian(Gaussian(texture)); linear in the input."""
+    from scipy import ndimage      # here, so that processes making no pore map never load it
     if not 0 < sigma < math.inf:
         raise InvalidSigma(f"sigma must be positive and finite, got {sigma}")
     img = np.asarray(texture, dtype=np.float64)

@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +160,18 @@ class TestSample:
                        "sample", "--library", str(demo_lib), "--count", "2"])
         assert rc == 0
         assert tree_hash(out) == tree_hash(ref)
+
+    def test_fresh_sample_run_loads_neither_scipy_linalg_nor_ndimage(self, demo_lib, tmp_path):
+        argv = ["--seed", "7", "--out", str(tmp_path / "out"),
+                "sample", "--library", str(demo_lib), "--count", "1"]
+        script = ("import sys\nfrom facegen.cli import cli_main\n"
+                  f"assert cli_main({argv!r}) == 0\n"
+                  "print([m for m in ('scipy.linalg', 'scipy.ndimage') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "scene_0000" / "scene.json").is_file()
 
 
 class TestExport:

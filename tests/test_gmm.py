@@ -2,7 +2,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
 
 from conftest import fit_gmm_reference, log_joint_reference
 from facegen import gmm as fgmm
@@ -216,19 +215,32 @@ class TestEmReseed:
 
 
 class TestGaussianMixtureValidation:
-    def test_chols_are_per_component_scipy_factors(self, rng):
+    def test_chols_are_the_batched_numpy_factors(self, rng):
         # sample_identity draws through _chols, so a library's samples stay
         # byte-identical only if these factors do
         data = two_cluster_data(rng, n=300, d=5)
         gmm = fit_gmm(data, K=4, seed=2)
-        for k in range(gmm.n_components):
-            factor = cholesky(gmm.covariances[k], lower=True)
-            assert np.array_equal(gmm._chols[k], factor)
+        assert np.array_equal(gmm._chols, np.linalg.cholesky(gmm.covariances))
         a = rng.standard_normal((6, 6, 6))
         covs = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(6)
         gmm = GaussianMixture(np.full(6, 1 / 6), np.zeros((6, 6)), covs)
-        assert all(np.array_equal(gmm._chols[k], cholesky(covs[k], lower=True))
-                   for k in range(6))
+        assert np.array_equal(gmm._chols, np.linalg.cholesky(covs))
+
+    def test_indefinite_component_is_named(self):
+        covs = np.stack([np.eye(3), 2.0 * np.eye(3), np.diag([1.0, -1.0, 1.0])])
+        with pytest.raises(SingularComponent, match="component 2 covariance not SPD"):
+            GaussianMixture(np.full(3, 1 / 3), np.zeros((3, 3)), covs)
+
+    def test_indefinite_component_in_em_is_named(self, monkeypatch, rng):
+        # three clusters, each seeding its own component; only cluster 2 is
+        # tighter than the negative ridge, so only its covariance is indefinite
+        centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
+        spread = np.array([10.0, 10.0, 0.1])
+        data = np.concatenate([c + s * rng.standard_normal((50, 2))
+                               for c, s in zip(centers, spread)])
+        monkeypatch.setattr(fgmm, "_kmeanspp_centers", lambda data, K, rng: centers)
+        with pytest.raises(SingularComponent, match="component 2 covariance not SPD"):
+            fit_gmm(data, K=3, seed=0, ridge=-1.0)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParam):

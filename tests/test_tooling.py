@@ -115,28 +115,51 @@ def test_only_mesh_reaches_scipys_private_sparse_kernel():
     assert naming == {"src/facegen/mesh.py"}
 
 
+def _package_nodes():
+    """(module, enclosing def's qualified name, node) of every AST node in
+    the package's modules."""
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            yield module, scope, child
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield from visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "facegen").glob("*.py")):
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+
+
 def _calls_by_function(attrs):
     """{(module, enclosing def's qualified name)} of every call `x.<attr>(...)`
     with attr in `attrs` ("json.dumps" names the call on the name json)
     in the package's modules."""
     found = set()
-
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                owner = child.func.value
-                name = (f"{owner.id}.{child.func.attr}" if isinstance(owner, ast.Name)
-                        else child.func.attr)
-                if child.func.attr in attrs or name in attrs:
-                    found.add((module, scope))
-            visit(child, module, inner)
-
-    for path in sorted((ROOT / "src" / "facegen").glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    for module, scope, node in _package_nodes():
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            name = (f"{owner.id}.{node.func.attr}" if isinstance(owner, ast.Name)
+                    else node.func.attr)
+            if node.func.attr in attrs or name in attrs:
+                found.add((module, scope))
     return found
+
+
+def test_scipy_linalg_and_ndimage_are_not_loaded_at_start_up():
+    """No module imports scipy.linalg, and scipy.ndimage is imported only
+    inside pore_map: a process that makes no pore map loads neither, which
+    saves start-up time and memory in every `sample` run."""
+    found = set()
+    for module, scope, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found |= {(heavy, module, scope) for heavy in ("scipy.linalg", "scipy.ndimage")
+                  for name in names if f"{name}.".startswith(f"{heavy}.")}
+    assert found == {("scipy.ndimage", "poremap", "pore_map")}
 
 
 def test_one_json_encoder_and_one_file_set_writer():
