@@ -31,8 +31,9 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
               eps: float = 1e-8) -> dict[str, np.ndarray]:
     """One Adam update over every block present in `grads`.
 
-    Mutates `state`, returns a new params dict (blocks without a gradient
-    pass through unchanged).
+    Mutates `state`, its moments in place, and returns a new params dict
+    (blocks without a gradient pass through unchanged).  Each operation is
+    the textbook formula's, in its order, so the bits are the formula's.
     """
     state.step += 1
     t = state.step
@@ -45,15 +46,22 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         if g.shape != p.shape:
             raise ShapeMismatch(
                 f"gradient block {name!r} has shape {g.shape}, parameter {p.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        else:
-            v = state.v[name]
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        out[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros(p.shape), np.zeros(p.shape)
+        m, v = state.m[name], state.v[name]
+        tmp = np.multiply(1.0 - beta1, g)
+        m *= beta1
+        m += tmp
+        np.multiply(1.0 - beta2, g, out=tmp)
+        tmp *= g
+        v *= beta2
+        v += tmp
+        # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), into a new array
+        step = np.divide(m, bc1)
+        step *= lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step /= tmp
+        out[name] = np.subtract(p, step, out=step)
     return out

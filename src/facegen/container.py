@@ -99,7 +99,10 @@ def load_container(manifest_path, kind: str | None = None) -> tuple[StrictDict, 
         # the blob must sit next to its manifest
         if blob_name in ("", ".", "..") or Path(blob_name).name != blob_name:
             raise DataError(f"blob {blob_name!r} is not a bare file name")
-        blob = (manifest_path.parent / blob_name).read_bytes()
+        try:
+            blob = (manifest_path.parent / blob_name).read_bytes()
+        except (FileNotFoundError, IsADirectoryError) as e:
+            raise DataError(f"blob {blob_name!r} not found beside the manifest") from e
         tensors = StrictDict({}, manifest_path)
         for ent in manifest["tensors"]:
             dtype, start, name = _DTYPES[ent["dtype"]], ent["byte_offset"], ent["name"]

@@ -124,14 +124,17 @@ class Groom:
     def points_bbox(self, pad: float = 0.0) -> np.ndarray:
         if self.n_strands == 0:
             raise EmptyGroom("groom has no strands")
-        return np.array([self.points.min(axis=0) - pad, self.points.max(axis=0) + pad])
+        # numpy reduces contiguous rows many times faster than a short axis
+        coords = np.ascontiguousarray(self.points.T)
+        return np.array([coords.min(axis=1) - pad, coords.max(axis=1) + pad])
 
 
 def _check_finite(points: np.ndarray, offsets: np.ndarray) -> None:
+    if np.isfinite(points).all():
+        return
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        i = np.searchsorted(offsets, bad[0], side="right") - 1
-        raise InvalidParam(f"strand {i} contains non-finite points")
+    i = np.searchsorted(offsets, bad[0], side="right") - 1
+    raise InvalidParam(f"strand {i} contains non-finite points")
 
 
 def _offsets(counts) -> np.ndarray:
@@ -258,17 +261,15 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
         raise PointOutsideBbox("strand points fall outside the given bbox")
 
     iu, iv = _uv_texel(groom.root_uv, R)
-    counts = np.zeros((R, R))
-    np.add.at(counts, (iu, iv), 1.0)
+    texel = iu * R + iv
+    counts = np.bincount(texel, minlength=R * R).reshape(R, R).astype(np.float64)
     density = counts / counts.max()
 
     lengths = groom.arc_lengths()
-    lsum = np.zeros((R, R))
-    np.add.at(lsum, (iu, iv), lengths)
+    lsum = _scatter_add(texel, lengths, R * R).reshape(R, R)
     length_map = np.divide(lsum, counts, out=np.zeros_like(lsum), where=counts > 0)
 
-    rsum = np.zeros((R, R, 3))
-    np.add.at(rsum, (iu, iv), points[offsets[:-1]])
+    rsum = _scatter_add(texel, points[offsets[:-1]], R * R).reshape(R, R, 3)
     root_points = np.divide(rsum, counts[..., None],
                             out=np.zeros_like(rsum), where=counts[..., None] > 0)
 
@@ -278,8 +279,8 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
         raise InvalidParam("bbox is degenerate")
     pos, tang = _resample(points, offsets, spacing)
     ijk = np.clip(((pos - bbox[0]) / cell).astype(np.int64), 0, G - 1)
-    acc = np.zeros((G, G, G, 3))
-    np.add.at(acc, (ijk[:, 0], ijk[:, 1], ijk[:, 2]), tang)
+    acc = _scatter_add((ijk[:, 0] * G + ijk[:, 1]) * G + ijk[:, 2], tang, G ** 3
+                       ).reshape(G, G, G, 3)
     norms = np.linalg.norm(acc, axis=3)
     nz = norms > 1e-8
     flow = np.zeros_like(acc)
@@ -287,6 +288,15 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
 
     return HairCode(density_map=density, length_map=length_map,
                     flow_volume=flow, bbox=bbox, root_points=root_points)
+
+
+def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sums of `values` (K,) or (K, c) rows into n bins by `index` (K,), as
+    (n,) or (n, c).  np.bincount adds each bin's values in index order
+    from +0.0, as np.add.at into zeros does, so the bits are the same."""
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    return np.stack([np.bincount(index, weights=col, minlength=n) for col in values.T], axis=1)
 
 
 def _trilinear(volume: np.ndarray, pos: np.ndarray, bbox: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .mesh import (
     Workspace,
     build_connectivity,
     cross3,
+    csr_apply,
     dot3,
     edge_length_energy,
     normals_forward,
@@ -157,6 +158,17 @@ def _barrier4(x: np.ndarray, lo, hi, grad: bool = True) -> tuple[np.ndarray, np.
     below = np.maximum(lo - x, 0.0)
     a2, b2 = above * above, below * below
     return a2 * a2 + b2 * b2, 4.0 * (a2 * above) - 4.0 * (b2 * below) if grad else None
+
+
+def _barrier_sum(x: np.ndarray, lo, hi, grad: bool, zero: bool
+                 ) -> tuple[float, np.ndarray | None]:
+    """The sum of _barrier4's values over a block, and its derivative (None
+    unless `grad`).  A block held `zero` within limits that contain 0 sums
+    to 0.0 unevaluated: each of its values is +0.0, -0.0 entries too."""
+    if zero:
+        return 0.0, None
+    val, der = _barrier4(x, lo, hi, grad)
+    return float(val.sum()), der
 
 
 @dataclass(frozen=True)
@@ -460,29 +472,34 @@ def posed_chunk(chain: PosedChain, c: slice, ws: Workspace) -> None:
             chain.dLdvbar[c] = lbs_adjoint(w, R_w, dLdv_out, ws)
 
 
+def _run_slot(chain: PosedChain, plan: LossPlan, k: int) -> None:
+    """posed_chunk over worker slot k's chunks in turn, in its workspace."""
+    ws = plan.slots[k]
+    for c in plan.chunks[k::plan.workers]:
+        with ws:        # a chunk's arrays die with it
+            posed_chunk(chain, c, ws)
+
+
 def _run_chunks(chain: PosedChain, plan: LossPlan,
                 executor: ThreadPoolExecutor | None) -> None:
     """posed_chunk over every chunk of the plan, each worker slot's chunks
     in turn in its workspace: slot 0 on the calling thread (one thread
     fewer to start, and one malloc arena fewer) and each other slot as one
     task of `executor`; without an executor this call opens one of its own."""
+    if plan.workers == 1:
+        _run_slot(chain, plan, 0)
+        return
     err = np.geterr()       # numpy's error state is per thread: pass the caller's on
 
     def run(k):
-        ws = plan.slots[k]
         with np.errstate(**err):
-            for c in plan.chunks[k::plan.workers]:
-                with ws:        # a chunk's arrays die with it
-                    posed_chunk(chain, c, ws)
+            _run_slot(chain, plan, k)
 
-    if plan.workers == 1:
-        run(0)
-        return
     with (nullcontext(executor) if executor is not None
           else ThreadPoolExecutor(plan.workers - 1)) as pool:
         others = [pool.submit(run, k) for k in range(1, plan.workers)]
         try:
-            run(0)
+            _run_slot(chain, plan, 0)
         finally:
             wait(others)    # no slot outlives the loss whose arrays it writes
         for task in others:
@@ -546,17 +563,20 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     skel = base.skeleton
     live = BLOCKS - frozen
     live_angles = "joint_angles" in live
+    # the frozen blocks that hold exactly zero (-0.0 counts)
+    zero = {k for k in FREEZABLE & frozen if not getattr(thetas, k).any()}
     # the pose frozen at zero without rest frames: skinning and the global
     # transform are the identity bit for bit, so the chain skips them
-    rest = (POSE_BLOCKS <= frozen and skel.rest_rotations is None
-            and not (joint_angles.any() or global_rot.any() or global_trans.any()))
+    rest = POSE_BLOCKS <= zero and skel.rest_rotations is None
 
-    # barriers
-    bexpr_val, bexpr_der = _barrier4(beta, 0.0, 1.0, "beta" in live)
-    term_bexpr = weights.w_barrier_expr * float(bexpr_val.sum())
-    bpose_val, bpose_der = _barrier4(joint_angles, *np.moveaxis(skel.limits, -1, 0), live_angles)
-    bglob_val, bglob_der = _barrier4(global_rot, *GLOBAL_ROT_LIMITS, "global_rot" in live)
-    term_bpose = weights.w_barrier_pose * float(bpose_val.sum() + bglob_val.sum())
+    # barriers; a block frozen at zero within its limits adds exactly 0
+    bexpr, bexpr_der = _barrier_sum(beta, 0.0, 1.0, "beta" in live, "beta" in zero)
+    term_bexpr = weights.w_barrier_expr * bexpr
+    bpose, bpose_der = _barrier_sum(joint_angles, skel.limits[..., 0], skel.limits[..., 1],
+                                    live_angles, "joint_angles" in zero and skel.limits_hold_zero)
+    bglob, bglob_der = _barrier_sum(global_rot, *GLOBAL_ROT_LIMITS, "global_rot" in live,
+                                    "global_rot" in zero)
+    term_bpose = weights.w_barrier_pose * (bpose + bglob)
 
     # priors
     term_id_coeff = weights.w_id_coeff * float(np.einsum("nq,nq->", alpha, alpha))
@@ -598,9 +618,9 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
         phi_flat = ws.take(V, m, 3)
         np.copyto(phi_flat, phi.transpose(1, 0, 2))
         phi_flat = phi_flat.reshape(V, m * 3)
-        lap_phi = ctx.laplacian @ phi_flat
-        term_lap = weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
-        del lap_phi         # its memory serves the gradient
+        with ws:
+            lap_phi = csr_apply(ctx.laplacian, phi_flat, ws.take(V, m * 3))
+            term_lap = weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
 
         # ---- backward of the live blocks, in canonical order --------------
         g = {}
@@ -625,13 +645,19 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
                 g_alpha += np.einsum("njb,jbq->nq", g_pivot, skel.a)
             g["alpha"] = g_alpha + weights.w_id_coeff * 2.0 * alpha
         if "beta" in live:
-            g["beta"] = (dLdvbar @ base.expression_basis.reshape(-1, V * 3).T
-                         + weights.w_barrier_expr * bexpr_der)
+            g_beta = weights.w_barrier_expr * bexpr_der
+            # a finite sum means finite entries: against a zero basis the
+            # GEMM is then +0.0, which turns only a -0.0 into +0.0
+            if base.expression_zero and math.isfinite(dLdvbar.sum()):
+                g_beta += 0.0
+            else:
+                g_beta = dLdvbar @ base.expression_basis.reshape(-1, V * 3).T + g_beta
+            g["beta"] = g_beta
         if "phi" in live:
             # (alpha^T dL/dvbar + 2 w_b phi) + 2 w_l L^T L phi, summed in place
             g_phi = (alpha.T @ dLdvbar).reshape(m, V, 3)
             g_phi += np.multiply(weights.w_id_basis * 2.0, phi, out=ws.take(m, V, 3))
-            lap_gram_phi = ctx.lap_gram @ phi_flat
+            lap_gram_phi = csr_apply(ctx.lap_gram, phi_flat, ws.take(V, m * 3))
             lap_gram_phi *= weights.w_laplacian * 2.0
             g_phi += lap_gram_phi.reshape(V, m, 3).transpose(1, 0, 2)
             g["phi"] = g_phi

@@ -217,12 +217,29 @@ class Workspace:
         return self._buf[start:start + size].reshape(shape)
 
 
-def _block_apply(block: sparse.csr_matrix, x: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-    """`block @ x` on the free (3C, -1) view of x, written into `out`
-    (a fresh array when None).  scipy's `@` zeroes an output and runs its
+def csr_apply(a: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`a @ x` for an (R, C) CSR matrix and a (C, n) array, written into a
+    C-ordered (R, n) `out`.  scipy's `@` zeroes an output and runs its
     csr_matvecs kernel on it; this does the same on `out`, so the bits are
     those of `@`, without the array `@` would allocate."""
+    if a.format != "csr":
+        raise ValueError(f"a must be a CSR matrix, not {a.format!r}")
+    if x.ndim != 2 or x.shape[0] != a.shape[1]:
+        raise ValueError(f"x must be a ({a.shape[1]}, n) array, not {x.shape}")
+    shape = (a.shape[0], x.shape[1])
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered {shape} array")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(a.shape[0], a.shape[1], shape[1], a.indptr, a.indices, a.data,
+                             x.ravel(), out.reshape(-1))
+    return out
+
+
+def _block_apply(block: sparse.csr_matrix, x: np.ndarray,
+                 out: np.ndarray | None) -> np.ndarray:
+    """`block @ x` on the free (3C, -1) view of x, by csr_apply into `out`
+    (a fresh array when None)."""
     # the batch size in full: -1 is undetermined when the operator has no columns
     n = math.prod(x.shape[2:])
     shape = (3, block.shape[0] // 3, *x.shape[2:])
@@ -230,10 +247,7 @@ def _block_apply(block: sparse.csr_matrix, x: np.ndarray,
         out = np.empty(shape)
     elif out.shape != shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-ordered {shape} array")
-    rows = np.ascontiguousarray(x, dtype=np.float64).reshape(block.shape[1], n)
-    out.fill(0.0)
-    _sparsetools.csr_matvecs(block.shape[0], block.shape[1], n, block.indptr,
-                             block.indices, block.data, rows.ravel(), out.reshape(-1))
+    csr_apply(block, x.reshape(block.shape[1], n), out.reshape(block.shape[0], n))
     return out
 
 

@@ -14,6 +14,7 @@ the coefficient arrays and are pure; models are immutable after load.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,6 +131,12 @@ class Skeleton:
     def n_identity(self) -> int:
         return self.a.shape[2]
 
+    @cached_property
+    def limits_hold_zero(self) -> bool:
+        """Whether every joint limit interval contains angle 0, computed
+        once per skeleton: then the pose barrier of zero angles is 0."""
+        return bool((self.limits[..., 0] <= 0.0).all() and (self.limits[..., 1] >= 0.0).all())
+
     def pivots(self, alpha: np.ndarray) -> np.ndarray:
         """Identity-adjusted joint pivots t0 + a @ alpha, batched over alpha."""
         alpha = np.asarray(alpha, dtype=np.float64)
@@ -242,6 +249,12 @@ class BlendshapeModel:
     def n_expression(self) -> int:
         return self.expression_basis.shape[0]
 
+    @cached_property
+    def expression_zero(self) -> bool:
+        """Whether every expression displacement is zero (-0.0 counts), as
+        in the default base model's basis; computed once per model."""
+        return not self.expression_basis.any()
+
     @property
     def n_vertices(self) -> int:
         return self.template.n_vertices
@@ -271,10 +284,22 @@ def evaluate_unposed(model: BlendshapeModel, alpha: np.ndarray, beta: np.ndarray
     # either order is the same, bit for bit
     out = _blend_fields(alpha, basis, ws.take(*alpha.shape[:-1], *basis.shape[1:]))
     out += model.template.vertices
+    # (a beta of another batch shape broadcasts into out, or fails to, in the add)
+    if beta.shape[:-1] == alpha.shape[:-1] and _zero_blend(model, beta):
+        # adding +0.0 could only turn a -0.0 of out into +0.0, and out holds
+        # none: a GEMM never returns -0.0 and x + t is -0.0 only if both are
+        return out
     with ws:
         exb = model.expression_basis
         out += _blend_fields(beta, exb, ws.take(*beta.shape[:-1], *exb.shape[1:]))
     return out
+
+
+def _zero_blend(model: BlendshapeModel, beta: np.ndarray) -> bool:
+    """Whether beta . the expression basis is +0.0 in every entry, as its GEMM
+    returns a sum of zero products whatever their signs (its accumulators
+    start at +0.0): the basis is all zero and beta finite."""
+    return model.expression_zero and bool(np.isfinite(beta).all())
 
 
 def _blend_fields(coeffs: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -29,8 +29,10 @@ def float_lines(values: np.ndarray, prefix: bytes) -> bytes:
     """
     block = np.ascontiguousarray(values, dtype=np.float64)
     mag = np.abs(block)
-    # nan fails both comparisons, so its row is redone too
-    redo = np.flatnonzero((~((mag >= 1e-4) & (mag < 1e16)) & (block != 0)).any(axis=1))
+    # nan fails both comparisons, so its row is redone too; the rows are
+    # found from the flat positions, as numpy reduces a short axis slowly
+    bad = ~((mag >= 1e-4) & (mag < 1e16)) & (block != 0)
+    redo = np.unique(np.flatnonzero(bad) // max(block.shape[1], 1))
     pieces, start = [], 0
     for row in redo.tolist() + [len(block)]:
         if start < row:

@@ -72,3 +72,36 @@ def test_blocks_without_gradient_pass_through():
     out = adam_step(state, params, {"x": np.ones(2)}, lr=0.1)
     assert out["y"] is params["y"]
     assert not np.array_equal(out["x"], params["x"])
+
+
+def _textbook_step(state, params, grads, lr, beta1, beta2, eps):
+    """adam_step written as the formulas read, each moment a new array."""
+    state.step += 1
+    bc1, bc2 = 1.0 - beta1 ** state.step, 1.0 - beta2 ** state.step
+    out = dict(params)
+    for name, g in grads.items():
+        p = params[name]
+        m = state.m.get(name, np.zeros_like(p))
+        v = state.v.get(name, np.zeros_like(p))
+        state.m[name] = m = beta1 * m + (1.0 - beta1) * g
+        state.v[name] = v = beta2 * v + (1.0 - beta2) * g * g
+        out[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return out
+
+
+def test_in_place_moments_are_the_textbook_bits(rng):
+    params = {"a": rng.standard_normal((5, 3)), "b": rng.standard_normal(7),
+              "c": np.zeros(4)}
+    ref_params, ref_state, state = dict(params), AdamState(), AdamState()
+    for step in range(6):
+        grads = {"a": rng.standard_normal((5, 3)) * 10.0 ** (step - 3),
+                 "b": np.where(rng.random(7) < 0.3, 0.0, rng.standard_normal(7))}
+        if step % 2:
+            grads["c"] = -np.zeros(4)
+        params = adam_step(state, params, grads, 0.03, 0.8, 0.99, 1e-7)
+        ref_params = _textbook_step(ref_state, ref_params, grads, 0.03, 0.8, 0.99, 1e-7)
+        for name in ref_params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), (step, name)
+        for name in ref_state.m:
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), (step, name)

@@ -191,3 +191,14 @@ def test_decode_json_reads_back_what_encode_json_wrote(value):
     for indent in (None, 1):
         back = decode_json(parse_json_object(encode_json(value, indent=indent).decode()), spec)
         assert back == {**value, "xs": tuple(value["xs"])}
+
+
+@pytest.mark.parametrize("blob", ["c.bim", "sub"])
+def test_missing_blob_names_the_manifest(tmp_path, blob):
+    # a blob name that names no file beside the manifest (or a directory)
+    # is malformed input, not an OSError about the blob's path
+    save_container(tmp_path / "c.json", {"m": np.ones(2)})
+    (tmp_path / "sub").mkdir()
+    _edit_manifest(tmp_path / "c.json", lambda m: m.update(blob=blob))
+    with pytest.raises(DataError, match=rf"c\.json.*{blob}"):
+        load_container(tmp_path / "c.json")

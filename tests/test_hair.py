@@ -27,6 +27,7 @@ from facegen.hair import (
     load_hair_code,
     save_groom,
     save_hair_code,
+    _scatter_add,
     vector_to_code,
 )
 
@@ -107,6 +108,28 @@ class TestEncode:
         ref_len, ref_flow = encode_reference(groom, 16, 12, code.bbox)
         assert np.array_equal(code.length_map, ref_len)
         assert np.array_equal(code.flow_volume, ref_flow)
+
+
+    def test_scatter_adds_are_add_at_bitwise(self, rng):
+        # many values of mixed sign and scale per bin, so that a different
+        # order of additions would change the sums' last bits
+        index = rng.integers(0, 20, 5000)
+        values = rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-8, 8, (5000, 1))
+        for v in (values, values[:, 0], values[:, 1:]):
+            expect = np.zeros((20, *v.shape[1:]))
+            np.add.at(expect, index, v)
+            assert _scatter_add(index, v, 20).tobytes() == expect.tobytes()
+        # and the encoder's maps are those of np.add.at over its bins
+        groom = make_demo_groom("scalp", 400, seed=2)
+        code = encode_groom(groom, R=16, G=8)
+        texel = np.clip(np.floor(groom.root_uv * 16).astype(np.int64), 0, 15)
+        counts, rsum = np.zeros((16, 16)), np.zeros((16, 16, 3))
+        np.add.at(counts, (texel[:, 0], texel[:, 1]), 1.0)
+        np.add.at(rsum, (texel[:, 0], texel[:, 1]), groom.points[groom.offsets[:-1]])
+        assert code.density_map.tobytes() == (counts / counts.max()).tobytes()
+        roots = np.divide(rsum, counts[..., None], out=np.zeros_like(rsum),
+                          where=counts[..., None] > 0)
+        assert code.root_points.tobytes() == roots.tobytes()
 
 
 class TestWithPoints:

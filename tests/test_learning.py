@@ -15,6 +15,7 @@ from facegen.errors import (
     TopologyMismatch,
 )
 import facegen.learning as learning
+import facegen.model as fmodel
 from facegen.learning import (
     FitSchedule,
     LossContext,
@@ -34,10 +35,11 @@ from facegen.model import (
     ModelParams,
     Pose,
     euler_xyz,
+    evaluate_unposed,
     evaluate_with_jacobian,
     param_layout,
 )
-from facegen.procedural import desk_head, quad_grid, smooth_vertex_fields
+from facegen.procedural import default_base_model, desk_head, quad_grid, smooth_vertex_fields
 
 from conftest import (
     data_term_reference,
@@ -890,6 +892,200 @@ class TestRestPose:
         assert _tally(calls, POSE_WORK) == {"pose_transforms": 1, "pose_derivatives": 0,
                                             "euler_xyz": 1, "lbs_apply": 1,
                                             "lbs_adjoint": 1}
+
+
+def _full_path(monkeypatch):
+    """Turn the zero fast paths off: every expression GEMM runs and every
+    barrier is evaluated."""
+    monkeypatch.setattr(fmodel, "_zero_blend", lambda model, beta: False)
+    monkeypatch.setattr(BlendshapeModel, "expression_zero", property(lambda self: False))
+    barrier_sum = learning._barrier_sum
+    monkeypatch.setattr(learning, "_barrier_sum",
+                        lambda x, lo, hi, grad, zero: barrier_sum(x, lo, hi, grad, False))
+
+
+def _count_gemm_work(monkeypatch):
+    """Record the blocks _barrier4 evaluates, by their trailing shape, and
+    every blend GEMM of evaluate_unposed, by its basis size."""
+    calls = []
+    barrier4_, blend = learning._barrier4, fmodel._blend_fields
+
+    def counted_barrier(x, *args):
+        calls.append(("barrier", x.shape[1:]))
+        return barrier4_(x, *args)
+
+    def counted_blend(coeffs, basis, out):
+        calls.append(("blend", basis.shape[0]))
+        return blend(coeffs, basis, out)
+
+    monkeypatch.setattr(learning, "_barrier4", counted_barrier)
+    monkeypatch.setattr(fmodel, "_blend_fields", counted_blend)
+    return calls
+
+
+def _assert_same_bits(res, full):
+    assert res.total == full.total
+    assert res.breakdown == full.breakdown
+    assert res.scan_vertex_ms.tobytes() == full.scan_vertex_ms.tobytes()
+    assert res.grads.keys() == full.grads.keys()
+    for name, g in full.grads.items():
+        assert res.grads[name].tobytes() == g.tobytes(), name
+
+
+def _zero_problem(rng, zero_basis, n_scans=6):
+    """tiny_problem at rest with beta zero, -0.0 in some entries of beta
+    and the pose; with `zero_basis`, a zero expression basis."""
+    base, scans, theta, phi = tiny_problem(rng, n_scans=n_scans, with_pose=False)
+    if zero_basis:
+        base = dataclasses.replace(base, expression_basis=np.zeros_like(base.expression_basis))
+    theta.beta[:] = 0.0
+    theta.beta[::2, 1] = -0.0
+    theta.joint_angles[1] = -0.0
+    theta.global_rot[2, 0] = -0.0
+    return base, scans, theta, phi
+
+
+class TestZeroBlocks:
+    """A loss skips the arithmetic whose result it knows: the expression
+    GEMMs against a zero expression basis, and the barriers of blocks
+    frozen at zero; the loss and the gradients stay those of the full
+    path, bit for bit."""
+
+    @pytest.mark.parametrize("zero_basis", [True, False], ids=["zero_basis", "basis"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fast_paths_are_the_full_path_bitwise(self, rng, monkeypatch, workers, zero_basis):
+        base, scans, theta, phi = _zero_problem(rng, zero_basis)
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+        monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
+        ctx = LossContext.build(scans, base)
+        for frozen in dict.fromkeys(FROZEN_SETS + REST_FROZEN_SETS):
+            fast = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+                              frozen=frozen)
+            with monkeypatch.context() as m:
+                _full_path(m)
+                full = total_loss(theta, phi, scans, LossWeights(), base,
+                                  plan=LossPlan.build(ctx), frozen=frozen)
+            _assert_same_bits(fast, full)
+
+    def test_unfrozen_zero_basis_call_matches_reference_bitwise(self, rng, monkeypatch):
+        base, scans, theta, phi = _zero_problem(rng, zero_basis=True, n_scans=4)
+        # live, nonzero, some outside [0, 1]: with a zero barrier weight
+        # their barrier derivative is -0.0, which the zero GEMM makes +0.0
+        theta.beta[:] = rng.uniform(-0.5, 1.5, theta.beta.shape)
+        ctx = LossContext.build(scans, base)
+        for weights in (LossWeights(), LossWeights(w_barrier_expr=0.0)):
+            res = total_loss(theta, phi, scans, weights, base, plan=LossPlan.build(ctx))
+            with monkeypatch.context() as m:
+                _full_path(m)
+                total, grads = total_loss_reference(theta, phi, scans, weights, base, ctx)
+            assert res.total == total
+            assert res.grads.keys() == grads.keys()
+            for name, g in grads.items():
+                assert res.grads[name].tobytes() == g.tobytes(), name
+
+    def test_zero_frozen_desk_loss_skips_barriers_and_expression_gemm(self, rng, monkeypatch):
+        # the fit-desk loss: a base model with a zero expression basis, and
+        # beta and the pose frozen at zero
+        head = desk_head(m=4)
+        alphas = rng.standard_normal((8, 4))
+        scans = ScanSet(head.template.vertices
+                        + np.einsum("nq,qvk->nvk", alphas, head.identity_basis),
+                        head.template.quads, tuple(f"scan_{k}" for k in range(8)))
+        base = default_base_model(scans, 4)
+        theta = ThetaBlocks.zeros(8, 4, base.n_expression)
+        plan = LossPlan.build(LossContext.build(scans, base))
+        calls = _count_gemm_work(monkeypatch)
+        res = total_loss(theta, head.identity_basis, scans, LossWeights(), base,
+                         frozen=learning.FREEZABLE, plan=plan)
+        assert calls == [("blend", 4)]          # the identity blend only
+        assert res.breakdown["barrier_expr"] == res.breakdown["barrier_pose"] == 0.0
+        # the zero checks of the basis are made once per model
+        assert "expression_zero" in base.__dict__
+        _full_path(monkeypatch)
+        _assert_same_bits(res, total_loss(theta, head.identity_basis, scans, LossWeights(),
+                                          base, frozen=learning.FREEZABLE, plan=plan))
+
+    @pytest.mark.parametrize("case", ["frozen_nonzero_beta", "frozen_nonzero_global_rot",
+                                      "limits_exclude_zero", "live_beta_with_basis"])
+    def test_fast_paths_do_not_fire(self, rng, monkeypatch, case):
+        base, scans, theta, phi = _zero_problem(rng, zero_basis=False)
+        frozen = learning.FREEZABLE
+        if case == "frozen_nonzero_beta":
+            theta.beta[3, 2] = 0.25
+            expected = [("blend", 2), ("blend", 4), ("barrier", (4,))]
+        elif case == "frozen_nonzero_global_rot":
+            theta.global_rot[3, 2] = 0.25
+            expected = [("blend", 2), ("blend", 4), ("barrier", (3,))]
+        elif case == "limits_exclude_zero":
+            limits = base.skeleton.limits.copy()
+            limits[1, 0] = (0.1, 0.5)       # the jaw's first axis cannot rest at 0
+            base = dataclasses.replace(
+                base, skeleton=dataclasses.replace(base.skeleton, limits=limits))
+            expected = [("blend", 2), ("blend", 4), ("barrier", (4, 3))]
+        else:
+            theta.beta[:] = rng.uniform(0.05, 0.95, theta.beta.shape)
+            frozen = learning.POSE_BLOCKS
+            expected = [("blend", 2), ("blend", 4), ("barrier", (4,))]
+        plan = LossPlan.build(LossContext.build(scans, base))
+        calls = _count_gemm_work(monkeypatch)
+        res = total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen, plan=plan)
+        assert sorted(calls) == sorted(expected)
+        if case == "limits_exclude_zero":
+            assert res.breakdown["barrier_pose"] > 0.0
+        _full_path(monkeypatch)
+        _assert_same_bits(res, total_loss(theta, phi, scans, LossWeights(), base,
+                                          frozen=frozen, plan=plan))
+
+    def test_non_finite_gradient_runs_the_beta_gemm(self, rng, monkeypatch):
+        # against a zero basis only a finite dL/dvbar gives a zero GEMM: an
+        # infinite identity coefficient makes scan 0's gradient NaN
+        base, scans, theta, phi = _zero_problem(rng, zero_basis=True, n_scans=4)
+        theta.alpha[0, 0] = np.inf
+        with np.errstate(all="ignore"):
+            res = total_loss(theta, phi, scans, LossWeights(), base)
+            _full_path(monkeypatch)
+            full = total_loss(theta, phi, scans, LossWeights(), base)
+        assert np.isnan(res.grads["beta"][0]).all()
+        assert res.grads["beta"].tobytes() == full.grads["beta"].tobytes()
+
+    def test_zero_blend_is_the_explicit_gemm(self, rng):
+        # a template holding -0.0 and a zero identity blend: out is +0.0
+        # there, which adding the expression blend's +0.0 would not change
+        grid = quad_grid(3, 4, spacing=0.05)
+        template = grid.vertices.copy()
+        template[::2, 2] = -0.0
+        V = len(template)
+        skel = tiny_problem(rng)[0].skeleton
+        base = BlendshapeModel(QuadMesh(template, grid.quads),
+                               0.01 * rng.standard_normal((2, V, 3)),
+                               0.01 * rng.standard_normal((4, V, 3)),
+                               skel, np.full((V, 4), 0.25))
+        zero = dataclasses.replace(base, expression_basis=-np.zeros((4, V, 3)))
+        signed_zeros = np.zeros((5, 4))
+        signed_zeros[::2] = -0.0
+        for model, alpha, beta in [
+                (base, np.zeros((5, 2)), signed_zeros),
+                (base, rng.standard_normal((5, 2)), signed_zeros),
+                (zero, np.zeros((5, 2)), rng.standard_normal((5, 4))),
+                (zero, np.zeros((5, 2)), signed_zeros),
+                # not finite: the GEMM runs
+                (zero, np.zeros(2), np.array([0.5, np.nan, 0.0, 1.0])),
+                (dataclasses.replace(base, expression_basis=np.where(
+                    rng.random((4, V, 3)) < 0.1, np.inf, base.expression_basis)),
+                 np.zeros((5, 2)), signed_zeros),
+                (base, np.zeros((5, 2)), rng.standard_normal((5, 4)))]:
+            with np.errstate(invalid="ignore"):      # 0 * inf
+                expect = np.matmul(alpha, model.identity_basis.reshape(2, -1)).reshape(
+                    *alpha.shape[:-1], V, 3)
+                expect += model.template.vertices
+                expect += np.matmul(beta, model.expression_basis.reshape(4, -1)).reshape(
+                    *beta.shape[:-1], V, 3)
+                assert evaluate_unposed(model, alpha, beta).tobytes() == expect.tobytes()
+        assert not np.signbit(evaluate_unposed(base, np.zeros(2), np.zeros(4))[::2, 2]).any()
+        # g_beta's rule: a GEMM of finite values against zeros is +0.0 throughout
+        dLdvbar = -np.abs(rng.standard_normal((6, 3 * V)))
+        for basis in (np.zeros((4, 3 * V)), -np.zeros((4, 3 * V))):
+            assert (dLdvbar @ basis.T).tobytes() == np.zeros((6, 4)).tobytes()
 
 
 class TestLossPlan:

@@ -20,6 +20,7 @@ from facegen.mesh import (
     QuadMesh,
     Workspace,
     build_connectivity,
+    csr_apply,
     edge_length_energy,
     gather_matrix,
     normals_forward,
@@ -320,6 +321,20 @@ class TestBlockOperator:
                 assert apply(x, out) is out
                 assert out.tobytes() == expected.tobytes()
                 assert apply(x).tobytes() == expected.tobytes()
+
+    def test_csr_apply_rejects_x_of_another_shape_and_non_csr(self, rng):
+        # csr_matvecs reads x by a's column count, unchecked: a short x
+        # must fail before the kernel, and a CSC matrix's arrays would be
+        # read as its transpose's
+        a = sparse.random(6, 4, density=0.5, format="csr", random_state=0)
+        out = np.empty((6, 2))
+        for x in (np.ones((3, 2)), np.ones((5, 2)), np.ones(4), np.ones((4, 2, 1))):
+            with pytest.raises(ValueError, match=r"x must be a \(4, n\) array"):
+                csr_apply(a, x, out)
+        with pytest.raises(ValueError, match="CSR"):
+            csr_apply(a.tocsc(), np.ones((4, 2)), out)
+        x = rng.standard_normal((4, 2))
+        assert csr_apply(a, x, out).tobytes() == (a @ x).tobytes()
 
     def test_out_of_another_shape_or_layout_rejected(self):
         op = BlockOperator.gather(build_connectivity(cube_mesh()).edges, (1, -1), 8)

@@ -172,6 +172,13 @@ def test_one_json_encoder_and_one_file_set_writer():
         ("container", "write_files"), ("objio", "save_obj"), ("hdr", "write_hdr")}
 
 
+def test_no_ufunc_at_scatter():
+    """Scatter-adds go through np.bincount, which adds each bin's values in
+    index order as np.add.at does, many times faster: no module calls a
+    ufunc's `.at`."""
+    assert _calls_by_function({"at"}) == set()
+
+
 def _public_api() -> set[str]:
     """The backticked names of the README's "Public API" list."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
