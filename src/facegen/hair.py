@@ -22,6 +22,7 @@ from .errors import (
     EmptyGroom,
     InvalidParam,
     MissingRootMap,
+    NonFiniteInput,
     PointOutsideBbox,
     naming,
 )
@@ -115,11 +116,8 @@ class Groom:
         return len(self.offsets) - 1
 
     def arc_lengths(self) -> np.ndarray:
-        seg_len = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        out = np.empty(self.n_strands)
-        for ids, segs in _segment_groups(self.offsets):
-            out[ids] = seg_len[segs].sum(axis=1)
-        return out
+        return _strand_sums(_segments(np.ascontiguousarray(self.points.T))[1],
+                            self.offsets)
 
     def points_bbox(self, pad: float = 0.0) -> np.ndarray:
         if self.n_strands == 0:
@@ -140,6 +138,23 @@ def _check_finite(points: np.ndarray, offsets: np.ndarray) -> None:
 def _offsets(counts) -> np.ndarray:
     """Strand offsets (S + 1,) of strands with the given point counts."""
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _segments(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segments (3, P - 1) between consecutive columns of (3, P) points
+    and their lengths (P - 1,).  The norm over the three contiguous rows
+    adds x^2 + y^2 + z^2 in the order a row-wise norm of (P, 3) points
+    does, so the lengths are the same bits, from fewer, faster passes."""
+    seg = np.diff(coords)
+    return seg, np.linalg.norm(seg, axis=0)
+
+
+def _strand_sums(seg_len: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Arc length of every strand from its segments' lengths."""
+    out = np.empty(len(offsets) - 1)
+    for ids, segs in _segment_groups(offsets):
+        out[ids] = seg_len[segs].sum(axis=1)
+    return out
 
 
 def _segment_groups(offsets: np.ndarray):
@@ -178,6 +193,12 @@ class HairCode:
             raise DimensionMismatch(
                 f"flow volume must be (G, G, G, 3) with G >= 2, got {flow.shape}")
         R = len(den)
+        rp = self.root_points
+        rp = None if rp is None else np.asarray(rp, dtype=np.float64)
+        for name, value in (("density_map", den), ("length_map", ln), ("flow_volume", flow),
+                            ("bbox", bbox), ("root_points", rp)):
+            if value is not None and not np.isfinite(value).all():
+                raise NonFiniteInput(f"{name} holds non-finite values")
         if np.any(den < 0) or np.any(ln < 0):
             raise InvalidParam("density and length maps must be nonnegative")
         norms = np.linalg.norm(flow, axis=3)
@@ -190,8 +211,7 @@ class HairCode:
         object.__setattr__(self, "length_map", ln)
         object.__setattr__(self, "flow_volume", flow)
         object.__setattr__(self, "bbox", bbox)
-        if self.root_points is not None:
-            rp = np.asarray(self.root_points, dtype=np.float64)
+        if rp is not None:
             if rp.shape != (R, R, 3):
                 raise DimensionMismatch(f"root_points must be ({R}, {R}, 3), got {rp.shape}")
             object.__setattr__(self, "root_points", rp)
@@ -216,14 +236,13 @@ def _uv_texel(uv: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, 0], idx[:, 1]
 
 
-def _resample(points: np.ndarray, offsets: np.ndarray, spacing: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and unit tangents at uniform arc-length midpoints of every
-    strand, in strand order: a strand of arc length L > 0 gets
+def _resample(coords: np.ndarray, seg: np.ndarray, seg_len: np.ndarray,
+              offsets: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and unit tangents, (3, M) each, at uniform arc-length
+    midpoints of every strand of the (3, P) points `coords`, in strand
+    order, given their `_segments`: a strand of arc length L > 0 gets
     max(1, floor(L / spacing)) samples, a strand of zero length none."""
-    seg = np.diff(points, axis=0)              # segment j of strand i at offsets[i] + j
-    seg_len = np.linalg.norm(seg, axis=1)
-    cum = np.zeros(len(points))                # arc length from the root to each point
+    cum = np.zeros(len(seg_len) + 1)           # arc length from the root to each point
     for _, segs in _segment_groups(offsets):
         cum[segs + 1] = np.cumsum(seg_len[segs], axis=1)
     total = cum[offsets[1:] - 1]
@@ -231,14 +250,20 @@ def _resample(points: np.ndarray, offsets: np.ndarray, spacing: float
     strand = np.repeat(np.arange(len(n)), n)
     k = np.arange(len(strand)) - np.repeat(np.cumsum(n) - n, n)
     s = (k + 0.5) * (total / np.maximum(n, 1))[strand]
-    # complex numbers sort by real part, then imaginary part: one sorted
-    # key (strand id, arc length) finds each sample's segment in its strand
-    point_strand = np.repeat(np.arange(len(n)), np.diff(offsets))
-    start = np.searchsorted(point_strand + 1j * cum, strand + 1j * s, side="right") - 1
-    t = (s - cum[start]) / seg_len[start]
-    pos = points[start] + t[:, None] * seg[start]
-    tang = seg[start] / seg_len[start, None]
-    return pos, tang
+    # each sample's segment starts at the last point of its own strand at
+    # or below its arc length: bisect every sample's [root, tip] at once
+    start, end = offsets[:-1][strand], offsets[1:][strand]
+    for _ in range(int(np.diff(offsets).max() - 1).bit_length()):
+        mid = (start + end) >> 1
+        below = cum[mid] <= s
+        start = np.where(below, mid, start)
+        end = np.where(below, end, mid)
+    # np.take and np.compress along axis 1: `a[:, index]` takes numpy's
+    # general indexing path, several times slower
+    ds = np.take(seg, start, axis=1)
+    length = seg_len[start]
+    pos = np.take(coords, start, axis=1) + (s - cum[start]) / length * ds
+    return pos, ds / length
 
 
 def encode_groom(groom: Groom, R: int = 64, G: int = 32,
@@ -265,7 +290,9 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
     counts = np.bincount(texel, minlength=R * R).reshape(R, R).astype(np.float64)
     density = counts / counts.max()
 
-    lengths = groom.arc_lengths()
+    coords = np.ascontiguousarray(points.T)
+    seg, seg_len = _segments(coords)
+    lengths = _strand_sums(seg_len, offsets)
     lsum = _scatter_add(texel, lengths, R * R).reshape(R, R)
     length_map = np.divide(lsum, counts, out=np.zeros_like(lsum), where=counts > 0)
 
@@ -277,9 +304,10 @@ def encode_groom(groom: Groom, R: int = 64, G: int = 32,
     spacing = 0.5 * float(cell.min())
     if spacing <= 0:
         raise InvalidParam("bbox is degenerate")
-    pos, tang = _resample(points, offsets, spacing)
-    ijk = np.clip(((pos - bbox[0]) / cell).astype(np.int64), 0, G - 1)
-    acc = _scatter_add((ijk[:, 0] * G + ijk[:, 1]) * G + ijk[:, 2], tang, G ** 3
+    pos, tang = _resample(coords, seg, seg_len, offsets, spacing)
+    ijk = np.clip(((pos - bbox[0, :, None]) / cell[:, None]).astype(np.int64), 0, G - 1)
+    # tang.T: each component's bincount reads one contiguous row
+    acc = _scatter_add((ijk[0] * G + ijk[1]) * G + ijk[2], tang.T, G ** 3
                        ).reshape(G, G, G, 3)
     norms = np.linalg.norm(acc, axis=3)
     nz = norms > 1e-8
@@ -299,26 +327,24 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.stack([np.bincount(index, weights=col, minlength=n) for col in values.T], axis=1)
 
 
-def _trilinear(volume: np.ndarray, pos: np.ndarray, bbox: np.ndarray) -> np.ndarray:
-    """Cell-centered trilinear interpolation of a (G, G, G, 3) field, G >= 2."""
-    G = volume.shape[0]
-    cell = (bbox[1] - bbox[0]) / G
-    g = (pos - bbox[0]) / cell - 0.5
+def _trilinear(flow: np.ndarray, pos: np.ndarray, bbox: np.ndarray) -> np.ndarray:
+    """Cell-centered trilinear interpolation of a field held component-major
+    as (3, G, G, G), G >= 2, at (3, n) positions: (3, n)."""
+    G = flow.shape[1]
+    cell = ((bbox[1] - bbox[0]) / G)[:, None]
+    g = (pos - bbox[0, :, None]) / cell - 0.5
     i0 = np.clip(np.floor(g).astype(np.int64), 0, G - 2)
     f = np.clip(g - i0, 0.0, 1.0)
-    # the 8 corners of every cell in one gather from the flat volume, in
-    # (dx, dy, dz) order
-    base = (i0[:, 0] * G + i0[:, 1]) * G + i0[:, 2]
-    corners = iter(np.take(volume.reshape(-1, 3),
-                           base + _CORNERS.dot([G * G, G, 1])[:, None], axis=0))
-    w = (1.0 - f.T, f.T)          # w[d][axis]: weight of offset d along axis
-    out = np.zeros((len(pos), 3))
-    for dx in (0, 1):
-        for dy in (0, 1):
-            wxy = w[dx][0] * w[dy][1]
-            for dz in (0, 1):
-                out += (wxy * w[dz][2])[:, None] * next(corners)
-    return out
+    # the 8 corners of every cell in one gather from the flat volume, as
+    # (3, 8, n) in (dx, dy, dz) order
+    base = (i0[0] * G + i0[1]) * G + i0[2]
+    corners = np.take(flow.reshape(3, -1), base + _CORNERS.dot([G * G, G, 1])[:, None],
+                      axis=1)
+    w = np.stack((1.0 - f, f))     # w[d, axis]: weight of offset d along axis
+    weights = (w[:, None, None, 0] * w[None, :, None, 1]) * w[None, None, :, 2]
+    corners *= weights.reshape(8, -1)
+    # the eight weighted corners added one after another to 0.0
+    return np.add.reduce(corners, axis=1, initial=0.0)
 
 
 _CORNERS = np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
@@ -395,50 +421,60 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
 
     zero_flow = np.zeros(n_strands, dtype=bool)
     wall = np.zeros(n_strands, dtype=bool)
+    # positions, flow and every per-strand vector are held component-major,
+    # (3, n), so that each step's arithmetic runs over contiguous rows
+    flow = np.ascontiguousarray(np.moveaxis(code.flow_volume, 3, 0))
+    lo, hi = code.bbox[:, :, None]
     # the live strands, in id order: their ids, positions and the length
-    # each has left to grow; rows are dropped only when strands stop
+    # each has left to grow; columns are dropped only when strands stop
     ids = np.flatnonzero(targets > 0)
-    pos, remaining = starts[ids], targets[ids]
-    # every position a strand takes, root first, as (strand ids, points)
-    # records in growth order
-    moved_ids, moved_pos = [np.arange(n_strands)], [starts]
-    lo, hi = code.bbox
+    pos, remaining = np.ascontiguousarray(starts[ids].T), targets[ids]
+    # record t of moved_ids/moved_pos holds point t of the strands it
+    # names: the roots, then the points of each step of the strands still
+    # growing at it
+    moved_ids, moved_pos = [np.arange(n_strands)], [starts.T]
     max_steps = int(np.ceil(targets.max() / step)) + 2
     for _ in range(max_steps):
         if not len(ids):
             break
-        d = _trilinear(code.flow_volume, pos, code.bbox)
-        dn = np.linalg.norm(d, axis=1)
+        d = _trilinear(flow, pos, code.bbox)
+        dn = np.linalg.norm(d, axis=0)
         dead = dn < 1e-6
         if dead.any():
             zero_flow[ids[dead]] = True
             live = ~dead
-            ids, pos, remaining, d, dn = ids[live], pos[live], remaining[live], d[live], dn[live]
+            ids, remaining, dn = ids[live], remaining[live], dn[live]
+            pos, d = np.compress(live, pos, axis=1), np.compress(live, d, axis=1)
         lens = np.minimum(step, remaining)
-        cand = pos + d / dn[:, None] * lens[:, None]
+        cand = pos + d / dn * lens
         pos = np.clip(cand, lo, hi)
         remaining = remaining - lens
         moved_ids.append(ids)
         moved_pos.append(pos)
         growing = remaining > 1e-12
         # strands pressed against the volume boundary stop growing
-        at_wall = np.any(pos != cand, axis=1) & growing
+        at_wall = (pos != cand).any(axis=0) & growing
         wall[ids[at_wall]] = True
         live = growing & ~at_wall
         if not live.all():
-            ids, pos, remaining = ids[live], pos[live], remaining[live]
+            ids, pos, remaining = ids[live], np.compress(live, pos, axis=1), remaining[live]
 
     # never moved: synthesize a degenerate-but-valid stub along +z
-    stub = np.bincount(np.concatenate(moved_ids), minlength=n_strands) < 2
+    counts = np.bincount(np.concatenate(moved_ids), minlength=n_strands)
+    stub = counts < 2
     zero_flow &= ~stub
-    moved_ids.append(np.flatnonzero(stub))
-    moved_pos.append(starts[stub] + np.array([0.0, 0.0, max(step * 0.5, 1e-9)]))
-    ids = np.concatenate(moved_ids)
-    order = np.argsort(ids, kind="stable")
-    groom = Groom.from_ragged(np.concatenate(moved_pos)[order],
-                              _offsets(np.bincount(ids, minlength=n_strands)),
-                              root_uv)
-    return groom, DecodeReport(target_lengths=targets, grown_lengths=groom.arc_lengths(),
+    offsets = _offsets(counts + stub)
+    tip = starts[stub] + np.array([0.0, 0.0, max(step * 0.5, 1e-9)])
+    # the records' columns in strand order: record t holds point t of its
+    # strands, and a stub's tip is its point 1
+    first = offsets[:-1]
+    dest = [first[i] + t for t, i in enumerate(moved_ids)] + [first[stub] + 1]
+    order = np.empty(offsets[-1], dtype=np.int64)
+    order[np.concatenate(dest)] = np.arange(offsets[-1])
+    coords = np.take(np.concatenate(moved_pos + [tip.T], axis=1), order, axis=1)
+    groom = Groom.from_ragged(np.ascontiguousarray(coords.T), offsets, root_uv)
+    grown = _strand_sums(_segments(coords)[1], offsets)
+    return groom, DecodeReport(target_lengths=targets, grown_lengths=grown,
                                early_terminated=zero_flow | wall | stub,
                                zero_flow=zero_flow, wall=wall, stub=stub)
 
@@ -476,6 +512,8 @@ def vector_to_code(v: np.ndarray, R: int, G: int, bbox: np.ndarray,
     if len(v) != code_vector_length(R, G):
         raise DimensionMismatch(
             f"vector length {len(v)} != 2R^2+3G^3 = {code_vector_length(R, G)}")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("code vector holds non-finite values")
     r2 = R * R
     density = v[:r2].reshape(R, R)
     length = v[r2:2 * r2].reshape(R, R)

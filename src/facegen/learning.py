@@ -16,7 +16,6 @@ scan order.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
@@ -58,6 +57,7 @@ from .model import (
     pose_derivatives,
     pose_transforms,
 )
+from .parallel import cpu_count as _cpu_count
 
 GLOBAL_ROT_LIMITS = (-np.pi, np.pi)
 # the blocks a fit schedule may hold fixed, and every block total_loss can
@@ -300,12 +300,6 @@ def data_term(generated: np.ndarray, target: QuadMesh,
 # the posed-scan chain's temporaries are reused from cache and from the heap
 # rather than from freshly mapped pages.
 _CHUNK_BYTES = 1 << 19
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: the most chunk workers of a loss."""
-    affinity = getattr(os, "sched_getaffinity", None)   # not on every platform
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _scan_chunks(n_scans: int, n_vertices: int, workers: int = 1) -> list[slice]:

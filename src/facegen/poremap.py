@@ -2,18 +2,31 @@
 diffuse skin texture, acting as a blob detector for micro displacement.
 
 Computed as separable Gaussian smoothing followed by the discrete
-5-point Laplacian, scaled by sigma^2; borders clamp to the edge.
+5-point Laplacian, scaled by sigma^2; borders clamp to the edge.  The
+image is worked in row bands, each with a halo of the rows its filters
+reach, on one thread per CPU.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .container import encode_json, write_files
 from .errors import DataError, InvalidSigma
+from .parallel import cpu_count as _cpu_count
+
+# Size of the rows of one band of a float64 image: small enough that a
+# band's filter passes run from cache, large enough that its halo of
+# recomputed rows stays a small share of it.
+_BAND_BYTES = 1 << 20
+
+_LAPLACIAN = np.array([[0.0, 1.0, 0.0],
+                       [1.0, -4.0, 1.0],
+                       [0.0, 1.0, 0.0]])
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -24,7 +37,13 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 
 def pore_map(texture: np.ndarray, sigma: float) -> np.ndarray:
-    """sigma^2 * Laplacian(Gaussian(texture)); linear in the input."""
+    """sigma^2 * Laplacian(Gaussian(texture)); linear in the input.
+
+    Each band of rows is smoothed from the image rows it reaches (its own
+    rows and a halo of radius + 1 on either side, cut at the image edges),
+    so every pixel goes through the same filter arithmetic as in one pass
+    over the whole image: the bytes do not depend on the bands or threads.
+    """
     from scipy import ndimage      # here, so that processes making no pore map never load it
     if not 0 < sigma < math.inf:
         raise InvalidSigma(f"sigma must be positive and finite, got {sigma}")
@@ -32,13 +51,36 @@ def pore_map(texture: np.ndarray, sigma: float) -> np.ndarray:
     if img.ndim != 2:
         raise DataError(f"texture must be a 2-D grayscale image, got shape {img.shape}")
     k = gaussian_kernel1d(sigma)
-    smooth = ndimage.convolve1d(img, k, axis=0, mode="nearest")
-    smooth = ndimage.convolve1d(smooth, k, axis=1, mode="nearest")
-    lap_kernel = np.array([[0.0, 1.0, 0.0],
-                           [1.0, -4.0, 1.0],
-                           [0.0, 1.0, 0.0]])
-    lap = ndimage.convolve(smooth, lap_kernel, mode="nearest")
-    return sigma * sigma * lap
+    scale = sigma * sigma
+    h, w = img.shape
+    rows = max(1, _BAND_BYTES // (8 * max(w, 1)))
+    out = np.empty((h, w))
+
+    def band(a: int) -> None:
+        """Rows a to a + rows of the map into `out`."""
+        b = min(h, a + rows)
+        top, bottom = max(0, a - 1), min(h, b + 1)          # rows the Laplacian reads
+        lo, hi = max(0, top - len(k) // 2), min(h, bottom + len(k) // 2)
+        smooth = ndimage.convolve1d(img[lo:hi], k, axis=0, mode="nearest")
+        smooth = ndimage.convolve1d(smooth[top - lo:bottom - lo], k, axis=1, mode="nearest")
+        lap = ndimage.convolve(smooth, _LAPLACIAN, mode="nearest")
+        np.multiply(scale, lap[a - top:b - top], out=out[a:b])
+
+    starts = range(0, h, rows)
+    workers = min(len(starts), _cpu_count())
+    if workers <= 1:
+        for a in starts:
+            band(a)
+        return out
+    err = np.geterr()       # numpy's error state is per thread: pass the caller's on
+
+    def run(a: int) -> None:
+        with np.errstate(**err):
+            band(a)
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run, starts))      # re-raises a band's error
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +128,8 @@ def read_pgm(path) -> np.ndarray:
     if not all(t.isdigit() for t in tokens[1:]) or min(map(int, tokens[1:])) < 1:
         raise DataError(f"{path}: PGM header needs integer width, height and maxval >= 1")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if maxval > 65535:
+        raise DataError(f"{path}: PGM maxval {maxval} is above 65535")
     if magic == b"P5":
         pos += 1   # single whitespace after maxval
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
@@ -97,4 +141,7 @@ def read_pgm(path) -> np.ndarray:
         if len(samples) < w * h or not all(t.isdigit() for t in samples):
             raise DataError(f"{path}: PGM body holds fewer than {w}x{h} integer samples")
         arr = np.array(samples, dtype=np.float64)
-    return arr.astype(np.float64).reshape(h, w) / maxval
+    if arr.max() > maxval:
+        raise DataError(
+            f"{path}: PGM holds a sample of {arr.max():.0f}, above its maxval {maxval}")
+    return np.divide(arr, maxval, dtype=np.float64).reshape(h, w)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import ndimage, sparse
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
@@ -358,6 +358,22 @@ def encode_reference(groom, R: int, G: int, bbox: np.ndarray):
     flow[nz] = acc[nz] / norms[nz][:, None]
     return length_map, flow
 
+
+
+def pore_map_reference(texture, sigma: float) -> np.ndarray:
+    """pore_map in one pass of each filter over the whole image: the
+    reference for its row bands."""
+    from facegen.poremap import gaussian_kernel1d
+
+    img = np.asarray(texture, dtype=np.float64)
+    k = gaussian_kernel1d(sigma)
+    smooth = ndimage.convolve1d(img, k, axis=0, mode="nearest")
+    smooth = ndimage.convolve1d(smooth, k, axis=1, mode="nearest")
+    lap_kernel = np.array([[0.0, 1.0, 0.0],
+                           [1.0, -4.0, 1.0],
+                           [0.0, 1.0, 0.0]])
+    lap = ndimage.convolve(smooth, lap_kernel, mode="nearest")
+    return sigma * sigma * lap
 
 @dataclasses.dataclass(frozen=True)
 class ConnectivityReference:

@@ -474,6 +474,26 @@ def _hair_code_with(**tensors):
     return case
 
 
+def _hair_code_nan(name: str):
+    """`decode-hair` on a code of a demo groom with a NaN in its tensor `name`."""
+    def case(lib, monkeypatch):
+        code = encode_groom(load_groom(lib / "groom_scalp_0.json"), R=8, G=8)
+        tensor = np.array(getattr(code, name))
+        tensor.flat[-1] = np.nan
+        return _hair_code_with(**{name: tensor})(lib, monkeypatch)
+    return case
+
+
+def _groom_nan(lib, monkeypatch):
+    """`encode-hair` on a demo groom file with a NaN point."""
+    manifest = json.loads((lib / "groom_scalp_0.json").read_text())
+    tensors, _ = load_container(lib / "groom_scalp_0.json", "groom")
+    tensors["points"][7, 1] = np.nan
+    save_container(lib / "nan_groom.json", tensors, metadata=manifest["metadata"])
+    return (["--out", str(lib.parent / "c.json"), "encode-hair",
+             "--groom", str(lib / "nan_groom.json")], lib / "nan_groom.json")
+
+
 def _scans_of_two_sizes(lib, monkeypatch):
     scans = lib.parent / "scans"
     scans.mkdir()
@@ -602,6 +622,9 @@ MALFORMED = {
     "hair_code_density_0d": _hair_code_with(density_map=np.array(1.0)),
     "hair_code_flow_of_one_cell": _hair_code_with(
         flow_volume=np.array([[[[0.0, 0.0, 1.0]]]])),
+    **{f"hair_code_nan_{name}": _hair_code_nan(name) for name in
+       ("density_map", "length_map", "flow_volume", "bbox", "root_points")},
+    "groom_nan_point": _groom_nan,
     "scans_of_two_vertex_counts": _scans_of_two_sizes,
     "expressions_of_wrong_kind": _config_case(
         lambda c: c.update(expression_library="gmm.json")),
@@ -618,6 +641,11 @@ MALFORMED = {
     "pgm_ascii_body_short": _pgm(b"P2\n2 2\n255\n1 2 3\n"),
     "pgm_zero_size": _pgm(b"P5\n0 0\n255\n"),
     "pgm_zero_width": _pgm(b"P2\n0 2\n255\n"),
+    "pgm_maxval_above_16_bits": _pgm(b"P5\n1 1\n70000\n" + (60000).to_bytes(2, "big")),
+    "pgm_ascii_maxval_above_16_bits": _pgm(b"P2\n1 1\n70000\n5\n"),
+    "pgm_8_bit_sample_above_maxval": _pgm(b"P5\n2 1\n100\n" + bytes([50, 200])),
+    "pgm_16_bit_sample_above_maxval": _pgm(b"P5\n1 1\n1000\n" + (60000).to_bytes(2, "big")),
+    "pgm_ascii_sample_above_maxval": _pgm(b"P2\n1 1\n10\n50\n"),
     "pore_map_sigma_nan": _pore_map_sigma("nan"),
     "pore_map_sigma_inf": _pore_map_sigma("inf"),
     "decode_hair_step_nan": _decode_hair_step("nan"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from facegen.cli import cli_main
+from facegen.container import save_container
 from facegen.demo import make_demo_groom
 from facegen.errors import (
     DataError,
@@ -12,6 +13,7 @@ from facegen.errors import (
     EmptyGroom,
     InvalidParam,
     MissingRootMap,
+    NonFiniteInput,
     PointOutsideBbox,
 )
 from facegen.hair import (
@@ -108,6 +110,18 @@ class TestEncode:
         ref_len, ref_flow = encode_reference(groom, 16, 12, code.bbox)
         assert np.array_equal(code.length_map, ref_len)
         assert np.array_equal(code.flow_volume, ref_flow)
+
+    @pytest.mark.parametrize("seed", range(11, 31))
+    def test_scalp_seeds_match_per_strand_oracle(self, seed):
+        # the scalp grooms, and their decoded grooms: strands of many
+        # lengths, stopped in empty cells and at the wall
+        groom = make_demo_groom("scalp", 300, seed=seed)
+        code = encode_groom(groom, R=32, G=16)
+        decoded, _ = decode_groom(code, 300, float(code.cell_size().min()) / 4.0, rng=seed)
+        for g, c in ((groom, code), (decoded, encode_groom(decoded, R=32, G=16, bbox=code.bbox))):
+            ref_len, ref_flow = encode_reference(g, 32, 16, c.bbox)
+            assert c.length_map.tobytes() == ref_len.tobytes()
+            assert c.flow_volume.tobytes() == ref_flow.tobytes()
 
 
     def test_scatter_adds_are_add_at_bitwise(self, rng):
@@ -314,6 +328,37 @@ class TestDecodeMatchesReference:
             code = encode_groom(make_demo_groom(style, 300, seed=seed), R=32, G=16)
             self.decode_both(code, 300, seed=seed)
 
+    @pytest.mark.parametrize("seed", range(11, 31))
+    def test_scalp_seeds(self, seed):
+        code = encode_groom(make_demo_groom("scalp", 300, seed=seed), R=32, G=16)
+        self.decode_both(code, 300, seed=seed)
+
+    def test_scalp_seeds_stop_in_empty_cells_and_at_the_wall(self):
+        stops = np.zeros(3, dtype=np.int64)
+        for seed in range(11, 31):
+            code = encode_groom(make_demo_groom("scalp", 300, seed=seed), R=32, G=16)
+            _, report = decode_groom(code, 300, float(code.cell_size().min()) / 4.0, rng=seed)
+            stops += [report.zero_flow.sum(), report.wall.sum(), report.stub.sum()]
+        assert stops[0] > 0 and stops[1] > 0
+
+    def test_negative_zero_flow_components(self):
+        # the flow's x and y are -0.0 and the roots sit at x = y = -0.0 in
+        # the middle of the box: the interpolated flow adds its weighted
+        # corners to +0.0, so every grown point has +0.0 there, while a sum
+        # that began with its first corner would keep the roots' -0.0
+        flow = upward_flow()
+        flow[..., :2] = -0.0
+        density, lengths, roots = np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((8, 8, 3))
+        density[4, 4], lengths[4, 4], roots[4, 4] = 1.0, 0.05, [-0.0, -0.0, 0.0]
+        code = HairCode(density, lengths, flow, [[-0.06, -0.06, 0.0], [0.06, 0.06, 0.12]],
+                        root_points=roots)
+        self.decode_both(code, 6, step=0.004)
+        groom, _ = decode_groom(code, 6, 0.004, rng=0)
+        is_root = np.zeros(len(groom.points), dtype=bool)
+        is_root[groom.offsets[:-1]] = True
+        assert np.signbit(groom.points[is_root, :2]).all()
+        assert not np.signbit(groom.points[~is_root, :2]).any()
+
     def test_clustered_criterion_7_groom(self):
         groom = clustered_groom(np.random.default_rng(7000), n_strands=200, R=16,
                                 n_clusters=7)
@@ -369,6 +414,31 @@ class TestVectorLayout:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch):
             vector_to_code(np.zeros(10), 8, 8, BBOX)
+
+    def test_non_finite_entry_rejected(self, rng):
+        # a NaN in the flow part would otherwise become a zero-flow cell
+        code = encode_groom(clustered_groom(rng, n_strands=20, R=8), R=8, G=8)
+        v = code_to_vector(code)
+        for i in (3, 64 + 5, 2 * 64 + 7):
+            bad = v.copy()
+            bad[i] = np.nan
+            with pytest.raises(NonFiniteInput, match="code vector"):
+                vector_to_code(bad, 8, 8, code.bbox, code.root_points)
+
+    @pytest.mark.parametrize("name", ["density_map", "length_map", "flow_volume", "bbox",
+                                      "root_points"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, name, value):
+        code = encode_groom(clustered_groom(np.random.default_rng(5), n_strands=20, R=8),
+                            R=8, G=8)
+        tensors = {f: np.array(getattr(code, f)) for f in
+                   ("density_map", "length_map", "flow_volume", "bbox", "root_points")}
+        tensors[name].flat[-1] = value
+        with pytest.raises(NonFiniteInput, match=f"{name} holds non-finite values"):
+            HairCode(**tensors)
+        save_container(tmp_path / "c.json", tensors, metadata={"kind": "hair_code"})
+        with pytest.raises(NonFiniteInput, match=f"c.json: {name} holds non-finite"):
+            load_hair_code(tmp_path / "c.json")
 
     def test_flow_volume_of_one_cell_rejected(self):
         # the trilinear lookup needs two cells per axis

@@ -179,6 +179,23 @@ def test_no_ufunc_at_scatter():
     assert _calls_by_function({"at"}) == set()
 
 
+def test_every_thread_pool_is_opened_in_a_with_statement():
+    """A pool opened in a `with` statement joins its threads when the block
+    ends, also on an error: no worker thread outlives the call that
+    started it."""
+    pools, in_with = [], set()
+    for module, scope, node in _package_nodes():
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "ThreadPoolExecutor"
+                or getattr(node.func, "attr", None) == "ThreadPoolExecutor"):
+            pools.append((module, scope, node))
+        elif isinstance(node, ast.withitem):
+            in_with |= {id(n) for n in ast.walk(node.context_expr)}
+    assert {(module, scope) for module, scope, _ in pools} >= {
+        ("cli", "_cmd_sample"), ("learning", "fit"), ("poremap", "pore_map")}
+    assert [(module, scope) for module, scope, node in pools if id(node) not in in_with] == []
+
+
 def _public_api() -> set[str]:
     """The backticked names of the README's "Public API" list."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
