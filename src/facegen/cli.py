@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,7 @@ from .learning import FitSchedule, LossWeights, ScanSet, fit
 from .library import AssetLibrary
 from .modelio import save_model
 from .objio import load_obj, save_obj
+from .parallel import cpu_count, run_workers
 from .pca import fit_pca, save_pca
 from .poremap import pore_map, read_pgm, write_pgm16
 from .sampling import split_seed
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON config file (weights/schedule for fit)")
     p.add_argument("--out", type=Path, default=None, help="output path")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: FACEGEN_THREADS or 1)")
+                   help="sample's worker threads (default: FACEGEN_THREADS or 1)")
     p.add_argument("--sigma-mode", choices=("std", "var"), default=None,
                    help="interpret the identity sampling sigma as a std or "
                         "variance scale")
@@ -159,13 +159,16 @@ def _require_out(args) -> Path:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
     env = os.environ.get("FACEGEN_THREADS")
+    if args.threads is not None or not env:
+        return args.threads or 1        # cli_main rejects --threads below 1
     try:
-        return max(1, int(env)) if env else 1
+        n = int(env)
     except ValueError:
-        raise DataError(f"FACEGEN_THREADS={env!r} is not a whole number") from None
+        n = 0
+    if n < 1:
+        raise DataError(f"FACEGEN_THREADS={env!r} is not a whole number >= 1")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +212,14 @@ def _cmd_sample(args) -> int:
     if args.sigma_mode is not None:
         library = dataclasses.replace(library, sigma_mode=args.sigma_mode)
 
-    def one(i: int) -> None:
-        seed_i = split_seed(args.seed, i)
-        scene = sample_scene(library, seed_i)
-        geometry = realize_scene(library, scene)
-        export_scene(scene, geometry, out / f"scene_{i:04d}")
+    n = min(_threads(args), args.count, cpu_count())
 
-    n = _threads(args)
-    if n == 1:
-        for i in range(args.count):
-            one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            list(pool.map(one, range(args.count)))
+    def scenes(k: int) -> None:
+        for i in range(k, args.count, n):
+            scene = sample_scene(library, split_seed(args.seed, i))
+            export_scene(scene, realize_scene(library, scene), out / f"scene_{i:04d}")
+
+    run_workers(scenes, n)
     log.info(f"exported {args.count} scene(s) to {out}")
     return EXIT_OK
 
@@ -376,6 +374,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.seed < 0:
             parser.error(f"--seed must be >= 0, got {args.seed}")
+        if args.threads is not None and args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     _setup_logging(args.json_logs)

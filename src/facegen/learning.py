@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -57,7 +56,7 @@ from .model import (
     pose_derivatives,
     pose_transforms,
 )
-from .parallel import cpu_count as _cpu_count
+from .parallel import cpu_count as _cpu_count, run_workers
 
 GLOBAL_ROT_LIMITS = (-np.pi, np.pi)
 # the blocks a fit schedule may hold fixed, and every block total_loss can
@@ -474,37 +473,10 @@ def _run_slot(chain: PosedChain, plan: LossPlan, k: int) -> None:
             posed_chunk(chain, c, ws)
 
 
-def _run_chunks(chain: PosedChain, plan: LossPlan,
-                executor: ThreadPoolExecutor | None) -> None:
-    """posed_chunk over every chunk of the plan, each worker slot's chunks
-    in turn in its workspace: slot 0 on the calling thread (one thread
-    fewer to start, and one malloc arena fewer) and each other slot as one
-    task of `executor`; without an executor this call opens one of its own."""
-    if plan.workers == 1:
-        _run_slot(chain, plan, 0)
-        return
-    err = np.geterr()       # numpy's error state is per thread: pass the caller's on
-
-    def run(k):
-        with np.errstate(**err):
-            _run_slot(chain, plan, k)
-
-    with (nullcontext(executor) if executor is not None
-          else ThreadPoolExecutor(plan.workers - 1)) as pool:
-        others = [pool.submit(run, k) for k in range(1, plan.workers)]
-        try:
-            _run_slot(chain, plan, 0)
-        finally:
-            wait(others)    # no slot outlives the loss whose arrays it writes
-        for task in others:
-            task.result()
-
-
 def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
                scans: ScanSet, weights: LossWeights,
                base: BlendshapeModel, plan: LossPlan | None = None,
-               frozen: frozenset[str] = frozenset(),
-               executor: ThreadPoolExecutor | None = None) -> LossResult:
+               frozen: frozenset[str] = frozenset()) -> LossResult:
     """Full learning loss and analytic gradients for every parameter block
     but those in `frozen`, a subset of BLOCKS; with all of them frozen only
     the forward pass runs and `grads` is empty.
@@ -515,10 +487,7 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     when not given; a caller that runs many losses keeps one, as fit does,
     so that its losses reuse their arrays.  A plan serves one loss at a
     time: its workspaces hold the arrays of the loss that runs on it.
-    `executor` runs chunks of scans beside the calling thread (fit passes
-    the one it keeps for the fit); a call without one that has more than
-    one worker opens its own.  No returned array shares memory with the
-    plan.
+    No returned array shares memory with the plan.
     """
     phi = np.asarray(phi, dtype=np.float64)
     N = scans.n_scans
@@ -601,7 +570,7 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
             # each chunk writes its rows of dL/dvbar last, when it has read
             # those of vbar for good: so they share memory
             dLdvbar=vbar if live & {"alpha", "beta", "phi"} else None)
-        _run_chunks(chain, plan, executor)
+        run_workers(partial(_run_slot, chain, plan), plan.workers)
         vert_vals, norm_vals, edge_vals = chain.values
         term_vertex = weights.w_vertex * float(vert_vals.sum())
         term_normal = weights.w_normal * float(norm_vals.sum())
@@ -796,32 +765,28 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     trajectory: list[float] = []
     term_trajectory: list[dict[str, float]] = []
     stopped_early = False
-    # one executor for every loss of the fit, shut down when fit returns or raises
-    with (ThreadPoolExecutor(plan.workers - 1) if plan.workers > 1
-          else nullcontext()) as executor:
-        t0 = time.perf_counter()
-        for it in range(schedule.iterations):
-            theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-            res = total_loss(theta, params["phi"], scans, weights, base,
-                             frozen=schedule.frozen, executor=executor, plan=plan)
-            if not np.isfinite(res.total):
-                raise Diverged(it)
-            trajectory.append(res.total)
-            term_trajectory.append(res.breakdown)
-            params = adam_step(state, params, res.grads, schedule.lr,
-                               schedule.beta1, schedule.beta2, schedule.eps)
-            win = schedule.early_stop_window
-            if it >= win:
-                prev = trajectory[-win - 1]
-                if prev - trajectory[-1] < schedule.early_stop_rel * abs(prev):
-                    stopped_early = True
-                    break
-        wall = time.perf_counter() - t0
-
-        # the loss of the returned parameters: its values only
+    t0 = time.perf_counter()
+    for it in range(schedule.iterations):
         theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-        final = total_loss(theta, params["phi"], scans, weights, base,
-                           frozen=BLOCKS, executor=executor, plan=plan)
+        res = total_loss(theta, params["phi"], scans, weights, base,
+                         frozen=schedule.frozen, plan=plan)
+        if not np.isfinite(res.total):
+            raise Diverged(it)
+        trajectory.append(res.total)
+        term_trajectory.append(res.breakdown)
+        params = adam_step(state, params, res.grads, schedule.lr,
+                           schedule.beta1, schedule.beta2, schedule.eps)
+        win = schedule.early_stop_window
+        if it >= win:
+            prev = trajectory[-win - 1]
+            if prev - trajectory[-1] < schedule.early_stop_rel * abs(prev):
+                stopped_early = True
+                break
+    wall = time.perf_counter() - t0
+
+    # the loss of the returned parameters: its values only
+    theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
+    final = total_loss(theta, params["phi"], scans, weights, base, frozen=BLOCKS, plan=plan)
     if not np.isfinite(final.total):
         raise Diverged(len(trajectory))
     model = replace(base, identity_basis=params["phi"])

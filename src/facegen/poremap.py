@@ -10,14 +10,13 @@ reach, on one thread per CPU.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .container import encode_json, write_files
 from .errors import DataError, InvalidSigma
-from .parallel import cpu_count as _cpu_count
+from .parallel import cpu_count as _cpu_count, run_workers
 
 # Size of the rows of one band of a float64 image: small enough that a
 # band's filter passes run from cache, large enough that its halo of
@@ -55,31 +54,20 @@ def pore_map(texture: np.ndarray, sigma: float) -> np.ndarray:
     h, w = img.shape
     rows = max(1, _BAND_BYTES // (8 * max(w, 1)))
     out = np.empty((h, w))
-
-    def band(a: int) -> None:
-        """Rows a to a + rows of the map into `out`."""
-        b = min(h, a + rows)
-        top, bottom = max(0, a - 1), min(h, b + 1)          # rows the Laplacian reads
-        lo, hi = max(0, top - len(k) // 2), min(h, bottom + len(k) // 2)
-        smooth = ndimage.convolve1d(img[lo:hi], k, axis=0, mode="nearest")
-        smooth = ndimage.convolve1d(smooth[top - lo:bottom - lo], k, axis=1, mode="nearest")
-        lap = ndimage.convolve(smooth, _LAPLACIAN, mode="nearest")
-        np.multiply(scale, lap[a - top:b - top], out=out[a:b])
-
     starts = range(0, h, rows)
     workers = min(len(starts), _cpu_count())
-    if workers <= 1:
-        for a in starts:
-            band(a)
-        return out
-    err = np.geterr()       # numpy's error state is per thread: pass the caller's on
 
-    def run(a: int) -> None:
-        with np.errstate(**err):
-            band(a)
+    def bands(j: int) -> None:
+        for a in starts[j::workers]:
+            b = min(h, a + rows)
+            top, bottom = max(0, a - 1), min(h, b + 1)          # rows the Laplacian reads
+            lo, hi = max(0, top - len(k) // 2), min(h, bottom + len(k) // 2)
+            smooth = ndimage.convolve1d(img[lo:hi], k, axis=0, mode="nearest")
+            smooth = ndimage.convolve1d(smooth[top - lo:bottom - lo], k, axis=1, mode="nearest")
+            lap = ndimage.convolve(smooth, _LAPLACIAN, mode="nearest")
+            np.multiply(scale, lap[a - top:b - top], out=out[a:b])
 
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run, starts))      # re-raises a band's error
+    run_workers(bands, workers)
     return out
 
 

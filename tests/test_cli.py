@@ -54,6 +54,11 @@ class TestBasics:
         assert cli_main(["--seed", "-1", "--out", str(tmp_path), "demo-assets"]) == 1
         assert "--seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_1_is_usage_error(self, tmp_path, capsys, threads):
+        assert cli_main(["--threads", threads, "--out", str(tmp_path), "demo-assets"]) == 1
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["subdivide", "--bogus"]) == 1
 
@@ -160,6 +165,28 @@ class TestSample:
                        "sample", "--library", str(demo_lib), "--count", "2"])
         assert rc == 0
         assert tree_hash(out) == tree_hash(ref)
+
+    @pytest.mark.parametrize("threads,count,workers", [
+        ("5000", "2", 2), ("5000", "5", 3), ("2", "5", 2), ("1", "5", 1)])
+    def test_workers_are_bounded_by_threads_count_and_cpus(
+            self, demo_lib, tmp_path, monkeypatch, threads, count, workers):
+        # the worker count handed to the seam, whose tasks run here in turn:
+        # no test starts thousands of threads
+        seen = []
+
+        def inline(task, n):
+            seen.append(n)
+            for k in range(n):
+                task(k)
+
+        monkeypatch.setattr(cli, "run_workers", inline)
+        monkeypatch.setattr(cli, "cpu_count", lambda: 3)
+        out = tmp_path / "out"
+        assert cli_main(["--seed", "7", "--out", str(out), "--threads", threads,
+                         "sample", "--library", str(demo_lib), "--count", count]) == 0
+        assert seen == [workers]
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"scene_{i:04d}" for i in range(int(count))]
 
     def test_fresh_sample_run_loads_neither_scipy_linalg_nor_ndimage(self, demo_lib, tmp_path):
         argv = ["--seed", "7", "--out", str(tmp_path / "out"),
@@ -560,9 +587,12 @@ def _export(edit):
     return case
 
 
-def _threads(lib, monkeypatch):
-    monkeypatch.setenv("FACEGEN_THREADS", "two")
-    return _sample(lib), "FACEGEN_THREADS"
+def _threads_env(value):
+    """`sample` with FACEGEN_THREADS set to `value`."""
+    def case(lib, monkeypatch):
+        monkeypatch.setenv("FACEGEN_THREADS", value)
+        return _sample(lib), "FACEGEN_THREADS"
+    return case
 
 
 def _not_utf8(lib, monkeypatch):
@@ -649,7 +679,9 @@ MALFORMED = {
     "pore_map_sigma_nan": _pore_map_sigma("nan"),
     "pore_map_sigma_inf": _pore_map_sigma("inf"),
     "decode_hair_step_nan": _decode_hair_step("nan"),
-    "threads_env_not_integer": _threads,
+    "threads_env_not_integer": _threads_env("two"),
+    "threads_env_zero": _threads_env("0"),
+    "threads_env_negative": _threads_env("-3"),
     "fit_config_unknown_schedule_key": _fit({"schedule": {"iters": 3}}),
     "fit_config_unknown_init": _fit({"schedule": {"init": "zeros"}}),
     "fit_config_zero_iterations": _fit({"schedule": {"iterations": 0}}),

@@ -16,6 +16,7 @@ from facegen.errors import (
 )
 import facegen.learning as learning
 import facegen.model as fmodel
+import facegen.parallel as parallel
 from facegen.learning import (
     FitSchedule,
     LossContext,
@@ -252,8 +253,7 @@ class TestTotalLoss:
     def test_chunk_rows_survive_more_workers_than_cores(self, rng, monkeypatch):
         # every chunk writes its rows of the shared per-scan outputs; none
         # may be lost when the interpreter switches threads as often as it
-        # can, with an executor of the loss's own or one shared by losses,
-        # and a plan of its own or one whose workspaces losses share
+        # can, with a plan of its own or one whose workspaces losses share
         base, scans, theta, phi = tiny_problem(rng, V_grid=(6, 8), n_scans=16)
         ctx = LossContext.build(scans, base)
         whole = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
@@ -264,11 +264,9 @@ class TestTotalLoss:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(7) as shared:
-                runs = [total_loss(theta, phi, scans, LossWeights(), base,
-                                   plan=kept if k % 3 else LossPlan.build(ctx),
-                                   executor=shared if k % 2 else None)
-                        for k in range(12)]
+            runs = [total_loss(theta, phi, scans, LossWeights(), base,
+                               plan=kept if k % 3 else LossPlan.build(ctx))
+                    for k in range(12)]
         finally:
             sys.setswitchinterval(interval)
         for res in runs:
@@ -624,7 +622,7 @@ class TestFit:
         assert len(learning._scan_chunks(6, scans.n_vertices, 2)) == 3
         return base, scans
 
-    def test_fit_opens_one_executor(self, rng, monkeypatch):
+    def test_loss_opens_one_pool_per_call(self, rng, monkeypatch):
         opened = []
 
         class Counted(ThreadPoolExecutor):
@@ -632,18 +630,20 @@ class TestFit:
                 opened.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(learning, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Counted)
         base, scans = self.two_worker_problem(rng, monkeypatch)
-        sched = FitSchedule(iterations=9, early_stop_window=100)
-        fit(scans, m=2, schedule=sched, base=base)
-        assert opened == [(1,)]
-        # a loss called without one opens its own; one worker needs none
+        # a loss on two workers: the calling thread and a pool of one
         theta = ThetaBlocks.zeros(6, 2, base.n_expression)
         total_loss(theta, base.identity_basis, scans, LossWeights(), base)
-        assert len(opened) == 2
+        assert opened == [(1,)]
+        # a fit of 9 iterations runs 10 losses
+        sched = FitSchedule(iterations=9, early_stop_window=100)
+        fit(scans, m=2, schedule=sched, base=base)
+        assert opened == [(1,)] * 11
+        # one worker needs none
         monkeypatch.setattr(learning, "_cpu_count", lambda: 1)
         fit(scans, m=2, schedule=sched, base=base)
-        assert len(opened) == 2
+        assert len(opened) == 11
 
     # the caller's errstate must reach the pool thread of the diverging fit
     @pytest.mark.filterwarnings("error::RuntimeWarning")

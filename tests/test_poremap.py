@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from facegen import poremap
+from facegen import parallel, poremap
 from facegen.errors import DataError, InvalidSigma
 from facegen.poremap import pore_map, read_pgm, write_pgm16
 
@@ -135,15 +135,16 @@ class TestBands:
                 super().__init__(workers)
                 pools.append(workers)
 
-        monkeypatch.setattr(poremap, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Counted)
         before = set(threading.enumerate())
         img = np.random.default_rng(4).random((9, 5))
         self.use_bands(monkeypatch, 2, 5, 8)
         pore_map(img, 1.0)
-        assert pools == [5]                        # one thread per band, at most one per CPU
+        # one worker per band, at most one per CPU: the caller and 4 pool threads
+        assert pools == [4]
         self.use_bands(monkeypatch, 2, 5, 1)
         pore_map(img, 1.0)
-        assert pools == [5]                        # one CPU: the bands run inline
+        assert pools == [4]                        # one CPU: the bands run inline
         assert set(threading.enumerate()) == before
 
     def test_threads_take_the_callers_error_state(self, monkeypatch):
