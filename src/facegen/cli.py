@@ -376,6 +376,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             parser.error(f"--seed must be >= 0, got {args.seed}")
         if args.threads is not None and args.threads < 1:
             parser.error(f"--threads must be >= 1, got {args.threads}")
+        if args.command == "sample" and args.count < 1:
+            parser.error(f"--count must be >= 1, got {args.count}")
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     _setup_logging(args.json_logs)

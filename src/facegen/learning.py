@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
-from functools import partial
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 from scipy import sparse
@@ -94,7 +96,7 @@ class ScanSet:
         object.__setattr__(self, "ids", tuple(self.ids))
 
     @classmethod
-    def from_meshes(cls, meshes: list[QuadMesh], ids: list[str] | None = None) -> "ScanSet":
+    def from_meshes(cls, meshes: list[QuadMesh], ids: list[str]) -> "ScanSet":
         if not meshes:
             raise InvalidParam("need at least one scan")
         quads = meshes[0].quads
@@ -102,8 +104,6 @@ class ScanSet:
             if (m.quads.shape != quads.shape or np.any(m.quads != quads)
                     or m.n_vertices != meshes[0].n_vertices):
                 raise TopologyMismatch("scans do not share topology")
-        if ids is None:
-            ids = [f"scan_{i:04d}" for i in range(len(meshes))]
         return cls(np.stack([m.vertices for m in meshes]), quads, tuple(ids))
 
     @property
@@ -129,11 +129,10 @@ class LossWeights:
     w_edge: float = 1e-3
 
     def __post_init__(self):
-        for name in ("w_vertex", "w_normal", "w_barrier_expr", "w_barrier_pose",
-                     "w_id_coeff", "w_id_basis", "w_laplacian", "w_edge"):
-            w = getattr(self, name)
+        for f in fields(self):
+            w = getattr(self, f.name)
             if not (w >= 0 and math.isfinite(w)):      # NaN fails both
-                raise InvalidParam(f"{name} must be finite and nonnegative, got {w}")
+                raise InvalidParam(f"{f.name} must be finite and nonnegative, got {w}")
 
 
 def barrier4(x, lo, hi):
@@ -159,25 +158,19 @@ def _barrier4(x: np.ndarray, lo, hi, grad: bool = True) -> tuple[np.ndarray, np.
     return a2 * a2 + b2 * b2, 4.0 * (a2 * above) - 4.0 * (b2 * below) if grad else None
 
 
-def _barrier_sum(x: np.ndarray, lo, hi, grad: bool, zero: bool
-                 ) -> tuple[float, np.ndarray | None]:
-    """The sum of _barrier4's values over a block, and its derivative (None
-    unless `grad`).  A block held `zero` within limits that contain 0 sums
-    to 0.0 unevaluated: each of its values is +0.0, -0.0 entries too."""
-    if zero:
-        return 0.0, None
-    val, der = _barrier4(x, lo, hi, grad)
-    return float(val.sum()), der
-
-
 @dataclass(frozen=True)
 class LossContext:
     """Everything the loss needs that depends only on the scans and the
-    base template; `build` makes it once per fit.  Per-scan arrays are
-    component-major, (3, V, N), in canonical scan order."""
+    base model; `build` makes it once per fit.  Per-scan arrays are
+    component-major, (3, V, N), in canonical scan order, so that each
+    coordinate is one contiguous (V, N) slab.  Each sparse operator A is
+    a `mesh.BlockOperator`: the block-diagonal kron(I_3, A) and its
+    adjoint, both CSR, each applied with one product on the free (3V, N)
+    view.  A gather row keeps the order of its index (a face's corners in
+    quad order), so every sum adds in one fixed order."""
 
     scans: ScanSet                    # the scans it was built from
-    template: np.ndarray              # (V, 3) the base template vertices it was built from
+    base: BlendshapeModel             # the base model it was built from
     faces: FaceOperators              # normal forward/adjoint operators
     incidence: BlockOperator          # (E, V) vertices to edge vectors
     laplacian: sparse.csr_matrix      # (V, V) uniform Laplacian L
@@ -201,7 +194,7 @@ class LossContext:
         targets = np.ascontiguousarray(scans.vertices[order].transpose(2, 1, 0))
         return cls(
             scans=scans,
-            template=base.template.vertices,
+            base=base,
             faces=faces,
             incidence=incidence,
             laplacian=laplacian,
@@ -315,32 +308,98 @@ def _scan_chunks(n_scans: int, n_vertices: int, workers: int = 1) -> list[slice]
 
 @dataclass(frozen=True)
 class LossPlan:
-    """How the losses of one fit run: their context, the chunks of scans
-    and one workspace per worker slot.  Slot k runs chunks k, k + workers,
-    ... in turn, slot 0 on the calling thread, which also takes the loss's
-    per-scan arrays from it; so no two threads share a workspace.  A plan
-    kept from loss to loss, as fit keeps one, lets every loss after the
-    first take its arrays from the buffers the first one sized.  A plan
-    serves one loss at a time: two losses running at once on one plan
-    would write into the same buffers, so each thread that runs losses
-    of its own needs a plan of its own."""
+    """How the losses of one fit run, decided once when it is built: the
+    context, the chunks of scans, one workspace per worker slot, and what
+    the fit's frozen blocks and their values decide.
+
+    `stages` are the module functions a loss runs in order on its
+    `PosedChain`: the unposed blend, the pose tables (none at rest), the
+    posed chunks, the basis and coefficient priors, then one backward
+    stage per live block in canonical order.  `barriers` are the barriers
+    the coefficient priors evaluate.  `place` and `back` are how each
+    chunk places its scans and goes back through them, and so which
+    per-scan outputs it fills: none for a forward-only loss (`back` is
+    None), dL/dvbar at rest, and off rest also the pose outputs.
+
+    `zero` are the frozen blocks that held exactly zero (-0.0 counts) in
+    the blocks the plan was built from.  The pose is at rest when all
+    three pose blocks are among them and the skeleton has no
+    `rest_rotations`: skinning and the global transform then return every
+    vertex unchanged bit for bit, so the loss builds no pose tables,
+    rotation blends or pose moments.  `total_loss` rejects a call whose
+    frozen blocks are not the plan's, or that holds a nonzero value in a
+    block of `zero`.
+
+    Slot k runs chunks k, k + workers, ... in turn, slot 0 on the calling
+    thread, which also takes the loss's per-scan arrays from it; so no two
+    threads share a workspace.  A `mesh.Workspace` hands out its arrays in
+    stack order from one kept buffer, so that a dead temporary's memory
+    serves the next one.  A plan kept from loss to loss, as fit keeps
+    one, lets every loss after the first take its arrays from the buffers
+    the first one sized (the second allocates them as it starts, once the
+    first one's arrays are gone): the unposed vertices, skinning and its
+    adjoint, the global transform, the pose moments, the data term with
+    the normals forward and adjoint, the edge energy and every sparse
+    product on the mesh (`mesh.csr_apply`), the Laplacian products among
+    them.  Only per-scan rows, the gradients the loss returns and
+    `adam_step`'s new parameters still allocate.  A plan built for one
+    loss, as total_loss builds one when given none, allocates as plain
+    numpy code would.  A plan serves one loss at a time: two losses
+    running at once on one plan, or on two plans that share their slots,
+    would write into the same buffers, so each thread that runs losses of
+    its own needs a plan of its own."""
 
     ctx: LossContext
     chunks: tuple[slice, ...]
     slots: tuple[Workspace, ...]      # one per worker
+    frozen: frozenset[str]
+    zero: frozenset[str]
+    stages: tuple[Callable[[PosedChain], None], ...]
+    barriers: tuple[tuple, ...]       # (block, lo, hi, with its derivative)
+    place: Callable
+    back: Callable | None
 
     @classmethod
-    def build(cls, ctx: LossContext) -> "LossPlan":
-        """The chunks of ctx's scans and one workspace per thread that runs
-        them: one per CPU, at most one per chunk."""
+    def build(cls, ctx: LossContext, frozen: frozenset[str], thetas: ThetaBlocks,
+              slots: tuple[Workspace, ...] = ()) -> "LossPlan":
+        """The plan of the losses of ctx's scans with the blocks `frozen`
+        (a subset of BLOCKS) held at their values in `thetas`.  Its chunks
+        run on one worker per CPU the process may run on (its affinity
+        set), at most one per chunk, each with one of `slots` or else a
+        workspace of its own."""
+        if not BLOCKS.issuperset(frozen):
+            raise InvalidParam(f"frozen blocks {sorted(frozen)} not all in {sorted(BLOCKS)}")
+        frozen, skel = frozenset(frozen), ctx.base.skeleton
+        live = BLOCKS - frozen
+        zero = frozenset(k for k in FREEZABLE & frozen if not getattr(thetas, k).any())
+        rest = POSE_BLOCKS <= zero and skel.rest_rotations is None
+        held = zero if skel.limits_hold_zero else zero - {"joint_angles"}
+        limits = {"beta": (0.0, 1.0), "joint_angles": (skel.limits[..., 0], skel.limits[..., 1]),
+                  "global_rot": GLOBAL_ROT_LIMITS}
+        backward = {"global_trans": global_trans_grad, "global_rot": global_rot_grad,
+                    "joint_angles": joint_angles_grad,
+                    "alpha": alpha_grad_at_rest if rest else alpha_grad,
+                    "beta": beta_grad_zero_basis if ctx.base.expression_zero else beta_grad,
+                    "phi": phi_grad}
+        pose = () if rest else (pose_angle_tables if "joint_angles" in live else pose_tables,)
         cpus = _cpu_count()
         chunks = _scan_chunks(ctx.scans.n_scans, ctx.scans.n_vertices, cpus)
-        return cls(ctx, tuple(chunks),
-                   tuple(Workspace() for _ in range(min(len(chunks), cpus))))
+        return cls(
+            ctx, tuple(chunks),
+            slots or tuple(Workspace() for _ in range(min(len(chunks), cpus))),
+            frozen, zero,
+            stages=(unposed_blend, *pose, posed_chunks, basis_priors, coefficient_priors,
+                    *(stage for k, stage in backward.items() if k in live)),
+            barriers=tuple((k, *lim, k in live) for k, lim in limits.items() if k not in held),
+            place=_place_at_rest if rest else _place_posed,
+            back=(_back_at_rest if rest else _back_posed) if live else None)
 
-    @property
-    def workers(self) -> int:
-        return len(self.slots)
+
+def _loss_inputs(scans: ScanSet, base: BlendshapeModel) -> tuple:
+    """What a loss reads of its scans and of its base model."""
+    s = base.skeleton
+    return (scans.ids, scans.vertices, scans.quads, base.template.vertices,
+            base.expression_basis, base.skinning_weights, s.t0, s.a, s.limits, s.rest_rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +422,7 @@ class ThetaBlocks:
                    np.zeros((n, 4, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        return {"alpha": self.alpha, "beta": self.beta,
-                "joint_angles": self.joint_angles,
-                "global_rot": self.global_rot, "global_trans": self.global_trans}
+        return dict(vars(self))
 
 
 @dataclass
@@ -376,101 +433,262 @@ class LossResult:
     scan_vertex_ms: np.ndarray     # (N,) mean squared vertex distance per scan
 
 
-@dataclass(frozen=True)
-class PosedChain:
-    """One loss's inputs to the posed-scan chain, in canonical scan order,
-    and the per-scan arrays its chunks fill, each chunk its own rows.  An
-    output the loss does not need is None; with none, a chunk runs the
-    forward half only.  `pose` and `R_g` are None at the rest pose, where
-    skinning and the global transform return every vertex unchanged.
-    `dLdvbar` may be `vbar` itself: a chunk writes its rows of the
-    gradient after its last read of its rows of vbar."""
+# the terms of a loss in the order they are listed and summed
+_TERMS = ("data_vertex", "data_normal", "barrier_expr", "barrier_pose",
+          "id_coeff", "id_basis", "laplacian", "edge")
 
-    ctx: LossContext
+
+@dataclass(eq=False)
+class PosedChain:
+    """One loss as the stages of its plan run it: its inputs, `theta` in
+    canonical scan order, and what the stages add, down to the terms and
+    the gradients of the live blocks.  The chunks fill `values` and the
+    pose outputs, each chunk its own rows of them.  `vbar` holds dL/dvbar
+    once the chunks have run: a chunk writes its rows of the gradient
+    after its last read of its rows of vbar.  `pose` and `R_g` stay None
+    at rest."""
+
+    plan: LossPlan
     weights: LossWeights
-    skinning: np.ndarray             # (V, 4) skinning weights
-    pose: PoseDerivatives | None     # world transforms R_w, b_w of every scan
-    vbar: np.ndarray                 # (N, V, 3) unposed vertices
-    R_g: np.ndarray | None           # (N, 3, 3) global rotations
-    global_trans: np.ndarray         # (N, 3)
-    values: np.ndarray               # (3, N) vertex, normal and edge terms
-    g_trans: np.ndarray | None       # (N, 3) global-translation gradient
-    M_g: np.ndarray | None           # (N, 3, 3) global-rotation moments
-    moments: np.ndarray | None       # (N, 4, 3, 4) [M_i | s_i] with live angles, else (N, 3, 4) s
-    dLdvbar: np.ndarray | None       # (N, V, 3) gradient at the unposed vertices
+    base: BlendshapeModel
+    phi: np.ndarray                        # (m, V, 3) the basis being learned
+    theta: ThetaBlocks
+    vbar: np.ndarray | None = None         # (N, V, 3) unposed vertices
+    pose: PoseDerivatives | None = None    # world transforms R_w, b_w of every scan
+    R_g: np.ndarray | None = None          # (N, 3, 3) global rotations
+    values: np.ndarray | None = None       # (3, N) vertex, normal and edge terms
+    g_trans: np.ndarray | None = None      # (N, 3) global-translation gradient
+    M_g: np.ndarray | None = None          # (N, 3, 3) global-rotation moments
+    moments: np.ndarray | None = None      # (N, 4, 3, 4) [M_i | s_i] per joint
+    phi_flat: np.ndarray | None = None     # (V, 3m) phi, vertex-major
+    terms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_TERMS))
+    barrier_grads: dict[str, np.ndarray] = field(default_factory=dict)
+    grads: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
-    def backward(self) -> bool:
-        return any(a is not None for a in (self.g_trans, self.M_g, self.moments, self.dLdvbar))
+    def dLdvbar(self) -> np.ndarray:
+        """(N, 3V) gradient at the unposed vertices, once the chunks ran."""
+        return self.vbar.reshape(len(self.vbar), -1)
+
+
+def unposed_blend(s: PosedChain) -> None:
+    """Stage: the unposed vertices template + alpha . phi + beta . E of
+    every scan, one batched GEMM per basis on the calling thread, into
+    slot 0's workspace.  `evaluate_unposed` skips the expression GEMM when
+    the basis E is all zero and beta finite, as its result would be +0.0
+    throughout; the model checks its basis once, so a model's arrays must
+    not change after its first loss."""
+    s.vbar = evaluate_unposed(s.base, s.theta.alpha, s.theta.beta, identity_basis=s.phi,
+                              ws=s.plan.slots[0])
+
+
+def pose_tables(s: PosedChain) -> None:
+    """Stage, off rest with the joint angles frozen: the world transforms
+    of every scan with their pivot Jacobian, without the angle tables, and
+    the global rotations."""
+    s.pose = pose_transforms(s.base.skeleton, s.theta.alpha, s.theta.joint_angles)
+    s.R_g = euler_xyz(s.theta.global_rot)
+
+
+def pose_angle_tables(s: PosedChain) -> None:
+    """Stage, with live joint angles: pose_tables' transforms and the
+    analytic angle tables of the 4-joint tree."""
+    s.pose = pose_derivatives(s.base.skeleton, s.theta.alpha, s.theta.joint_angles)
+    s.R_g = euler_xyz(s.theta.global_rot)
+
+
+def posed_chunks(s: PosedChain) -> None:
+    """Stage: the posed-scan chain (`posed_chunk`), one cache-sized chunk
+    of at least two scans at a time, on `parallel.run_workers` with one
+    worker per slot: worker 0 on the calling thread and each other one on
+    a pool thread opened for this loss, under the caller's numpy error
+    state, joined before the stage returns (a pool of one thread costs
+    about 120 us on a 2-core host, against a fit-large loss of 18-25 ms).
+    A loss that fits one chunk, such as the desk head's, runs on the
+    calling thread.  Then the data and edge terms summed over the scans."""
+    ws, N, w = s.plan.slots[0], len(s.theta.alpha), s.weights
+    s.values, s.g_trans, s.M_g = ws.take(3, N), ws.take(N, 3), ws.take(N, 3, 3)
+    s.moments = ws.take(N, 4, 3, 4)
+    run_workers(partial(_run_slot, s), len(s.plan.slots))
+    vert_vals, norm_vals, edge_vals = s.values
+    s.terms.update(data_vertex=w.w_vertex * float(vert_vals.sum()),
+                   data_normal=w.w_normal * float(norm_vals.sum()),
+                   edge=w.w_edge * float(edge_vals.sum()))
+
+
+def basis_priors(s: PosedChain) -> None:
+    """Stage: the basis norm w ||phi||^2 and the Laplacian prior
+    w ||L phi||^2, the product into memory the chunks have given back
+    (`mesh.csr_apply`); phi stays vertex-major for phi's gradient."""
+    ws, (m, V, _) = s.plan.slots[0], s.phi.shape
+    s.terms["id_basis"] = s.weights.w_id_basis * float(np.einsum("qva,qva->", s.phi, s.phi))
+    s.phi_flat = ws.take(V, m * 3)
+    np.copyto(s.phi_flat.reshape(V, m, 3), s.phi.transpose(1, 0, 2))
+    with ws:
+        lap_phi = csr_apply(s.plan.ctx.laplacian, s.phi_flat, ws.take(V, m * 3))
+        s.terms["laplacian"] = s.weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
+
+
+def coefficient_priors(s: PosedChain) -> None:
+    """Stage: the coefficient norm w ||alpha||^2 and the plan's quartic
+    barriers on beta, the joint angles and the global rotations.  A block
+    frozen at exactly zero within limits that contain 0 adds 0 to its
+    barrier, each of its values being +0.0 (-0.0 entries too), so the plan
+    leaves its barrier out."""
+    w, alpha = s.weights, s.theta.alpha
+    s.terms["id_coeff"] = w.w_id_coeff * float(np.einsum("nq,nq->", alpha, alpha))
+    sums = dict.fromkeys(("beta", "joint_angles", "global_rot"), 0.0)
+    for name, lo, hi, grad in s.plan.barriers:
+        val, s.barrier_grads[name] = _barrier4(getattr(s.theta, name), lo, hi, grad)
+        sums[name] = float(val.sum())
+    s.terms["barrier_expr"] = w.w_barrier_expr * sums["beta"]
+    s.terms["barrier_pose"] = w.w_barrier_pose * (sums["joint_angles"] + sums["global_rot"])
+
+
+def global_trans_grad(s: PosedChain) -> None:
+    """Backward stage: the chunks' per-scan sums of dL/dy."""
+    s.grads["global_trans"] = s.g_trans
+
+
+def global_rot_grad(s: PosedChain) -> None:
+    """Backward stage: the global-rotation moments through the Euler
+    derivatives, plus the barrier's."""
+    s.grads["global_rot"] = (
+        np.einsum("nkab,nab->nk", euler_xyz_grad(s.theta.global_rot), s.M_g)
+        + s.weights.w_barrier_pose * s.barrier_grads["global_rot"])
+
+
+def joint_angles_grad(s: PosedChain) -> None:
+    """Backward stage: the joint moments [M_i | s_i] through the angle
+    tables, plus the barrier's."""
+    M, sums = s.moments[..., :3], s.moments[..., 3]
+    s.grads["joint_angles"] = (np.einsum("nijkab,niab->njk", s.pose.dR_w, M)
+                               + np.einsum("nijka,nia->njk", s.pose.db_w, sums)
+                               + s.weights.w_barrier_pose * s.barrier_grads["joint_angles"])
+
+
+def alpha_grad(s: PosedChain) -> None:
+    """Backward stage off rest: dL/dvbar . phi, the pivot term (the joint
+    sums s_i through the pivot Jacobian and the skeleton's offsets a) and
+    the prior's 2 w alpha."""
+    g_alpha = s.dLdvbar @ s.phi.reshape(len(s.phi), -1).T
+    g_pivot = np.einsum("nijab,nia->njb", s.pose.db_dpiv, s.moments[..., 3])
+    g_alpha += np.einsum("njb,jbq->nq", g_pivot, s.base.skeleton.a)
+    s.grads["alpha"] = g_alpha + s.weights.w_id_coeff * 2.0 * s.theta.alpha
+
+
+def alpha_grad_at_rest(s: PosedChain) -> None:
+    """Backward stage at rest: alpha_grad without the pivot term, whose
+    Jacobian I - R is zero at rest."""
+    s.grads["alpha"] = (s.dLdvbar @ s.phi.reshape(len(s.phi), -1).T
+                        + s.weights.w_id_coeff * 2.0 * s.theta.alpha)
+
+
+def beta_grad(s: PosedChain) -> None:
+    """Backward stage: dL/dvbar . E plus the barrier's derivative."""
+    E = s.base.expression_basis
+    s.grads["beta"] = (s.dLdvbar @ E.reshape(len(E), -1).T
+                       + s.weights.w_barrier_expr * s.barrier_grads["beta"])
+
+
+def beta_grad_zero_basis(s: PosedChain) -> None:
+    """Backward stage against an all-zero expression basis (as in the base
+    model fit builds when given none): a GEMM of finite values against
+    zeros is +0.0 throughout, which turns only a -0.0 into +0.0, so +0.0
+    is added in its place.  A dL/dvbar that is not finite runs beta_grad."""
+    if not math.isfinite(s.dLdvbar.sum()):
+        return beta_grad(s)
+    s.grads["beta"] = s.weights.w_barrier_expr * s.barrier_grads["beta"] + 0.0
+
+
+def phi_grad(s: PosedChain) -> None:
+    """Backward stage: (alpha^T dL/dvbar + 2 w_b phi) + 2 w_l L^T L phi,
+    summed in place."""
+    ws, (m, V, _) = s.plan.slots[0], s.phi.shape
+    g_phi = (s.theta.alpha.T @ s.dLdvbar).reshape(m, V, 3)
+    g_phi += np.multiply(s.weights.w_id_basis * 2.0, s.phi, out=ws.take(m, V, 3))
+    lap_gram_phi = csr_apply(s.plan.ctx.lap_gram, s.phi_flat, ws.take(V, m * 3))
+    lap_gram_phi *= s.weights.w_laplacian * 2.0
+    g_phi += lap_gram_phi.reshape(V, m, 3).transpose(1, 0, 2)
+    s.grads["phi"] = g_phi
+
+
+def _run_slot(chain: PosedChain, k: int) -> None:
+    """posed_chunk over worker slot k's chunks in turn, in its workspace."""
+    for c in chain.plan.chunks[k::len(chain.plan.slots)]:
+        with chain.plan.slots[k] as ws:        # a chunk's arrays die with it
+            posed_chunk(chain, c, ws)
 
 
 def posed_chunk(chain: PosedChain, c: slice, ws: Workspace) -> None:
-    """The posed-scan chain of the scans in chunk `c`: skinning, the global
-    transform and the data and edge terms, then the gradient back through
-    them into the outputs `chain` holds.  Its arrays are taken from `ws`,
-    in a frame the caller opens."""
-    ctx, wt, w = chain.ctx, chain.weights, chain.skinning
-    rest = chain.pose is None
-    vbar = chain.vbar[c]
-    # data and edge-degeneracy terms on one component-major (3, V, n) copy
-    y_cm = ws.take(*vbar.shape[::-1])
-    if rest:
-        np.copyto(y_cm, vbar.transpose(2, 1, 0))
-    else:
-        R_w, R_g = chain.pose.R_w[c], chain.R_g[c]
-        v_out = lbs_apply(w, R_w, chain.pose.b_w[c], vbar, ws)
-        with ws:
-            y = np.matmul(v_out, np.swapaxes(R_g, 1, 2), out=ws.take(*v_out.shape))
-            y += chain.global_trans[c, None, :]
-            np.copyto(y_cm, y.transpose(2, 1, 0))
-    data_args = (y_cm, ctx.targets[..., c], ctx.target_normals[..., c], ctx.faces,
-                 wt.w_vertex, wt.w_normal)
-    edge_args = (y_cm, ctx.ref_edge_lengths, ctx.incidence)
-    vals = chain.values
-    if not chain.backward:
-        vals[0, c], vals[1, c], _ = _data_term(*data_args, grad=False, ws=ws)
-        vals[2, c], _ = edge_length_energy(*edge_args, grad=False, ws=ws)
-        return
-    vals[0, c], vals[1, c], grad = _data_term(*data_args, ws=ws)
-    vals[2, c], edge_grad = edge_length_energy(*edge_args, ws=ws)
-    edge_grad *= wt.w_edge
-    grad += edge_grad
-    # backward through the global transform and the skinning
-    if rest:        # the pose blocks are frozen, so dLdvbar is the only output
-        chain.dLdvbar[c] = grad.transpose(2, 1, 0)
-        return
+    """The posed-scan chain of the scans in chunk `c`: the plan's `place`,
+    the data and edge terms on one component-major (3, V, n) copy of the
+    positions, and the plan's `back` with their gradient.  Its arrays are
+    taken from `ws`, in a frame the caller opens."""
+    plan, ctx, wt, vals = chain.plan, chain.plan.ctx, chain.weights, chain.values
+    y_cm = ws.take(*chain.vbar[c].shape[::-1])
+    v_out = plan.place(chain, c, ws, y_cm)
+    grad = plan.back is not None
+    vals[0, c], vals[1, c], g = _data_term(y_cm, ctx.targets[..., c], ctx.target_normals[..., c],
+                                           ctx.faces, wt.w_vertex, wt.w_normal, grad, ws)
+    vals[2, c], edge_grad = edge_length_energy(y_cm, ctx.ref_edge_lengths, ctx.incidence, ws, grad)
+    if grad:
+        edge_grad *= wt.w_edge
+        g += edge_grad
+        plan.back(chain, c, ws, g, v_out)
+
+
+def _place_at_rest(chain: PosedChain, c: slice, ws: Workspace, y_cm: np.ndarray) -> None:
+    """Chunk c's positions y_cm at rest: a copy of its unposed vertices."""
+    np.copyto(y_cm, chain.vbar[c].transpose(2, 1, 0))
+
+
+def _place_posed(chain: PosedChain, c: slice, ws: Workspace, y_cm: np.ndarray) -> np.ndarray:
+    """Chunk c's positions y_cm: skinning, then the global transform;
+    returns the skinned vertices."""
+    vbar, R_g = chain.vbar[c], chain.R_g[c]
+    v_out = lbs_apply(chain.base.skinning_weights, chain.pose.R_w[c], chain.pose.b_w[c], vbar, ws)
+    with ws:
+        y = np.matmul(v_out, np.swapaxes(R_g, 1, 2), out=ws.take(*v_out.shape))
+        y += chain.theta.global_trans[c, None, :]
+        np.copyto(y_cm, y.transpose(2, 1, 0))
+    return v_out
+
+
+def _back_at_rest(chain: PosedChain, c: slice, ws: Workspace, grad: np.ndarray,
+                  v_out: None) -> None:
+    """At rest the gradient at the positions is chunk c's rows of dL/dvbar."""
+    chain.vbar[c] = grad.transpose(2, 1, 0)
+
+
+def _back_posed(chain: PosedChain, c: slice, ws: Workspace, grad: np.ndarray,
+                v_out: np.ndarray) -> None:
+    """Back through the global transform and the skinning: chunk c's rows
+    of the global-translation gradient, the global-rotation moments, the
+    joint moments and, over vbar's, dL/dvbar.  The joint moments
+    [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T of g = dL/dv_out are one
+    batched GEMM per joint of the weighted gradient rows; the sums s_i
+    feed the pivots, so alpha, and M_i the joint angles.  Every output is
+    filled whichever blocks are frozen: a fit that freezes the pose off
+    rest still needs the sums for alpha, and the global outputs cost a
+    sum and a 3x3 product per scan."""
+    w, vbar = chain.base.skinning_weights, chain.vbar[c]
     dLdy = ws.take(*grad.shape[::-1])
     np.copyto(dLdy, grad.transpose(2, 1, 0))
-    if chain.g_trans is not None:
-        chain.g_trans[c] = dLdy.sum(axis=1)
-    if chain.M_g is not None:
-        chain.M_g[c] = np.swapaxes(dLdy, 1, 2) @ v_out
-    dLdv_out = np.matmul(dLdy, R_g, out=ws.take(*dLdy.shape))
-    if chain.moments is not None:
-        with ws:
-            # per joint one batched GEMM of the weighted gradient rows
-            g_t = ws.take(*np.swapaxes(dLdv_out, 1, 2).shape)
-            np.copyto(g_t, np.swapaxes(dLdv_out, 1, 2))
-            if chain.moments.ndim == 4:      # live angles: [M_i | s_i]
-                vbar1 = ws.take(*vbar.shape[:2], 4)
-                vbar1[..., :3] = vbar
-                vbar1[..., 3] = 1.0
-                g_w = ws.take(*g_t.shape)
-                chain.moments[c] = np.stack(
-                    [np.multiply(g_t, w_i, out=g_w) @ vbar1 for w_i in w.T], axis=1)
-            else:
-                chain.moments[c] = g_t @ w
-    if chain.dLdvbar is not None:
-        with ws:
-            chain.dLdvbar[c] = lbs_adjoint(w, R_w, dLdv_out, ws)
-
-
-def _run_slot(chain: PosedChain, plan: LossPlan, k: int) -> None:
-    """posed_chunk over worker slot k's chunks in turn, in its workspace."""
-    ws = plan.slots[k]
-    for c in plan.chunks[k::plan.workers]:
-        with ws:        # a chunk's arrays die with it
-            posed_chunk(chain, c, ws)
+    chain.g_trans[c] = dLdy.sum(axis=1)
+    chain.M_g[c] = np.swapaxes(dLdy, 1, 2) @ v_out
+    dLdv_out = np.matmul(dLdy, chain.R_g[c], out=ws.take(*dLdy.shape))
+    with ws:
+        g_t = ws.take(*np.swapaxes(dLdv_out, 1, 2).shape)
+        np.copyto(g_t, np.swapaxes(dLdv_out, 1, 2))
+        vbar1 = ws.take(*vbar.shape[:2], 4)
+        vbar1[..., :3] = vbar
+        vbar1[..., 3] = 1.0
+        g_w = ws.take(*g_t.shape)
+        chain.moments[c] = np.stack(
+            [np.multiply(g_t, w_i, out=g_w) @ vbar1 for w_i in w.T], axis=1)
+    with ws:
+        chain.vbar[c] = lbs_adjoint(w, chain.pose.R_w[c], dLdv_out, ws)
 
 
 def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
@@ -483,16 +701,16 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
 
     `base` supplies template, expression basis, skeleton and skinning
     weights (all held fixed); `phi` is the identity basis being learned.
-    `plan` is `LossPlan.build(LossContext.build(scans, base))`, made here
-    when not given; a caller that runs many losses keeps one, as fit does,
-    so that its losses reuse their arrays.  A plan serves one loss at a
-    time: its workspaces hold the arrays of the loss that runs on it.
-    No returned array shares memory with the plan.
+    `plan` is `LossPlan.build(LossContext.build(scans, base), frozen,
+    thetas)`, built here when not given; a caller that runs many losses
+    keeps one, as fit does, so that its losses reuse their arrays.  The
+    plan must be one for these arguments: built from these scans and this
+    base model (or equal ones) for these frozen blocks, with zero still in
+    every block it recorded as zero.  No returned array shares memory with
+    the plan.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    N = scans.n_scans
-    V = scans.n_vertices
-    m = phi.shape[0]
+    N, V, m = scans.n_scans, scans.n_vertices, phi.shape[0]
     if phi.shape[1:] != (V, 3):
         raise DimensionMismatch(f"phi must be (m, {V}, 3), got {phi.shape}")
     if base.skeleton.n_identity != m:
@@ -501,147 +719,34 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
     if thetas.alpha.shape != (N, m):
         raise DimensionMismatch(
             f"alpha blocks {thetas.alpha.shape} inconsistent with (N={N}, m={m})")
-    if not BLOCKS.issuperset(frozen):
-        raise InvalidParam(f"frozen blocks {sorted(frozen)} not all in {sorted(BLOCKS)}")
     if plan is None:
-        plan = LossPlan.build(LossContext.build(scans, base))
+        plan = LossPlan.build(LossContext.build(scans, base), frozen, thetas)
     ctx = plan.ctx
-    if ctx.scans is not scans and (
-            ctx.scans.ids != scans.ids
-            or not np.array_equal(ctx.scans.vertices, scans.vertices)
-            or not np.array_equal(ctx.scans.quads, scans.quads)):
-        raise DimensionMismatch("loss context was built from a different scan set")
-    if (ctx.template is not base.template.vertices
-            and not np.array_equal(ctx.template, base.template.vertices)):
-        raise DimensionMismatch("loss context was built from a different base template")
-
-    # canonical scan order: every reduction below runs in sorted-id order
+    if (ctx.scans is not scans or ctx.base is not base) and not all(
+            map(np.array_equal, _loss_inputs(ctx.scans, ctx.base), _loss_inputs(scans, base))):
+        raise DimensionMismatch("loss context was built from other scans or another base "
+                                "model (template, expression basis, skinning or skeleton)")
+    if frozenset(frozen) != plan.frozen:
+        raise InvalidParam(f"plan was built for frozen blocks {sorted(plan.frozen)}, "
+                           f"not {sorted(frozen)}")
+    nonzero = sorted(k for k in plan.zero if getattr(thetas, k).any())
+    if nonzero:
+        raise InvalidParam(f"plan was built with {nonzero} held at zero; they are not")
+    # canonical scan order: every reduction runs in sorted-id order
     order, inv_order = ctx.order, ctx.inv_order
-    alpha = thetas.alpha[order]
-    beta = thetas.beta[order]
-    joint_angles = thetas.joint_angles[order]
-    global_rot = thetas.global_rot[order]
-    global_trans = thetas.global_trans[order]
-
-    skel = base.skeleton
-    live = BLOCKS - frozen
-    live_angles = "joint_angles" in live
-    # the frozen blocks that hold exactly zero (-0.0 counts)
-    zero = {k for k in FREEZABLE & frozen if not getattr(thetas, k).any()}
-    # the pose frozen at zero without rest frames: skinning and the global
-    # transform are the identity bit for bit, so the chain skips them
-    rest = POSE_BLOCKS <= zero and skel.rest_rotations is None
-
-    # barriers; a block frozen at zero within its limits adds exactly 0
-    bexpr, bexpr_der = _barrier_sum(beta, 0.0, 1.0, "beta" in live, "beta" in zero)
-    term_bexpr = weights.w_barrier_expr * bexpr
-    bpose, bpose_der = _barrier_sum(joint_angles, skel.limits[..., 0], skel.limits[..., 1],
-                                    live_angles, "joint_angles" in zero and skel.limits_hold_zero)
-    bglob, bglob_der = _barrier_sum(global_rot, *GLOBAL_ROT_LIMITS, "global_rot" in live,
-                                    "global_rot" in zero)
-    term_bpose = weights.w_barrier_pose * (bpose + bglob)
-
-    # priors
-    term_id_coeff = weights.w_id_coeff * float(np.einsum("nq,nq->", alpha, alpha))
-    term_id_basis = weights.w_id_basis * float(np.einsum("qva,qva->", phi, phi))
-
+    chain = PosedChain(plan, weights, base, phi,
+                       ThetaBlocks(**{k: v[order] for k, v in thetas.as_dict().items()}))
     # the loss's per-scan arrays live in slot 0's workspace until the
     # gradients are out of them
-    ws = plan.slots[0]
-    with ws:
-        # forward work batched over all scans, on the calling thread
-        vbar = evaluate_unposed(base, alpha, beta, identity_basis=phi, ws=ws)   # (N, V, 3)
-        if rest:
-            der = R_g = None
-        else:
-            der = (pose_derivatives if live_angles else pose_transforms)(skel, alpha, joint_angles)
-            R_g = euler_xyz(global_rot)
-
-        # the posed-scan chain per chunk of scans.  The joint sums
-        # s_i = sum_v w_vi g_v feed the pivots, so alpha; with live angles they
-        # are the last column of the moments [M_i | s_i] = sum_v w_vi g_v [vbar_v | 1]^T
-        chain = PosedChain(
-            ctx, weights, base.skinning_weights, der, vbar, R_g, global_trans,
-            values=ws.take(3, N),
-            g_trans=ws.take(N, 3) if "global_trans" in live else None,
-            M_g=ws.take(N, 3, 3) if "global_rot" in live else None,
-            moments=(ws.take(N, 4, 3, 4) if live_angles
-                     else ws.take(N, 3, 4) if "alpha" in live and not rest else None),
-            # each chunk writes its rows of dL/dvbar last, when it has read
-            # those of vbar for good: so they share memory
-            dLdvbar=vbar if live & {"alpha", "beta", "phi"} else None)
-        run_workers(partial(_run_slot, chain, plan), plan.workers)
-        vert_vals, norm_vals, edge_vals = chain.values
-        term_vertex = weights.w_vertex * float(vert_vals.sum())
-        term_normal = weights.w_normal * float(norm_vals.sum())
-        term_edge = weights.w_edge * float(edge_vals.sum())
-        scan_vertex_ms = vert_vals[inv_order]
-
-        # the Laplacian prior, on memory the chunks have given back
-        phi_flat = ws.take(V, m, 3)
-        np.copyto(phi_flat, phi.transpose(1, 0, 2))
-        phi_flat = phi_flat.reshape(V, m * 3)
-        with ws:
-            lap_phi = csr_apply(ctx.laplacian, phi_flat, ws.take(V, m * 3))
-            term_lap = weights.w_laplacian * float(np.einsum("ij,ij->", lap_phi, lap_phi))
-
-        # ---- backward of the live blocks, in canonical order --------------
-        g = {}
-        if "global_trans" in live:
-            g["global_trans"] = chain.g_trans
-        if "global_rot" in live:
-            g["global_rot"] = (np.einsum("nkab,nab->nk", euler_xyz_grad(global_rot), chain.M_g)
-                               + weights.w_barrier_pose * bglob_der)
-        if live_angles:
-            M, s = chain.moments[..., :3], chain.moments[..., 3]
-            g["joint_angles"] = (np.einsum("nijkab,niab->njk", der.dR_w, M)
-                                 + np.einsum("nijka,nia->njk", der.db_w, s)
-                                 + weights.w_barrier_pose * bpose_der)
-        elif chain.moments is not None:
-            s = np.swapaxes(chain.moments, 1, 2)
-        if chain.dLdvbar is not None:
-            dLdvbar = chain.dLdvbar.reshape(N, V * 3)
-        if "alpha" in live:
-            g_alpha = dLdvbar @ phi.reshape(m, V * 3).T
-            if not rest:        # the pivot term: its Jacobian I - R is zero at rest
-                g_pivot = np.einsum("nijab,nia->njb", der.db_dpiv, s)
-                g_alpha += np.einsum("njb,jbq->nq", g_pivot, skel.a)
-            g["alpha"] = g_alpha + weights.w_id_coeff * 2.0 * alpha
-        if "beta" in live:
-            g_beta = weights.w_barrier_expr * bexpr_der
-            # a finite sum means finite entries: against a zero basis the
-            # GEMM is then +0.0, which turns only a -0.0 into +0.0
-            if base.expression_zero and math.isfinite(dLdvbar.sum()):
-                g_beta += 0.0
-            else:
-                g_beta = dLdvbar @ base.expression_basis.reshape(-1, V * 3).T + g_beta
-            g["beta"] = g_beta
-        if "phi" in live:
-            # (alpha^T dL/dvbar + 2 w_b phi) + 2 w_l L^T L phi, summed in place
-            g_phi = (alpha.T @ dLdvbar).reshape(m, V, 3)
-            g_phi += np.multiply(weights.w_id_basis * 2.0, phi, out=ws.take(m, V, 3))
-            lap_gram_phi = csr_apply(ctx.lap_gram, phi_flat, ws.take(V, m * 3))
-            lap_gram_phi *= weights.w_laplacian * 2.0
-            g_phi += lap_gram_phi.reshape(V, m, 3).transpose(1, 0, 2)
-            g["phi"] = g_phi
+    with plan.slots[0]:
+        for stage in plan.stages:
+            stage(chain)
+        scan_vertex_ms = chain.values[0][inv_order]
         # phi is shared; the per-scan blocks go back to input order, as copies
-        grads = {k: g[k] if k == "phi" else g[k][inv_order]
-                 for k in ("phi", *thetas.as_dict()) if k in g}
-
-    total = (term_vertex + term_normal + term_bexpr + term_bpose
-             + term_id_coeff + term_id_basis + term_lap + term_edge)
-    breakdown = {
-        "data_vertex": term_vertex,
-        "data_normal": term_normal,
-        "barrier_expr": term_bexpr,
-        "barrier_pose": term_bpose,
-        "id_coeff": term_id_coeff,
-        "id_basis": term_id_basis,
-        "laplacian": term_lap,
-        "edge": term_edge,
-    }
-    return LossResult(total=float(total), breakdown=breakdown, grads=grads,
-                      scan_vertex_ms=scan_vertex_ms)
+        grads = {k: chain.grads[k] if k == "phi" else chain.grads[k][inv_order]
+                 for k in ("phi", *thetas.as_dict()) if k in chain.grads}
+    return LossResult(total=float(reduce(add, chain.terms.values())), breakdown=chain.terms,
+                      grads=grads, scan_vertex_ms=scan_vertex_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -752,13 +857,10 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     if base is None:
         from .procedural import default_base_model
         base = default_base_model(scans, m)
-    if base.n_identity != m:
-        raise DimensionMismatch(
-            f"base model expects m={base.n_identity}, fit called with m={m}")
 
-    plan = LossPlan.build(LossContext.build(scans, base))
     phi = _init_phi(scans, base.template.vertices, m, schedule, rng)
     theta = ThetaBlocks.zeros(scans.n_scans, m, base.n_expression)
+    plan = LossPlan.build(LossContext.build(scans, base), schedule.frozen, theta)
 
     params = {"phi": phi, **theta.as_dict()}
     state = AdamState()
@@ -784,9 +886,11 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
                 break
     wall = time.perf_counter() - t0
 
-    # the loss of the returned parameters: its values only
+    # the loss of the returned parameters, its values only, on the loop's
+    # context and workspaces
     theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-    final = total_loss(theta, params["phi"], scans, weights, base, frozen=BLOCKS, plan=plan)
+    final = total_loss(theta, params["phi"], scans, weights, base, frozen=BLOCKS,
+                       plan=LossPlan.build(plan.ctx, BLOCKS, theta, plan.slots))
     if not np.isfinite(final.total):
         raise Diverged(len(trajectory))
     model = replace(base, identity_basis=params["phi"])

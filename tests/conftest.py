@@ -146,7 +146,7 @@ def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6,
     """Max relative error between analytic gradients and central finite
     differences, over every parameter block not in `frozen`."""
     weights = weights or LossWeights()
-    plan = LossPlan.build(LossContext.build(scans, base))
+    plan = LossPlan.build(LossContext.build(scans, base), frozen, theta)
     res = total_loss(theta, phi, scans, weights, base, plan=plan, frozen=frozen)
 
     def loss(th, ph):

@@ -59,6 +59,14 @@ class TestBasics:
         assert cli_main(["--threads", threads, "--out", str(tmp_path), "demo-assets"]) == 1
         assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_1_is_usage_error(self, demo_lib, tmp_path, capsys, count):
+        out = tmp_path / "o"
+        assert cli_main(["--out", str(out), "sample", "--library", str(demo_lib),
+                         "--count", count]) == 1
+        assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["subdivide", "--bogus"]) == 1
 
@@ -215,6 +223,25 @@ class TestExport:
         a = json.loads(scene_json.read_text())
         b = json.loads((out2 / "scene.json").read_text())
         assert a == b
+
+    @pytest.mark.parametrize("seed", ["0", "7", "123"])
+    def test_reexported_scenes_are_byte_identical(self, demo_lib, tmp_path, seed):
+        # every file of every sampled scene, exported again from its scene.json
+        out = tmp_path / "s"
+        assert cli_main(["--seed", seed, "--out", str(out), "sample",
+                         "--library", str(demo_lib), "--count", "3"]) == 0
+        scenes = sorted(out.iterdir())
+        assert [p.name for p in scenes] == ["scene_0000", "scene_0001", "scene_0002"]
+        for scene in scenes:
+            again = tmp_path / "re-export" / scene.name
+            assert cli_main(["--out", str(again), "export", "--library", str(demo_lib),
+                             "--scene", str(scene / "scene.json")]) == 0
+            files = sorted(p.relative_to(scene) for p in scene.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(again) for p in again.rglob("*")
+                                   if p.is_file())
+            assert len(files) > 1
+            for name in files:
+                assert (again / name).read_bytes() == (scene / name).read_bytes(), name
 
 
 class TestHairCommands:

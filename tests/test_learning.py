@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facegen.errors import (
     DimensionMismatch,
@@ -231,7 +233,7 @@ class TestTotalLoss:
         base, scans, theta, phi = tiny_problem(rng, n_scans=n_scans)
         ctx = LossContext.build(scans, base)
         wholes = {frozen: total_loss(theta, phi, scans, LossWeights(), base,
-                                     plan=LossPlan.build(ctx), frozen=frozen)
+                                     plan=LossPlan.build(ctx, frozen, theta), frozen=frozen)
                   for frozen in FROZEN_SETS}
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         for workers in (1, 2):
@@ -242,7 +244,7 @@ class TestTotalLoss:
             for frozen, whole in wholes.items():
                 case = f"{_frozen_id(frozen)}, {workers} workers"
                 res = total_loss(theta, phi, scans, LossWeights(), base,
-                                 plan=LossPlan.build(ctx), frozen=frozen)
+                                 plan=LossPlan.build(ctx, frozen, theta), frozen=frozen)
                 assert res.total == whole.total, case
                 assert res.breakdown == whole.breakdown, case
                 assert np.array_equal(res.scan_vertex_ms, whole.scan_vertex_ms), case
@@ -256,16 +258,17 @@ class TestTotalLoss:
         # can, with a plan of its own or one whose workspaces losses share
         base, scans, theta, phi = tiny_problem(rng, V_grid=(6, 8), n_scans=16)
         ctx = LossContext.build(scans, base)
-        whole = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        whole = total_loss(theta, phi, scans, LossWeights(), base,
+                           plan=LossPlan.build(ctx, frozenset(), theta))
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         monkeypatch.setattr(learning, "_cpu_count", lambda: 8)
         assert len(learning._scan_chunks(16, scans.n_vertices, 8)) == 8
-        kept = LossPlan.build(ctx)
+        kept = LossPlan.build(ctx, frozenset(), theta)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs = [total_loss(theta, phi, scans, LossWeights(), base,
-                               plan=kept if k % 3 else LossPlan.build(ctx))
+                               plan=kept if k % 3 else LossPlan.build(ctx, frozenset(), theta))
                     for k in range(12)]
         finally:
             sys.setswitchinterval(interval)
@@ -334,12 +337,12 @@ def _batch_major_terms(monkeypatch, quads):
     references, transposing their component-major (3, V, N) arrays to
     (N, V, 3) and back around them; they allocate their own arrays, so
     they ignore the loss's workspace."""
-    def data(y, targets, target_normals, faces, w_vertex, w_normal, ws):
+    def data(y, targets, target_normals, faces, w_vertex, w_normal, grad, ws):
         vert_vals, norm_vals, g = data_term_reference(
             y.T, targets.T, target_normals.T, quads, w_vertex, w_normal)
         return vert_vals, norm_vals, g.T
 
-    def edge(y, ref_lengths, incidence, ws):
+    def edge(y, ref_lengths, incidence, ws, grad):
         # the (E, V) incidence is the first diagonal block of kron(I_3, D)
         D = incidence.forward[:len(ref_lengths), :y.shape[1]]
         values, g = edge_length_energy_reference(y.T, ref_lengths, D, D.T)
@@ -378,10 +381,12 @@ class TestVertexMajorParity:
     @staticmethod
     def check(monkeypatch, base, scans, theta, phi):
         ctx = LossContext.build(scans, base)
-        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        res = total_loss(theta, phi, scans, LossWeights(), base,
+                         plan=LossPlan.build(ctx, frozenset(), theta))
         with monkeypatch.context() as mp:
             _batch_major_terms(mp, scans.quads)
-            ref = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+            ref = total_loss(theta, phi, scans, LossWeights(), base,
+                             plan=LossPlan.build(ctx, frozenset(), theta))
         assert abs(res.total - ref.total) <= 1e-12 * abs(ref.total)
         for name, value in ref.breakdown.items():
             assert abs(res.breakdown[name] - value) <= 1e-12 * abs(value), name
@@ -411,7 +416,8 @@ class TestLossContext:
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
         r1 = total_loss(theta, phi, scans, LossWeights(), base)
-        r2 = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        r2 = total_loss(theta, phi, scans, LossWeights(), base,
+                        plan=LossPlan.build(ctx, frozenset(), theta))
         assert r1.total == r2.total
         for k in r1.grads:
             assert np.array_equal(r1.grads[k], r2.grads[k])
@@ -423,13 +429,15 @@ class TestLossContext:
         renamed = ScanSet(scans.vertices, scans.quads, ("x", "y", "z"))
         for other in (moved, renamed):
             with pytest.raises(DimensionMismatch):
-                total_loss(theta, phi, other, LossWeights(), base, plan=LossPlan.build(ctx))
+                total_loss(theta, phi, other, LossWeights(), base,
+                           plan=LossPlan.build(ctx, frozenset(), theta))
 
     def test_context_of_an_equal_scan_set_accepted(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
         equal = ScanSet(scans.vertices.copy(), scans.quads.copy(), scans.ids)
-        res = total_loss(theta, phi, equal, LossWeights(), base, plan=LossPlan.build(ctx))
+        res = total_loss(theta, phi, equal, LossWeights(), base,
+                         plan=LossPlan.build(ctx, frozenset(), theta))
         assert res.total == total_loss(theta, phi, scans, LossWeights(), base).total
 
     def test_context_of_other_scans_rejected(self, rng):
@@ -437,12 +445,12 @@ class TestLossContext:
         _, other, _, _ = tiny_problem(rng, n_scans=2)
         with pytest.raises(DimensionMismatch):
             total_loss(theta, phi, scans, LossWeights(), base,
-                       plan=LossPlan.build(LossContext.build(other, base)))
+                       plan=LossPlan.build(LossContext.build(other, base), frozenset(), theta))
 
     def test_context_of_another_template_rejected(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
-        plan = LossPlan.build(ctx)
+        plan = LossPlan.build(ctx, frozenset(), theta)
         scaled = dataclasses.replace(base, template=QuadMesh(
             1.5 * base.template.vertices, base.template.quads))
         with pytest.raises(DimensionMismatch, match="template"):
@@ -452,6 +460,24 @@ class TestLossContext:
             base.template.vertices.copy(), base.template.quads))
         assert (total_loss(theta, phi, scans, LossWeights(), equal, plan=plan).total
                 == total_loss(theta, phi, scans, LossWeights(), base).total)
+
+    def test_context_of_another_base_model_rejected(self, rng):
+        # the plan's stages were picked for its context's skeleton and
+        # expression basis, so a base model with others is rejected
+        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
+        plan = LossPlan.build(LossContext.build(scans, base), frozenset(), theta)
+        for other in (
+                dataclasses.replace(base, skeleton=dataclasses.replace(
+                    base.skeleton, rest_rotations=euler_xyz(0.3 * rng.standard_normal((4, 3))))),
+                dataclasses.replace(base, expression_basis=np.zeros_like(base.expression_basis)),
+                dataclasses.replace(base, skinning_weights=np.roll(base.skinning_weights, 1, 1))):
+            with pytest.raises(DimensionMismatch, match="skeleton"):
+                total_loss(theta, phi, scans, LossWeights(), other, plan=plan)
+        # equal arrays in other objects are the same model
+        equal = dataclasses.replace(base, skeleton=dataclasses.replace(
+            base.skeleton, limits=base.skeleton.limits.copy()))
+        assert (total_loss(theta, phi, scans, LossWeights(), equal, plan=plan).total
+                == total_loss(theta, phi, scans, LossWeights(), base, plan=plan).total)
 
     def test_target_normals_match_per_scan_normals(self, rng):
         base, scans, _, _ = tiny_problem(rng, n_scans=4)
@@ -495,7 +521,8 @@ class TestLossContext:
 
         ctx = LossContext.build(scans, base)
         calls.clear()
-        total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        total_loss(theta, phi, scans, LossWeights(), base,
+                   plan=LossPlan.build(ctx, frozenset(), theta))
         assert calls == []
 
         # the standalone data term needs the target normals, not the topology
@@ -518,7 +545,8 @@ class TestLossContext:
         n_chunks = len(learning._scan_chunks(6, scans.n_vertices, 2))
         assert n_chunks == 3
         ctx = LossContext.build(scans, base)
-        total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        total_loss(theta, phi, scans, LossWeights(), base,
+                   plan=LossPlan.build(ctx, frozenset(), theta))
         caller = threading.get_ident()
         mixing = [(name, ident) for name, ident in calls if name != "lbs_apply"]
         assert sorted(mixing) == [("euler_xyz_grad", caller),
@@ -762,8 +790,10 @@ class TestFrozenBlocks:
         # posed away from rest, pivots coupled to identity
         assert np.all(theta.joint_angles != 0) and np.all(base.skeleton.a != 0)
         ctx = LossContext.build(scans, base)
-        full = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
-        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+        full = total_loss(theta, phi, scans, LossWeights(), base,
+                          plan=LossPlan.build(ctx, frozenset(), theta))
+        res = total_loss(theta, phi, scans, LossWeights(), base,
+                         plan=LossPlan.build(ctx, frozen, theta),
                          frozen=frozen)
         assert res.total == full.total
         assert res.breakdown == full.breakdown
@@ -775,7 +805,8 @@ class TestFrozenBlocks:
     def test_unfrozen_call_matches_reference_bitwise(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=4)
         ctx = LossContext.build(scans, base)
-        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        res = total_loss(theta, phi, scans, LossWeights(), base,
+                         plan=LossPlan.build(ctx, frozenset(), theta))
         total, grads = total_loss_reference(theta, phi, scans, LossWeights(), base, ctx)
         assert res.total == total
         assert res.grads.keys() == grads.keys()
@@ -793,10 +824,12 @@ class TestFrozenBlocks:
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
-        full = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx))
+        full = total_loss(theta, phi, scans, LossWeights(), base,
+                          plan=LossPlan.build(ctx, frozenset(), theta))
         names = ("pose_derivatives", "euler_xyz_grad", "lbs_apply", "lbs_adjoint")
         calls = _count_calls(monkeypatch, names)
-        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+        res = total_loss(theta, phi, scans, LossWeights(), base,
+                         plan=LossPlan.build(ctx, learning.BLOCKS, theta),
                          frozen=learning.BLOCKS)
         assert res.total == full.total
         assert res.breakdown == full.breakdown
@@ -864,10 +897,12 @@ class TestRestPose:
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
         # the pose blocks live: the full chain, skinning included
-        posed = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+        posed = total_loss(theta, phi, scans, LossWeights(), base,
+                           plan=LossPlan.build(ctx, frozen - learning.POSE_BLOCKS, theta),
                            frozen=frozen - learning.POSE_BLOCKS)
         calls = _count_calls(monkeypatch, POSE_WORK)
-        res = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+        res = total_loss(theta, phi, scans, LossWeights(), base,
+                         plan=LossPlan.build(ctx, frozen, theta),
                          frozen=frozen)
         assert calls == []
         assert res.total == posed.total
@@ -895,13 +930,17 @@ class TestRestPose:
 
 
 def _full_path(monkeypatch):
-    """Turn the zero fast paths off: every expression GEMM runs and every
-    barrier is evaluated."""
+    """Turn the zero-basis fast paths off: every expression GEMM runs."""
     monkeypatch.setattr(fmodel, "_zero_blend", lambda model, beta: False)
     monkeypatch.setattr(BlendshapeModel, "expression_zero", property(lambda self: False))
-    barrier_sum = learning._barrier_sum
-    monkeypatch.setattr(learning, "_barrier_sum",
-                        lambda x, lo, hi, grad, zero: barrier_sum(x, lo, hi, grad, False))
+
+
+def _full_plan(ctx, frozen, theta):
+    """A plan that records no block as zero, built from blocks of ones in
+    theta's shapes: its losses evaluate every barrier and run the whole
+    pose chain.  Built under _full_path, it runs every expression GEMM."""
+    ones = ThetaBlocks(**{k: np.ones_like(v) for k, v in theta.as_dict().items()})
+    return LossPlan.build(ctx, frozen, ones)
 
 
 def _count_gemm_work(monkeypatch):
@@ -959,12 +998,13 @@ class TestZeroBlocks:
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
         for frozen in dict.fromkeys(FROZEN_SETS + REST_FROZEN_SETS):
-            fast = total_loss(theta, phi, scans, LossWeights(), base, plan=LossPlan.build(ctx),
+            fast = total_loss(theta, phi, scans, LossWeights(), base,
+                              plan=LossPlan.build(ctx, frozen, theta),
                               frozen=frozen)
             with monkeypatch.context() as m:
                 _full_path(m)
                 full = total_loss(theta, phi, scans, LossWeights(), base,
-                                  plan=LossPlan.build(ctx), frozen=frozen)
+                                  plan=_full_plan(ctx, frozen, theta), frozen=frozen)
             _assert_same_bits(fast, full)
 
     def test_unfrozen_zero_basis_call_matches_reference_bitwise(self, rng, monkeypatch):
@@ -974,7 +1014,8 @@ class TestZeroBlocks:
         theta.beta[:] = rng.uniform(-0.5, 1.5, theta.beta.shape)
         ctx = LossContext.build(scans, base)
         for weights in (LossWeights(), LossWeights(w_barrier_expr=0.0)):
-            res = total_loss(theta, phi, scans, weights, base, plan=LossPlan.build(ctx))
+            res = total_loss(theta, phi, scans, weights, base,
+                             plan=LossPlan.build(ctx, frozenset(), theta))
             with monkeypatch.context() as m:
                 _full_path(m)
                 total, grads = total_loss_reference(theta, phi, scans, weights, base, ctx)
@@ -993,7 +1034,7 @@ class TestZeroBlocks:
                         head.template.quads, tuple(f"scan_{k}" for k in range(8)))
         base = default_base_model(scans, 4)
         theta = ThetaBlocks.zeros(8, 4, base.n_expression)
-        plan = LossPlan.build(LossContext.build(scans, base))
+        plan = LossPlan.build(LossContext.build(scans, base), learning.FREEZABLE, theta)
         calls = _count_gemm_work(monkeypatch)
         res = total_loss(theta, head.identity_basis, scans, LossWeights(), base,
                          frozen=learning.FREEZABLE, plan=plan)
@@ -1003,7 +1044,8 @@ class TestZeroBlocks:
         assert "expression_zero" in base.__dict__
         _full_path(monkeypatch)
         _assert_same_bits(res, total_loss(theta, head.identity_basis, scans, LossWeights(),
-                                          base, frozen=learning.FREEZABLE, plan=plan))
+                                          base, frozen=learning.FREEZABLE,
+                                          plan=_full_plan(plan.ctx, learning.FREEZABLE, theta)))
 
     @pytest.mark.parametrize("case", ["frozen_nonzero_beta", "frozen_nonzero_global_rot",
                                       "limits_exclude_zero", "live_beta_with_basis"])
@@ -1026,15 +1068,15 @@ class TestZeroBlocks:
             theta.beta[:] = rng.uniform(0.05, 0.95, theta.beta.shape)
             frozen = learning.POSE_BLOCKS
             expected = [("blend", 2), ("blend", 4), ("barrier", (4,))]
-        plan = LossPlan.build(LossContext.build(scans, base))
+        plan = LossPlan.build(LossContext.build(scans, base), frozen, theta)
         calls = _count_gemm_work(monkeypatch)
         res = total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen, plan=plan)
         assert sorted(calls) == sorted(expected)
         if case == "limits_exclude_zero":
             assert res.breakdown["barrier_pose"] > 0.0
         _full_path(monkeypatch)
-        _assert_same_bits(res, total_loss(theta, phi, scans, LossWeights(), base,
-                                          frozen=frozen, plan=plan))
+        _assert_same_bits(res, total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen,
+                                          plan=_full_plan(plan.ctx, frozen, theta)))
 
     def test_non_finite_gradient_runs_the_beta_gemm(self, rng, monkeypatch):
         # against a zero basis only a finite dL/dvbar gives a zero GEMM: an
@@ -1096,20 +1138,24 @@ class TestLossPlan:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kept_plan_returns_the_bits_of_fresh_calls(self, rng, monkeypatch, workers):
         # every frozen subset, posed and at rest, over several chunks, with
-        # theta and phi changed between calls and one plan for all of them
+        # theta and phi changed between calls: one plan per frozen subset,
+        # kept for all calls, and one set of workspaces for all the plans
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         for with_pose, sets in ((True, FROZEN_SETS), (False, REST_FROZEN_SETS)):
             base, scans, theta, phi = tiny_problem(rng, n_scans=6, with_pose=with_pose)
             monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
             ctx = LossContext.build(scans, base)
-            plan = LossPlan.build(ctx)
-            assert len(plan.chunks) == 3 and plan.workers == workers
+            slots = LossPlan.build(ctx, frozenset(), theta).slots
+            plans = {frozen: LossPlan.build(ctx, frozen, theta, slots) for frozen in sets}
+            for plan in plans.values():
+                assert len(plan.chunks) == 3 and len(plan.slots) == workers
+                assert plan.slots is slots
             for step in (1.0, 1.25, 0.5):
                 th = ThetaBlocks(**{k: step * v for k, v in theta.as_dict().items()})
-                for frozen in sets:
+                for frozen, plan in plans.items():
                     case = f"{_frozen_id(frozen)}, step {step}"
                     fresh = total_loss(th, step * phi, scans, LossWeights(), base,
-                                       plan=LossPlan.build(ctx), frozen=frozen)
+                                       plan=LossPlan.build(ctx, frozen, th), frozen=frozen)
                     kept = total_loss(th, step * phi, scans, LossWeights(), base,
                                       frozen=frozen, plan=plan)
                     assert kept.total == fresh.total, case
@@ -1130,8 +1176,8 @@ class TestLossPlan:
         scans = ScanSet(base.template.vertices
                         + np.einsum("nq,qvk->nvk", alphas, base.identity_basis),
                         base.template.quads, tuple(f"scan_{k:03d}" for k in range(30)))
-        plan = LossPlan.build(LossContext.build(scans, base))
         theta = ThetaBlocks.zeros(30, 4, base.n_expression)
+        plan = LossPlan.build(LossContext.build(scans, base), learning.FREEZABLE, theta)
 
         def loss():
             return total_loss(theta, base.identity_basis, scans, LossWeights(), base,
@@ -1148,9 +1194,56 @@ class TestLossPlan:
         assert first.total == second.total == third.total
         assert peak - start < 256 * 1024
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           frozen=st.frozensets(st.sampled_from(sorted(learning.BLOCKS))),
+           zero=st.frozensets(st.sampled_from(sorted(learning.FREEZABLE))),
+           negative_zero=st.booleans(), rest_rotations=st.booleans(),
+           zero_basis=st.booleans(), workers=st.sampled_from([1, 2]))
+    def test_every_plan_is_the_reference_bitwise(self, seed, frozen, zero, negative_zero,
+                                                 rest_rotations, zero_basis, workers):
+        # the blocks in `zero` hold zero, -0.0 in every other entry with
+        # `negative_zero`; frozen or live, posed or at rest, with or
+        # without rest frames and against a zero or a nonzero expression
+        # basis, over three chunks on one and two workers
+        rng = np.random.default_rng(seed)
+        base, scans, theta, phi = tiny_problem(rng, n_scans=6)
+        if rest_rotations:
+            base = dataclasses.replace(base, skeleton=dataclasses.replace(
+                base.skeleton, rest_rotations=euler_xyz(0.3 * rng.standard_normal((4, 3)))))
+        if zero_basis:
+            base = dataclasses.replace(base, expression_basis=np.zeros_like(base.expression_basis))
+        for name in zero:
+            block = getattr(theta, name)
+            block[...] = 0.0
+            if negative_zero:
+                block.reshape(-1)[::2] = -0.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
+            mp.setattr(learning, "_cpu_count", lambda: workers)
+            ctx = LossContext.build(scans, base)
+            plan = LossPlan.build(ctx, frozen, theta)
+            assert len(plan.chunks) == 3 and len(plan.slots) == workers
+            assert plan.zero == zero & frozen
+            res = total_loss(theta, phi, scans, LossWeights(), base, plan=plan, frozen=frozen)
+            # another frozen set, and a nonzero value in a block recorded as zero
+            with pytest.raises(InvalidParam, match="frozen blocks"):
+                total_loss(theta, phi, scans, LossWeights(), base, plan=plan,
+                           frozen=frozen ^ {"phi"})
+            for name in plan.zero:
+                moved = dataclasses.replace(theta, **{name: getattr(theta, name) + 0.5})
+                with pytest.raises(InvalidParam, match="held at zero"):
+                    total_loss(moved, phi, scans, LossWeights(), base, plan=plan, frozen=frozen)
+            _full_path(mp)
+            total, grads = total_loss_reference(theta, phi, scans, LossWeights(), base, ctx)
+        assert res.total == total
+        assert res.grads.keys() == grads.keys() - frozen
+        for name, g in res.grads.items():
+            assert g.tobytes() == grads[name].tobytes(), name
+
     def test_planned_loss_builds_no_model(self, rng, monkeypatch):
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
-        plan = LossPlan.build(LossContext.build(scans, base))
+        ctx = LossContext.build(scans, base)
         built = []
         post_init = BlendshapeModel.__post_init__
 
@@ -1160,7 +1253,8 @@ class TestLossPlan:
 
         monkeypatch.setattr(BlendshapeModel, "__post_init__", counted)
         for frozen in (frozenset(), learning.FREEZABLE, learning.BLOCKS):
-            total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen, plan=plan)
+            total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen,
+                       plan=LossPlan.build(ctx, frozen, theta))
         assert built == []
         dataclasses.replace(base, identity_basis=phi)      # the count sees a model built
         assert len(built) == 1
@@ -1168,7 +1262,7 @@ class TestLossPlan:
         with pytest.raises(DimensionMismatch, match="skeleton"):
             total_loss(dataclasses.replace(theta, alpha=np.zeros((3, 3))),
                        np.zeros((3, scans.n_vertices, 3)), scans, LossWeights(), base,
-                       plan=plan)
+                       plan=LossPlan.build(ctx, frozenset(), theta))
 
 
 

@@ -2,8 +2,10 @@
 otherwise not exercise."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -44,6 +46,51 @@ def test_every_traced_span_resolves():
     missing = [f"{module}.{attr}" for module, attr, _ in tracing.SPANS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_every_loss_stage_resolves_by_name():
+    """A later benchmark traces each loss stage as it traces the spans
+    above, by patching a module attribute: every function a loss plan can
+    pick must be a module-level function of facegen.learning that its name
+    resolves to, picked by that name when the plan is built (no lambda,
+    nested function or partial in LossPlan.build), and total_loss stays a
+    function that checks its arguments and runs the stages."""
+    from conftest import tiny_problem
+    from facegen import learning
+    tree = ast.parse((ROOT / "src" / "facegen" / "learning.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    plan_class = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "LossPlan")
+    build = next(node for node in plan_class.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build")
+    inner = [node for node in ast.walk(build) if node is not build and isinstance(
+        node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert inner == []
+    named = {node.id for node in ast.walk(build) if isinstance(node, ast.Name)}
+    assert "partial" not in named
+    named &= functions.keys()
+
+    picked = set()
+    rng = np.random.default_rng(0)
+    for rest_frames in (False, True):
+        # with rest frames a pose frozen at zero is not at rest; the second
+        # model's zero expression basis picks the zero-basis beta stage
+        base, scans, theta, _ = tiny_problem(rng, n_scans=4)
+        if rest_frames:
+            frames = dataclasses.replace(base.skeleton, rest_rotations=np.tile(np.eye(3), (4, 1, 1)))
+            base = dataclasses.replace(
+                base, skeleton=frames, expression_basis=np.zeros_like(base.expression_basis))
+        ctx = learning.LossContext.build(scans, base)
+        for thetas in (theta, learning.ThetaBlocks.zeros(4, 2, base.n_expression)):
+            for r in range(len(learning.BLOCKS) + 1):
+                for frozen in itertools.combinations(sorted(learning.BLOCKS), r):
+                    plan = learning.LossPlan.build(ctx, frozenset(frozen), thetas)
+                    picked |= {*plan.stages, plan.place, plan.back} - {None}
+    assert all(getattr(learning, f.__name__) is f for f in picked)
+    assert {f.__name__ for f in picked} == named - {"_scan_chunks"}
+
+    total_loss = functions["total_loss"]
+    assert total_loss.end_lineno - total_loss.lineno + 1 <= 60
 
 
 def test_benchmark_groom_builds_ragged(monkeypatch):
