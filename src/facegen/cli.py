@@ -31,7 +31,7 @@ from .hair import (
     save_hair_code,
 )
 from .hdr import augment_rotations, preprocess_hdr, read_hdr
-from .learning import FitSchedule, LossWeights, ScanSet, fit
+from .learning import INITS, FitSchedule, LossWeights, ScanSet, fit
 from .library import AssetLibrary
 from .modelio import save_model
 from .objio import load_obj, save_obj
@@ -141,14 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# fit --config: loss weights, optimizer schedule and seed, each optional
+# fit --config: loss weights and optimizer schedule, each optional
 _FIT_CONFIG_SPEC = {
     "weights": {f.name: float for f in dataclasses.fields(LossWeights)},
     "schedule": {"iterations": int, "lr": float, "beta1": float, "beta2": float,
                  "eps": float, "early_stop_window": int, "early_stop_rel": float,
-                 "init": {"pca", "random"}, "init_sigma": float,
+                 "init": set(INITS), "init_sigma": float,
                  "freeze_beta": bool, "freeze_pose": bool},
-    "seed": int,
 }
 
 
@@ -189,12 +188,9 @@ def _cmd_fit(args) -> int:
                if args.config is not None else {})
         weights = LossWeights(**cfg.get("weights", {}))
         schedule = FitSchedule(**cfg.get("schedule", {}))
-        seed = cfg.get("seed", args.seed)
-        if seed < 0:
-            raise DataError(f"$.seed must be >= 0, got {seed}")
 
     log.info(f"fitting m={args.basis_size} basis to {scans.n_scans} scans")
-    model, report = fit(scans, args.basis_size, weights, schedule, seed)
+    model, report = fit(scans, args.basis_size, weights, schedule, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.json", model)
     write_files(out, {"report.json": encode_json(report.to_dict(), indent=1),

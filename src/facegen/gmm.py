@@ -196,6 +196,8 @@ def sample_identity(gmm: GaussianMixture, sigma: float = 0.8,
     """
     if sigma_mode not in ("std", "var"):
         raise InvalidParam(f"unknown sigma_mode {sigma_mode!r}")
+    if not sigma >= 0:
+        raise InvalidParam(f"sigma must be >= 0, got {sigma}")
     scale = sigma if sigma_mode == "std" else float(np.sqrt(sigma))
     rng = np.random.default_rng(rng)
     n = 1 if size is None else size

@@ -753,6 +753,10 @@ def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
 # fit driver
 # ---------------------------------------------------------------------------
 
+# the ways fit can start the identity basis (FitSchedule.init)
+INITS = ("pca", "random")
+
+
 @dataclass
 class FitSchedule:
     iterations: int = 2000
@@ -762,7 +766,7 @@ class FitSchedule:
     eps: float = 1e-8
     early_stop_window: int = 50
     early_stop_rel: float = 1e-7
-    init: str = "pca"          # or "random"
+    init: str = "pca"          # one of INITS
     init_sigma: float = 1e-3
     freeze_beta: bool = False
     freeze_pose: bool = False
@@ -777,7 +781,8 @@ class FitSchedule:
                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
                 ("eps", 0 < self.eps < math.inf, "finite and > 0"),
                 ("early_stop_rel", 0 <= self.early_stop_rel < math.inf, "finite and >= 0"),
-                ("init_sigma", 0 < self.init_sigma < math.inf, "finite and > 0")):
+                ("init_sigma", 0 < self.init_sigma < math.inf, "finite and > 0"),
+                ("init", self.init in INITS, f"one of {', '.join(INITS)}")):
             if not ok:
                 raise InvalidParam(f"{name} must be {rule}, got {getattr(self, name)}")
 

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from .container import (decode_json, load_container, read_json_object, require_finite,
                         save_container)
-from .errors import DataError, InvalidParam, naming
+from .errors import DataError, EmptyLibrary, InvalidParam, naming
 from .eyes import EyeGeometry, EyeGeometryParams, build_eye
 from .gmm import GaussianMixture
 from .hair import HAIR_STYLES, Groom, flip_groom, load_groom
@@ -56,7 +56,10 @@ def save_expression_library(path, library: ExpressionLibrary) -> None:
 def load_expression_library(path) -> ExpressionLibrary:
     tensors, meta = load_container(path, "expression_library")
     require_finite(tensors)
-    return ExpressionLibrary(tensors["betas"], source=meta.get("source", ""))
+    library = ExpressionLibrary(tensors["betas"], source=meta.get("source", ""))
+    if len(library) == 0:
+        raise EmptyLibrary("expression library has no rows")
+    return library
 
 
 @dataclass(frozen=True)
@@ -214,6 +217,9 @@ class AssetLibrary:
             eye_params = EyeGeometryParams(**cfg.get("eye_geometry", {}))
             pose = PoseDistribution(**cfg.get("pose", {}))
             check_pose_acceptance(model.skeleton, pose)
+            sampling = cfg.get("sampling", {})
+            if sampling.get("sigma", 0.0) < 0:
+                raise DataError(f"$.sampling.sigma {sampling['sigma']} is negative")
             levels = cfg.get("subdivision_levels", 3)
             return cls(
                 root=root,
@@ -232,7 +238,7 @@ class AssetLibrary:
                 eye_params=eye_params,
                 topology=SceneTopology.compile(model, eye_params, grooms, levels),
                 subdivision_levels=levels,
-                **cfg.get("sampling", {}),
+                **sampling,
             )
 
 

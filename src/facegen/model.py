@@ -22,7 +22,10 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidParam, PoseLimitV
 from .mesh import QuadMesh, Workspace
 
 JOINT_NAMES = ("neck", "jaw", "eye_left", "eye_right")
-JOINT_PARENTS = (-1, 0, 0, 0)
+# the joint tree: the neck (joint 0) is the root and the parent of every
+# other joint, its CHILDREN
+CHILDREN = slice(1, 4)
+_CHILD_IDS = np.arange(len(JOINT_NAMES))[CHILDREN]    # indexes the diagonals [j, j]
 
 
 def euler_xyz(angles: np.ndarray) -> np.ndarray:
@@ -150,11 +153,9 @@ class Skeleton:
         lo, hi = self.limits[..., 0], self.limits[..., 1]
         bad = (ang < lo) | (ang > hi)
         if np.any(bad):
-            flat = np.nonzero(bad.reshape(-1, 4, 3))
-            j, k = int(flat[1][0]), int(flat[2][0])
-            v = float(ang.reshape(-1, 4, 3)[flat[0][0], j, k])
-            raise PoseLimitViolation(JOINT_NAMES[j], k, v,
-                                     float(lo[j, k]), float(hi[j, k]))
+            n, j, k = np.argwhere(bad.reshape(-1, 4, 3))[0]
+            v = float(ang.reshape(-1, 4, 3)[n, j, k])
+            raise PoseLimitViolation(JOINT_NAMES[j], int(k), v, float(lo[j, k]), float(hi[j, k]))
 
 
 @dataclass(frozen=True)
@@ -337,14 +338,12 @@ def _compose(skeleton: Skeleton, alpha: np.ndarray, R: np.ndarray
     piv = skeleton.pivots(alpha)                       # (..., 4, 3)
     # local affine: x -> R (x - t) + t
     b_loc = piv - np.einsum("...jab,...jb->...ja", R, piv)
+    Rn = R[..., 0, :, :]
     R_w = R.copy()
     b_w = b_loc.copy()
-    for j, p in enumerate(JOINT_PARENTS):
-        if p < 0:
-            continue
-        R_w[..., j, :, :] = R[..., p, :, :] @ R[..., j, :, :]
-        b_w[..., j, :] = (np.einsum("...ab,...b->...a", R[..., p, :, :], b_loc[..., j, :])
-                          + b_loc[..., p, :])
+    R_w[..., CHILDREN, :, :] = Rn[..., None, :, :] @ R[..., CHILDREN, :, :]
+    b_w[..., CHILDREN, :] = (np.einsum("...ab,...jb->...ja", Rn, b_loc[..., CHILDREN, :])
+                             + b_loc[..., :1, :])
     return R_w, b_w, piv, b_loc
 
 
@@ -441,11 +440,10 @@ class PoseDerivatives:
 def _pivot_jacobian(R: np.ndarray) -> np.ndarray:
     """db_dpiv of the tree composed from local rotations R (..., 4, 3, 3):
     I - R_neck in the neck column, R_neck (I - R_j) on the diagonal."""
-    Rn, eye = R[..., 0, :, :], np.eye(3)
+    Rn, eye, c = R[..., 0, :, :], np.eye(3), _CHILD_IDS
     db_dpiv = np.zeros(R.shape[:-3] + (4, 4, 3, 3))
     db_dpiv[..., :, 0, :, :] = (eye - Rn)[..., None, :, :]
-    for j in (1, 2, 3):
-        db_dpiv[..., j, j, :, :] = Rn @ (eye - R[..., j, :, :])
+    db_dpiv[..., c, c, :, :] = Rn[..., None, :, :] @ (eye - R[..., CHILDREN, :, :])
     return db_dpiv
 
 
@@ -453,15 +451,13 @@ def pose_transforms(skeleton: Skeleton, alpha: np.ndarray,
                     joint_angles: np.ndarray) -> PoseDerivatives:
     """World transforms (composed as in world_transforms, without the limit
     check) and their pivot Jacobian, for joint angles held fixed."""
-    R = skeleton.joint_rotations(np.asarray(joint_angles, dtype=np.float64))
+    R = skeleton.joint_rotations(joint_angles)
     return PoseDerivatives(*_compose(skeleton, alpha, R)[:3], _pivot_jacobian(R))
 
 
 def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
                      joint_angles: np.ndarray) -> PoseDerivatives:
     """`pose_transforms` plus the analytic angle tables of the 4-joint tree."""
-    joint_angles = np.asarray(joint_angles, dtype=np.float64)
-    batch = joint_angles.shape[:-2]
     R = skeleton.joint_rotations(joint_angles)           # (..., 4, 3, 3)
     dR = skeleton.joint_rotation_grads(joint_angles)     # (..., 4, 3, 3, 3)
     R_w, b_w, piv, b_loc = _compose(skeleton, alpha, R)
@@ -469,26 +465,21 @@ def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
     Rn = R[..., 0, :, :]
     dRn = dR[..., 0, :, :, :]                      # (..., 3, 3, 3)
     tn = piv[..., 0, :]
+    R_c, dR_c = R[..., CHILDREN, :, :], dR[..., CHILDREN, :, :, :]
+    c, cc = CHILDREN, _CHILD_IDS
 
-    dR_w = np.zeros(batch + (4, 4, 3, 3, 3))
-    db_w = np.zeros(batch + (4, 4, 3, 3))
-
-    # neck is its own world transform
+    dR_w = np.zeros(R.shape[:-3] + (4, 4, 3, 3, 3))
+    db_w = np.zeros(R.shape[:-3] + (4, 4, 3, 3))
+    # the neck is its own world transform
     dR_w[..., 0, 0, :, :, :] = dRn
     db_w[..., 0, 0, :, :] = -np.einsum("...kab,...b->...ka", dRn, tn)
-
-    for j in (1, 2, 3):
-        Rj = R[..., j, :, :]
-        dRj = dR[..., j, :, :, :]
-        tj = piv[..., j, :]
-        # neck angles
-        dR_w[..., j, 0, :, :, :] = np.einsum("...kab,...bc->...kac", dRn, Rj)
-        db_w[..., j, 0, :, :] = np.einsum(
-            "...kab,...b->...ka", dRn, b_loc[..., j, :] - tn)
-        # own angles
-        dR_w[..., j, j, :, :, :] = np.einsum("...ab,...kbc->...kac", Rn, dRj)
-        db_w[..., j, j, :, :] = -np.einsum(
-            "...ab,...kbc,...c->...ka", Rn, dRj, tj)
+    # the children by the neck's angles, then by their own
+    dR_w[..., c, 0, :, :, :] = np.einsum("...kab,...jbc->...jkac", dRn, R_c)
+    db_w[..., c, 0, :, :] = np.einsum(
+        "...kab,...jb->...jka", dRn, b_loc[..., c, :] - tn[..., None, :])
+    dR_w[..., cc, cc, :, :, :] = np.einsum("...ab,...jkbc->...jkac", Rn, dR_c)
+    db_w[..., cc, cc, :, :] = -np.einsum(
+        "...ab,...jkbc,...jc->...jka", Rn, dR_c, piv[..., c, :])
 
     return PoseDerivatives(R_w, b_w, piv, _pivot_jacobian(R), dR_w, db_w)
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .errors import (
     NonNormalizedTable,
     TableRenormalized,
 )
-from .model import JOINT_NAMES, Pose, Skeleton
+from .model import Pose, Skeleton
 
 _MASK64 = (1 << 64) - 1
 
@@ -99,8 +101,6 @@ class PoseDistribution:
 # one axis that a pose distribution may have
 GLOBAL_ROT_BOUND = np.pi / 2
 MIN_ACCEPTANCE = 1e-6
-_JOINT_AXES = np.array([[f"joint {j!r} axis {k}" for k in range(3)] for j in JOINT_NAMES])
-_GLOBAL_AXES = np.array([f"global rotation axis {k}" for k in range(3)])
 
 
 def _acceptance(std: float, lo: float, hi: float) -> float:
@@ -127,13 +127,12 @@ def check_pose_acceptance(skeleton: Skeleton, config: PoseDistribution) -> None:
 
 
 def _truncated_normal(rng: np.random.Generator, std: np.ndarray,
-                      lo: np.ndarray, hi: np.ndarray, names: np.ndarray) -> np.ndarray:
-    """Per-axis rejection sampling of N(0, std) truncated to [lo, hi].  An
-    axis still pending after 100 rounds whose acceptance probability is
-    below MIN_ACCEPTANCE is an InvalidParam naming it from `names`."""
+                      lo: np.ndarray, hi: np.ndarray, check: Callable[[], None]) -> np.ndarray:
+    """Per-axis rejection sampling of N(0, std) truncated to [lo, hi]; a zero
+    std draws 0.  `check()` runs if an axis is still pending after 100
+    rounds, to raise for a distribution that accepts no draw in any time."""
     out = np.zeros_like(std)
-    degenerate = std <= 0
-    pending = ~degenerate
+    pending = (std > 0) | (lo > 0) | (hi < 0)     # a zero std draws 0, kept if in [lo, hi]
     rounds = 0
     while np.any(pending):
         draw = rng.standard_normal(out.shape) * std
@@ -142,25 +141,23 @@ def _truncated_normal(rng: np.random.Generator, std: np.ndarray,
         pending &= ~accept
         rounds += 1
         if rounds == 100:
-            for i in zip(*np.nonzero(pending)):
-                p = _acceptance(std[i], lo[i], hi[i])
-                if p < MIN_ACCEPTANCE:
-                    raise InvalidParam(
-                        f"{names[i]}: N(0, {std[i]:g}) truncated to [{lo[i]:g}, {hi[i]:g}] "
-                        f"accepts a draw with probability {p:.3g}, below {MIN_ACCEPTANCE:g}")
+            check()
     return out
 
 
 def sample_pose(skeleton: Skeleton, config: PoseDistribution | None = None,
                 rng=None) -> Pose:
-    """Truncated-normal joint and global rotations within physical limits."""
+    """Truncated-normal joint and global rotations within physical limits.
+    An axis still pending after 100 rounds raises `check_pose_acceptance`'s
+    DataError if the distribution fails it."""
     config = config or PoseDistribution()
     rng = np.random.default_rng(rng)
+    check = partial(check_pose_acceptance, skeleton, config)
     lo = skeleton.limits[..., 0]
     hi = skeleton.limits[..., 1]
-    joint = _truncated_normal(rng, config.joint_std, lo, hi, _JOINT_AXES)
+    joint = _truncated_normal(rng, config.joint_std, lo, hi, check)
     grot = _truncated_normal(rng, config.global_rot_std, np.full(3, -GLOBAL_ROT_BOUND),
-                             np.full(3, GLOBAL_ROT_BOUND), _GLOBAL_AXES)
+                             np.full(3, GLOBAL_ROT_BOUND), check)
     return Pose(joint_angles=joint, global_rot=grot, global_trans=np.zeros(3))
 
 

@@ -203,7 +203,6 @@ def sample_scene(library: AssetLibrary, seed: int) -> SceneDescription:
     hdr_id = hdr_ids[int(rng.integers(len(hdr_ids)))]
     yaw = float(rng.uniform(0.0, 2.0 * np.pi))
 
-    library.model.skeleton.check_limits(pose.joint_angles)
     return SceneDescription(
         params=ModelParams(alpha, beta, pose),
         texture_id=texture_id,
@@ -246,19 +245,15 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
     posed = evaluate(model, params)
     face_verts = topo.stencil @ posed.vertices
 
-    R_w, b_w, _ = world_transforms(model.skeleton, params.alpha,
-                                   params.gamma.joint_angles)
+    R_w, b_w, piv = world_transforms(model.skeleton, params.alpha,
+                                     params.gamma.joint_angles)
     R_g = euler_xyz(params.gamma.global_rot)
     t_g = params.gamma.global_trans
 
-    def to_world(joint: int, points: np.ndarray) -> np.ndarray:
-        local = points @ R_w[joint].T + b_w[joint]
-        return local @ R_g.T + t_g
-
-    piv = model.skeleton.pivots(params.alpha)
     eye_verts = []
     for joint, lid_ids in ((2, model.eyelid_left), (3, model.eyelid_right)):
-        center_world = to_world(joint, piv[joint][None])[0]
+        # the eye's pivot under its joint's world transform, then the global one
+        center_world = (piv[joint] @ R_w[joint].T + b_w[joint]) @ R_g.T + t_g
         rot = R_g @ R_w[joint]
         for part in (topo.eye.sclera, topo.eye.cornea):
             eye_verts.append(part.vertices @ rot.T + center_world)

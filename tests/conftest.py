@@ -563,6 +563,63 @@ def lbs_adjoint_reference(weights, R_w, grad):
     return grad + np.einsum("vi,...iab,...va->...vb", weights, R_w - np.eye(3), grad)
 
 
+# the pose chain walked joint by joint along the parent list: the
+# references for the array code of model._compose, model._pivot_jacobian
+# and model.pose_derivatives over the neck's children
+JOINT_PARENTS_REFERENCE = (-1, 0, 0, 0)
+
+
+def compose_reference(skeleton, alpha, R):
+    piv = skeleton.pivots(alpha)
+    b_loc = piv - np.einsum("...jab,...jb->...ja", R, piv)
+    R_w = R.copy()
+    b_w = b_loc.copy()
+    for j, p in enumerate(JOINT_PARENTS_REFERENCE):
+        if p < 0:
+            continue
+        R_w[..., j, :, :] = R[..., p, :, :] @ R[..., j, :, :]
+        b_w[..., j, :] = (np.einsum("...ab,...b->...a", R[..., p, :, :], b_loc[..., j, :])
+                          + b_loc[..., p, :])
+    return R_w, b_w, piv, b_loc
+
+
+def pivot_jacobian_reference(R):
+    Rn, eye = R[..., 0, :, :], np.eye(3)
+    db_dpiv = np.zeros(R.shape[:-3] + (4, 4, 3, 3))
+    db_dpiv[..., :, 0, :, :] = (eye - Rn)[..., None, :, :]
+    for j in (1, 2, 3):
+        db_dpiv[..., j, j, :, :] = Rn @ (eye - R[..., j, :, :])
+    return db_dpiv
+
+
+def pose_derivatives_reference(skeleton, alpha, joint_angles):
+    """(R_w, b_w, pivots, db_dpiv, dR_w, db_w) as model.PoseDerivatives
+    lays them out."""
+    joint_angles = np.asarray(joint_angles, dtype=np.float64)
+    batch = joint_angles.shape[:-2]
+    R = skeleton.joint_rotations(joint_angles)
+    dR = skeleton.joint_rotation_grads(joint_angles)
+    R_w, b_w, piv, b_loc = compose_reference(skeleton, alpha, R)
+    Rn = R[..., 0, :, :]
+    dRn = dR[..., 0, :, :, :]
+    tn = piv[..., 0, :]
+    dR_w = np.zeros(batch + (4, 4, 3, 3, 3))
+    db_w = np.zeros(batch + (4, 4, 3, 3))
+    dR_w[..., 0, 0, :, :, :] = dRn
+    db_w[..., 0, 0, :, :] = -np.einsum("...kab,...b->...ka", dRn, tn)
+    for j in (1, 2, 3):
+        Rj = R[..., j, :, :]
+        dRj = dR[..., j, :, :, :]
+        tj = piv[..., j, :]
+        dR_w[..., j, 0, :, :, :] = np.einsum("...kab,...bc->...kac", dRn, Rj)
+        db_w[..., j, 0, :, :] = np.einsum(
+            "...kab,...b->...ka", dRn, b_loc[..., j, :] - tn)
+        dR_w[..., j, j, :, :, :] = np.einsum("...ab,...kbc->...kac", Rn, dRj)
+        db_w[..., j, j, :, :] = -np.einsum(
+            "...ab,...kbc,...c->...ka", Rn, dRj, tj)
+    return R_w, b_w, piv, pivot_jacobian_reference(R), dR_w, db_w
+
+
 def sparse_apply_reference(A, x: np.ndarray) -> np.ndarray:
     """A @ x along axis -2 of a batch-major (..., K, C) array, by transposing
     it to (K, C * batch) and back."""

@@ -18,10 +18,11 @@ from facegen.container import decode_json, load_container, save_container
 from facegen.errors import DataError
 from facegen.hair import encode_groom, load_groom, save_hair_code
 from facegen.learning import FitSchedule, LossWeights
-from facegen.library import AssetLibrary
+from facegen.library import AssetLibrary, save_expression_library
 from facegen.objio import load_obj, save_obj
 from facegen.poremap import read_pgm
 from facegen.procedural import cube_mesh, desk_head, quad_grid, smooth_vertex_fields
+from facegen.sampling import ExpressionLibrary
 from facegen.mesh import QuadMesh
 
 
@@ -391,10 +392,9 @@ class TestFitCommand:
         cfg.write_text(json.dumps({
             "schedule": {"iterations": 120, "freeze_pose": True,
                          "freeze_beta": True},
-            "seed": 11,
         }))
         out = tmp_path / "fitted"
-        rc = cli_main(["--config", str(cfg), "--out", str(out), "fit",
+        rc = cli_main(["--config", str(cfg), "--seed", "11", "--out", str(out), "fit",
                        "--scans", str(scans_dir), "--basis-size", "2"])
         assert rc == 0
         assert (out / "model.json").exists()
@@ -433,7 +433,7 @@ class TestFitCommand:
         section = readme.split("### `fit` config (JSON)", 1)[1]
         example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         cfg = decode_json(json.loads(example), _FIT_CONFIG_SPEC)
-        assert cfg.keys() == {"weights", "schedule", "seed"}
+        assert cfg.keys() == {"weights", "schedule"}
         assert LossWeights(**cfg["weights"]) == LossWeights()
         schedule = FitSchedule(**cfg["schedule"])
         assert schedule.frozen == learning.FREEZABLE
@@ -637,6 +637,21 @@ def _hair_color_entry(lib, monkeypatch):
     return _sample(lib), lib / "haircolor.json"
 
 
+def _empty_expressions(lib, monkeypatch):
+    """`sample` on the demo library with a (0, 51) expression library."""
+    save_expression_library(lib / "expressions.json", ExpressionLibrary(np.zeros((0, 51))))
+    return _sample(lib), lib / "expressions.json"
+
+
+def _sampling(**settings):
+    """`sample` on the demo library with its `sampling` section set to
+    `settings`: the error names the config and `$.sampling.sigma`."""
+    def case(lib, monkeypatch):
+        argv, config = _config_case(lambda c: c.update(sampling=settings))(lib, monkeypatch)
+        return argv, f"{config}: $.sampling.sigma"
+    return case
+
+
 def _manifest_as_library(lib, monkeypatch):
     return _sample(lib, "model.json"), lib / "model.json"
 
@@ -683,6 +698,9 @@ MALFORMED = {
        ("density_map", "length_map", "flow_volume", "bbox", "root_points")},
     "groom_nan_point": _groom_nan,
     "scans_of_two_vertex_counts": _scans_of_two_sizes,
+    "expressions_without_rows": _empty_expressions,
+    **{f"sampling_sigma_negative_{mode}": _sampling(sigma=-0.5, sigma_mode=mode)
+       for mode in ("std", "var")},
     "expressions_of_wrong_kind": _config_case(
         lambda c: c.update(expression_library="gmm.json")),
     "manifest_not_utf8": _not_utf8,
@@ -712,7 +730,7 @@ MALFORMED = {
     "fit_config_unknown_schedule_key": _fit({"schedule": {"iters": 3}}),
     "fit_config_unknown_init": _fit({"schedule": {"init": "zeros"}}),
     "fit_config_zero_iterations": _fit({"schedule": {"iterations": 0}}),
-    "fit_config_negative_seed": _fit({"seed": -1}),
+    "fit_config_seed": _fit({"seed": 11}),
     **{f"fit_config_{key}_{value}": _fit({"schedule": {key: value}}) for key, value in [
         ("early_stop_window", -3), ("early_stop_window", 0), ("lr", -1), ("lr", 0),
         ("beta1", -0.5), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0),

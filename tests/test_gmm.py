@@ -305,6 +305,13 @@ class TestSampleIdentity:
         with pytest.raises(InvalidParam):
             sample_identity(gmm, sigma_mode="bogus")
 
+    @pytest.mark.parametrize("mode", ["std", "var"])
+    @pytest.mark.parametrize("sigma", [-0.5, np.nan])
+    def test_negative_sigma_rejected(self, mode, sigma):
+        gmm = GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])
+        with pytest.raises(InvalidParam, match=r"^sigma must be >= 0, got "):
+            sample_identity(gmm, sigma=sigma, sigma_mode=mode)
+
     def test_components_drawn_by_weight(self, rng):
         means = np.array([[0.0], [100.0]])
         covs = np.stack([np.eye(1) * 1e-6] * 2)

@@ -1270,7 +1270,7 @@ class TestScheduleRanges:
     @pytest.mark.parametrize("field, value", [
         ("iterations", 0), ("early_stop_window", 0), ("early_stop_window", -3),
         ("lr", 0.0), ("lr", -1.0), ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0),
-        ("eps", 0.0), ("early_stop_rel", -1e-7), ("init_sigma", 0.0),
+        ("eps", 0.0), ("early_stop_rel", -1e-7), ("init_sigma", 0.0), ("init", "bogus"),
         *[(f, v) for f in ("lr", "beta1", "beta2", "eps", "early_stop_rel", "init_sigma")
           for v in (np.nan, np.inf)]])
     def test_out_of_range_field_named(self, field, value):

@@ -22,7 +22,11 @@ from facegen.model import (
 )
 from facegen.procedural import desk_head
 
-from conftest import lbs_adjoint_reference, lbs_apply_reference
+from conftest import (
+    lbs_adjoint_reference,
+    lbs_apply_reference,
+    pose_derivatives_reference,
+)
 
 
 @pytest.fixture
@@ -252,6 +256,26 @@ class TestEvaluate:
         assert np.array_equal(der.R_w, R_w)
         assert np.array_equal(der.b_w, b_w)
         assert np.array_equal(der.pivots, piv)
+
+    @pytest.mark.parametrize("batch", [(), (30,), (5, 2)])
+    @pytest.mark.parametrize("rest", [False, True])
+    @pytest.mark.parametrize("coupling", [0.0, 0.01])
+    def test_pose_chain_is_the_per_joint_walk_bit_for_bit(self, rng, batch, rest, coupling):
+        """The array code over the neck's children gives the bits of the
+        chain walked joint by joint along the parent list."""
+        skel = desk_head(m=3, n_expression=4, seed=11, identity_coupling=coupling).skeleton
+        if rest:
+            skel = dataclasses.replace(
+                skel, rest_rotations=euler_xyz(0.3 * rng.standard_normal((4, 3))))
+        alpha = 0.4 * rng.standard_normal(batch + (3,))
+        angles = 0.3 * rng.standard_normal(batch + (4, 3))
+        der = pose_derivatives(skel, alpha, angles)
+        fwd = pose_transforms(skel, alpha, angles)
+        names = ("R_w", "b_w", "pivots", "db_dpiv", "dR_w", "db_w")
+        for name, ref in zip(names, pose_derivatives_reference(skel, alpha, angles)):
+            assert np.array_equal(getattr(der, name), ref), name
+            if name in ("R_w", "b_w", "pivots", "db_dpiv"):
+                assert np.array_equal(getattr(fwd, name), ref), name
 
     def test_pose_transforms_are_pose_derivatives_without_angle_tables(self, model, rng):
         alpha = 0.4 * rng.standard_normal((3, model.n_identity))

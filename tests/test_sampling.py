@@ -88,11 +88,31 @@ class TestSamplePose:
         limits[1, 0] = [0.5, 0.6]
         skel = Skeleton(skel.t0, skel.a, limits)
         t0 = time.perf_counter()
-        with pytest.raises(InvalidParam, match=r"joint 'jaw' axis 0: .* below 1e-06"):
+        message = r"\$\.pose\.joint_std\[1\]\[0\] 0\.01 .* below 1e-06"
+        with pytest.raises(DataError, match=message):
             sample_pose(skel, PoseDistribution(joint_std=0.01), rng=0)
         assert time.perf_counter() - t0 < 1.0
-        with pytest.raises(DataError, match=r"\$\.pose\.joint_std\[1\]\[0\] 0\.01 "):
+        with pytest.raises(DataError, match=message):
             check_pose_acceptance(skel, PoseDistribution(joint_std=0.01))
+
+    @pytest.mark.parametrize("limits", [[0.1, 0.3], [-0.3, -0.1]])
+    def test_zero_std_off_its_limits_raises_the_load_error(self, limits):
+        """A zero std draws 0 on every round: with limits that exclude 0 it
+        accepts no draw, and the sampler raises what the library load does."""
+        skel = desk_skeleton(m=2)
+        lim = skel.limits.copy()
+        lim[1, 0] = limits
+        skel = Skeleton(skel.t0, skel.a, lim)
+        std = np.full((4, 3), 0.1)
+        std[1, 0] = 0.0
+        cfg = PoseDistribution(joint_std=std)
+        with pytest.raises(DataError) as load:
+            check_pose_acceptance(skel, cfg)
+        assert "$.pose.joint_std[1][0] 0 " in str(load.value)
+        with pytest.raises(DataError) as sampled:
+            sample_pose(skel, cfg, rng=0)
+        assert type(sampled.value) is type(load.value)
+        assert str(sampled.value) == str(load.value)
 
     def test_unlikely_axis_still_samples(self):
         """An acceptance probability of about 1e-3 takes more than 100
