@@ -106,6 +106,8 @@ def load_container(manifest_path, kind: str | None = None) -> tuple[StrictDict, 
         tensors = StrictDict({}, manifest_path)
         for ent in manifest["tensors"]:
             dtype, start, name = _DTYPES[ent["dtype"]], ent["byte_offset"], ent["name"]
+            if name in tensors:
+                raise DataError(f"tensor {name!r} is listed twice")
             if min((start, *ent["shape"])) < 0:
                 raise DataError(f"tensor {name!r} needs non-negative shape dims "
                                 "and byte_offset")

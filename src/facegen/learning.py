@@ -56,7 +56,6 @@ from .model import (
     lbs_adjoint,
     lbs_apply,
     pose_derivatives,
-    pose_transforms,
 )
 from .parallel import cpu_count as _cpu_count, run_workers
 
@@ -326,9 +325,8 @@ class LossPlan:
     three pose blocks are among them and the skeleton has no
     `rest_rotations`: skinning and the global transform then return every
     vertex unchanged bit for bit, so the loss builds no pose tables,
-    rotation blends or pose moments.  `total_loss` rejects a call whose
-    frozen blocks are not the plan's, or that holds a nonzero value in a
-    block of `zero`.
+    rotation blends or pose moments.  `total_loss` rejects a call that
+    holds a nonzero value in a block of `zero`.
 
     Slot k runs chunks k, k + workers, ... in turn, slot 0 on the calling
     thread, which also takes the loss's per-scan arrays from it; so no two
@@ -343,16 +341,14 @@ class LossPlan:
     product on the mesh (`mesh.csr_apply`), the Laplacian products among
     them.  Only per-scan rows, the gradients the loss returns and
     `adam_step`'s new parameters still allocate.  A plan built for one
-    loss, as total_loss builds one when given none, allocates as plain
-    numpy code would.  A plan serves one loss at a time: two losses
-    running at once on one plan, or on two plans that share their slots,
-    would write into the same buffers, so each thread that runs losses of
-    its own needs a plan of its own."""
+    loss allocates as plain numpy code would.  A plan serves one loss at a
+    time: two losses running at once on one plan, or on two plans that
+    share their slots, would write into the same buffers, so each thread
+    that runs losses of its own needs a plan of its own."""
 
     ctx: LossContext
     chunks: tuple[slice, ...]
     slots: tuple[Workspace, ...]      # one per worker
-    frozen: frozenset[str]
     zero: frozenset[str]
     stages: tuple[Callable[[PosedChain], None], ...]
     barriers: tuple[tuple, ...]       # (block, lo, hi, with its derivative)
@@ -381,25 +377,18 @@ class LossPlan:
                     "alpha": alpha_grad_at_rest if rest else alpha_grad,
                     "beta": beta_grad_zero_basis if ctx.base.expression_zero else beta_grad,
                     "phi": phi_grad}
-        pose = () if rest else (pose_angle_tables if "joint_angles" in live else pose_tables,)
+        pose = () if rest else (pose_angle_tables,)
         cpus = _cpu_count()
         chunks = _scan_chunks(ctx.scans.n_scans, ctx.scans.n_vertices, cpus)
         return cls(
             ctx, tuple(chunks),
             slots or tuple(Workspace() for _ in range(min(len(chunks), cpus))),
-            frozen, zero,
+            zero,
             stages=(unposed_blend, *pose, posed_chunks, basis_priors, coefficient_priors,
                     *(stage for k, stage in backward.items() if k in live)),
             barriers=tuple((k, *lim, k in live) for k, lim in limits.items() if k not in held),
             place=_place_at_rest if rest else _place_posed,
             back=(_back_at_rest if rest else _back_posed) if live else None)
-
-
-def _loss_inputs(scans: ScanSet, base: BlendshapeModel) -> tuple:
-    """What a loss reads of its scans and of its base model."""
-    s = base.skeleton
-    return (scans.ids, scans.vertices, scans.quads, base.template.vertices,
-            base.expression_basis, base.skinning_weights, s.t0, s.a, s.limits, s.rest_rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +471,10 @@ def unposed_blend(s: PosedChain) -> None:
                               ws=s.plan.slots[0])
 
 
-def pose_tables(s: PosedChain) -> None:
-    """Stage, off rest with the joint angles frozen: the world transforms
-    of every scan with their pivot Jacobian, without the angle tables, and
-    the global rotations."""
-    s.pose = pose_transforms(s.base.skeleton, s.theta.alpha, s.theta.joint_angles)
-    s.R_g = euler_xyz(s.theta.global_rot)
-
-
 def pose_angle_tables(s: PosedChain) -> None:
-    """Stage, with live joint angles: pose_tables' transforms and the
-    analytic angle tables of the 4-joint tree."""
+    """Stage, off rest: the world transforms of every scan with their
+    pivot Jacobian and the analytic angle tables of the 4-joint tree (read
+    only when the joint angles are live), and the global rotations."""
     s.pose = pose_derivatives(s.base.skeleton, s.theta.alpha, s.theta.joint_angles)
     s.R_g = euler_xyz(s.theta.global_rot)
 
@@ -691,50 +673,34 @@ def _back_posed(chain: PosedChain, c: slice, ws: Workspace, grad: np.ndarray,
         chain.vbar[c] = lbs_adjoint(w, chain.pose.R_w[c], dLdv_out, ws)
 
 
-def total_loss(thetas: ThetaBlocks, phi: np.ndarray,
-               scans: ScanSet, weights: LossWeights,
-               base: BlendshapeModel, plan: LossPlan | None = None,
-               frozen: frozenset[str] = frozenset()) -> LossResult:
-    """Full learning loss and analytic gradients for every parameter block
-    but those in `frozen`, a subset of BLOCKS; with all of them frozen only
-    the forward pass runs and `grads` is empty.
+def total_loss(plan: LossPlan, thetas: ThetaBlocks, phi: np.ndarray,
+               weights: LossWeights) -> LossResult:
+    """Full learning loss of the plan's scans, with analytic gradients for
+    the blocks the plan holds live (none with all of BLOCKS frozen).
 
-    `base` supplies template, expression basis, skeleton and skinning
-    weights (all held fixed); `phi` is the identity basis being learned.
     `plan` is `LossPlan.build(LossContext.build(scans, base), frozen,
-    thetas)`, built here when not given; a caller that runs many losses
-    keeps one, as fit does, so that its losses reuse their arrays.  The
-    plan must be one for these arguments: built from these scans and this
-    base model (or equal ones) for these frozen blocks, with zero still in
-    every block it recorded as zero.  No returned array shares memory with
-    the plan.
+    thetas)`, its base model held fixed; `phi` is the identity basis being
+    learned.  A caller that runs many losses keeps one plan, as fit does,
+    so that they reuse their arrays; the blocks it recorded as zero must
+    still hold zero.  No returned array shares memory with the plan.
     """
+    ctx = plan.ctx
     phi = np.asarray(phi, dtype=np.float64)
-    N, V, m = scans.n_scans, scans.n_vertices, phi.shape[0]
+    N, V, m = ctx.scans.n_scans, ctx.scans.n_vertices, phi.shape[0]
     if phi.shape[1:] != (V, 3):
         raise DimensionMismatch(f"phi must be (m, {V}, 3), got {phi.shape}")
-    if base.skeleton.n_identity != m:
+    if ctx.base.skeleton.n_identity != m:
         raise DimensionMismatch(
-            f"skeleton identity offsets expect m={base.skeleton.n_identity}, phi has m={m}")
+            f"skeleton identity offsets expect m={ctx.base.skeleton.n_identity}, phi has m={m}")
     if thetas.alpha.shape != (N, m):
         raise DimensionMismatch(
             f"alpha blocks {thetas.alpha.shape} inconsistent with (N={N}, m={m})")
-    if plan is None:
-        plan = LossPlan.build(LossContext.build(scans, base), frozen, thetas)
-    ctx = plan.ctx
-    if (ctx.scans is not scans or ctx.base is not base) and not all(
-            map(np.array_equal, _loss_inputs(ctx.scans, ctx.base), _loss_inputs(scans, base))):
-        raise DimensionMismatch("loss context was built from other scans or another base "
-                                "model (template, expression basis, skinning or skeleton)")
-    if frozenset(frozen) != plan.frozen:
-        raise InvalidParam(f"plan was built for frozen blocks {sorted(plan.frozen)}, "
-                           f"not {sorted(frozen)}")
     nonzero = sorted(k for k in plan.zero if getattr(thetas, k).any())
     if nonzero:
         raise InvalidParam(f"plan was built with {nonzero} held at zero; they are not")
     # canonical scan order: every reduction runs in sorted-id order
     order, inv_order = ctx.order, ctx.inv_order
-    chain = PosedChain(plan, weights, base, phi,
+    chain = PosedChain(plan, weights, ctx.base, phi,
                        ThetaBlocks(**{k: v[order] for k, v in thetas.as_dict().items()}))
     # the loss's per-scan arrays live in slot 0's workspace until the
     # gradients are out of them
@@ -875,8 +841,7 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     t0 = time.perf_counter()
     for it in range(schedule.iterations):
         theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-        res = total_loss(theta, params["phi"], scans, weights, base,
-                         frozen=schedule.frozen, plan=plan)
+        res = total_loss(plan, theta, params["phi"], weights)
         if not np.isfinite(res.total):
             raise Diverged(it)
         trajectory.append(res.total)
@@ -894,8 +859,8 @@ def fit(scans: ScanSet, m: int, weights: LossWeights | None = None,
     # the loss of the returned parameters, its values only, on the loop's
     # context and workspaces
     theta = ThetaBlocks(**{k: v for k, v in params.items() if k != "phi"})
-    final = total_loss(theta, params["phi"], scans, weights, base, frozen=BLOCKS,
-                       plan=LossPlan.build(plan.ctx, BLOCKS, theta, plan.slots))
+    final = total_loss(LossPlan.build(plan.ctx, BLOCKS, theta, plan.slots), theta,
+                       params["phi"], weights)
     if not np.isfinite(final.total):
         raise Diverged(len(trajectory))
     model = replace(base, identity_basis=params["phi"])

@@ -146,7 +146,8 @@ class AssetLibrary:
     """Loaded assets plus sampler configuration.
 
     `topology` is compiled from the model, eye parameters, grooms and
-    subdivision levels by `load`; `dataclasses.replace` of the sampler
+    subdivision levels by `load`, and is the one record of the eye
+    parameters and the levels; `dataclasses.replace` of the sampler
     settings keeps it.
     """
 
@@ -163,11 +164,9 @@ class AssetLibrary:
     eyelid: EyelidCorrectionConfig
     camera: CameraConfig
     render: RenderConfig
-    eye_params: EyeGeometryParams
     topology: SceneTopology
     sigma: float = 0.8
     sigma_mode: str = "std"
-    subdivision_levels: int = 3
 
     @classmethod
     def load(cls, config_path) -> "AssetLibrary":
@@ -214,13 +213,11 @@ class AssetLibrary:
                 if bad:
                     raise DataError(f"$.eyelid.{key} holds {bad}, outside the model's "
                                     f"expression range [0, {model.n_expression})")
-            eye_params = EyeGeometryParams(**cfg.get("eye_geometry", {}))
             pose = PoseDistribution(**cfg.get("pose", {}))
             check_pose_acceptance(model.skeleton, pose)
             sampling = cfg.get("sampling", {})
             if sampling.get("sigma", 0.0) < 0:
                 raise DataError(f"$.sampling.sigma {sampling['sigma']} is negative")
-            levels = cfg.get("subdivision_levels", 3)
             return cls(
                 root=root,
                 model=model,
@@ -235,9 +232,9 @@ class AssetLibrary:
                 eyelid=eyelid,
                 camera=CameraConfig(**cfg.get("camera", {})),
                 render=RenderConfig(**cfg.get("render", {})),
-                eye_params=eye_params,
-                topology=SceneTopology.compile(model, eye_params, grooms, levels),
-                subdivision_levels=levels,
+                topology=SceneTopology.compile(
+                    model, EyeGeometryParams(**cfg.get("eye_geometry", {})), grooms,
+                    cfg.get("subdivision_levels", 3)),
                 **sampling,
             )
 

@@ -425,16 +425,15 @@ class PoseDerivatives:
       db_dpiv  : (..., 4, 4, 3, 3)     [i, j]    = d b_w[i] / d pivot[j]
       dR_w     : (..., 4, 4, 3, 3, 3)  [i, j, k] = d R_w[i] / d angle[j, k]
       db_w     : (..., 4, 4, 3, 3)     [i, j, k] = d b_w[i] / d angle[j, k]
-    Only the neck column (j=0) and the diagonal (j=i) are nonzero.  The
-    angle tables dR_w and db_w are None from `pose_transforms`.
+    Only the neck column (j=0) and the diagonal (j=i) are nonzero.
     """
 
     R_w: np.ndarray
     b_w: np.ndarray
     pivots: np.ndarray
     db_dpiv: np.ndarray
-    dR_w: np.ndarray | None = None
-    db_w: np.ndarray | None = None
+    dR_w: np.ndarray
+    db_w: np.ndarray
 
 
 def _pivot_jacobian(R: np.ndarray) -> np.ndarray:
@@ -447,17 +446,11 @@ def _pivot_jacobian(R: np.ndarray) -> np.ndarray:
     return db_dpiv
 
 
-def pose_transforms(skeleton: Skeleton, alpha: np.ndarray,
-                    joint_angles: np.ndarray) -> PoseDerivatives:
-    """World transforms (composed as in world_transforms, without the limit
-    check) and their pivot Jacobian, for joint angles held fixed."""
-    R = skeleton.joint_rotations(joint_angles)
-    return PoseDerivatives(*_compose(skeleton, alpha, R)[:3], _pivot_jacobian(R))
-
-
 def pose_derivatives(skeleton: Skeleton, alpha: np.ndarray,
                      joint_angles: np.ndarray) -> PoseDerivatives:
-    """`pose_transforms` plus the analytic angle tables of the 4-joint tree."""
+    """World transforms (composed as in world_transforms, without the limit
+    check), their pivot Jacobian and the analytic angle tables of the
+    4-joint tree."""
     R = skeleton.joint_rotations(joint_angles)           # (..., 4, 3, 3)
     dR = skeleton.joint_rotation_grads(joint_angles)     # (..., 4, 3, 3, 3)
     R_w, b_w, piv, b_loc = _compose(skeleton, alpha, R)

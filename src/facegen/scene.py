@@ -227,7 +227,6 @@ class RealizedScene:
     face: QuadMesh
     eyes: QuadMesh
     grooms: dict[str, Groom]
-    eye_metadata: dict
     topology: SceneTopology          # the library topology the meshes share
 
 
@@ -259,7 +258,7 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
             eye_verts.append(part.vertices @ rot.T + center_world)
         if lid_ids is not None and len(lid_ids):
             face_verts = shrinkwrap_eyelids(face_verts, lid_ids, center_world,
-                                            library.eye_params.sclera_radius)
+                                            topo.eye.params.sclera_radius)
     face = topo.face.with_vertices(face_verts)
     eyes = topo.eyes.with_vertices(np.concatenate(eye_verts))
 
@@ -273,8 +272,7 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
             raise DataError(f"{style} groom {choice.groom_id!r} is not in the library")
         grooms[style] = g.with_points(g.points @ neck_R.T + neck_t)
 
-    return RealizedScene(face=face, eyes=eyes, grooms=grooms,
-                         eye_metadata=topo.eye.metadata, topology=topo)
+    return RealizedScene(face=face, eyes=eyes, grooms=grooms, topology=topo)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ def export_scene(scene: SceneDescription, geometry: RealizedScene,
         out.mkdir(parents=True)
     topo = geometry.topology
     scene_dict = scene.to_dict()
-    scene_dict["eye_metadata"] = geometry.eye_metadata
+    scene_dict["eye_metadata"] = topo.eye.metadata
     hashes = write_files(out, {"face.obj": dump_obj(geometry.face, topo.face_obj),
                                "eyes.obj": dump_obj(geometry.eyes, topo.eyes_obj),
                                "scene.json": encode_json(scene_dict, indent=1)})

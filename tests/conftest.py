@@ -141,16 +141,23 @@ def tiny_problem(rng: np.random.Generator, V_grid=(3, 4), n_scans=2, m=2,
     return base, scans, theta, phi
 
 
+def fresh_loss(theta, phi, scans, weights, base, frozen=frozenset()):
+    """learning.total_loss on a plan built for this one call from these
+    scans, this base model and the blocks `frozen`."""
+    return total_loss(LossPlan.build(LossContext.build(scans, base), frozen, theta),
+                      theta, phi, weights)
+
+
 def fd_gradient_check(base, scans, theta, phi, weights=None, h=1e-6,
                       frozen=frozenset()):
     """Max relative error between analytic gradients and central finite
     differences, over every parameter block not in `frozen`."""
     weights = weights or LossWeights()
     plan = LossPlan.build(LossContext.build(scans, base), frozen, theta)
-    res = total_loss(theta, phi, scans, weights, base, plan=plan, frozen=frozen)
+    res = total_loss(plan, theta, phi, weights)
 
     def loss(th, ph):
-        return total_loss(th, ph, scans, weights, base, plan=plan, frozen=frozen).total
+        return total_loss(plan, th, ph, weights).total
 
     blocks = ("phi", "alpha", "beta", "joint_angles", "global_rot", "global_trans")
     assert res.grads.keys() == set(blocks) - frozen

@@ -68,6 +68,14 @@ class TestBasics:
         assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("augment", ["-1", "-2"])
+    def test_fit_pca_augment_below_0_is_usage_error(self, demo_lib, tmp_path, capsys, augment):
+        out = tmp_path / "pca.json"
+        assert cli_main(["--out", str(out), "fit-pca", "--hdr-dir", str(demo_lib.parent),
+                         "--augment", augment]) == 1
+        assert f"--augment must be >= 0, got {augment}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["subdivide", "--bogus"]) == 1
 
@@ -505,6 +513,14 @@ def _without_tensor(container, tensor, argv=_sample):
     return case
 
 
+def _duplicate_tensor(container):
+    """`sample` after `container` lists its first tensor entry a second time."""
+    def case(lib, monkeypatch):
+        _edit_json(lib / container, lambda m: m["tensors"].append(dict(m["tensors"][0])))
+        return _sample(lib), lib / container
+    return case
+
+
 def _decode_hair(lib: Path) -> list[str]:
     return ["--out", str(lib.parent / "d.json"), "decode-hair",
             "--code", str(lib / "code.json"), "--count", "4"]
@@ -689,6 +705,7 @@ MALFORMED = {
     "manifest_as_library": _manifest_as_library,
     "model_without_skinning_weights": _without_tensor("model.json", "skinning_weights"),
     "gmm_without_weights": _without_tensor("gmm.json", "weights"),
+    "model_tensor_listed_twice": _duplicate_tensor("model.json"),
     "hair_code_without_flow": _hair_code,
     "hair_code_bbox_of_5": _hair_code_with(bbox=np.zeros(5)),
     "hair_code_density_0d": _hair_code_with(density_map=np.array(1.0)),

@@ -157,6 +157,14 @@ def test_malformed_tensor_entries_rejected(tmp_path, edit):
         load_container(tmp_path / "c.json")
 
 
+def test_tensor_listed_twice_rejected_naming_it(tmp_path):
+    # the second entry renamed to the first's name: neither may be dropped
+    save_container(tmp_path / "c.json", {"a": np.arange(3.0), "b": np.array([0.0, 1.0])})
+    _edit_manifest(tmp_path / "c.json", lambda m: m["tensors"][1].update(name="a"))
+    with pytest.raises(DataError, match=r"c\.json.*'a' is listed twice"):
+        load_container(tmp_path / "c.json")
+
+
 @pytest.mark.parametrize("metadata", [[1], "groom", 3, None])
 def test_non_object_metadata_rejected(tmp_path, metadata):
     save_container(tmp_path / "c.json", {"m": np.zeros(4)}, metadata={"kind": "x"})

@@ -49,6 +49,7 @@ from conftest import (
     edge_length_energy_reference,
     fd_gradient_check,
     fit_reference,
+    fresh_loss,
     tiny_problem,
     total_loss_reference,
 )
@@ -192,13 +193,13 @@ class TestTotalLoss:
                                          scans.vertices.shape).copy(),
                          scans.quads, scans.ids)
         theta0 = ThetaBlocks.zeros(scans0.n_scans, phi.shape[0], theta.beta.shape[1])
-        res = total_loss(theta0, np.zeros_like(phi), scans0, LossWeights(), base)
+        res = fresh_loss(theta0, np.zeros_like(phi), scans0, LossWeights(), base)
         assert res.total == 0.0
         assert all(v == 0.0 for v in res.breakdown.values())
 
     def test_breakdown_sums_to_total(self, rng):
         base, scans, theta, phi = tiny_problem(rng)
-        res = total_loss(theta, phi, scans, LossWeights(), base)
+        res = fresh_loss(theta, phi, scans, LossWeights(), base)
         assert sum(res.breakdown.values()) == pytest.approx(res.total, rel=1e-9)
 
     def test_gradients_match_fd(self, rng):
@@ -207,21 +208,21 @@ class TestTotalLoss:
 
     def test_doubling_laplacian_weight_doubles_term(self, rng):
         base, scans, theta, phi = tiny_problem(rng)
-        r1 = total_loss(theta, phi, scans, LossWeights(w_laplacian=1e-2), base)
-        r2 = total_loss(theta, phi, scans, LossWeights(w_laplacian=2e-2), base)
+        r1 = fresh_loss(theta, phi, scans, LossWeights(w_laplacian=1e-2), base)
+        r2 = fresh_loss(theta, phi, scans, LossWeights(w_laplacian=2e-2), base)
         assert r2.breakdown["laplacian"] == pytest.approx(
             2.0 * r1.breakdown["laplacian"], rel=1e-12)
 
     def test_permutation_invariance(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=4)
-        res = total_loss(theta, phi, scans, LossWeights(), base)
+        res = fresh_loss(theta, phi, scans, LossWeights(), base)
         perm = np.array([2, 0, 3, 1])
         scans_p = ScanSet(scans.vertices[perm], scans.quads,
                           tuple(scans.ids[i] for i in perm))
         theta_p = ThetaBlocks(theta.alpha[perm], theta.beta[perm],
                               theta.joint_angles[perm], theta.global_rot[perm],
                               theta.global_trans[perm])
-        res_p = total_loss(theta_p, phi, scans_p, LossWeights(), base)
+        res_p = fresh_loss(theta_p, phi, scans_p, LossWeights(), base)
         assert res_p.total == res.total          # bitwise equality
         assert np.array_equal(res_p.grads["phi"], res.grads["phi"])
         assert np.array_equal(res_p.grads["alpha"], res.grads["alpha"][perm])
@@ -232,8 +233,7 @@ class TestTotalLoss:
         # calling thread and on two workers
         base, scans, theta, phi = tiny_problem(rng, n_scans=n_scans)
         ctx = LossContext.build(scans, base)
-        wholes = {frozen: total_loss(theta, phi, scans, LossWeights(), base,
-                                     plan=LossPlan.build(ctx, frozen, theta), frozen=frozen)
+        wholes = {frozen: total_loss(LossPlan.build(ctx, frozen, theta), theta, phi, LossWeights())
                   for frozen in FROZEN_SETS}
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         for workers in (1, 2):
@@ -243,8 +243,7 @@ class TestTotalLoss:
             assert min(s.stop - s.start for s in chunks) >= 2
             for frozen, whole in wholes.items():
                 case = f"{_frozen_id(frozen)}, {workers} workers"
-                res = total_loss(theta, phi, scans, LossWeights(), base,
-                                 plan=LossPlan.build(ctx, frozen, theta), frozen=frozen)
+                res = total_loss(LossPlan.build(ctx, frozen, theta), theta, phi, LossWeights())
                 assert res.total == whole.total, case
                 assert res.breakdown == whole.breakdown, case
                 assert np.array_equal(res.scan_vertex_ms, whole.scan_vertex_ms), case
@@ -258,8 +257,7 @@ class TestTotalLoss:
         # can, with a plan of its own or one whose workspaces losses share
         base, scans, theta, phi = tiny_problem(rng, V_grid=(6, 8), n_scans=16)
         ctx = LossContext.build(scans, base)
-        whole = total_loss(theta, phi, scans, LossWeights(), base,
-                           plan=LossPlan.build(ctx, frozenset(), theta))
+        whole = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         monkeypatch.setattr(learning, "_cpu_count", lambda: 8)
         assert len(learning._scan_chunks(16, scans.n_vertices, 8)) == 8
@@ -267,8 +265,8 @@ class TestTotalLoss:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [total_loss(theta, phi, scans, LossWeights(), base,
-                               plan=kept if k % 3 else LossPlan.build(ctx, frozenset(), theta))
+            runs = [total_loss(kept if k % 3 else LossPlan.build(ctx, frozenset(), theta),
+                               theta, phi, LossWeights())
                     for k in range(12)]
         finally:
             sys.setswitchinterval(interval)
@@ -303,7 +301,7 @@ class TestTotalLoss:
         weights = LossWeights(w_vertex=1.0, w_normal=0.0, w_barrier_expr=0.0,
                               w_barrier_pose=0.0, w_id_coeff=0.0, w_id_basis=0.0,
                               w_laplacian=0.0, w_edge=0.0)
-        res = total_loss(theta, phi, scans, weights, base)
+        res = fresh_loss(theta, phi, scans, weights, base)
         model = dataclasses.replace(base, identity_basis=phi)
         layout = param_layout(model)
         V = scans.n_vertices
@@ -323,7 +321,7 @@ class TestTotalLoss:
     def test_barriers_zero_inside_support(self, rng):
         base, scans, theta, phi = tiny_problem(rng, with_pose=False)
         theta = dataclasses.replace(theta, beta=np.clip(theta.beta, 0.0, 1.0))
-        res = total_loss(theta, phi, scans, LossWeights(), base)
+        res = fresh_loss(theta, phi, scans, LossWeights(), base)
         assert res.breakdown["barrier_expr"] == 0.0
         assert res.breakdown["barrier_pose"] == 0.0
 
@@ -381,12 +379,10 @@ class TestVertexMajorParity:
     @staticmethod
     def check(monkeypatch, base, scans, theta, phi):
         ctx = LossContext.build(scans, base)
-        res = total_loss(theta, phi, scans, LossWeights(), base,
-                         plan=LossPlan.build(ctx, frozenset(), theta))
+        res = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         with monkeypatch.context() as mp:
             _batch_major_terms(mp, scans.quads)
-            ref = total_loss(theta, phi, scans, LossWeights(), base,
-                             plan=LossPlan.build(ctx, frozenset(), theta))
+            ref = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         assert abs(res.total - ref.total) <= 1e-12 * abs(ref.total)
         for name, value in ref.breakdown.items():
             assert abs(res.breakdown[name] - value) <= 1e-12 * abs(value), name
@@ -415,69 +411,11 @@ class TestLossContext:
     def test_given_context_matches_built_one(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=3)
         ctx = LossContext.build(scans, base)
-        r1 = total_loss(theta, phi, scans, LossWeights(), base)
-        r2 = total_loss(theta, phi, scans, LossWeights(), base,
-                        plan=LossPlan.build(ctx, frozenset(), theta))
+        r1 = fresh_loss(theta, phi, scans, LossWeights(), base)
+        r2 = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         assert r1.total == r2.total
         for k in r1.grads:
             assert np.array_equal(r1.grads[k], r2.grads[k])
-
-    def test_context_of_other_scans_of_the_same_shape_rejected(self, rng):
-        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
-        ctx = LossContext.build(scans, base)
-        moved = ScanSet(scans.vertices + 0.05, scans.quads, scans.ids)
-        renamed = ScanSet(scans.vertices, scans.quads, ("x", "y", "z"))
-        for other in (moved, renamed):
-            with pytest.raises(DimensionMismatch):
-                total_loss(theta, phi, other, LossWeights(), base,
-                           plan=LossPlan.build(ctx, frozenset(), theta))
-
-    def test_context_of_an_equal_scan_set_accepted(self, rng):
-        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
-        ctx = LossContext.build(scans, base)
-        equal = ScanSet(scans.vertices.copy(), scans.quads.copy(), scans.ids)
-        res = total_loss(theta, phi, equal, LossWeights(), base,
-                         plan=LossPlan.build(ctx, frozenset(), theta))
-        assert res.total == total_loss(theta, phi, scans, LossWeights(), base).total
-
-    def test_context_of_other_scans_rejected(self, rng):
-        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
-        _, other, _, _ = tiny_problem(rng, n_scans=2)
-        with pytest.raises(DimensionMismatch):
-            total_loss(theta, phi, scans, LossWeights(), base,
-                       plan=LossPlan.build(LossContext.build(other, base), frozenset(), theta))
-
-    def test_context_of_another_template_rejected(self, rng):
-        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
-        ctx = LossContext.build(scans, base)
-        plan = LossPlan.build(ctx, frozenset(), theta)
-        scaled = dataclasses.replace(base, template=QuadMesh(
-            1.5 * base.template.vertices, base.template.quads))
-        with pytest.raises(DimensionMismatch, match="template"):
-            total_loss(theta, phi, scans, LossWeights(), scaled, plan=plan)
-        # an equal template in another mesh is the same template
-        equal = dataclasses.replace(base, template=QuadMesh(
-            base.template.vertices.copy(), base.template.quads))
-        assert (total_loss(theta, phi, scans, LossWeights(), equal, plan=plan).total
-                == total_loss(theta, phi, scans, LossWeights(), base).total)
-
-    def test_context_of_another_base_model_rejected(self, rng):
-        # the plan's stages were picked for its context's skeleton and
-        # expression basis, so a base model with others is rejected
-        base, scans, theta, phi = tiny_problem(rng, n_scans=3)
-        plan = LossPlan.build(LossContext.build(scans, base), frozenset(), theta)
-        for other in (
-                dataclasses.replace(base, skeleton=dataclasses.replace(
-                    base.skeleton, rest_rotations=euler_xyz(0.3 * rng.standard_normal((4, 3))))),
-                dataclasses.replace(base, expression_basis=np.zeros_like(base.expression_basis)),
-                dataclasses.replace(base, skinning_weights=np.roll(base.skinning_weights, 1, 1))):
-            with pytest.raises(DimensionMismatch, match="skeleton"):
-                total_loss(theta, phi, scans, LossWeights(), other, plan=plan)
-        # equal arrays in other objects are the same model
-        equal = dataclasses.replace(base, skeleton=dataclasses.replace(
-            base.skeleton, limits=base.skeleton.limits.copy()))
-        assert (total_loss(theta, phi, scans, LossWeights(), equal, plan=plan).total
-                == total_loss(theta, phi, scans, LossWeights(), base, plan=plan).total)
 
     def test_target_normals_match_per_scan_normals(self, rng):
         base, scans, _, _ = tiny_problem(rng, n_scans=4)
@@ -521,8 +459,7 @@ class TestLossContext:
 
         ctx = LossContext.build(scans, base)
         calls.clear()
-        total_loss(theta, phi, scans, LossWeights(), base,
-                   plan=LossPlan.build(ctx, frozenset(), theta))
+        total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         assert calls == []
 
         # the standalone data term needs the target normals, not the topology
@@ -545,8 +482,7 @@ class TestLossContext:
         n_chunks = len(learning._scan_chunks(6, scans.n_vertices, 2))
         assert n_chunks == 3
         ctx = LossContext.build(scans, base)
-        total_loss(theta, phi, scans, LossWeights(), base,
-                   plan=LossPlan.build(ctx, frozenset(), theta))
+        total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         caller = threading.get_ident()
         mixing = [(name, ident) for name, ident in calls if name != "lbs_apply"]
         assert sorted(mixing) == [("euler_xyz_grad", caller),
@@ -573,9 +509,9 @@ class TestLossContext:
         calls = _count_calls(monkeypatch, names)
         base, scans, _, _ = tiny_problem(rng, n_scans=3)
         fit(scans, m=2, schedule=FitSchedule(iterations=6, early_stop_window=100), base=base)
-        # the backward pass and the angle tables once per iteration, the
+        # the backward pass once per iteration, the angle tables and the
         # skinning once more for the loss of the returned parameters
-        assert _tally(calls, names) == {"pose_derivatives": 6, "euler_xyz_grad": 6,
+        assert _tally(calls, names) == {"pose_derivatives": 7, "euler_xyz_grad": 6,
                                         "lbs_apply": 7, "lbs_adjoint": 6}
 
     def test_per_scan_rms_in_input_order(self, rng):
@@ -662,7 +598,7 @@ class TestFit:
         base, scans = self.two_worker_problem(rng, monkeypatch)
         # a loss on two workers: the calling thread and a pool of one
         theta = ThetaBlocks.zeros(6, 2, base.n_expression)
-        total_loss(theta, base.identity_basis, scans, LossWeights(), base)
+        fresh_loss(theta, base.identity_basis, scans, LossWeights(), base)
         assert opened == [(1,)]
         # a fit of 9 iterations runs 10 losses
         sched = FitSchedule(iterations=9, early_stop_window=100)
@@ -790,11 +726,8 @@ class TestFrozenBlocks:
         # posed away from rest, pivots coupled to identity
         assert np.all(theta.joint_angles != 0) and np.all(base.skeleton.a != 0)
         ctx = LossContext.build(scans, base)
-        full = total_loss(theta, phi, scans, LossWeights(), base,
-                          plan=LossPlan.build(ctx, frozenset(), theta))
-        res = total_loss(theta, phi, scans, LossWeights(), base,
-                         plan=LossPlan.build(ctx, frozen, theta),
-                         frozen=frozen)
+        full = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
+        res = total_loss(LossPlan.build(ctx, frozen, theta), theta, phi, LossWeights())
         assert res.total == full.total
         assert res.breakdown == full.breakdown
         assert np.array_equal(res.scan_vertex_ms, full.scan_vertex_ms)
@@ -805,8 +738,7 @@ class TestFrozenBlocks:
     def test_unfrozen_call_matches_reference_bitwise(self, rng):
         base, scans, theta, phi = tiny_problem(rng, n_scans=4)
         ctx = LossContext.build(scans, base)
-        res = total_loss(theta, phi, scans, LossWeights(), base,
-                         plan=LossPlan.build(ctx, frozenset(), theta))
+        res = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         total, grads = total_loss_reference(theta, phi, scans, LossWeights(), base, ctx)
         assert res.total == total
         assert res.grads.keys() == grads.keys()
@@ -824,26 +756,23 @@ class TestFrozenBlocks:
         monkeypatch.setattr(learning, "_CHUNK_BYTES", 24 * scans.n_vertices)
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
-        full = total_loss(theta, phi, scans, LossWeights(), base,
-                          plan=LossPlan.build(ctx, frozenset(), theta))
+        full = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, LossWeights())
         names = ("pose_derivatives", "euler_xyz_grad", "lbs_apply", "lbs_adjoint")
         calls = _count_calls(monkeypatch, names)
-        res = total_loss(theta, phi, scans, LossWeights(), base,
-                         plan=LossPlan.build(ctx, learning.BLOCKS, theta),
-                         frozen=learning.BLOCKS)
+        res = total_loss(LossPlan.build(ctx, learning.BLOCKS, theta), theta, phi, LossWeights())
         assert res.total == full.total
         assert res.breakdown == full.breakdown
         assert np.array_equal(res.scan_vertex_ms, full.scan_vertex_ms)
         assert res.grads == {}
-        # no angle tables and no backward pass; the skinning once per chunk
-        assert _tally(calls, names) == {"pose_derivatives": 0, "euler_xyz_grad": 0,
+        # no backward pass; the pose tables once, the skinning once per chunk
+        assert _tally(calls, names) == {"pose_derivatives": 1, "euler_xyz_grad": 0,
                                         "lbs_apply": 3, "lbs_adjoint": 0}
 
     @pytest.mark.parametrize("frozen", [{"phi", "basis"}, {"alphas"}, {"beta", "pose"}, "beta"])
     def test_unknown_block_rejected(self, rng, frozen):
         base, scans, theta, phi = tiny_problem(rng)
         with pytest.raises(InvalidParam):
-            total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen)
+            fresh_loss(theta, phi, scans, LossWeights(), base, frozen=frozen)
 
     def test_schedule_flags_map_to_blocks(self):
         assert FitSchedule().frozen == frozenset()
@@ -879,7 +808,7 @@ class TestFrozenBlocks:
 REST_FROZEN_SETS = [learning.POSE_BLOCKS | extra for extra in (
     set(), {"beta"}, {"alpha"}, {"phi"}, {"alpha", "beta"}, {"beta", "phi"},
     {"alpha", "phi"}, {"alpha", "beta", "phi"})]
-POSE_WORK = ("pose_transforms", "pose_derivatives", "euler_xyz", "lbs_apply", "lbs_adjoint")
+POSE_WORK = ("pose_derivatives", "euler_xyz", "lbs_apply", "lbs_adjoint")
 
 
 class TestRestPose:
@@ -897,13 +826,10 @@ class TestRestPose:
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
         # the pose blocks live: the full chain, skinning included
-        posed = total_loss(theta, phi, scans, LossWeights(), base,
-                           plan=LossPlan.build(ctx, frozen - learning.POSE_BLOCKS, theta),
-                           frozen=frozen - learning.POSE_BLOCKS)
+        posed = total_loss(LossPlan.build(ctx, frozen - learning.POSE_BLOCKS, theta),
+                           theta, phi, LossWeights())
         calls = _count_calls(monkeypatch, POSE_WORK)
-        res = total_loss(theta, phi, scans, LossWeights(), base,
-                         plan=LossPlan.build(ctx, frozen, theta),
-                         frozen=frozen)
+        res = total_loss(LossPlan.build(ctx, frozen, theta), theta, phi, LossWeights())
         assert calls == []
         assert res.total == posed.total
         assert res.breakdown == posed.breakdown
@@ -923,10 +849,9 @@ class TestRestPose:
         else:
             getattr(theta, case).flat[1] = 0.05
         calls = _count_calls(monkeypatch, POSE_WORK)
-        total_loss(theta, phi, scans, LossWeights(), base, frozen=learning.FREEZABLE)
-        assert _tally(calls, POSE_WORK) == {"pose_transforms": 1, "pose_derivatives": 0,
-                                            "euler_xyz": 1, "lbs_apply": 1,
-                                            "lbs_adjoint": 1}
+        fresh_loss(theta, phi, scans, LossWeights(), base, frozen=learning.FREEZABLE)
+        assert _tally(calls, POSE_WORK) == {"pose_derivatives": 1, "euler_xyz": 1,
+                                            "lbs_apply": 1, "lbs_adjoint": 1}
 
 
 def _full_path(monkeypatch):
@@ -998,13 +923,10 @@ class TestZeroBlocks:
         monkeypatch.setattr(learning, "_cpu_count", lambda: workers)
         ctx = LossContext.build(scans, base)
         for frozen in dict.fromkeys(FROZEN_SETS + REST_FROZEN_SETS):
-            fast = total_loss(theta, phi, scans, LossWeights(), base,
-                              plan=LossPlan.build(ctx, frozen, theta),
-                              frozen=frozen)
+            fast = total_loss(LossPlan.build(ctx, frozen, theta), theta, phi, LossWeights())
             with monkeypatch.context() as m:
                 _full_path(m)
-                full = total_loss(theta, phi, scans, LossWeights(), base,
-                                  plan=_full_plan(ctx, frozen, theta), frozen=frozen)
+                full = total_loss(_full_plan(ctx, frozen, theta), theta, phi, LossWeights())
             _assert_same_bits(fast, full)
 
     def test_unfrozen_zero_basis_call_matches_reference_bitwise(self, rng, monkeypatch):
@@ -1014,8 +936,7 @@ class TestZeroBlocks:
         theta.beta[:] = rng.uniform(-0.5, 1.5, theta.beta.shape)
         ctx = LossContext.build(scans, base)
         for weights in (LossWeights(), LossWeights(w_barrier_expr=0.0)):
-            res = total_loss(theta, phi, scans, weights, base,
-                             plan=LossPlan.build(ctx, frozenset(), theta))
+            res = total_loss(LossPlan.build(ctx, frozenset(), theta), theta, phi, weights)
             with monkeypatch.context() as m:
                 _full_path(m)
                 total, grads = total_loss_reference(theta, phi, scans, weights, base, ctx)
@@ -1036,16 +957,14 @@ class TestZeroBlocks:
         theta = ThetaBlocks.zeros(8, 4, base.n_expression)
         plan = LossPlan.build(LossContext.build(scans, base), learning.FREEZABLE, theta)
         calls = _count_gemm_work(monkeypatch)
-        res = total_loss(theta, head.identity_basis, scans, LossWeights(), base,
-                         frozen=learning.FREEZABLE, plan=plan)
+        res = total_loss(plan, theta, head.identity_basis, LossWeights())
         assert calls == [("blend", 4)]          # the identity blend only
         assert res.breakdown["barrier_expr"] == res.breakdown["barrier_pose"] == 0.0
         # the zero checks of the basis are made once per model
         assert "expression_zero" in base.__dict__
         _full_path(monkeypatch)
-        _assert_same_bits(res, total_loss(theta, head.identity_basis, scans, LossWeights(),
-                                          base, frozen=learning.FREEZABLE,
-                                          plan=_full_plan(plan.ctx, learning.FREEZABLE, theta)))
+        _assert_same_bits(res, total_loss(_full_plan(plan.ctx, learning.FREEZABLE, theta),
+                                          theta, head.identity_basis, LossWeights()))
 
     @pytest.mark.parametrize("case", ["frozen_nonzero_beta", "frozen_nonzero_global_rot",
                                       "limits_exclude_zero", "live_beta_with_basis"])
@@ -1070,13 +989,13 @@ class TestZeroBlocks:
             expected = [("blend", 2), ("blend", 4), ("barrier", (4,))]
         plan = LossPlan.build(LossContext.build(scans, base), frozen, theta)
         calls = _count_gemm_work(monkeypatch)
-        res = total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen, plan=plan)
+        res = total_loss(plan, theta, phi, LossWeights())
         assert sorted(calls) == sorted(expected)
         if case == "limits_exclude_zero":
             assert res.breakdown["barrier_pose"] > 0.0
         _full_path(monkeypatch)
-        _assert_same_bits(res, total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen,
-                                          plan=_full_plan(plan.ctx, frozen, theta)))
+        _assert_same_bits(res, total_loss(_full_plan(plan.ctx, frozen, theta),
+                                          theta, phi, LossWeights()))
 
     def test_non_finite_gradient_runs_the_beta_gemm(self, rng, monkeypatch):
         # against a zero basis only a finite dL/dvbar gives a zero GEMM: an
@@ -1084,9 +1003,9 @@ class TestZeroBlocks:
         base, scans, theta, phi = _zero_problem(rng, zero_basis=True, n_scans=4)
         theta.alpha[0, 0] = np.inf
         with np.errstate(all="ignore"):
-            res = total_loss(theta, phi, scans, LossWeights(), base)
+            res = fresh_loss(theta, phi, scans, LossWeights(), base)
             _full_path(monkeypatch)
-            full = total_loss(theta, phi, scans, LossWeights(), base)
+            full = fresh_loss(theta, phi, scans, LossWeights(), base)
         assert np.isnan(res.grads["beta"][0]).all()
         assert res.grads["beta"].tobytes() == full.grads["beta"].tobytes()
 
@@ -1154,10 +1073,9 @@ class TestLossPlan:
                 th = ThetaBlocks(**{k: step * v for k, v in theta.as_dict().items()})
                 for frozen, plan in plans.items():
                     case = f"{_frozen_id(frozen)}, step {step}"
-                    fresh = total_loss(th, step * phi, scans, LossWeights(), base,
-                                       plan=LossPlan.build(ctx, frozen, th), frozen=frozen)
-                    kept = total_loss(th, step * phi, scans, LossWeights(), base,
-                                      frozen=frozen, plan=plan)
+                    fresh = total_loss(LossPlan.build(ctx, frozen, th), th, step * phi,
+                                       LossWeights())
+                    kept = total_loss(plan, th, step * phi, LossWeights())
                     assert kept.total == fresh.total, case
                     assert kept.breakdown == fresh.breakdown, case
                     assert kept.scan_vertex_ms.tobytes() == fresh.scan_vertex_ms.tobytes(), case
@@ -1180,8 +1098,7 @@ class TestLossPlan:
         plan = LossPlan.build(LossContext.build(scans, base), learning.FREEZABLE, theta)
 
         def loss():
-            return total_loss(theta, base.identity_basis, scans, LossWeights(), base,
-                              frozen=learning.FREEZABLE, plan=plan)
+            return total_loss(plan, theta, base.identity_basis, LossWeights())
 
         first, second = loss(), loss()
         tracemalloc.start()
@@ -1225,15 +1142,12 @@ class TestLossPlan:
             plan = LossPlan.build(ctx, frozen, theta)
             assert len(plan.chunks) == 3 and len(plan.slots) == workers
             assert plan.zero == zero & frozen
-            res = total_loss(theta, phi, scans, LossWeights(), base, plan=plan, frozen=frozen)
-            # another frozen set, and a nonzero value in a block recorded as zero
-            with pytest.raises(InvalidParam, match="frozen blocks"):
-                total_loss(theta, phi, scans, LossWeights(), base, plan=plan,
-                           frozen=frozen ^ {"phi"})
+            res = total_loss(plan, theta, phi, LossWeights())
+            # a nonzero value in a block recorded as zero
             for name in plan.zero:
                 moved = dataclasses.replace(theta, **{name: getattr(theta, name) + 0.5})
                 with pytest.raises(InvalidParam, match="held at zero"):
-                    total_loss(moved, phi, scans, LossWeights(), base, plan=plan, frozen=frozen)
+                    total_loss(plan, moved, phi, LossWeights())
             _full_path(mp)
             total, grads = total_loss_reference(theta, phi, scans, LossWeights(), base, ctx)
         assert res.total == total
@@ -1253,16 +1167,15 @@ class TestLossPlan:
 
         monkeypatch.setattr(BlendshapeModel, "__post_init__", counted)
         for frozen in (frozenset(), learning.FREEZABLE, learning.BLOCKS):
-            total_loss(theta, phi, scans, LossWeights(), base, frozen=frozen,
-                       plan=LossPlan.build(ctx, frozen, theta))
+            total_loss(LossPlan.build(ctx, frozen, theta), theta, phi, LossWeights())
         assert built == []
         dataclasses.replace(base, identity_basis=phi)      # the count sees a model built
         assert len(built) == 1
         # the basis size the skeleton was built for is still checked
         with pytest.raises(DimensionMismatch, match="skeleton"):
-            total_loss(dataclasses.replace(theta, alpha=np.zeros((3, 3))),
-                       np.zeros((3, scans.n_vertices, 3)), scans, LossWeights(), base,
-                       plan=LossPlan.build(ctx, frozenset(), theta))
+            total_loss(LossPlan.build(ctx, frozenset(), theta),
+                       dataclasses.replace(theta, alpha=np.zeros((3, 3))),
+                       np.zeros((3, scans.n_vertices, 3)), LossWeights())
 
 
 

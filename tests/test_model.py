@@ -17,7 +17,6 @@ from facegen.model import (
     lbs_apply,
     param_layout,
     pose_derivatives,
-    pose_transforms,
     world_transforms,
 )
 from facegen.procedural import desk_head
@@ -270,21 +269,9 @@ class TestEvaluate:
         alpha = 0.4 * rng.standard_normal(batch + (3,))
         angles = 0.3 * rng.standard_normal(batch + (4, 3))
         der = pose_derivatives(skel, alpha, angles)
-        fwd = pose_transforms(skel, alpha, angles)
         names = ("R_w", "b_w", "pivots", "db_dpiv", "dR_w", "db_w")
         for name, ref in zip(names, pose_derivatives_reference(skel, alpha, angles)):
             assert np.array_equal(getattr(der, name), ref), name
-            if name in ("R_w", "b_w", "pivots", "db_dpiv"):
-                assert np.array_equal(getattr(fwd, name), ref), name
-
-    def test_pose_transforms_are_pose_derivatives_without_angle_tables(self, model, rng):
-        alpha = 0.4 * rng.standard_normal((3, model.n_identity))
-        angles = 0.3 * rng.standard_normal((3, 4, 3))
-        der = pose_derivatives(model.skeleton, alpha, angles)
-        fwd = pose_transforms(model.skeleton, alpha, angles)
-        for name in ("R_w", "b_w", "pivots", "db_dpiv"):
-            assert np.array_equal(getattr(fwd, name), getattr(der, name)), name
-        assert fwd.dR_w is None and fwd.db_w is None
 
     def test_jacobian_matches_finite_differences(self, model, rng):
         params = random_params(model, rng)

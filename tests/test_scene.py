@@ -11,6 +11,7 @@ from scipy.stats import chisquare
 
 from facegen.demo import build_demo_library
 from facegen.errors import DataError
+from facegen.eyes import EyeGeometryParams, build_eye
 from facegen.hair import Groom
 from facegen.library import AssetLibrary
 from facegen.mesh import QuadMesh
@@ -28,6 +29,11 @@ def library(tmp_path_factory):
     root = tmp_path_factory.mktemp("demo_lib")
     cfg = build_demo_library(root, seed=5)
     return AssetLibrary.load(cfg)
+
+
+def _levels(library) -> int:
+    """The subdivision levels the library's config sets."""
+    return json.loads((library.root / "library.json").read_text())["subdivision_levels"]
 
 
 class TestLibrary:
@@ -184,8 +190,7 @@ class TestRealize:
         model = library.model
         zero = dc_replace(scene, params=ModelParams.zeros(model.n_identity, model.n_expression))
         geo = realize_scene(library, zero)
-        expect = subdivide_catmull_clark(library.model.template,
-                                         library.subdivision_levels)
+        expect = subdivide_catmull_clark(library.model.template, _levels(library))
         lids = np.concatenate([library.model.eyelid_left,
                                library.model.eyelid_right])
         mask = np.ones(expect.n_vertices, dtype=bool)
@@ -197,7 +202,7 @@ class TestRealize:
     def test_geometry_counts(self, library):
         scene = sample_scene(library, 21)
         geo = realize_scene(library, scene)
-        levels = library.subdivision_levels
+        levels = _levels(library)
         assert geo.face.n_quads == library.model.template.n_quads * 4 ** levels
         assert geo.eyes.n_quads > 0
         assert set(geo.grooms) == set(scene.grooms)
@@ -211,7 +216,27 @@ class TestRealize:
 
     def test_metadata_has_refraction_index(self, library):
         geo = realize_scene(library, sample_scene(library, 23))
-        assert geo.eye_metadata["cornea_refraction_index"] == 1.376
+        assert geo.topology.eye.metadata["cornea_refraction_index"] == 1.376
+
+    def test_lids_and_export_read_one_eye_geometry(self, library, tmp_path, monkeypatch):
+        # the shrinkwrap radius and the exported eye metadata both come from
+        # the compiled eye: a library given another eye keeps them equal
+        import facegen.scene
+        eye = build_eye(EyeGeometryParams(sclera_radius=0.04))
+        lib = dataclasses.replace(library, topology=dataclasses.replace(library.topology, eye=eye))
+        radii = []
+        shrinkwrap = facegen.scene.shrinkwrap_eyelids
+
+        def recorded(face, ids, center, radius):
+            radii.append(radius)
+            return shrinkwrap(face, ids, center, radius)
+
+        monkeypatch.setattr(facegen.scene, "shrinkwrap_eyelids", recorded)
+        scene = sample_scene(lib, 24)
+        export_scene(scene, realize_scene(lib, scene), tmp_path)
+        meta = json.loads((tmp_path / "scene.json").read_text())["eye_metadata"]
+        assert radii == [0.04, 0.04]
+        assert meta["sclera_radius"] == 0.04
 
 
 class TestExport:

@@ -89,8 +89,12 @@ def test_every_loss_stage_resolves_by_name():
     assert all(getattr(learning, f.__name__) is f for f in picked)
     assert {f.__name__ for f in picked} == named - {"_scan_chunks"}
 
+    # the plan is the one statement of the scans, base model and frozen
+    # blocks a loss runs on
     total_loss = functions["total_loss"]
-    assert total_loss.end_lineno - total_loss.lineno + 1 <= 60
+    assert total_loss.end_lineno - total_loss.lineno + 1 <= 40
+    assert [arg.arg for arg in total_loss.args.args] == ["plan", "thetas", "phi", "weights"]
+    assert not (total_loss.args.vararg or total_loss.args.kwarg or total_loss.args.kwonlyargs)
 
 
 def test_benchmark_groom_builds_ragged(monkeypatch):
