@@ -144,10 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # fit --config: loss weights and optimizer schedule, each optional
 _FIT_CONFIG_SPEC = {
     "weights": {f.name: float for f in dataclasses.fields(LossWeights)},
-    "schedule": {"iterations": int, "lr": float, "beta1": float, "beta2": float,
-                 "eps": float, "early_stop_window": int, "early_stop_rel": float,
-                 "init": set(INITS), "init_sigma": float,
-                 "freeze_beta": bool, "freeze_pose": bool},
+    "schedule": {f.name: set(INITS) if f.name == "init" else type(f.default)
+                 for f in dataclasses.fields(FitSchedule)},
 }
 
 
@@ -372,10 +370,12 @@ def cli_main(argv: list[str] | None = None) -> int:
             parser.error(f"--seed must be >= 0, got {args.seed}")
         if args.threads is not None and args.threads < 1:
             parser.error(f"--threads must be >= 1, got {args.threads}")
-        if args.command == "sample" and args.count < 1:
-            parser.error(f"--count must be >= 1, got {args.count}")
-        if args.command == "fit-pca" and args.augment < 0:
-            parser.error(f"--augment must be >= 0, got {args.augment}")
+        for command, flag, least in (("sample", "count", 1), ("decode-hair", "count", 1),
+                                     ("encode-hair", "uv_res", 4), ("encode-hair", "vol_res", 4),
+                                     ("fit-pca", "augment", 0)):
+            if args.command == command and getattr(args, flag) < least:
+                parser.error(f"--{flag.replace('_', '-')} must be >= {least}, "
+                             f"got {getattr(args, flag)}")
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     _setup_logging(args.json_logs)

@@ -132,10 +132,6 @@ class EmptyDensity(DataError):
     pass
 
 
-class MissingRootMap(DataError):
-    pass
-
-
 # -- warnings --------------------------------------------------------------
 
 class ZeroAreaFace(UserWarning):

@@ -138,19 +138,16 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
     weights /= weights.sum()
 
     reseeded = False
-    just_reseeded = False
     trajectory: list[float] = []
-    prev_ll = -np.inf
-    delta = None        # residuals of `means`, once an M-step has made them
+    # residuals of `means`, once an M-step has made them: None at the first
+    # step and at the step after a reseed, whose likelihood need not rise
+    delta = None
     for _ in range(max_iter):
         log_joint = _log_joint(data, weights, means, _cholesky(covs), delta)
         log_norm = _logsumexp(log_joint)
         ll = float(log_norm.sum())
-        if (trajectory and not just_reseeded
-                and ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll))):
-            raise SingularComponent(
-                f"EM log-likelihood decreased: {prev_ll} -> {ll}")
-        just_reseeded = False
+        if delta is not None and ll < trajectory[-1] - 1e-9 * max(1.0, abs(trajectory[-1])):
+            raise SingularComponent(f"EM log-likelihood decreased: {trajectory[-1]} -> {ll}")
         trajectory.append(ll)
         resp = np.exp(log_joint - log_norm)                           # (K, n)
 
@@ -161,14 +158,12 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
                 raise EmptyComponent(
                     f"{int(empty.sum())} component(s) collapsed twice during EM")
             reseeded = True
-            just_reseeded = True
             for k in np.nonzero(empty)[0]:
                 means[k] = data[rng.integers(n)]
                 covs[k] = global_cov
                 weights[k] = 1.0 / n
             weights /= weights.sum()
             delta = None
-            prev_ll = ll
             continue
 
         weights = nk / n
@@ -177,9 +172,8 @@ def fit_gmm(data: np.ndarray, K: int, seed: int = 0, ridge: float = 1e-6,
         covs = np.swapaxes(resp[:, :, None] * delta, 1, 2) @ delta / nk[:, None, None]
         covs = 0.5 * (covs + np.swapaxes(covs, 1, 2)) + ridge * np.eye(d)
 
-        if len(trajectory) > 1 and abs(ll - prev_ll) <= tol * max(1.0, abs(ll)):
+        if len(trajectory) > 1 and abs(ll - trajectory[-2]) <= tol * max(1.0, abs(ll)):
             break
-        prev_ll = ll
 
     return GaussianMixture(weights, means, covs, ll_trajectory=tuple(trajectory))
 

@@ -21,7 +21,6 @@ from .errors import (
     EmptyDensity,
     EmptyGroom,
     InvalidParam,
-    MissingRootMap,
     NonFiniteInput,
     PointOutsideBbox,
     naming,
@@ -177,7 +176,7 @@ class HairCode:
     length_map: np.ndarray       # (R, R), mean strand length per texel (m)
     flow_volume: np.ndarray      # (G, G, G, 3), unit or zero vectors
     bbox: np.ndarray             # (2, 3) [min, max] of the volume (m)
-    root_points: np.ndarray | None = None   # (R, R, 3) mean root per texel
+    root_points: np.ndarray      # (R, R, 3) mean root per texel, where strands start
 
     def __post_init__(self):
         den = np.asarray(self.density_map, dtype=np.float64)
@@ -193,11 +192,12 @@ class HairCode:
             raise DimensionMismatch(
                 f"flow volume must be (G, G, G, 3) with G >= 2, got {flow.shape}")
         R = len(den)
-        rp = self.root_points
-        rp = None if rp is None else np.asarray(rp, dtype=np.float64)
+        rp = np.asarray(self.root_points, dtype=np.float64)
+        if rp.shape != (R, R, 3):
+            raise DimensionMismatch(f"root_points must be ({R}, {R}, 3), got {rp.shape}")
         for name, value in (("density_map", den), ("length_map", ln), ("flow_volume", flow),
                             ("bbox", bbox), ("root_points", rp)):
-            if value is not None and not np.isfinite(value).all():
+            if not np.isfinite(value).all():
                 raise NonFiniteInput(f"{name} holds non-finite values")
         if np.any(den < 0) or np.any(ln < 0):
             raise InvalidParam("density and length maps must be nonnegative")
@@ -211,10 +211,7 @@ class HairCode:
         object.__setattr__(self, "length_map", ln)
         object.__setattr__(self, "flow_volume", flow)
         object.__setattr__(self, "bbox", bbox)
-        if rp is not None:
-            if rp.shape != (R, R, 3):
-                raise DimensionMismatch(f"root_points must be ({R}, {R}, 3), got {rp.shape}")
-            object.__setattr__(self, "root_points", rp)
+        object.__setattr__(self, "root_points", rp)
 
     @property
     def uv_resolution(self) -> int:
@@ -402,9 +399,6 @@ def decode_groom(code: HairCode, n_strands: int, step: float,
         raise InvalidParam("n_strands must be >= 1")
     if not 0 < step < code.cell_size().min():
         raise InvalidParam("step must be positive and below the cell size")
-    if code.root_points is None:
-        raise MissingRootMap(
-            "code lacks the root position grid needed for reconstruction")
     rng = np.random.default_rng(rng)
     R = code.uv_resolution
     weights = code.density_map.ravel()
@@ -505,7 +499,7 @@ def code_to_vector(code: HairCode) -> np.ndarray:
 
 
 def vector_to_code(v: np.ndarray, R: int, G: int, bbox: np.ndarray,
-                   root_points: np.ndarray | None = None) -> HairCode:
+                   root_points: np.ndarray) -> HairCode:
     """Inverse of code_to_vector; flow cells are re-normalized (cells with
     norm below 1e-6 become zero, unit cells pass through bit-exactly)."""
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -559,15 +553,13 @@ def load_groom(path) -> Groom:
 
 
 def save_hair_code(path, code: HairCode) -> None:
-    tensors = {
+    save_container(path, {
         "density_map": code.density_map,
         "length_map": code.length_map,
         "flow_volume": code.flow_volume,
         "bbox": code.bbox,
-    }
-    if code.root_points is not None:
-        tensors["root_points"] = code.root_points
-    save_container(path, tensors, metadata={
+        "root_points": code.root_points,
+    }, metadata={
         "kind": "hair_code",
         "uv_resolution": code.uv_resolution,
         "volume_resolution": code.volume_resolution,
@@ -582,5 +574,5 @@ def load_hair_code(path) -> HairCode:
             length_map=tensors["length_map"],
             flow_volume=tensors["flow_volume"],
             bbox=tensors["bbox"],
-            root_points=tensors.get("root_points"),
+            root_points=tensors["root_points"],
         )

@@ -168,7 +168,6 @@ class LossContext:
     view.  A gather row keeps the order of its index (a face's corners in
     quad order), so every sum adds in one fixed order."""
 
-    scans: ScanSet                    # the scans it was built from
     base: BlendshapeModel             # the base model it was built from
     faces: FaceOperators              # normal forward/adjoint operators
     incidence: BlockOperator          # (E, V) vertices to edge vectors
@@ -192,7 +191,6 @@ class LossContext:
         faces = FaceOperators.build(scans.quads, V)
         targets = np.ascontiguousarray(scans.vertices[order].transpose(2, 1, 0))
         return cls(
-            scans=scans,
             base=base,
             faces=faces,
             incidence=incidence,
@@ -379,7 +377,8 @@ class LossPlan:
                     "phi": phi_grad}
         pose = () if rest else (pose_angle_tables,)
         cpus = _cpu_count()
-        chunks = _scan_chunks(ctx.scans.n_scans, ctx.scans.n_vertices, cpus)
+        _, V, N = ctx.targets.shape
+        chunks = _scan_chunks(N, V, cpus)
         return cls(
             ctx, tuple(chunks),
             slots or tuple(Workspace() for _ in range(min(len(chunks), cpus))),
@@ -439,7 +438,6 @@ class PosedChain:
 
     plan: LossPlan
     weights: LossWeights
-    base: BlendshapeModel
     phi: np.ndarray                        # (m, V, 3) the basis being learned
     theta: ThetaBlocks
     vbar: np.ndarray | None = None         # (N, V, 3) unposed vertices
@@ -467,15 +465,15 @@ def unposed_blend(s: PosedChain) -> None:
     the basis E is all zero and beta finite, as its result would be +0.0
     throughout; the model checks its basis once, so a model's arrays must
     not change after its first loss."""
-    s.vbar = evaluate_unposed(s.base, s.theta.alpha, s.theta.beta, identity_basis=s.phi,
-                              ws=s.plan.slots[0])
+    s.vbar = evaluate_unposed(s.plan.ctx.base, s.theta.alpha, s.theta.beta,
+                              identity_basis=s.phi, ws=s.plan.slots[0])
 
 
 def pose_angle_tables(s: PosedChain) -> None:
     """Stage, off rest: the world transforms of every scan with their
     pivot Jacobian and the analytic angle tables of the 4-joint tree (read
     only when the joint angles are live), and the global rotations."""
-    s.pose = pose_derivatives(s.base.skeleton, s.theta.alpha, s.theta.joint_angles)
+    s.pose = pose_derivatives(s.plan.ctx.base.skeleton, s.theta.alpha, s.theta.joint_angles)
     s.R_g = euler_xyz(s.theta.global_rot)
 
 
@@ -555,7 +553,7 @@ def alpha_grad(s: PosedChain) -> None:
     the prior's 2 w alpha."""
     g_alpha = s.dLdvbar @ s.phi.reshape(len(s.phi), -1).T
     g_pivot = np.einsum("nijab,nia->njb", s.pose.db_dpiv, s.moments[..., 3])
-    g_alpha += np.einsum("njb,jbq->nq", g_pivot, s.base.skeleton.a)
+    g_alpha += np.einsum("njb,jbq->nq", g_pivot, s.plan.ctx.base.skeleton.a)
     s.grads["alpha"] = g_alpha + s.weights.w_id_coeff * 2.0 * s.theta.alpha
 
 
@@ -568,7 +566,7 @@ def alpha_grad_at_rest(s: PosedChain) -> None:
 
 def beta_grad(s: PosedChain) -> None:
     """Backward stage: dL/dvbar . E plus the barrier's derivative."""
-    E = s.base.expression_basis
+    E = s.plan.ctx.base.expression_basis
     s.grads["beta"] = (s.dLdvbar @ E.reshape(len(E), -1).T
                        + s.weights.w_barrier_expr * s.barrier_grads["beta"])
 
@@ -628,8 +626,8 @@ def _place_at_rest(chain: PosedChain, c: slice, ws: Workspace, y_cm: np.ndarray)
 def _place_posed(chain: PosedChain, c: slice, ws: Workspace, y_cm: np.ndarray) -> np.ndarray:
     """Chunk c's positions y_cm: skinning, then the global transform;
     returns the skinned vertices."""
-    vbar, R_g = chain.vbar[c], chain.R_g[c]
-    v_out = lbs_apply(chain.base.skinning_weights, chain.pose.R_w[c], chain.pose.b_w[c], vbar, ws)
+    vbar, R_g, w = chain.vbar[c], chain.R_g[c], chain.plan.ctx.base.skinning_weights
+    v_out = lbs_apply(w, chain.pose.R_w[c], chain.pose.b_w[c], vbar, ws)
     with ws:
         y = np.matmul(v_out, np.swapaxes(R_g, 1, 2), out=ws.take(*v_out.shape))
         y += chain.theta.global_trans[c, None, :]
@@ -654,7 +652,7 @@ def _back_posed(chain: PosedChain, c: slice, ws: Workspace, grad: np.ndarray,
     filled whichever blocks are frozen: a fit that freezes the pose off
     rest still needs the sums for alpha, and the global outputs cost a
     sum and a 3x3 product per scan."""
-    w, vbar = chain.base.skinning_weights, chain.vbar[c]
+    w, vbar = chain.plan.ctx.base.skinning_weights, chain.vbar[c]
     dLdy = ws.take(*grad.shape[::-1])
     np.copyto(dLdy, grad.transpose(2, 1, 0))
     chain.g_trans[c] = dLdy.sum(axis=1)
@@ -686,7 +684,7 @@ def total_loss(plan: LossPlan, thetas: ThetaBlocks, phi: np.ndarray,
     """
     ctx = plan.ctx
     phi = np.asarray(phi, dtype=np.float64)
-    N, V, m = ctx.scans.n_scans, ctx.scans.n_vertices, phi.shape[0]
+    (_, V, N), m = ctx.targets.shape, phi.shape[0]
     if phi.shape[1:] != (V, 3):
         raise DimensionMismatch(f"phi must be (m, {V}, 3), got {phi.shape}")
     if ctx.base.skeleton.n_identity != m:
@@ -700,7 +698,7 @@ def total_loss(plan: LossPlan, thetas: ThetaBlocks, phi: np.ndarray,
         raise InvalidParam(f"plan was built with {nonzero} held at zero; they are not")
     # canonical scan order: every reduction runs in sorted-id order
     order, inv_order = ctx.order, ctx.inv_order
-    chain = PosedChain(plan, weights, ctx.base, phi,
+    chain = PosedChain(plan, weights, phi,
                        ThetaBlocks(**{k: v[order] for k, v in thetas.as_dict().items()}))
     # the loss's per-scan arrays live in slot 0's workspace until the
     # gradients are out of them

@@ -20,7 +20,7 @@ from .errors import DataError, EmptyLibrary, InvalidParam, naming
 from .eyes import EyeGeometry, EyeGeometryParams, build_eye
 from .gmm import GaussianMixture
 from .hair import HAIR_STYLES, Groom, flip_groom, load_groom
-from .hdr import HdrImage, read_hdr
+from .hdr import read_hdr
 from .mesh import QuadMesh
 from .model import BlendshapeModel
 from .modelio import load_model
@@ -158,7 +158,7 @@ class AssetLibrary:
     textures: tuple[str, ...]
     eye_colors: tuple[str, ...]
     grooms: dict[str, dict[str, Groom]]          # style -> id -> groom
-    hdrs: dict[str, HdrImage]                    # id -> image
+    hdrs: tuple[str, ...]                        # light ids; each file is checked at load
     hair_colors: HairColorTable
     pose: PoseDistribution
     eyelid: EyelidCorrectionConfig
@@ -183,9 +183,6 @@ class AssetLibrary:
             with naming(path):
                 return loader(path)
 
-        def read_assets(loader, rels) -> dict:
-            return {Path(rel).stem: read_asset(loader, rel) for rel in rels}
-
         with naming(config_path):
             cfg = decode_json(read_json_object(config_path), _CONFIG_SPEC)
             textures, hdrs = cfg["textures"], cfg["hdrs"]
@@ -200,7 +197,7 @@ class AssetLibrary:
             expressions = read_asset(load_expression_library, cfg["expression_library"])
             if expressions.betas.shape[1] != model.n_expression:
                 raise DataError("expression library width != model expression basis size")
-            grooms = {style: read_assets(load_groom, rels)
+            grooms = {style: {Path(rel).stem: read_asset(load_groom, rel) for rel in rels}
                       for style, rels in cfg.get("grooms", {}).items()}
             hair_colors = HairColorTable.uniform_placeholder()
             if "hair_color_table" in cfg:
@@ -218,6 +215,8 @@ class AssetLibrary:
             sampling = cfg.get("sampling", {})
             if sampling.get("sigma", 0.0) < 0:
                 raise DataError(f"$.sampling.sigma {sampling['sigma']} is negative")
+            for rel in hdrs:        # a scene names its light: only the id is kept
+                read_asset(read_hdr, rel)
             return cls(
                 root=root,
                 model=model,
@@ -226,7 +225,7 @@ class AssetLibrary:
                 textures=textures,
                 eye_colors=eye_colors,
                 grooms=grooms,
-                hdrs=read_assets(read_hdr, hdrs),
+                hdrs=tuple(dict.fromkeys(Path(rel).stem for rel in hdrs)),
                 hair_colors=hair_colors,
                 pose=pose,
                 eyelid=eyelid,

@@ -347,17 +347,16 @@ def _compose(skeleton: Skeleton, alpha: np.ndarray, R: np.ndarray
     return R_w, b_w, piv, b_loc
 
 
-def apply_pose(model: BlendshapeModel, alpha: np.ndarray, pose: Pose,
-               unposed: np.ndarray, check_limits: bool = True) -> np.ndarray:
-    """Linear-blend skinning followed by the global rigid transform."""
+def apply_pose(model: BlendshapeModel, R_w: np.ndarray, b_w: np.ndarray,
+               R_g: np.ndarray, t_g: np.ndarray, unposed: np.ndarray) -> np.ndarray:
+    """Linear-blend skinning by the world joint transforms (R_w, b_w) of
+    world_transforms, followed by the global rigid transform x -> R_g x + t_g."""
     unposed = np.asarray(unposed, dtype=np.float64)
     if unposed.shape[-2] != model.n_vertices:
         raise DimensionMismatch(
             f"unposed has {unposed.shape[-2]} vertices, model has {model.n_vertices}")
-    R_w, b_w, _ = world_transforms(model.skeleton, alpha, pose.joint_angles, check_limits)
     v_out = lbs_apply(model.skinning_weights, R_w, b_w, unposed)
-    R_g = euler_xyz(pose.global_rot)
-    return np.einsum("...ab,...vb->...va", R_g, v_out) + pose.global_trans
+    return np.einsum("...ab,...vb->...va", R_g, v_out) + t_g
 
 
 def lbs_apply(weights: np.ndarray, R_w: np.ndarray, b_w: np.ndarray,
@@ -407,7 +406,9 @@ def evaluate(model: BlendshapeModel, params: ModelParams,
              check_limits: bool = True) -> QuadMesh:
     """Full transform from parameters to a posed mesh on the template topology."""
     unposed = evaluate_unposed(model, params.alpha, params.beta)
-    posed = apply_pose(model, params.alpha, params.gamma, unposed, check_limits)
+    pose = params.gamma
+    R_w, b_w, _ = world_transforms(model.skeleton, params.alpha, pose.joint_angles, check_limits)
+    posed = apply_pose(model, R_w, b_w, euler_xyz(pose.global_rot), pose.global_trans, unposed)
     return model.template.with_vertices(posed)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import load_container, save_container
-from .errors import DimensionMismatch, InvalidParam, NonFiniteInput, RankDeficient
+from .errors import DimensionMismatch, InvalidParam, NonFiniteInput, RankDeficient, naming
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,10 @@ class PcaModel:
                 f"components must be (d={mean.shape[0]}, k), got {comp.shape}")
         if len(var) != comp.shape[1] or len(evr) != comp.shape[1]:
             raise DimensionMismatch("one variance/ratio per component required")
+        for name, value in (("mean", mean), ("components", comp), ("variances", var),
+                            ("explained_variance_ratio", evr)):
+            if not np.isfinite(value).all():
+                raise NonFiniteInput(f"{name} holds non-finite values")
         gram = comp.T @ comp
         if np.max(np.abs(gram - np.eye(comp.shape[1]))) > 1e-9:
             raise InvalidParam("components must be orthonormal within 1e-9")
@@ -122,10 +126,11 @@ def save_pca(path, model: PcaModel) -> None:
 
 def load_pca(path) -> PcaModel:
     tensors, meta = load_container(path, "pca")
-    return PcaModel(
-        mean=tensors["mean"],
-        components=tensors["components"],
-        variances=tensors["variances"],
-        explained_variance_ratio=tensors["explained_variance_ratio"],
-        preprocessing=meta.get("preprocessing", ""),
-    )
+    with naming(path):
+        return PcaModel(
+            mean=tensors["mean"],
+            components=tensors["components"],
+            variances=tensors["variances"],
+            explained_variance_ratio=tensors["explained_variance_ratio"],
+            preprocessing=meta.get("preprocessing", ""),
+        )

@@ -20,7 +20,8 @@ from .gmm import sample_identity
 from .hair import HAIR_STYLES, Groom, flip_groom, save_groom
 from .library import AssetLibrary, SceneTopology, check_fov, check_render
 from .mesh import QuadMesh
-from .model import ModelParams, Pose, euler_xyz, evaluate, world_transforms
+from .model import (ModelParams, Pose, apply_pose, euler_xyz, evaluate, evaluate_unposed,
+                    world_transforms)
 from .objio import dump_obj
 from .sampling import (
     HairColor,
@@ -32,8 +33,8 @@ from .sampling import (
 from .subdivision import subdivide_catmull_clark
 
 # build_eye, flip_groom and subdivide_catmull_clark run once per library, in
-# AssetLibrary.load, not per scene.  They stay importable from this module
-# with the per-scene stages, where per-layer tracing looks every stage up.
+# AssetLibrary.load, and evaluate not at all.  They stay importable from this
+# module with the per-scene stages, where per-layer tracing looks every stage up.
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,8 @@ class RealizedScene:
 
 def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedScene:
     """Geometry for one scene: posed subdivided face, placed eyes with
-    shrinkwrapped lids, and grooms transported by the head transform."""
+    shrinkwrapped lids, and grooms transported by the head transform, all
+    from one composition of the joint transforms and the global rotation."""
     for key, asset_id, ids in (("texture_id", scene.texture_id, library.textures),
                                ("eye_color_id", scene.eye_color_id, library.eye_colors),
                                ("hdr_id", scene.hdr_id, library.hdrs)):
@@ -241,13 +243,12 @@ def realize_scene(library: AssetLibrary, scene: SceneDescription) -> RealizedSce
     model = library.model
     topo = library.topology
     params = scene.params
-    posed = evaluate(model, params)
-    face_verts = topo.stencil @ posed.vertices
-
+    unposed = evaluate_unposed(model, params.alpha, params.beta)
     R_w, b_w, piv = world_transforms(model.skeleton, params.alpha,
                                      params.gamma.joint_angles)
     R_g = euler_xyz(params.gamma.global_rot)
     t_g = params.gamma.global_trans
+    face_verts = topo.stencil @ apply_pose(model, R_w, b_w, R_g, t_g, unposed)
 
     eye_verts = []
     for joint, lid_ids in ((2, model.eyelid_left), (3, model.eyelid_right)):

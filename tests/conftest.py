@@ -30,12 +30,14 @@ from facegen.mesh import Normals, QuadMesh, Workspace, edge_length_energy, gathe
 from facegen.model import (
     BlendshapeModel,
     Skeleton,
+    apply_pose,
     euler_xyz,
     euler_xyz_grad,
     evaluate_unposed,
     lbs_adjoint,
     lbs_apply,
     pose_derivatives,
+    world_transforms,
 )
 from facegen.procedural import cube_mesh, quad_grid, softmax_skinning_weights
 from facegen.eyes import quad_uv_sphere
@@ -554,6 +556,13 @@ def _vertex_points_reference(conn, verts, face_pts, emid):
         out[sel] = (6.0 * verts[sel] + acc[sel]) / 8.0
         # vertices on more than two boundary edges stay pinned
     return out
+
+
+def pose_with(model, alpha, pose, unposed, check_limits=True):
+    """apply_pose of `unposed` by the world transforms of `alpha` and the
+    pose's joint angles, then the pose's global rotation and translation."""
+    R_w, b_w, _ = world_transforms(model.skeleton, alpha, pose.joint_angles, check_limits)
+    return apply_pose(model, R_w, b_w, euler_xyz(pose.global_rot), pose.global_trans, unposed)
 
 
 def lbs_apply_reference(weights, R_w, b_w, unposed):

@@ -19,8 +19,7 @@ from facegen.gmm import GaussianMixture, fit_gmm, sample_identity
 from facegen.hair import code_to_vector, decode_groom, encode_groom, load_groom, save_groom
 from facegen.learning import FitSchedule, LossWeights, ScanSet, fit, project_identity
 from facegen.mesh import QuadMesh, build_connectivity
-from facegen.model import ModelParams, Pose, Skeleton, BlendshapeModel, \
-    apply_pose, euler_xyz, evaluate
+from facegen.model import ModelParams, Pose, Skeleton, BlendshapeModel, euler_xyz, evaluate
 from facegen.objio import dump_obj, parse_obj
 from facegen.pca import fit_pca, pca_project, pca_reconstruct
 from facegen.poremap import pore_map
@@ -28,7 +27,8 @@ from facegen.procedural import cube_mesh, desk_head, quad_grid, smooth_vertex_fi
 from facegen.scene import SceneDescription
 from facegen.subdivision import subdivide_catmull_clark
 
-from conftest import clustered_groom, fd_gradient_check, random_closed_mesh, tiny_problem
+from conftest import (clustered_groom, fd_gradient_check, pose_with, random_closed_mesh,
+                      tiny_problem)
 
 
 @contextmanager
@@ -134,8 +134,8 @@ def test_criterion_4_lbs():
         m1 = dataclasses.replace(model, skinning_weights=w)
         ang = np.zeros((4, 3))
         ang[0] = rng.uniform(-0.3, 0.3, 3)
-        posed = apply_pose(m1, np.zeros(3), Pose(ang, np.zeros(3), np.zeros(3)),
-                           m1.template.vertices)
+        posed = pose_with(m1, np.zeros(3), Pose(ang, np.zeros(3), np.zeros(3)),
+                          m1.template.vertices)
         R = euler_xyz(ang[0])
         piv = m1.skeleton.t0[0]
         rigid = (m1.template.vertices - piv) @ R.T + piv

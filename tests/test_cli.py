@@ -76,6 +76,19 @@ class TestBasics:
         assert f"--augment must be >= 0, got {augment}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, least", [
+        ("encode-hair", "--uv-res", "3", 4), ("encode-hair", "--uv-res", "0", 4),
+        ("encode-hair", "--vol-res", "-1", 4), ("decode-hair", "--count", "0", 1),
+        ("decode-hair", "--count", "-2", 1)])
+    def test_hair_code_size_below_minimum_is_usage_error(self, demo_lib, tmp_path, capsys,
+                                                         command, flag, value, least):
+        out = tmp_path / "o.json"
+        source = (["--groom", str(demo_lib.parent / "groom_scalp_0.json")]
+                  if command == "encode-hair" else ["--code", str(tmp_path / "code.json")])
+        assert cli_main(["--out", str(out), command, *source, flag, value]) == 1
+        assert f"{flag} must be >= {least}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert cli_main(["subdivide", "--bogus"]) == 1
 
@@ -436,6 +449,16 @@ class TestFitCommand:
         fields = {f.name for f in dataclasses.fields(FitSchedule)}
         assert _FIT_CONFIG_SPEC["schedule"].keys() == fields
 
+    def test_config_may_set_every_schedule_field(self):
+        # each field away from its default, so that each one shows it got through
+        moved = {bool: lambda v: not v, int: lambda v: v + 1, float: lambda v: v / 2}
+        values = {f.name: "random" if f.name == "init" else moved[type(f.default)](f.default)
+                  for f in dataclasses.fields(FitSchedule)}
+        cfg = decode_json(json.loads(json.dumps({"schedule": values})), _FIT_CONFIG_SPEC)
+        schedule = FitSchedule(**cfg["schedule"])
+        assert schedule == FitSchedule(**values)
+        assert all(getattr(schedule, f.name) != f.default for f in dataclasses.fields(FitSchedule))
+
     def test_readme_config_example_builds_weights_and_schedule(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### `fit` config (JSON)", 1)[1]
@@ -526,10 +549,13 @@ def _decode_hair(lib: Path) -> list[str]:
             "--code", str(lib / "code.json"), "--count", "4"]
 
 
-def _hair_code(lib, monkeypatch):
-    save_hair_code(lib / "code.json",
-                   encode_groom(load_groom(lib / "groom_scalp_0.json"), R=8, G=8))
-    return _without_tensor("code.json", "flow_volume", _decode_hair)(lib, monkeypatch)
+def _hair_code_without(tensor: str):
+    """`decode-hair` on a code of a demo groom with its tensor entry `tensor` cut."""
+    def case(lib, monkeypatch):
+        save_hair_code(lib / "code.json",
+                       encode_groom(load_groom(lib / "groom_scalp_0.json"), R=8, G=8))
+        return _without_tensor("code.json", tensor, _decode_hair)(lib, monkeypatch)
+    return case
 
 
 def _hair_code_with(**tensors):
@@ -668,6 +694,13 @@ def _sampling(**settings):
     return case
 
 
+def _hdr_cut_short(lib, monkeypatch):
+    """`sample` on the demo library with its sky light cut to half its bytes."""
+    data = (lib / "env_sky.hdr").read_bytes()
+    (lib / "env_sky.hdr").write_bytes(data[:len(data) // 2])
+    return _sample(lib), lib / "env_sky.hdr"
+
+
 def _manifest_as_library(lib, monkeypatch):
     return _sample(lib, "model.json"), lib / "model.json"
 
@@ -703,10 +736,12 @@ MALFORMED = {
     "eyelid_id_out_of_range": _section_key("eyelid", "raise_ids", [0, 99]),
     "hair_color_entry_lacks_field": _hair_color_entry,
     "manifest_as_library": _manifest_as_library,
+    "library_hdr_cut_short": _hdr_cut_short,
     "model_without_skinning_weights": _without_tensor("model.json", "skinning_weights"),
     "gmm_without_weights": _without_tensor("gmm.json", "weights"),
     "model_tensor_listed_twice": _duplicate_tensor("model.json"),
-    "hair_code_without_flow": _hair_code,
+    "hair_code_without_flow": _hair_code_without("flow_volume"),
+    "hair_code_without_root_points": _hair_code_without("root_points"),
     "hair_code_bbox_of_5": _hair_code_with(bbox=np.zeros(5)),
     "hair_code_density_0d": _hair_code_with(density_map=np.array(1.0)),
     "hair_code_flow_of_one_cell": _hair_code_with(

@@ -12,7 +12,6 @@ from facegen.errors import (
     EmptyDensity,
     EmptyGroom,
     InvalidParam,
-    MissingRootMap,
     NonFiniteInput,
     PointOutsideBbox,
 )
@@ -259,14 +258,6 @@ class TestDecode:
         with pytest.raises(EmptyDensity):
             decode_groom(code, 5, 0.001, rng=0)
 
-    def test_missing_root_map(self):
-        density = np.zeros((8, 8))
-        density[0, 0] = 1.0
-        code = HairCode(density, np.full((8, 8), 0.01),
-                        np.zeros((8, 8, 8, 3)), BBOX)
-        with pytest.raises(MissingRootMap):
-            decode_groom(code, 5, 0.001, rng=0)
-
     def test_zero_flow_terminates_early(self):
         R, G = 8, 8
         density = np.zeros((R, R))
@@ -413,7 +404,7 @@ class TestVectorLayout:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch):
-            vector_to_code(np.zeros(10), 8, 8, BBOX)
+            vector_to_code(np.zeros(10), 8, 8, BBOX, np.zeros((8, 8, 3)))
 
     def test_non_finite_entry_rejected(self, rng):
         # a NaN in the flow part would otherwise become a zero-flow cell

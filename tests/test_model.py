@@ -8,7 +8,6 @@ from facegen.mesh import Workspace
 from facegen.model import (
     ModelParams,
     Pose,
-    apply_pose,
     evaluate,
     evaluate_unposed,
     evaluate_with_jacobian,
@@ -25,6 +24,7 @@ from conftest import (
     lbs_adjoint_reference,
     lbs_apply_reference,
     pose_derivatives_reference,
+    pose_with,
 )
 
 
@@ -132,8 +132,8 @@ class TestJointTransforms:
 
 class TestApplyPose:
     def test_identity_pose_returns_input(self, model):
-        out = apply_pose(model, np.zeros(3), Pose.identity(),
-                         model.template.vertices)
+        out = pose_with(model, np.zeros(3), Pose.identity(),
+                        model.template.vertices)
         assert np.array_equal(out, model.template.vertices)
 
     def test_single_bone_is_rigid(self, model):
@@ -142,8 +142,8 @@ class TestApplyPose:
         m1 = dataclasses.replace(model, skinning_weights=w)
         ang = np.zeros((4, 3))
         ang[0] = [0.3, -0.2, 0.1]
-        posed = apply_pose(m1, np.zeros(3), Pose(ang, np.zeros(3), np.zeros(3)),
-                           m1.template.vertices)
+        posed = pose_with(m1, np.zeros(3), Pose(ang, np.zeros(3), np.zeros(3)),
+                          m1.template.vertices)
         R = euler_xyz(ang[0])
         piv = m1.skeleton.t0[0]
         rigid = (m1.template.vertices - piv) @ R.T + piv
@@ -152,8 +152,8 @@ class TestApplyPose:
     def test_matches_naive_loop(self, model, rng):
         params = random_params(model, rng)
         unposed = evaluate_unposed(model, params.alpha, params.beta)
-        out = apply_pose(model, params.alpha, params.gamma, unposed,
-                         check_limits=False)
+        out = pose_with(model, params.alpha, params.gamma, unposed,
+                        check_limits=False)
 
         from facegen.model import world_transforms
         R_w, b_w, _ = world_transforms(model.skeleton, params.alpha,
@@ -175,9 +175,9 @@ class TestApplyPose:
         R_w, b_w, _ = world_transforms(model.skeleton, params.alpha,
                                        params.gamma.joint_angles,
                                        check_limits=False)
-        posed = apply_pose(model, params.alpha,
-                           Pose(params.gamma.joint_angles, np.zeros(3), np.zeros(3)),
-                           unposed, check_limits=False)
+        posed = pose_with(model, params.alpha,
+                          Pose(params.gamma.joint_angles, np.zeros(3), np.zeros(3)),
+                          unposed, check_limits=False)
         images = np.stack([unposed @ R_w[i].T + b_w[i] for i in range(4)], axis=1)
         lo = images.min(axis=1) - 1e-9
         hi = images.max(axis=1) + 1e-9
@@ -228,8 +228,8 @@ class TestEvaluate:
         params = random_params(model, rng)
         full = evaluate(model, params, check_limits=False).vertices
         unposed = evaluate_unposed(model, params.alpha, params.beta)
-        composed = apply_pose(model, params.alpha, params.gamma, unposed,
-                              check_limits=False)
+        composed = pose_with(model, params.alpha, params.gamma, unposed,
+                             check_limits=False)
         assert np.array_equal(full, composed)
 
     def test_linear_in_alpha_beta_without_pivot_coupling(self, rng):

@@ -114,6 +114,21 @@ class TestValidationAndIo:
         assert np.array_equal(model.components, again.components)
         assert again.preprocessing == "log1p"
 
+    @pytest.mark.parametrize("name", ["mean", "components", "variances",
+                                      "explained_variance_ratio"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, rng, tmp_path, name, value):
+        from facegen.container import save_container
+        model = fit_pca(rng.standard_normal((10, 6)), k=3)
+        tensors = {f: np.array(getattr(model, f)) for f in
+                   ("mean", "components", "variances", "explained_variance_ratio")}
+        tensors[name].flat[-1] = value
+        with pytest.raises(NonFiniteInput, match=f"{name} holds non-finite values"):
+            PcaModel(**tensors)
+        save_container(tmp_path / "pca.json", tensors, metadata={"kind": "pca"})
+        with pytest.raises(NonFiniteInput, match=f"pca.json: {name} holds non-finite"):
+            load_pca(tmp_path / "pca.json")
+
     def test_container_of_another_kind_rejected(self, rng, tmp_path):
         from facegen.container import save_container
         from facegen.errors import DataError

@@ -49,7 +49,9 @@ class TestLibrary:
         assert library.model.n_identity == 4
         assert len(library.expressions) > 0
         assert library.grooms["scalp"]
-        assert library.hdrs
+        # the lights' ids in config order; their images are checked and dropped
+        hdrs = json.loads((library.root / "library.json").read_text())["hdrs"]
+        assert library.hdrs == tuple(pathlib.Path(rel).stem for rel in hdrs)
 
     def test_frozen_and_replace_keeps_topology(self, library):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -217,6 +219,24 @@ class TestRealize:
     def test_metadata_has_refraction_index(self, library):
         geo = realize_scene(library, sample_scene(library, 23))
         assert geo.topology.eye.metadata["cornea_refraction_index"] == 1.376
+
+    def test_poses_each_scene_once(self, library, monkeypatch):
+        """The face, the eyes and the grooms of a scene share one composition
+        of its joint transforms and one global rotation."""
+        import facegen.model
+        import facegen.scene
+        scene = sample_scene(library, 25)
+        calls = []
+        for module in (facegen.model, facegen.scene):
+            for name in ("world_transforms", "euler_xyz"):
+                def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                    calls.append((_name, np.shape(args[0])))
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        realize_scene(library, scene)
+        assert sum(name == "world_transforms" for name, _ in calls) == 1
+        # the joints' (4, 3) angles are turned into rotations inside world_transforms
+        assert calls.count(("euler_xyz", (3,))) == 1
 
     def test_lids_and_export_read_one_eye_geometry(self, library, tmp_path, monkeypatch):
         # the shrinkwrap radius and the exported eye metadata both come from
